@@ -2,7 +2,8 @@
 
 Every layer the IMU encoder needs (1-D conv, GroupNorm, max pooling, GRU,
 linear, L2 normalization) is a float64 numpy kernel that records a backward
-rule on a Tape. backward() replays the tape in reverse and accumulates
+rule on a Tape. The encoder layers take a leading batch axis: (B, C, T)
+signals, (B, T, F) sequences and (B, F) rows. backward() replays the tape in reverse and accumulates
 gradients; finite_difference_check() compares them against central
 differences.
 """
@@ -24,12 +25,14 @@ print("d loss/dx :", x.grad, "(expected 2*x)")
 backward(tape, loss)
 print("after 2nd backward:", x.grad)
 
-# --- a convolution the long way -------------------------------------------
+# --- a convolution over a batch of two one-channel signals ----------------
 tape = Tape()
-signal = Tensor([[1.0, 2.0, 3.0, 4.0]], requires_grad=True)
+signal = Tensor([[[1.0, 2.0, 3.0, 4.0]], [[4.0, 3.0, 2.0, 1.0]]], requires_grad=True)
 kernel = Tensor([[[1.0, 0.0, -1.0]]], requires_grad=True)
 out = ad.conv1d(tape, signal, kernel, Tensor([0.0]), stride=1)
-print("\nconv1d([[1,2,3,4]], [1,0,-1]) =", out.data)
+print("\nconv1d([[1,2,3,4]], [[4,3,2,1]]; taps [1,0,-1]) =", out.data.tolist())
+backward(tape, ad.sum_all(tape, out))
+print("d sum/d taps (summed over the batch):", kernel.grad.tolist())
 
 # --- gradient checking -----------------------------------------------------
 err = finite_difference_check(
@@ -41,7 +44,7 @@ print("\nsum(tanh(x)) gradient check, max relative error:", err)
 # the GRU has the largest hand-written backward rule; check it too
 rng = np.random.default_rng(1)
 h = 4
-seq = rng.standard_normal((5, 3))
+seq = rng.standard_normal((2, 5, 3))  # two sequences of 5 steps, 3 features
 weights = {
     "w_ih": Tensor(0.5 * rng.standard_normal((3 * h, 3))),
     "w_hh": Tensor(0.5 * rng.standard_normal((3 * h, h))),
@@ -51,7 +54,7 @@ weights = {
 err = finite_difference_check(
     lambda t, p: ad.sum_all(t, ad.gru_forward(
         t, Tensor(seq), p, weights["w_hh"], weights["b_ih"], weights["b_hh"],
-        Tensor(np.zeros(h)))),
+        Tensor(np.zeros((2, h))))),
     weights["w_ih"],
 )
 print("GRU input-weight gradient check, max relative error:", err)

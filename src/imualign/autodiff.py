@@ -6,6 +6,15 @@ affine maps, L2 normalization) plus a handful of elementwise/reduction
 helpers used to compose losses. There is no broadcasting engine; every op
 takes exact shapes and raises ShapeMismatchError otherwise.
 
+Shape contract: the encoder layers take a leading batch axis B, one entry
+per window. `group_norm`, `conv1d`, `relu` and `max_pool1d` work on (B, C, T)
+signals, `gru_forward` on (B, T, F) sequences with (B, H) initial states, and
+`linear` and `l2_normalize` on (B, F) rows; `swap_last_axes` and `last_step`
+connect them. The products whose rows are windows run as one fixed-shape
+BLAS call per window (a stacked `np.matmul`), so a window's result has the
+same bits in a batch of any size: BLAS picks its kernel, and with it the
+summation order, by the operand shapes. Backward products sum over the batch.
+
 Forward calls record entries on a Tape. `backward` replays the tape in
 reverse, accumulating adjoints, and adds them into each tensor's `grad`
 buffer, so calling it twice on the same tape doubles every gradient.
@@ -160,9 +169,8 @@ def tanh(tape: Tape, x: Tensor) -> Tensor:
 
 
 def relu(tape: Tape, x: Tensor) -> Tensor:
-    mask = x.data > 0.0
-    out = Tensor(np.where(mask, x.data, 0.0))
-    tape.record(out, (x,), lambda g: (g * mask,))
+    out = Tensor(np.maximum(x.data, 0.0))
+    tape.record(out, (x,), lambda g: (g * (out.data > 0.0),))
     return out
 
 
@@ -170,42 +178,36 @@ def relu(tape: Tape, x: Tensor) -> Tensor:
 # shape plumbing
 
 
-def stack_rows(tape: Tape, rows: Sequence[Tensor]) -> Tensor:
-    if not rows:
-        raise ShapeMismatchError("stack_rows: need at least one row")
-    dim = rows[0].shape
-    for r in rows:
-        if r.shape != dim:
-            raise ShapeMismatchError(f"stack_rows: row shapes {dim} and {r.shape} differ")
-        if r.data.ndim != 1:
-            raise ShapeMismatchError(f"stack_rows: rows must be vectors, got {r.shape}")
-    out = Tensor(np.stack([r.data for r in rows]))
-    tape.record(out, tuple(rows), lambda g: tuple(g[i] for i in range(len(rows))))
+def swap_last_axes(tape: Tape, x: Tensor) -> Tensor:
+    """(B, C, T) -> (B, T, C): channel-first features to time-major sequences."""
+    if x.data.ndim != 3:
+        raise ShapeMismatchError(f"swap_last_axes: expected (B,C,T) input, got {x.shape}")
+    out = Tensor(np.ascontiguousarray(x.data.transpose(0, 2, 1)))
+    tape.record(out, (x,), lambda g: (g.transpose(0, 2, 1),))
     return out
 
 
-def take_row(tape: Tape, x: Tensor, index: int) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeMismatchError(f"take_row: expected a matrix, got shape {x.shape}")
-    if not 0 <= index < x.shape[0]:
-        raise ShapeMismatchError(f"take_row: row {index} out of range for shape {x.shape}")
-    out = Tensor(x.data[index].copy())
+def last_step(tape: Tape, x: Tensor) -> Tensor:
+    """(B, T, H) -> (B, H): the final time step of every sequence."""
+    if x.data.ndim != 3:
+        raise ShapeMismatchError(f"last_step: expected (B,T,H) input, got {x.shape}")
+    out = Tensor(x.data[:, -1].copy())
 
     def vjp(g):
         dx = np.zeros_like(x.data)
-        dx[index] = g
+        dx[:, -1] = g
         return (dx,)
 
     tape.record(out, (x,), vjp)
     return out
 
 
-def transpose2d(tape: Tape, x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeMismatchError(f"transpose2d: expected a matrix, got shape {x.shape}")
-    out = Tensor(x.data.T.copy())
-    tape.record(out, (x,), lambda g: (g.T.copy(),))
-    return out
+def _per_row(a: Array, b: Array) -> Array:
+    """a @ b as one (1, K) @ (K, N) product per row of a, so that a row's
+    result has the same bits whatever the number of rows: BLAS picks its
+    kernel, and with it the summation order, by the operand shapes.
+    """
+    return np.matmul(a[:, None, :], b)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +215,17 @@ def transpose2d(tape: Tape, x: Tensor) -> Tensor:
 
 
 def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """w @ x + b for a single feature vector x."""
-    if x.data.ndim != 1 or w.data.ndim != 2 or b.data.ndim != 1:
+    """x @ w.T + b for a batch of feature rows x: (B, F), w: (O, F), b: (O,)."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise ShapeMismatchError(
-            f"linear: expected x (F,), w (O,F), b (O,), got {x.shape}, {w.shape}, {b.shape}"
+            f"linear: expected x (B,F), w (O,F), b (O,), got {x.shape}, {w.shape}, {b.shape}"
         )
-    if w.shape[1] != x.shape[0] or w.shape[0] != b.shape[0]:
+    if w.shape[1] != x.shape[1] or w.shape[0] != b.shape[0]:
         raise ShapeMismatchError(
             f"linear: w {w.shape} incompatible with x {x.shape} and b {b.shape}"
         )
-    out = Tensor(w.data @ x.data + b.data)
-
-    def vjp(g):
-        return (w.data.T @ g, np.outer(g, x.data), g)
-
-    tape.record(out, (x, w, b), vjp)
+    out = Tensor(_per_row(x.data, w.data.T) + b.data)
+    tape.record(out, (x, w, b), lambda g: (g @ w.data, g.T @ x.data, g.sum(axis=0)))
     return out
 
 
@@ -257,43 +255,59 @@ def add_rowvec(tape: Tape, x: Tensor, v: Tensor) -> Tensor:
 # encoder layers
 
 
-def conv1d(tape: Tape, x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
-    """Valid (no padding) cross-correlation over the time axis.
-
-    x: (channels_in, time), w: (channels_out, channels_in, kernel),
-    b: (channels_out,). Output time is floor((time - kernel) / stride) + 1.
+def _im2col(x: Array, kernel: int, stride: int) -> Array:
+    """(B, C, T) -> (B, C * kernel, t_out); column t of window b holds the
+    receptive field of output t, channel-major like a flattened weight row.
     """
-    if x.data.ndim != 2 or w.data.ndim != 3 or b.data.ndim != 1:
+    windows = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=2)[:, :, ::stride]
+    batch, channels, t_out, _ = windows.shape
+    return windows.transpose(0, 1, 3, 2).reshape(batch, channels * kernel, t_out)
+
+
+def conv1d(tape: Tape, x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+    """Valid (no padding) cross-correlation over the time axis, lowered to
+    im2col plus one matrix product per window.
+
+    x: (batch, channels_in, time), w: (channels_out, channels_in, kernel),
+    b: (channels_out,). The output is (batch, channels_out, t_out) with
+    t_out = floor((time - kernel) / stride) + 1.
+    """
+    if x.data.ndim != 3 or w.data.ndim != 3 or b.data.ndim != 1:
         raise ShapeMismatchError(
-            f"conv1d: expected x (C,T), w (O,C,K), b (O,), got {x.shape}, {w.shape}, {b.shape}"
+            f"conv1d: expected x (B,C,T), w (O,C,K), b (O,), got {x.shape}, {w.shape}, {b.shape}"
         )
     c_out, c_in, kernel = w.shape
-    if x.shape[0] != c_in:
+    if x.shape[1] != c_in:
         raise ShapeMismatchError(
-            f"conv1d: input has {x.shape[0]} channels but weights expect {c_in}"
+            f"conv1d: input has {x.shape[1]} channels but weights expect {c_in}"
         )
     if b.shape[0] != c_out:
         raise ShapeMismatchError(f"conv1d: bias {b.shape} does not match {c_out} filters")
     if stride < 1:
         raise ShapeMismatchError(f"conv1d: stride must be >= 1, got {stride}")
-    time = x.shape[1]
+    time = x.shape[2]
     if time < kernel:
         raise ShapeMismatchError(f"conv1d: time {time} shorter than kernel {kernel}")
     t_out = (time - kernel) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, kernel, axis=1)[:, ::stride]
-    out = Tensor(np.einsum("cok,dck->do", windows, w.data) + b.data[:, None])
+    w2 = w.data.reshape(c_out, c_in * kernel)
+    # a product per window: the stacked matmul runs one fixed-shape BLAS
+    # call per window, so a window's output does not depend on the batch
+    out = np.matmul(w2, _im2col(x.data, kernel, stride))
+    out += b.data[:, None]
 
     def vjp(g):
-        dw = np.einsum("do,cok->dck", g, windows)
-        db = g.sum(axis=1)
+        cols = _im2col(x.data, kernel, stride)  # rebuilt rather than kept alive on the tape
+        dw = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+        db = g.sum(axis=(0, 2))
+        dcols = np.matmul(w2.T, g).reshape(x.shape[0], c_in, kernel, t_out)
         dx = np.zeros_like(x.data)
+        span = stride * (t_out - 1) + 1
         for k in range(kernel):
             # positions k, k+stride, ... receive the k-th tap of every filter
-            dx[:, k : k + stride * (t_out - 1) + 1 : stride] += np.einsum(
-                "dc,do->co", w.data[:, :, k], g
-            )
+            dx[:, :, k : k + span : stride] += dcols[:, :, k]
         return (dx, dw, db)
 
+    out = Tensor(out)
     tape.record(out, (x, w, b), vjp)
     return out
 
@@ -301,14 +315,14 @@ def conv1d(tape: Tape, x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tens
 def group_norm(
     tape: Tape, x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: float
 ) -> Tensor:
-    """Normalize over (channel, time) within each channel group, then apply
-    the per-channel affine gamma * xhat + beta.
+    """Normalize each window over (channel, time) within each channel group,
+    then apply the per-channel affine gamma * xhat + beta. x: (B, C, T).
 
     Group statistics use the biased variance over all entries of the group.
     """
-    if x.data.ndim != 2:
-        raise ShapeMismatchError(f"group_norm: expected (C,T) input, got {x.shape}")
-    channels, time = x.shape
+    if x.data.ndim != 3:
+        raise ShapeMismatchError(f"group_norm: expected (B,C,T) input, got {x.shape}")
+    batch, channels, time = x.shape
     if num_groups < 1 or channels % num_groups != 0:
         raise ShapeMismatchError(
             f"group_norm: {channels} channels not divisible into {num_groups} groups"
@@ -319,22 +333,21 @@ def group_norm(
         )
     if eps <= 0:
         raise ShapeMismatchError(f"group_norm: eps must be > 0, got {eps}")
-    per = channels // num_groups
-    grouped = x.data.reshape(num_groups, per, time)
-    mean = grouped.mean(axis=(1, 2), keepdims=True)
-    var = grouped.var(axis=(1, 2), keepdims=True)
+    grouped = x.data.reshape(batch, num_groups, -1)
+    mean = grouped.mean(axis=2, keepdims=True)
+    var = grouped.var(axis=2, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = ((grouped - mean) * inv).reshape(channels, time)
+    xh = (grouped - mean) * inv
+    xhat = xh.reshape(x.shape)
     out = Tensor(gamma.data[:, None] * xhat + beta.data[:, None])
 
     def vjp(g):
-        dgamma = (g * xhat).sum(axis=1)
-        dbeta = g.sum(axis=1)
-        dxhat = (g * gamma.data[:, None]).reshape(num_groups, per, time)
-        xh = xhat.reshape(num_groups, per, time)
-        m1 = dxhat.mean(axis=(1, 2), keepdims=True)
-        m2 = (dxhat * xh).mean(axis=(1, 2), keepdims=True)
-        dx = (inv * (dxhat - m1 - xh * m2)).reshape(channels, time)
+        dgamma = (g * xhat).sum(axis=(0, 2))
+        dbeta = g.sum(axis=(0, 2))
+        dxhat = (g * gamma.data[:, None]).reshape(grouped.shape)
+        m1 = dxhat.mean(axis=2, keepdims=True)
+        m2 = (dxhat * xh).mean(axis=2, keepdims=True)
+        dx = (inv * (dxhat - m1 - xh * m2)).reshape(x.shape)
         return (dx, dgamma, dbeta)
 
     tape.record(out, (x, gamma, beta), vjp)
@@ -342,26 +355,27 @@ def group_norm(
 
 
 def max_pool1d(tape: Tape, x: Tensor, kernel: int, stride: int) -> Tensor:
-    """Per-channel max over sliding windows; gradient routes to the first
-    maximal position of each window.
+    """Per-channel max over sliding time windows of x: (B, C, T); gradient
+    routes to the first maximal position of each window.
     """
-    if x.data.ndim != 2:
-        raise ShapeMismatchError(f"max_pool1d: expected (C,T) input, got {x.shape}")
+    if x.data.ndim != 3:
+        raise ShapeMismatchError(f"max_pool1d: expected (B,C,T) input, got {x.shape}")
     if kernel < 1 or stride < 1:
         raise ShapeMismatchError(f"max_pool1d: kernel/stride must be >= 1, got {kernel}/{stride}")
-    channels, time = x.shape
+    time = x.shape[2]
     if time < kernel:
         raise ShapeMismatchError(f"max_pool1d: time {time} shorter than kernel {kernel}")
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, kernel, axis=1)[:, ::stride]
-    argmax = windows.argmax(axis=2)  # first occurrence on ties
-    out = Tensor(np.take_along_axis(windows, argmax[:, :, None], axis=2)[:, :, 0])
-    t_out = out.shape[1]
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, kernel, axis=2)[:, :, ::stride]
+    flat = windows.reshape(-1, kernel)  # a copy: numpy reduces short contiguous rows fastest
+    argmax = flat.argmax(axis=1)  # first occurrence on ties
+    out = Tensor(flat[np.arange(flat.shape[0]), argmax].reshape(windows.shape[:3]))
+    argmax = argmax.reshape(windows.shape[:3])
+    span = stride * (out.shape[2] - 1) + 1
 
     def vjp(g):
         dx = np.zeros_like(x.data)
-        cols = np.arange(t_out) * stride + argmax
-        rows = np.repeat(np.arange(channels), t_out)
-        np.add.at(dx, (rows, cols.ravel()), g.ravel())
+        for k in range(kernel):
+            dx[:, :, k : k + span : stride] += g * (argmax == k)
         return (dx,)
 
     tape.record(out, (x,), vjp)
@@ -377,19 +391,20 @@ def gru_forward(
     b_hh: Tensor,
     h0: Tensor,
 ) -> Tensor:
-    """Unidirectional GRU over a (time, features) sequence; returns all
-    hidden states as (time, hidden).
+    """Unidirectional GRU over a batch of (time, features) sequences
+    x: (B, T, F) from initial states h0: (B, H); returns every hidden state
+    as (B, T, H). All B states advance together, one time step at a time.
 
     Gate layout stacks reset, update, candidate rows: w_ih is (3H, F), w_hh
     is (3H, H). The reset gate multiplies the hidden-side affine term of the
     candidate, and the state update is h' = (1 - z) * n + z * h.
     """
-    if x.data.ndim != 2:
-        raise ShapeMismatchError(f"gru_forward: expected (T,F) sequence, got {x.shape}")
-    time, feat = x.shape
-    hidden = h0.shape[0] if h0.data.ndim == 1 else -1
-    if h0.data.ndim != 1:
-        raise ShapeMismatchError(f"gru_forward: h0 must be a vector, got {h0.shape}")
+    if x.data.ndim != 3:
+        raise ShapeMismatchError(f"gru_forward: expected (B,T,F) sequences, got {x.shape}")
+    batch, time, feat = x.shape
+    if h0.data.ndim != 2 or h0.shape[0] != batch:
+        raise ShapeMismatchError(f"gru_forward: h0 must be ({batch}, H), got {h0.shape}")
+    hidden = h0.shape[1]
     if w_ih.shape != (3 * hidden, feat):
         raise ShapeMismatchError(
             f"gru_forward: w_ih {w_ih.shape} does not match features {feat} / hidden {hidden}"
@@ -402,83 +417,74 @@ def gru_forward(
         )
 
     H = hidden
-    gi_all = x.data @ w_ih.data.T + b_ih.data  # (T, 3H)
-    hs = np.empty((time, H))
+    gi_all = np.matmul(x.data, w_ih.data.T) + b_ih.data  # (B, T, 3H), a product per window
+    hs = np.empty((batch, time, H))
     cache = []
     h = h0.data
     for t in range(time):
-        gh = w_hh.data @ h + b_hh.data
-        r = _sigmoid(gi_all[t, :H] + gh[:H])
-        z = _sigmoid(gi_all[t, H : 2 * H] + gh[H : 2 * H])
-        hn = gh[2 * H :]
-        n = np.tanh(gi_all[t, 2 * H :] + r * hn)
-        h_new = (1.0 - z) * n + z * h
-        cache.append((h, r, z, n, hn))
-        hs[t] = h_new
-        h = h_new
+        gh = _per_row(h, w_hh.data.T) + b_hh.data
+        gi = gi_all[:, t]
+        rz = _sigmoid(gi[:, : 2 * H] + gh[:, : 2 * H])
+        r, z = rz[:, :H], rz[:, H:]
+        hn = gh[:, 2 * H :]
+        n = np.tanh(gi[:, 2 * H :] + r * hn)
+        h = (1.0 - z) * n + z * h
+        cache.append((r, z, n, hn))
+        hs[:, t] = h
     out = Tensor(hs)
 
     def vjp(g):
-        dw_ih = np.zeros_like(w_ih.data)
-        dw_hh = np.zeros_like(w_hh.data)
-        db_ih = np.zeros_like(b_ih.data)
-        db_hh = np.zeros_like(b_hh.data)
-        dx = np.zeros_like(x.data)
-        dh = np.zeros(H)
+        # pre-activation adjoints per step: input side (r, z, n) and hidden
+        # side (r, z, hn); the weight products then run once over all steps
+        da = np.empty((batch, time, 3 * H))
+        dgh = np.empty((batch, time, 3 * H))
+        h_prev = np.concatenate([h0.data[:, None], hs[:, :-1]], axis=1)
+        dh = np.zeros((batch, H))
         for t in range(time - 1, -1, -1):
-            h_prev, r, z, n, hn = cache[t]
-            dh = dh + g[t]
-            dz = dh * (h_prev - n)
-            dn = dh * (1.0 - z)
-            dh_prev = dh * z
-            da_n = dn * (1.0 - n * n)
-            dr = da_n * hn
-            dhn = da_n * r
-            da_z = dz * z * (1.0 - z)
-            da_r = dr * r * (1.0 - r)
-            da = np.concatenate([da_r, da_z, da_n])  # input-side pre-activations
-            dgh = np.concatenate([da_r, da_z, dhn])  # hidden-side pre-activations
-            dw_ih += np.outer(da, x.data[t])
-            db_ih += da
-            dx[t] = w_ih.data.T @ da
-            dw_hh += np.outer(dgh, h_prev)
-            db_hh += dgh
-            dh = dh_prev + w_hh.data.T @ dgh
-        return (dx, dw_ih, dw_hh, db_ih, db_hh, dh)
+            r, z, n, hn = cache[t]
+            dh = dh + g[:, t]
+            da_n = dh * (1.0 - z) * (1.0 - n * n)
+            da[:, t, :H] = da_n * hn * r * (1.0 - r)
+            da[:, t, H : 2 * H] = dh * (h_prev[:, t] - n) * z * (1.0 - z)
+            da[:, t, 2 * H :] = da_n
+            dgh[:, t, : 2 * H] = da[:, t, : 2 * H]
+            dgh[:, t, 2 * H :] = da_n * r
+            dh = dh * z + dgh[:, t] @ w_hh.data
+        da = da.reshape(-1, 3 * H)
+        dgh = dgh.reshape(-1, 3 * H)
+        dx = (da @ w_ih.data).reshape(x.shape)
+        dw_ih = da.T @ x.data.reshape(-1, feat)
+        dw_hh = dgh.T @ h_prev.reshape(-1, H)
+        return (dx, dw_ih, dw_hh, da.sum(axis=0), dgh.sum(axis=0), dh)
 
     tape.record(out, (x, w_ih, w_hh, b_ih, b_hh, h0), vjp)
     return out
 
 
 def l2_normalize(tape: Tape, v: Tensor, eps: float = 1e-12) -> Tensor:
-    """v / max(||v||, eps); maps any vector with norm >= eps onto the unit
-    sphere and leaves the zero vector at zero.
+    """Each row of v: (B, F) divided by max(||row||, eps); maps any row with
+    norm >= eps onto the unit sphere and leaves a zero row at zero.
     """
-    if v.data.ndim != 1:
-        raise ShapeMismatchError(f"l2_normalize: expected a vector, got {v.shape}")
+    if v.data.ndim != 2:
+        raise ShapeMismatchError(f"l2_normalize: expected (B,F) rows, got {v.shape}")
     if eps <= 0:
         raise ShapeMismatchError(f"l2_normalize: eps must be > 0, got {eps}")
-    norm = float(np.linalg.norm(v.data))
-    s = max(norm, eps)
+    norm = np.linalg.norm(v.data, axis=1, keepdims=True)
+    s = np.maximum(norm, eps)
     y = v.data / s
     out = Tensor(y)
 
     def vjp(g):
-        if norm < eps:
-            return (g / eps,)
-        return ((g - y * float(y @ g)) / s,)
+        tangent = (g - y * (y * g).sum(axis=1, keepdims=True)) / s
+        return (np.where(norm < eps, g / eps, tangent),)
 
     tape.record(out, (v,), vjp)
     return out
 
 
 def _sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # the tanh form cannot overflow, unlike 1 / (1 + exp(-x))
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 # ---------------------------------------------------------------------------

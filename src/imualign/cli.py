@@ -284,16 +284,23 @@ def _load_query_vector(value: str) -> np.ndarray:
     """Accept either an inline JSON anchor record or a path to a JSONL file
     whose first record is the query.
     """
-    text = value.strip()
-    if text.startswith("{"):
-        rec = json.loads(text)
-    else:
+    text, source = value.strip(), "--query-anchor"
+    if not text.startswith("{"):
         with open(value, "r", encoding="utf-8") as fh:
-            line = next((ln for ln in fh if ln.strip()), None)
-        if line is None:
+            text = next((ln for ln in fh if ln.strip()), None)
+        if text is None:
             raise DataError(f"{value}: empty query file")
-        rec = json.loads(line)
-    vec = np.asarray(rec["vector"], dtype=np.float64)
+        source = value
+    try:
+        rec = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{source}: bad JSON: {exc}") from exc
+    if not isinstance(rec, dict) or "vector" not in rec:
+        raise DataError(f'{source}: the query must be a JSON object with a "vector" field')
+    try:
+        vec = np.asarray(rec["vector"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{source}: query vector is not numeric: {exc}") from exc
     if vec.ndim != 1 or not np.all(np.isfinite(vec)):
         raise DataError("query vector must be a finite 1-D array")
     norm = float(np.linalg.norm(vec))

@@ -58,6 +58,8 @@ def read_container(path, magic: bytes, version: int) -> tuple[dict, dict[str, np
         header = json.loads(raw[13 : 13 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
     arrays: dict[str, np.ndarray] = {}
     offset = 13 + hlen
     for meta in header.get("arrays", []):

@@ -146,20 +146,8 @@ class EncoderParams:
         def dup(t: Tensor) -> Tensor:
             return Tensor(t.data.copy(), requires_grad=t.requires_grad)
 
-        return EncoderParams(
-            input_gn_gamma=dup(self.input_gn_gamma),
-            input_gn_beta=dup(self.input_gn_beta),
-            conv_weights=[dup(t) for t in self.conv_weights],
-            conv_biases=[dup(t) for t in self.conv_biases],
-            post_gn_gamma=dup(self.post_gn_gamma),
-            post_gn_beta=dup(self.post_gn_beta),
-            gru_w_ih=dup(self.gru_w_ih),
-            gru_w_hh=dup(self.gru_w_hh),
-            gru_b_ih=dup(self.gru_b_ih),
-            gru_b_hh=dup(self.gru_b_hh),
-            proj_w=dup(self.proj_w),
-            proj_b=dup(self.proj_b),
-        )
+        return EncoderParams(**{k: [dup(t) for t in v] if isinstance(v, list) else dup(v)
+                                for k, v in vars(self).items()})
 
     def assert_finite(self) -> None:
         for name, t in self.named().items():
@@ -207,52 +195,55 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     )
 
 
-def encode_signal(tape: Tape, signal, params: EncoderParams, config: EncoderConfig) -> Tensor:
-    """Run the full pipeline on one (6, T) signal; returns the unit-norm
-    embedding as a tensor on the tape.
+_CHUNK = 64  # windows per encode_batch tape: bounds the memory one call holds
+
+
+def encode_batch_on_tape(
+    tape: Tape, signals: list[np.ndarray], params: EncoderParams, config: EncoderConfig
+) -> Tensor:
+    """Run the full pipeline on equal-length (6, T) signals; returns the
+    (B, D) unit-norm embeddings as a tensor on the tape.
     """
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.ndim != 2 or signal.shape[0] != 6:
-        raise ShapeMismatchError(f"encode: expected (6, T) signal, got {signal.shape}")
-    pipeline_time_lengths(config, signal.shape[1])  # fail early, naming the layer
+    shapes = sorted({np.shape(s) for s in signals})
+    if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != 6:
+        raise ShapeMismatchError(f"encode: expected equal (6, T) signals, got shapes {shapes}")
+    x = np.stack(signals).astype(np.float64, copy=False)
+    pipeline_time_lengths(config, x.shape[2])  # fail early, naming the layer
     x = ad.group_norm(
-        tape, Tensor(signal), 2, params.input_gn_gamma, params.input_gn_beta, config.groupnorm_eps
+        tape, Tensor(x), 2, params.input_gn_gamma, params.input_gn_beta, config.groupnorm_eps
     )
     for i in range(config.n_conv_layers):
         x = ad.conv1d(tape, x, params.conv_weights[i], params.conv_biases[i], config.conv_strides[i])
         x = ad.relu(tape, x)
     x = ad.max_pool1d(tape, x, config.pool_kernel, config.pool_stride)
     x = ad.group_norm(tape, x, 1, params.post_gn_gamma, params.post_gn_beta, config.groupnorm_eps)
-    seq = ad.transpose2d(tape, x)
-    h0 = Tensor(np.zeros(config.gru_hidden))
+    seq = ad.swap_last_axes(tape, x)
+    h0 = Tensor(np.zeros((len(signals), config.gru_hidden)))
     hs = ad.gru_forward(
         tape, seq, params.gru_w_ih, params.gru_w_hh, params.gru_b_ih, params.gru_b_hh, h0
     )
-    last = ad.take_row(tape, hs, hs.shape[0] - 1)
-    emb = ad.linear(tape, last, params.proj_w, params.proj_b)
+    emb = ad.linear(tape, ad.last_step(tape, hs), params.proj_w, params.proj_b)
     return ad.l2_normalize(tape, emb)
-
-
-def encode(window: ImuWindow, params: EncoderParams, config: EncoderConfig) -> np.ndarray:
-    """Embed one window; pure function of (window, params, config)."""
-    return encode_signal(Tape(), window.signal, params, config).data.copy()
 
 
 def encode_batch(
     windows: list[ImuWindow], params: EncoderParams, config: EncoderConfig
 ) -> np.ndarray:
-    """Row i is encode(windows[i]); windows must share one length."""
+    """Row i embeds windows[i]; windows must share one length. Each row is
+    the same, bit for bit, in any batch (see `autodiff`).
+    """
     if not windows:
         raise DataError("encode_batch: empty batch")
     lens = {w.n_samples for w in windows}
     if len(lens) > 1:
         raise ShapeMismatchError(f"encode_batch: mixed window lengths {sorted(lens)}")
-    return np.stack([encode(w, params, config) for w in windows])
+    out = np.empty((len(windows), config.embed_dim))
+    for start in range(0, len(windows), _CHUNK):
+        chunk = [w.signal for w in windows[start : start + _CHUNK]]
+        out[start : start + len(chunk)] = encode_batch_on_tape(Tape(), chunk, params, config).data
+    return out
 
 
-def encode_batch_on_tape(
-    tape: Tape, signals: list[np.ndarray], params: EncoderParams, config: EncoderConfig
-) -> Tensor:
-    """Differentiable batch encode: stacks per-window embeddings into (B, D)."""
-    rows = [encode_signal(tape, sig, params, config) for sig in signals]
-    return ad.stack_rows(tape, rows)
+def encode(window: ImuWindow, params: EncoderParams, config: EncoderConfig) -> np.ndarray:
+    """Embed one window; pure function of (window, params, config)."""
+    return encode_batch([window], params, config)[0]

@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .container import read_container, write_container
-from .encoder import EncoderConfig, EncoderParams, encode_batch_on_tape
+from .encoder import EncoderConfig, EncoderParams, encode_batch, encode_batch_on_tape
 from .errors import CoverageError, DataError, NumericError, ShapeMismatchError
 from .signalio import ParallelDataset
 from .train import AdagradState, adagrad_step, make_batches
@@ -269,8 +269,7 @@ def train_probe(
     """Probing: the encoder stays frozen; only the linear head is trained."""
     ids = _labeled_ids(dataset)
     by_id = {w.window_id: w for w in dataset.windows}
-    signals = [by_id[i].signal for i in ids]
-    emb = encode_batch_on_tape(Tape(), signals, params, encoder_config).data
+    emb = encode_batch([by_id[i] for i in ids], params, encoder_config)
     return fit_linear_head(emb, _label_indices(dataset, ids), dataset.class_names, config)
 
 

@@ -297,9 +297,13 @@ def load_labels(path) -> tuple[dict[str, str], list[str]]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(rec).__name__}")
             if "classes" in rec:
                 if class_names is not None:
                     raise DataError(f"{path}:{lineno}: duplicate classes header")
+                if not isinstance(rec["classes"], list):
+                    raise DataError(f"{path}:{lineno}: classes must be a list")
                 class_names = [str(c) for c in rec["classes"]]
                 continue
             if class_names is None:

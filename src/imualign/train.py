@@ -19,7 +19,7 @@ from .autodiff import Tape, Tensor
 from .container import read_container, write_container
 from .contrastive import LossReport, similarity_matrix, symmetric_loss, trimodal_loss
 from .encoder import EncoderConfig, EncoderParams, encode_batch_on_tape, init_params
-from .errors import DataError, NumericError
+from .errors import DataError, FormatError, NumericError
 from .signalio import ParallelDataset
 
 CKPT_MAGIC = b"IMUK"
@@ -291,23 +291,26 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> Checkpoint:
     header, arrays = read_container(path, CKPT_MAGIC, CKPT_VERSION)
-    encoder_config = EncoderConfig.from_dict(header["encoder_config"])
-    train_config = None
-    if header.get("train_config") is not None:
-        train_config = TrainConfig.from_dict(header["train_config"])
-    params = init_params(encoder_config, seed=0)
-    named = params.named()
-    if list(named.keys()) != header["param_names"]:
-        raise DataError(f"{path}: parameter names do not match the encoder config")
-    for name, t in named.items():
-        stored = arrays[f"param.{name}"]
-        if stored.shape != t.data.shape:
-            raise DataError(f"{path}: parameter {name} has shape {stored.shape}, expected {t.data.shape}")
-        t.data = stored
-    opt_state = None
-    if header.get("opt") is not None:
-        opt_state = AdagradState(
-            accumulators={name: arrays[f"acc.{name}"] for name in header["opt"]["names"]},
-            step=int(header["opt"]["step"]),
-        )
-    return Checkpoint(params, opt_state, encoder_config, train_config, int(header["step"]))
+    try:
+        encoder_config = EncoderConfig.from_dict(header["encoder_config"])
+        train_config = None
+        if header.get("train_config") is not None:
+            train_config = TrainConfig.from_dict(header["train_config"])
+        params = init_params(encoder_config, seed=0)
+        named = params.named()
+        if list(named.keys()) != header["param_names"]:
+            raise DataError(f"{path}: parameter names do not match the encoder config")
+        for name, t in named.items():
+            stored = arrays[f"param.{name}"]
+            if stored.shape != t.data.shape:
+                raise DataError(f"{path}: parameter {name} has shape {stored.shape}, expected {t.data.shape}")
+            t.data = stored
+        opt_state = None
+        if header.get("opt") is not None:
+            opt_state = AdagradState(
+                accumulators={name: arrays[f"acc.{name}"] for name in header["opt"]["names"]},
+                step=int(header["opt"]["step"]),
+            )
+        return Checkpoint(params, opt_state, encoder_config, train_config, int(header["step"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed checkpoint header: {exc!r}") from exc

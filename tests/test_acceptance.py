@@ -18,7 +18,7 @@ from imualign import autodiff as ad
 from imualign.autodiff import Tape, Tensor, finite_difference_check
 from imualign.cli import main as cli_main
 from imualign.contrastive import info_nce, retrieval_distribution, trimodal_loss
-from imualign.encoder import EncoderConfig, EncoderParams, encode_batch, encode_signal, init_params
+from imualign.encoder import EncoderConfig, EncoderParams, encode_batch, encode_batch_on_tape, init_params
 from imualign.evaluate import (
     ProbeConfig,
     classification_metrics,
@@ -78,29 +78,29 @@ def _tiny_params_with(params, name, probe):
 
 def _kernel_cases(rng):
     """One random finite-difference case per call, cycling across every
-    differentiable kernel argument.
+    differentiable kernel argument; encoder kernels get a batch of two.
     """
-    x = rng.standard_normal((2, 11))
+    x = rng.standard_normal((2, 2, 11))
     w = rng.standard_normal((3, 2, 3))
     b = rng.standard_normal(3)
     gam = 0.5 + rng.uniform(size=4)
     bet = rng.standard_normal(4)
-    xg = rng.standard_normal((4, 6))
-    seq = rng.standard_normal((4, 3))
+    xg = rng.standard_normal((2, 4, 6))
+    seq = rng.standard_normal((2, 4, 3))
     w_ih = 0.5 * rng.standard_normal((12, 3))
     w_hh = 0.5 * rng.standard_normal((12, 4))
     b_ih = 0.5 * rng.standard_normal(12)
     b_hh = 0.5 * rng.standard_normal(12)
-    h0 = 0.5 * rng.standard_normal(4)
+    h0 = 0.5 * rng.standard_normal((2, 4))
     lw = rng.standard_normal((3, 5))
     lb = rng.standard_normal(3)
-    lv = rng.standard_normal(5)
+    lv = rng.standard_normal((2, 5))
     m = rng.standard_normal((3, 4))
     m2 = rng.standard_normal((2, 4))
     mat34 = rng.standard_normal((3, 4))
     sims = rng.uniform(-0.8, 0.8, size=(4, 4))
     labels = rng.integers(0, 3, size=4)
-    rows = [rng.standard_normal(4) for _ in range(3)]
+    swap_w = rng.standard_normal((2, 5, 3))
 
     def enc_tanh(op):
         return lambda t, p: ad.sum_all(t, ad.tanh(t, op(t, p)))
@@ -112,7 +112,7 @@ def _kernel_cases(rng):
         ("group_norm/x", enc_tanh(lambda t, p: ad.group_norm(t, p, 2, Tensor(gam), Tensor(bet), 1e-5)), Tensor(xg)),
         ("group_norm/gamma", enc_tanh(lambda t, p: ad.group_norm(t, Tensor(xg), 2, p, Tensor(bet), 1e-5)), Tensor(gam)),
         ("group_norm/beta", enc_tanh(lambda t, p: ad.group_norm(t, Tensor(xg), 2, Tensor(gam), p, 1e-5)), Tensor(bet)),
-        ("max_pool1d/x", (lambda t, p: ad.sum_all(t, ad.max_pool1d(t, p, 3, 2))), Tensor(_spread(rng, (2, 8)))),
+        ("max_pool1d/x", (lambda t, p: ad.sum_all(t, ad.max_pool1d(t, p, 3, 2))), Tensor(_spread(rng, (2, 2, 8)))),
         ("gru/x", enc_tanh(lambda t, p: ad.gru_forward(t, p, Tensor(w_ih), Tensor(w_hh), Tensor(b_ih), Tensor(b_hh), Tensor(h0))), Tensor(seq)),
         ("gru/w_ih", enc_tanh(lambda t, p: ad.gru_forward(t, Tensor(seq), p, Tensor(w_hh), Tensor(b_ih), Tensor(b_hh), Tensor(h0))), Tensor(w_ih)),
         ("gru/w_hh", enc_tanh(lambda t, p: ad.gru_forward(t, Tensor(seq), Tensor(w_ih), p, Tensor(b_ih), Tensor(b_hh), Tensor(h0))), Tensor(w_hh)),
@@ -122,7 +122,7 @@ def _kernel_cases(rng):
         ("linear/x", enc_tanh(lambda t, p: ad.linear(t, p, Tensor(lw), Tensor(lb))), Tensor(lv)),
         ("linear/w", enc_tanh(lambda t, p: ad.linear(t, Tensor(lv), p, Tensor(lb))), Tensor(lw)),
         ("linear/b", enc_tanh(lambda t, p: ad.linear(t, Tensor(lv), Tensor(lw), p)), Tensor(lb)),
-        ("l2_normalize", (lambda t, p: ad.sum_all(t, ad.l2_normalize(t, p))), Tensor(1.0 + rng.uniform(size=5))),
+        ("l2_normalize", (lambda t, p: ad.sum_all(t, ad.l2_normalize(t, p))), Tensor(1.0 + rng.uniform(size=(2, 5)))),
         ("relu", (lambda t, p: ad.sum_all(t, ad.relu(t, p))), Tensor(_away_from_zero(rng.standard_normal(8)))),
         ("tanh", (lambda t, p: ad.sum_all(t, ad.tanh(t, p))), Tensor(rng.standard_normal(8))),
         ("mul", (lambda t, p: ad.sum_all(t, ad.mul(t, p, p))), Tensor(rng.standard_normal(6))),
@@ -130,8 +130,8 @@ def _kernel_cases(rng):
         ("matmul_nt/a", enc_tanh(lambda t, p: ad.matmul_nt(t, p, Tensor(m))), Tensor(m2)),
         ("matmul_nt/b", enc_tanh(lambda t, p: ad.matmul_nt(t, Tensor(m2), p)), Tensor(m)),
         ("add_rowvec/v", enc_tanh(lambda t, p: ad.add_rowvec(t, Tensor(mat34), p)), Tensor(rng.standard_normal(4))),
-        ("stack+take", (lambda t, p: ad.sum_all(t, ad.tanh(t, ad.take_row(t, ad.stack_rows(t, [p] + [Tensor(r) for r in rows]), 0)))), Tensor(rng.standard_normal(4))),
-        ("transpose2d", enc_tanh(lambda t, p: ad.transpose2d(t, p)), Tensor(rng.standard_normal((3, 5)))),
+        ("last_step", enc_tanh(lambda t, p: ad.last_step(t, p)), Tensor(rng.standard_normal((2, 3, 4)))),
+        ("swap_last_axes", (lambda t, p: ad.sum_all(t, ad.mul(t, ad.swap_last_axes(t, ad.tanh(t, p)), Tensor(swap_w)))), Tensor(rng.standard_normal((2, 3, 5)))),
         ("info_nce/row", (lambda t, p: info_nce(t, p, 0.2, "row_to_col")), Tensor(sims)),
         ("info_nce/col", (lambda t, p: info_nce(t, p, 0.2, "col_to_row")), Tensor(sims)),
         ("cross_entropy", (lambda t, p: softmax_cross_entropy(t, p, labels)), Tensor(rng.standard_normal((4, 3)))),
@@ -165,7 +165,7 @@ def test_criterion_01_gradient_correctness():
             signal = enc_rng.standard_normal((6, 32))
 
             def f(tape, probe, _n=name, _s=signal):
-                emb = encode_signal(tape, _s, _tiny_params_with(params, _n, probe), TINY)
+                emb = encode_batch_on_tape(tape, [_s], _tiny_params_with(params, _n, probe), TINY)
                 return ad.sum_all(tape, emb)
 
             err = finite_difference_check(f, params.named()[name], h=1e-5)

@@ -358,6 +358,27 @@ def test_retrieve_dim_mismatch_exit_2(corpus, capsys):
     assert code == 2 and "dim" in err
 
 
+@pytest.mark.parametrize("query", [
+    '{"window_id": "q", "vector": [1.0, 0.0',  # truncated JSON
+    '{"window_id": "q", "modality": "text"}',  # no "vector"
+    '{"window_id": "q", "vector": ["a", "b"]}',  # not numeric
+])
+def test_retrieve_malformed_inline_query_exit_2(corpus, capsys, query):
+    code, payload, err = run_cli(capsys, "retrieve", "--pool", str(corpus / "anchors_video.jsonl"),
+                                 "--query-anchor", query)
+    assert code == 2 and payload is None
+    assert "--query-anchor" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "{not json", '{"window_id": "q"}'])
+def test_retrieve_malformed_query_file_exit_2(corpus, tmp_path, capsys, line):
+    q = tmp_path / "q.jsonl"
+    q.write_text(line + "\n")
+    code, payload, err = run_cli(capsys, "retrieve", "--pool", str(corpus / "anchors_video.jsonl"),
+                                 "--query-anchor", str(q))
+    assert code == 2 and payload is None and str(q) in err
+
+
 # ---------------------------------------------------------------------------
 # dispatcher contracts
 

@@ -1,19 +1,20 @@
 """Encoder pipeline: init, shapes, invariances, full-pipeline gradient check."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from imualign import autodiff as ad
-from imualign.autodiff import Tensor, finite_difference_check
+from imualign.autodiff import Tape, Tensor, finite_difference_check
 from imualign.encoder import (
     EncoderConfig,
     EncoderParams,
     conv_out_len,
     encode,
     encode_batch,
-    encode_signal,
+    encode_batch_on_tape,
     init_params,
     pipeline_time_lengths,
 )
@@ -196,6 +197,50 @@ def test_encode_batch_consistency_and_permutation():
     np.testing.assert_array_equal(batch_p, batch[perm])
 
 
+@pytest.mark.parametrize("config", [TINY, EncoderConfig()], ids=["tiny", "default"])
+def test_encode_equals_batch_rows_bit_for_bit(config):
+    # a window's embedding must not depend on the batch it is encoded in
+    p = init_params(config, 10)
+    t = 64 if config is TINY else 200
+    windows = [_window(i, t=t) for i in range(5)]
+    for size in (1, 2, 5):
+        batch = encode_batch(windows[:size], p, config)
+        for i in range(size):
+            np.testing.assert_array_equal(encode(windows[i], p, config), batch[i])
+    perm = [3, 1, 4, 0, 2]
+    np.testing.assert_array_equal(encode_batch([windows[i] for i in perm], p, config),
+                                  encode_batch(windows, p, config)[perm])
+
+
+def test_encode_batch_on_tape_rejects_unequal_signals():
+    p = init_params(TINY, 9)
+    with pytest.raises(ShapeMismatchError, match="equal"):
+        encode_batch_on_tape(Tape(), [np.zeros((6, 64)), np.zeros((6, 32))], p, TINY)
+    with pytest.raises(ShapeMismatchError, match="equal"):
+        encode_batch_on_tape(Tape(), [], p, TINY)
+    with pytest.raises(ShapeMismatchError, match="equal"):
+        encode_batch_on_tape(Tape(), [np.zeros((3, 64))], p, TINY)
+
+
+def test_encode_batch_memory_is_bounded_by_one_chunk():
+    # encode_batch works in fixed-size chunks, so the peak memory of a
+    # large list exceeds that of a small one by the extra output rows only
+    cfg = EncoderConfig()
+    p = init_params(cfg, 0)
+    windows = [_window(i % 7, t=200) for i in range(512)]
+
+    def peak(n):
+        tracemalloc.start()
+        encode_batch(windows[:n], p, cfg)
+        _, top = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return top
+
+    small, large = peak(64), peak(512)
+    extra_rows = (512 - 64) * cfg.embed_dim * 8
+    assert large - small < extra_rows + (1 << 20), (small, large)
+
+
 def test_encode_batch_mixed_lengths_error():
     p = init_params(TINY, 9)
     with pytest.raises(ShapeMismatchError, match="mixed window lengths"):
@@ -223,8 +268,21 @@ def test_full_pipeline_gradient_check_every_parameter():
     signal = np.random.default_rng(42).standard_normal((6, 32))
     for name, tensor in params.named().items():
         def f(tape, probe, _name=name):
-            emb = encode_signal(tape, signal, _params_with(params, _name, probe), TINY)
+            emb = encode_batch_on_tape(tape, [signal], _params_with(params, _name, probe), TINY)
             return ad.sum_all(tape, emb)
+
+        err = finite_difference_check(f, tensor)
+        assert err < 1e-4, f"{name}: relative error {err}"
+
+
+def test_full_pipeline_gradient_check_on_a_batch_of_three():
+    params = init_params(TINY, 4)
+    signals = list(np.random.default_rng(43).standard_normal((3, 6, 32)))
+    weights = Tensor(np.random.default_rng(44).standard_normal((3, TINY.embed_dim)))
+    for name, tensor in params.named().items():
+        def f(tape, probe, _name=name):
+            emb = encode_batch_on_tape(tape, signals, _params_with(params, _name, probe), TINY)
+            return ad.sum_all(tape, ad.mul(tape, emb, weights))
 
         err = finite_difference_check(f, tensor)
         assert err < 1e-4, f"{name}: relative error {err}"

@@ -207,6 +207,21 @@ def test_labels_round_trip_and_unknown_class(tmp_path):
         load_labels(bad)
 
 
+@pytest.mark.parametrize("line", ["[1, 2]", "7", '"classes"'])
+def test_labels_non_object_line_names_path_and_line(tmp_path, line):
+    p = tmp_path / "l.jsonl"
+    p.write_text(json.dumps({"classes": ["walking"]}) + "\n" + line + "\n")
+    with pytest.raises(DataError, match=f"{p}:2: expected a JSON object"):
+        load_labels(p)
+
+
+def test_labels_classes_header_must_be_a_list(tmp_path):
+    p = tmp_path / "l.jsonl"
+    p.write_text(json.dumps({"classes": 7}) + "\n")
+    with pytest.raises(DataError, match=f"{p}:1: classes must be a list"):
+        load_labels(p)
+
+
 # ---------------------------------------------------------------------------
 # assemble_dataset
 

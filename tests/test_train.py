@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from imualign.autodiff import Tensor
+from imualign.container import read_container, write_container
 from imualign.encoder import EncoderConfig, init_params
 from imualign.errors import DataError, FormatError, NumericError
 from imualign.signalio import synth_dataset
@@ -265,6 +266,35 @@ def test_checkpoint_corrupted_magic(tmp_path):
     raw[:4] = b"JUNK"
     p.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="bad magic"):
+        load_checkpoint(p)
+
+
+def _rewrite_checkpoint_header(path, edit):
+    header, arrays = read_container(path, b"IMUK", 1)
+    edit(header)
+    write_container(path, b"IMUK", 1, header,
+                    [(m["name"], arrays[m["name"]]) for m in header["arrays"]])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["encoder_config"].update(unknown_knob=1),
+    lambda h: h["train_config"].update(unknown_knob=1),
+    lambda h: h.pop("param_names"),
+    lambda h: h.pop("step"),
+], ids=["encoder_config-key", "train_config-key", "no-param_names", "no-step"])
+def test_checkpoint_malformed_header_is_format_error(tmp_path, edit):
+    p = tmp_path / "ck.bin"
+    save_checkpoint(p, init_params(SMALL_ENC, 0), None, SMALL_ENC, TrainConfig(), 0)
+    _rewrite_checkpoint_header(p, edit)
+    with pytest.raises(FormatError, match=str(p)):
+        load_checkpoint(p)
+
+
+def test_checkpoint_non_object_header_is_format_error(tmp_path):
+    p = tmp_path / "ck.bin"
+    header = json.dumps([1, 2]).encode()
+    p.write_bytes(b"IMUK" + bytes([1]) + len(header).to_bytes(8, "little") + header)
+    with pytest.raises(FormatError, match="not a JSON object"):
         load_checkpoint(p)
 
 
