@@ -10,7 +10,7 @@ Text->IMU numbers demonstrate transitivity through the shared space.
 import numpy as np
 
 from imualign.encoder import EncoderConfig, encode_batch, init_params
-from imualign.evaluate import eval_retrieval, rank_pool
+from imualign.evaluate import Pool, eval_retrieval
 from imualign.signalio import synth_class_anchors, synth_dataset
 from imualign.train import AdagradState, TrainConfig, train_epoch
 
@@ -39,9 +39,9 @@ for direction, anchors in (("imu2video", video), ("video2imu", video),
 # a free-form query: the class-name anchor for one activity, like asking
 # for "jumping" clips. pool = all IMU embeddings.
 name, query = list(synth_class_anchors(7, 4, 32).items())[2]
-pool = sorted(embeddings.items())
-result = rank_pool(query, pool, gold_id=pool[0][0])  # gold unused, we want the ranking
+pool = Pool(embeddings)
+order, scores = pool.rank(query)
 print(f"\ntop 5 windows for class-name query {name!r}:")
-for wid in result.ranked_pool_ids[:5]:
-    score = float(query @ embeddings[wid])
-    print(f"  {wid}  score={score:.3f}  label={dataset.labels[wid]}")
+for row in order[:5]:
+    wid = pool.ids[row]
+    print(f"  {wid}  score={scores[row]:.3f}  label={dataset.labels[wid]}")

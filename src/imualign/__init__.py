@@ -34,6 +34,7 @@ from .errors import (
 )
 from .evaluate import (
     ClassifierHead,
+    Pool,
     ProbeConfig,
     RetrievalResult,
     classification_metrics,

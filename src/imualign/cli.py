@@ -4,9 +4,6 @@ Every command prints one machine-readable JSON object to stdout and human
 diagnostics to stderr. Exit codes: 0 success, 2 validation failure,
 3 numerical failure. Commands that create a run directory also write a
 manifest with the resolved configuration and input content hashes.
-
-The environment variable IMU_ALIGN_THREADS caps worker parallelism for
-multi-file ingestion and query ranking.
 """
 
 from __future__ import annotations
@@ -14,10 +11,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +21,7 @@ from . import __version__
 from .encoder import EncoderConfig, encode_batch
 from .errors import DataError, ImuAlignError, NumericError
 from .evaluate import (
+    Pool,
     ProbeConfig,
     classification_metrics,
     eval_retrieval,
@@ -57,14 +53,6 @@ from .signalio import (
 from .train import TrainConfig, fit, load_checkpoint, save_checkpoint, write_manifest
 
 
-def max_workers() -> int:
-    raw = os.environ.get("IMU_ALIGN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -88,25 +76,20 @@ def _manifest(command: str, args_map: dict, inputs: list) -> dict:
 
 
 def cmd_ingest(args) -> int:
-    workers = max_workers()
     paths = [Path(p) for p in args.imu]
     for p in paths:
         if not p.exists():
             raise DataError(f"input file {p} does not exist")
-
-    def one(path):
-        stream = load_imu_stream(path)
-        stream = resample(stream, args.rate_hz)
-        return stream, make_windows(stream, args.window_s, args.stride_s)
-
-    if workers > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            loaded = list(pool.map(one, paths))
-    else:
-        loaded = [one(p) for p in paths]
-
-    windows = [w for _, ws in loaded for w in ws]
-    duration = sum(s.duration_s for s, _ in loaded)
+    windows, duration, source_of = [], 0.0, {}
+    for path in paths:
+        stream = resample(load_imu_stream(path), args.rate_hz)
+        duration += stream.duration_s
+        for w in make_windows(stream, args.window_s, args.stride_s):
+            if w.window_id in source_of:
+                raise DataError(f"window id {w.window_id!r} comes from both "
+                                f"{source_of[w.window_id]} and {path}")
+            source_of[w.window_id] = path
+            windows.append(w)
     digest = content_hash(paths, {"window_s": args.window_s, "stride_s": args.stride_s,
                                   "rate_hz": args.rate_hz})
     cache = WindowCache(windows, args.rate_hz, args.window_s, args.stride_s, digest)
@@ -188,7 +171,7 @@ def cmd_eval_retrieval(args) -> int:
     if not vectors:
         raise DataError("no anchor ids overlap the cache windows")
     embeddings = {k: v for k, v in embeddings.items() if k in vectors}
-    metrics = eval_retrieval(embeddings, vectors, args.direction, max_workers=max_workers())
+    metrics = eval_retrieval(embeddings, vectors, args.direction)
     metrics["task"] = "retrieval"
     _emit(metrics)
     return 0
@@ -255,6 +238,8 @@ def _write_classify_run(args, head, params=None, ckpt=None) -> None:
 
 
 def cmd_retrieve(args) -> int:
+    if args.top_k < 1:
+        raise DataError(f"--top-k must be >= 1, got {args.top_k}")
     query = _load_query_vector(args.query_anchor)
     pool_path = Path(args.pool)
     with open(pool_path, "rb") as fh:
@@ -265,17 +250,12 @@ def cmd_retrieve(args) -> int:
         vectors, _ = _embeddings_from(args.ckpt, pool_path)
     else:
         vectors = {k: v.vector for k, v in load_anchor_embeddings(pool_path).items()}
-    dim = len(next(iter(vectors.values())))
-    if query.shape != (dim,):
-        raise DataError(f"query dim {query.shape[0]} does not match pool dim {dim}")
-    scored = sorted(
-        ((float(np.dot(query, v)), wid) for wid, v in vectors.items()),
-        key=lambda t: (-t[0], t[1]),
-    )
-    top = scored[: args.top_k]
+    pool = Pool(vectors)
+    order, scores = pool.rank(query)
     _emit({
-        "pool_size": len(vectors),
-        "results": [{"window_id": wid, "score": round(s, 6)} for s, wid in top],
+        "pool_size": len(pool.ids),
+        "results": [{"window_id": pool.ids[j], "score": round(float(scores[j]), 6)}
+                    for j in order[: args.top_k]],
     })
     return 0
 

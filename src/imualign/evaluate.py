@@ -5,7 +5,7 @@ probing on the frozen encoder, full fine-tuning).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,19 +35,44 @@ class RetrievalResult:
     gold_rank: int  # 1-based
 
 
-def rank_pool(query: np.ndarray, pool: list[tuple[str, np.ndarray]], gold_id: str) -> RetrievalResult:
-    """Rank a pool by inner product with the query, descending; ties break
-    by ascending id so rankings are deterministic.
+def _inner_products(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
+    # einsum, not `matrix @ query`: BLAS gemv sums rows in a different order
+    # depending on where they fall in its blocks, so two equal rows can score
+    # an ulp apart and break a tie rule; einsum runs the same loop on every row
+    return np.einsum("ij,j->i", matrix, query)
+
+
+class Pool:
+    """Exact inner-product search over an ``{id: vector}`` map, after FAISS's
+    IndexFlatIP: the ids sorted ascending, their vectors stacked as the rows
+    of one matrix, so a row's position is its tie-break order.
     """
-    if not pool:
-        raise DataError("rank_pool: empty pool")
-    ids = [pid for pid, _ in pool]
-    if gold_id not in set(ids):
+
+    def __init__(self, vectors: dict[str, np.ndarray]):
+        if not vectors:
+            raise DataError("empty pool")
+        self.ids = sorted(vectors)
+        self.matrix = np.stack([vectors[i] for i in self.ids])
+
+    def rank(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices by descending score, ties by ascending id, and each
+        row's score.
+        """
+        if np.shape(query) != self.matrix.shape[1:]:
+            raise ShapeMismatchError(
+                f"query dim {np.shape(query)} does not match pool dim {self.matrix.shape[1]}")
+        scores = _inner_products(self.matrix, query)
+        return np.argsort(-scores, kind="stable"), scores
+
+
+def rank_pool(query: np.ndarray, pool: Pool, gold_id: str) -> RetrievalResult:
+    """Rank the pool against the query and find the gold id's 1-based rank."""
+    row = bisect_left(pool.ids, gold_id)
+    if row == len(pool.ids) or pool.ids[row] != gold_id:
         raise CoverageError(f"rank_pool: gold id {gold_id!r} not in pool", [gold_id])
-    scores = np.asarray([float(np.dot(query, v)) for _, v in pool])
-    order = np.lexsort((np.asarray(ids), -scores))
-    ranked = [ids[i] for i in order]
-    return RetrievalResult(gold_id, ranked, ranked.index(gold_id) + 1)
+    order, _ = pool.rank(query)
+    ranked = [pool.ids[i] for i in order.tolist()]
+    return RetrievalResult(gold_id, ranked, int(np.flatnonzero(order == row)[0]) + 1)
 
 
 def recall_at_k(results: list[RetrievalResult], k: int) -> float:
@@ -69,7 +94,6 @@ def eval_retrieval(
     anchors: dict[str, np.ndarray],
     direction: str,
     ks: tuple[int, ...] = (1, 10, 50),
-    max_workers: int = 1,
 ) -> dict:
     """Rank the full pool for every query and aggregate R@k and MRR.
 
@@ -90,27 +114,14 @@ def eval_retrieval(
             f"eval_retrieval: {len(missing)} query ids missing from pool: {', '.join(missing[:20])}",
             missing,
         )
-    pool = sorted(pool_map.items())
-
-    def one(item):
-        qid, vec = item
-        return rank_pool(vec, pool, qid)
-
-    items = sorted(queries.items())
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool_exec:
-            results = list(pool_exec.map(one, items))
-    else:
-        results = [one(it) for it in items]
-
-    flags = []
-    if len(pool) < 50:
-        flags.append("pool_lt_50")
+    pool = Pool(pool_map)
+    results = [rank_pool(queries[qid], pool, qid) for qid in sorted(queries)]
+    flags = ["pool_lt_50"] if len(pool.ids) < 50 else []
     out = {"direction": direction}
     for k in ks:
         out[f"R@{k}"] = round(recall_at_k(results, k), 6)
     out["MRR"] = round(mrr(results), 6)
-    out["pool_size"] = len(pool)
+    out["pool_size"] = len(pool.ids)
     out["n_queries"] = len(results)
     out["flags"] = flags
     return out
@@ -155,21 +166,14 @@ class ProbeConfig:
     seed: int = 0
 
 
-FineTuneConfig = ProbeConfig
-
-
 def zeroshot_classify(
     imu_embedding: np.ndarray, class_anchors: list[tuple[str, np.ndarray]]
 ) -> str:
     """Nearest class anchor by inner product; ties keep the first declared class."""
     if not class_anchors:
         raise DataError("zeroshot_classify: no class anchors")
-    best_name, best_score = None, -np.inf
-    for name, vec in class_anchors:
-        score = float(np.dot(imu_embedding, vec))
-        if score > best_score:
-            best_name, best_score = name, score
-    return best_name
+    scores = _inner_products(np.stack([vec for _, vec in class_anchors]), imu_embedding)
+    return class_anchors[int(np.argmax(scores))][0]
 
 
 def softmax_cross_entropy(tape: Tape, logits: Tensor, label_indices: np.ndarray) -> Tensor:
@@ -278,7 +282,7 @@ def fine_tune(
     params: EncoderParams,
     head: ClassifierHead | None,
     encoder_config: EncoderConfig,
-    config: FineTuneConfig,
+    config: ProbeConfig,
 ) -> tuple[EncoderParams, ClassifierHead]:
     """Joint supervised training of encoder and head; the inputs are left
     untouched and updated copies are returned.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,12 +141,10 @@ class ParallelDataset:
 # IMU CSV
 
 
-def load_imu_stream(path, format: str = "csv") -> ImuStream:
+def load_imu_stream(path) -> ImuStream:
     """Parse and validate one IMU CSV; rejects NaN/Inf rows and
     non-monotone timestamps, reporting the offending line.
     """
-    if format != "csv":
-        raise DataError(f"unsupported stream format {format!r}")
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -417,6 +416,9 @@ def load_window_cache(path) -> WindowCache:
         ImuWindow(m["window_id"], m["source_id"], m["start_s"], m["duration_s"], signals[i])
         for i, m in enumerate(header["windows"])
     ]
+    repeated = [wid for wid, n in Counter(w.window_id for w in windows).items() if n > 1]
+    if repeated:
+        raise DataError(f"{path}: repeated window ids: {', '.join(repeated[:20])}")
     return WindowCache(
         windows=windows,
         sample_rate_hz=header["sample_rate_hz"],

@@ -20,6 +20,7 @@ from imualign.cli import main as cli_main
 from imualign.contrastive import info_nce, retrieval_distribution, trimodal_loss
 from imualign.encoder import EncoderConfig, EncoderParams, encode_batch, encode_batch_on_tape, init_params
 from imualign.evaluate import (
+    Pool,
     ProbeConfig,
     classification_metrics,
     eval_retrieval,
@@ -220,7 +221,7 @@ def test_criterion_04_retrieval_metric_oracles():
             q = rng.standard_normal(d)
             q /= np.linalg.norm(q)
             gold = f"id{int(rng.integers(n)):03d}"
-            got = rank_pool(q, pool, gold).gold_rank
+            got = rank_pool(q, Pool(dict(pool)), gold).gold_rank
             expected = sorted(((-float(q @ v), pid) for pid, v in pool)).index(
                 (-float(q @ dict(pool)[gold]), gold)) + 1
             assert got == expected

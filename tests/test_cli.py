@@ -1,12 +1,13 @@
 """End-to-end CLI coverage: every subcommand, exit codes, JSON outputs."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from imualign.cli import main
-from imualign.signalio import load_window_cache
+from imualign.signalio import WindowCache, load_window_cache, save_window_cache
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +119,49 @@ def test_ingest_missing_file_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "ingest", "--imu", str(tmp_path / "nope.csv"),
                            "--window-s", "1", "--out", str(tmp_path / "c.bin"))
     assert code == 2 and "nope.csv" in err
+
+
+def test_ingest_same_stem_in_two_directories_exit_2(corpus, tmp_path, capsys):
+    src = sorted(corpus.glob("synth-*.csv"))[0]
+    a, b = tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"
+    for dst in (a, b):
+        dst.parent.mkdir()
+        shutil.copy(src, dst)
+    out = tmp_path / "c.bin"
+    code, payload, err = run_cli(capsys, "ingest", "--imu", str(a), "--imu", str(b),
+                                 "--window-s", "0.32", "--out", str(out))
+    assert code == 2 and payload is None
+    assert "'x:0'" in err and str(a) in err and str(b) in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def repeated_id_cache(cache_path, tmp_path_factory):
+    cache = load_window_cache(cache_path)
+    cache.windows.append(cache.windows[0])
+    out = tmp_path_factory.mktemp("repeated") / "windows.bin"
+    save_window_cache(cache, out)
+    return out
+
+
+@pytest.mark.parametrize("command", ["train", "eval-retrieval", "eval-classify", "retrieve"])
+def test_commands_refuse_a_cache_with_repeated_ids(command, repeated_id_cache, run_dir, corpus,
+                                                   tmp_path, capsys):
+    cache, ckpt = str(repeated_id_cache), str(run_dir / "ckpt-30.bin")
+    video = str(corpus / "anchors_video.jsonl")
+    argv = {
+        "train": ["--cache", cache, "--video-anchors", video, "--epochs", "1",
+                  *TRAIN_FLAGS, "--run-dir", str(tmp_path / "r")],
+        "eval-retrieval": ["--ckpt", ckpt, "--cache", cache, "--anchors", video,
+                           "--direction", "imu2video"],
+        "eval-classify": ["--ckpt", ckpt, "--cache", cache,
+                          "--labels", str(corpus / "labels.jsonl"), "--protocol", "probe"],
+        "retrieve": ["--ckpt", ckpt, "--pool", cache,
+                     "--query-anchor", video],
+    }[command]
+    code, payload, err = run_cli(capsys, command, *argv)
+    assert code == 2 and payload is None
+    assert "repeated window ids" in err
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +388,29 @@ def test_retrieve_encoded_pool_with_ckpt(run_dir, cache_path, corpus, capsys):
     assert len(payload["results"]) == 8  # top-k larger than pool truncates
 
 
+def test_retrieve_equal_scores_come_back_in_id_order(tmp_path, capsys):
+    v = np.arange(1.0, 513.0)
+    ids = ["w9", "w3", "w7", "w0", "w5", "w1"]  # BLAS gemv scores these 7 rows unevenly
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text("".join(
+        json.dumps({"window_id": i, "modality": "video", "vector": v.tolist()}) + "\n"
+        for i in ids) + json.dumps({"window_id": "a", "modality": "video",
+                                    "vector": (-v).tolist()}) + "\n")
+    query = json.dumps({"window_id": "q", "vector": v.tolist()})
+    code, payload, _ = run_cli(capsys, "retrieve", "--pool", str(pool), "--query-anchor", query,
+                               "--top-k", "7")
+    assert code == 0
+    assert [r["window_id"] for r in payload["results"]] == sorted(ids) + ["a"]
+
+
+@pytest.mark.parametrize("top_k", ["0", "-1"])
+def test_retrieve_top_k_below_one_exit_2(corpus, capsys, top_k):
+    line = (corpus / "anchors_video.jsonl").read_text().splitlines()[0]
+    code, payload, err = run_cli(capsys, "retrieve", "--pool", str(corpus / "anchors_video.jsonl"),
+                                 "--query-anchor", line, "--top-k", top_k)
+    assert code == 2 and payload is None and "--top-k" in err
+
+
 def test_retrieve_cache_pool_without_ckpt_exit_2(cache_path, corpus, capsys):
     line = (corpus / "anchors_video.jsonl").read_text().splitlines()[0]
     code, _, err = run_cli(capsys, "retrieve", "--pool", str(cache_path),
@@ -401,19 +468,13 @@ def test_numeric_failure_exits_3(monkeypatch, cache_path, corpus, tmp_path, caps
     assert "numerical failure" in err
 
 
-def test_thread_cap_env_var(monkeypatch, run_dir, cache_path, corpus, capsys):
+def test_thread_env_var_is_ignored(monkeypatch, run_dir, cache_path, corpus, capsys):
+    argv = ["eval-retrieval", "--ckpt", str(run_dir / "ckpt-30.bin"), "--cache", str(cache_path),
+            "--anchors", str(corpus / "anchors_video.jsonl"), "--direction", "imu2video"]
     monkeypatch.setenv("IMU_ALIGN_THREADS", "4")
-    code, payload, _ = run_cli(
-        capsys, "eval-retrieval", "--ckpt", str(run_dir / "ckpt-30.bin"),
-        "--cache", str(cache_path), "--anchors", str(corpus / "anchors_video.jsonl"),
-        "--direction", "imu2video",
-    )
+    code, payload, _ = run_cli(capsys, *argv)
     assert code == 0
-    monkeypatch.setenv("IMU_ALIGN_THREADS", "1")
-    code2, payload2, _ = run_cli(
-        capsys, "eval-retrieval", "--ckpt", str(run_dir / "ckpt-30.bin"),
-        "--cache", str(cache_path), "--anchors", str(corpus / "anchors_video.jsonl"),
-        "--direction", "imu2video",
-    )
+    monkeypatch.delenv("IMU_ALIGN_THREADS")
+    code2, payload2, _ = run_cli(capsys, *argv)
     assert code2 == 0
     assert payload == payload2

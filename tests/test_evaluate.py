@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imualign import evaluate
 from imualign.encoder import EncoderConfig, encode_batch, init_params
-from imualign.errors import CoverageError, DataError
+from imualign.errors import CoverageError, DataError, ShapeMismatchError
 from imualign.evaluate import (
     ClassifierHead,
+    Pool,
     ProbeConfig,
     RetrievalResult,
     classification_metrics,
@@ -50,30 +52,53 @@ def brute_force_rank(query, pool, gold_id):
 
 def test_rank_pool_self_similarity_first():
     q = _unit([1.0, 0.0])
-    pool = [("gold", q), ("other", _unit([0.0, 1.0]))]
-    res = rank_pool(q, pool, "gold")
+    res = rank_pool(q, Pool({"gold": q, "other": _unit([0.0, 1.0])}), "gold")
     assert res.gold_rank == 1
     assert res.ranked_pool_ids[0] == "gold"
 
 
 def test_rank_pool_tie_breaks_by_id():
     v = _unit([1.0, 1.0])
-    pool = [("c", v.copy()), ("a", v.copy()), ("b", v.copy())]
-    res = rank_pool(v, pool, "b")
+    res = rank_pool(v, Pool({"c": v.copy(), "a": v.copy(), "b": v.copy()}), "b")
     assert res.ranked_pool_ids == ["a", "b", "c"]
     assert res.gold_rank == 2
 
 
+@pytest.mark.parametrize("dim", [17, 512])
+def test_equal_vectors_tie_by_id_at_every_pool_size(dim):
+    # BLAS gemv scores equal rows an ulp apart at some of these sizes
+    rng = np.random.default_rng(dim)
+    v = _unit(rng.standard_normal(dim))
+    q = _unit(rng.standard_normal(dim))
+    for n in range(1, 40):
+        vectors = {f"id{i:02d}": v.copy() for i in reversed(range(n))}
+        vectors["other"] = _unit(rng.standard_normal(dim))
+        pool = Pool(vectors)
+        order, scores = pool.rank(q)
+        assert len(set(scores[:n].tolist())) == 1
+        res = rank_pool(q, pool, "id00")
+        assert [i for i in res.ranked_pool_ids if i != "other"] == sorted(vectors)[:n]
+        assert res.gold_rank == 1 + (scores[n] > scores[0])
+
+
 def test_rank_pool_hand_order():
     q = _unit([1.0, 0.0])
-    pool = [("a", _unit([0.9, np.sqrt(1 - 0.81)])), ("b", _unit([0.5, np.sqrt(0.75)]))]
+    pool = Pool({"a": _unit([0.9, np.sqrt(1 - 0.81)]), "b": _unit([0.5, np.sqrt(0.75)])})
     res = rank_pool(q, pool, "b")
     assert res.gold_rank == 2
 
 
 def test_rank_pool_missing_gold():
-    with pytest.raises(CoverageError):
-        rank_pool(_unit([1.0, 0.0]), [("a", _unit([1.0, 0.0]))], "zzz")
+    for gold in ("zzz", "0", "aa"):
+        with pytest.raises(CoverageError):
+            rank_pool(_unit([1.0, 0.0]), Pool({"a": _unit([1.0, 0.0])}), gold)
+
+
+def test_pool_rejects_empty_map_and_wrong_query_dim():
+    with pytest.raises(DataError, match="empty"):
+        Pool({})
+    with pytest.raises(ShapeMismatchError, match="dim"):
+        Pool({"a": _unit([1.0, 0.0])}).rank(_unit([1.0, 0.0, 0.0]))
 
 
 def test_rank_pool_matches_brute_force_oracle():
@@ -84,7 +109,7 @@ def test_rank_pool_matches_brute_force_oracle():
         pool = [(f"id{i:03d}", _unit(rng.standard_normal(d))) for i in range(n)]
         q = _unit(rng.standard_normal(d))
         gold = f"id{int(rng.integers(n)):03d}"
-        res = rank_pool(q, pool, gold)
+        res = rank_pool(q, Pool(dict(pool)), gold)
         assert res.gold_rank == brute_force_rank(q, pool, gold)
         assert sorted(res.ranked_pool_ids) == sorted(p[0] for p in pool)
 
@@ -179,13 +204,24 @@ def test_eval_retrieval_direction_validation():
         eval_retrieval({}, {}, "imu2audio")
 
 
-def test_eval_retrieval_parallel_matches_serial():
+def test_eval_retrieval_repeat_calls_match_brute_force(monkeypatch):
     rng = np.random.default_rng(5)
-    vecs = {f"w{i}": _unit(rng.standard_normal(8)) for i in range(40)}
-    queries = {k: _unit(v + 0.3 * rng.standard_normal(8)) for k, v in vecs.items()}
-    serial = eval_retrieval(queries, vecs, "text2imu", max_workers=1)
-    parallel = eval_retrieval(queries, vecs, "text2imu", max_workers=4)
-    assert serial == parallel
+    text = {f"w{i}": _unit(rng.standard_normal(8)) for i in range(40)}
+    imu = {k: _unit(v + 0.3 * rng.standard_normal(8)) for k, v in text.items()}
+    gold_ranks = []
+
+    def recording(query, pool, gold_id):
+        result = rank_pool(query, pool, gold_id)
+        gold_ranks.append((gold_id, result.gold_rank))
+        return result
+
+    monkeypatch.setattr(evaluate, "rank_pool", recording)
+    first = eval_retrieval(imu, text, "text2imu")
+    second = eval_retrieval(imu, text, "text2imu")
+    assert first == second
+    expected = [(qid, brute_force_rank(q, list(imu.items()), qid))
+                for qid, q in sorted(text.items())]
+    assert gold_ranks == expected + expected
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +235,11 @@ def test_zeroshot_identity_and_tie_rule():
     q = _unit([1.0, 1.0])
     assert zeroshot_classify(q, [("x", a), ("y", b)]) == "x"
     assert zeroshot_classify(q, [("y", b), ("x", a)]) == "y"
+    # many equal anchors (BLAS gemv scores some an ulp apart): still the first
+    for dim in (16, 512):
+        v = _unit(np.arange(1.0, dim + 1))
+        for n in range(1, 40):
+            assert zeroshot_classify(v, [(f"c{i}", v.copy()) for i in range(n)]) == "c0"
 
 
 def test_zeroshot_matches_exhaustive_nearest_neighbor():

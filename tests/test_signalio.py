@@ -289,6 +289,14 @@ def test_cache_round_trip(tmp_path):
     assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "c2.bin").read_bytes()
 
 
+def test_cache_rejects_repeated_window_ids(tmp_path):
+    wins = make_windows(_stream(100, hz=50.0), 1.0, 1.0)
+    p = tmp_path / "c.bin"
+    save_window_cache(WindowCache(wins + wins[:1], 50.0, 1.0, 1.0), p)
+    with pytest.raises(DataError, match=f"{p}: repeated window ids: src:0$"):
+        load_window_cache(p)
+
+
 def test_cache_rejects_bad_magic_and_version(tmp_path):
     stream = _stream(60, hz=30.0)
     cache = WindowCache(make_windows(stream, 1.0, 1.0), 30.0, 1.0, 1.0)
