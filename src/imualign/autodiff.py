@@ -45,9 +45,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeMismatchError(f"item() needs a scalar, got shape {self.shape}")

@@ -170,9 +170,10 @@ def cmd_eval_retrieval(args) -> int:
     vectors = {k: v.vector for k, v in anchors.items() if k in embeddings}
     if not vectors:
         raise DataError("no anchor ids overlap the cache windows")
-    embeddings = {k: v for k, v in embeddings.items() if k in vectors}
-    metrics = eval_retrieval(embeddings, vectors, args.direction)
-    metrics["task"] = "retrieval"
+    kept = {k: v for k, v in embeddings.items() if k in vectors}
+    metrics = eval_retrieval(kept, vectors, args.direction)
+    metrics.update(task="retrieval", dropped_anchors=len(anchors) - len(vectors),
+                   dropped_windows=len(embeddings) - len(kept))
     _emit(metrics)
     return 0
 

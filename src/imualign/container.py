@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +29,10 @@ def write_container(
     header = dict(header)
     header["arrays"] = [{"name": n, "shape": list(a.shape)} for n, a in arrays]
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    # write-then-rename keeps concurrent writers exclusive per path and
-    # readers from ever seeing a partial file
+    # write-then-rename via a temp file per process and thread keeps concurrent
+    # writers exclusive per path and readers from ever seeing a partial file
     path = Path(path)
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
+    tmp = path.with_name(path.name + f".tmp-{os.getpid()}-{threading.get_ident()}")
     with open(tmp, "wb") as fh:
         fh.write(magic)
         fh.write(bytes([version]))

@@ -1,7 +1,10 @@
 """Ingest raw IMU streams and frozen anchor embeddings into aligned windows.
 
 File formats:
-  * IMU CSV: header ``t,ax,ay,az,gx,gy,gz``; seconds, m/s^2, rad/s.
+  * IMU CSV: header ``t,ax,ay,az,gx,gy,gz``; seconds, m/s^2, rad/s. Fields
+    are ASCII decimals (no ``1_0``, no non-ASCII digits), parsed in one numpy
+    pass; ``inf``/``nan`` are refused as non-finite, blank lines are skipped
+    and errors name ``path:line``.
   * Anchor JSONL: ``{"window_id": str, "modality": "video"|"text", "vector": [...]}``.
   * Labels JSONL: header record ``{"classes": [...]}`` then
     ``{"window_id": str, "label": str}`` lines.
@@ -108,10 +111,6 @@ class ParallelDataset:
     def __len__(self) -> int:
         return len(self.windows)
 
-    @property
-    def window_len(self) -> int:
-        return self.windows[0].n_samples if self.windows else 0
-
     def anchors(self, modality: str) -> dict[str, AnchorEmbedding]:
         if modality == "video":
             table = self.video_anchors
@@ -141,33 +140,41 @@ class ParallelDataset:
 # IMU CSV
 
 
+def _parse_rows(lines: list[str]) -> np.ndarray:
+    """The float64 rows of comma-separated lines in one C-level parse; ValueError
+    for a field that is not an ASCII decimal, ``inf`` or ``nan``."""
+    text = "\n".join(lines)
+    if any(c in text for c in "\x1c\x1d\x1e\x1f"):  # float() refuses them, numpy skips them
+        raise ValueError("control character U+001C..U+001F in a field")
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+
+
 def load_imu_stream(path) -> ImuStream:
-    """Parse and validate one IMU CSV; rejects NaN/Inf rows and
-    non-monotone timestamps, reporting the offending line.
-    """
+    """Parse and validate one IMU CSV in one numpy pass; a bad or NaN/Inf row is
+    then found line by line and named, and timestamps must strictly increase."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes that are not UTF-8 become U+FFFD, which no field parses
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise DataError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise DataError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unparseable value: {exc}") from exc
-            if not all(math.isfinite(v) for v in row):
-                raise DataError(f"{path}:{lineno}: non-finite value")
-            rows.append(row)
-    if not rows:
+        kept = [(lineno, s) for lineno, line in enumerate(fh, start=2) if (s := line.strip())]
+    if not kept:
         raise DataError(f"{path}: no samples")
-    data = np.asarray(rows, dtype=np.float64)
+    try:
+        data = _parse_rows([s for _, s in kept])
+        ok = data.shape[1] == 7 and np.isfinite(data).all()
+    except ValueError:
+        ok = False
+    for lineno, line in [] if ok else kept:  # name the first bad line
+        if line.count(",") != 6:
+            raise DataError(f"{path}:{lineno}: expected 7 fields, got {line.count(',') + 1}")
+        try:
+            row = _parse_rows([line])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: unparseable value: {exc}") from exc
+        if not np.isfinite(row).all():
+            raise DataError(f"{path}:{lineno}: non-finite value")
     ts = data[:, 0]
     bad = np.nonzero(np.diff(ts) <= 0)[0]
     if bad.size:
@@ -326,6 +333,12 @@ def write_labels(labels: dict[str, str], class_names: list[str], path) -> None:
             fh.write(json.dumps({"window_id": wid, "label": labels[wid]}) + "\n")
 
 
+def _refuse_repeated_ids(windows: list[ImuWindow], where) -> None:
+    repeated = [wid for wid, n in Counter(w.window_id for w in windows).items() if n > 1]
+    if repeated:
+        raise DataError(f"{where}: repeated window ids: {', '.join(repeated[:20])}")
+
+
 def assemble_dataset(
     windows: list[ImuWindow],
     video_anchor_path,
@@ -341,6 +354,7 @@ def assemble_dataset(
     """
     if not windows:
         raise DataError("assemble_dataset: no windows")
+    _refuse_repeated_ids(windows, "assemble_dataset")
     lens = {w.n_samples for w in windows}
     if len(lens) > 1:
         raise DataError(f"assemble_dataset: mixed window lengths {sorted(lens)}")
@@ -416,9 +430,7 @@ def load_window_cache(path) -> WindowCache:
         ImuWindow(m["window_id"], m["source_id"], m["start_s"], m["duration_s"], signals[i])
         for i, m in enumerate(header["windows"])
     ]
-    repeated = [wid for wid, n in Counter(w.window_id for w in windows).items() if n > 1]
-    if repeated:
-        raise DataError(f"{path}: repeated window ids: {', '.join(repeated[:20])}")
+    _refuse_repeated_ids(windows, path)
     return WindowCache(
         windows=windows,
         sample_rate_hz=header["sample_rate_hz"],

@@ -1,7 +1,11 @@
 """End-to-end CLI coverage: every subcommand, exit codes, JSON outputs."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +139,25 @@ def test_ingest_same_stem_in_two_directories_exit_2(corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_bad_line_exit_2_without_traceback(corpus, tmp_path):
+    src = sorted(corpus.glob("synth-*.csv"))[0]
+    lines = src.read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",nan"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "c.bin"
+    proc = subprocess.run(
+        [sys.executable, "-m", "imualign.cli", "ingest", "--imu", str(bad), "--window-s", "0.32",
+         "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {bad}:5: non-finite value\n"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def repeated_id_cache(cache_path, tmp_path_factory):
     cache = load_window_cache(cache_path)
@@ -235,8 +258,23 @@ def test_eval_retrieval_json_shape(run_dir, cache_path, corpus, capsys):
         assert key in payload
     assert payload["task"] == "retrieval"
     assert payload["pool_size"] == 8
+    assert payload["dropped_anchors"] == 0 and payload["dropped_windows"] == 0
     assert "pool_lt_50" in payload["flags"]
     assert 0.0 <= payload["MRR"] <= 1.0
+
+
+def test_eval_retrieval_reports_what_it_dropped(run_dir, cache_path, corpus, tmp_path, capsys):
+    records = [json.loads(l) for l in (corpus / "anchors_video.jsonl").read_text().splitlines()]
+    ghosts = [dict(records[0], window_id=f"ghost:{i}") for i in range(3)]
+    anchors = tmp_path / "anchors.jsonl"
+    anchors.write_text("".join(json.dumps(r) + "\n" for r in records[2:] + ghosts))
+    code, payload, _ = run_cli(
+        capsys, "eval-retrieval", "--ckpt", str(run_dir / "ckpt-30.bin"),
+        "--cache", str(cache_path), "--anchors", str(anchors), "--direction", "imu2video",
+    )
+    assert code == 0
+    assert payload["dropped_anchors"] == 3 and payload["dropped_windows"] == 2
+    assert payload["n_queries"] == 6 and payload["pool_size"] == 6
 
 
 def test_eval_retrieval_modality_mismatch_exit_2(run_dir, cache_path, corpus, capsys):

@@ -1,9 +1,14 @@
 """Ingestion, windowing, anchor/label files, cache round trips, synthesis."""
 
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from imualign.errors import CoverageError, DataError, FormatError
 from imualign.signalio import (
@@ -76,6 +81,168 @@ def test_load_rejects_bad_header(tmp_path):
     p.write_text("time,ax,ay,az,gx,gy,gz\n0,1,2,3,4,5,6\n")
     with pytest.raises(DataError, match="bad header"):
         load_imu_stream(p)
+
+
+def _reference_load(path):
+    """The per-field float() loader that numpy's one-pass parse replaced:
+    (timestamps, values) or the same DataError, in the same order of checks."""
+    path = Path(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != CSV_HEADER:
+            raise DataError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 7:
+                raise DataError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
+            try:
+                row = [float(p) for p in parts]
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: unparseable value: {exc}") from exc
+            if not all(math.isfinite(v) for v in row):
+                raise DataError(f"{path}:{lineno}: non-finite value")
+            rows.append(row)
+    if not rows:
+        raise DataError(f"{path}: no samples")
+    data = np.asarray(rows, dtype=np.float64)
+    bad = np.nonzero(np.diff(data[:, 0]) <= 0)[0]
+    if bad.size:
+        raise DataError(f"{path}: timestamps not strictly increasing at sample index {int(bad[0]) + 1}")
+    return data[:, 0], data[:, 1:]
+
+
+_LINE_ERROR = re.compile(r"^(.*:\d+: (?:expected 7 fields, got \d+|unparseable value|non-finite value))")
+
+
+def _error_of(load, path):
+    """None if `load` accepts the file, else its DataError message cut after
+    the kind of error (the parser's own detail differs between loaders)."""
+    try:
+        load(path)
+    except DataError as exc:
+        m = _LINE_ERROR.match(str(exc))
+        return m.group(1) if m else str(exc)
+    return None
+
+
+def _assert_loads_like_reference(path):
+    stream = load_imu_stream(path)
+    ts, values = _reference_load(path)
+    assert np.array_equal(stream.timestamps, ts) and np.array_equal(stream.values, values)
+    assert stream.timestamps.tobytes() == ts.tobytes()
+    assert stream.values.tobytes() == values.tobytes()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_blank = st.sampled_from(["", " ", "\t", "  \t ", " \x0b\x0c "])
+_pad = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _csv_bodies(draw):
+    """Valid data lines of repr-written float64 rows, with blank lines,
+    whitespace-only lines, CRLF endings and blanks around fields mixed in."""
+    ts = sorted(draw(st.lists(_finite, min_size=1, max_size=200, unique=True)))
+    lines = []
+    for t in ts:
+        lines += draw(st.lists(_blank, max_size=1))
+        row = [t] + draw(st.lists(_finite, min_size=6, max_size=6))
+        lines.append(",".join(draw(_pad) + repr(v) + draw(_pad) for v in row))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines) + 1,
+                            max_size=len(lines) + 1))
+    return CSV_HEADER + endings[0] + "".join(l + e for l, e in zip(lines, endings[1:]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=_csv_bodies())
+def test_load_matches_float_reference_bit_for_bit(tmp_path, body):
+    p = tmp_path / "h.csv"
+    p.write_bytes(body.encode("utf-8"))
+    _assert_loads_like_reference(p)
+
+
+_GOOD = "0.0,1,2,3,4,5,6"
+
+
+def _nonfinite_cases():
+    for col in range(7):
+        for tok in ("nan", "inf", "-inf"):
+            fields = ["0.5", "1", "2", "3", "4", "5", "6"]
+            fields[col] = tok
+            yield pytest.param([_GOOD, ",".join(fields)], id=f"{tok}-col{col}")
+
+
+@pytest.mark.parametrize("lines", [
+    pytest.param(["0,1,2,3,4,5"], id="6-fields"),
+    pytest.param(["0,1,2,3,4,5,6,7"], id="8-fields"),
+    pytest.param(["0,1,2,3,4,5,6,"], id="trailing-comma"),
+    pytest.param(["0,1,2,,4,5,6"], id="empty-field"),
+    pytest.param(["0,1,2,x,4,5,6"], id="letter"),
+    pytest.param(["0,1,2,3 4,4,5,6"], id="blank-inside-a-field"),
+    pytest.param(["0,1,2,3\x1c,4,5,6"], id="control-separator"),
+    pytest.param(["0,1,nan,x,4,5"], id="field-count-checked-first"),
+    pytest.param(["0,1,nan,x,4,5,6"], id="unparseable-checked-before-non-finite"),
+    pytest.param([], id="header-only"),
+    pytest.param(["", "  "], id="blank-lines-only"),
+    pytest.param([_GOOD, "", "0.5,1,2,3,4,5"], id="bad-line-after-a-good-one"),
+    pytest.param([_GOOD, "0.5,1,2,3,4,5,6", "1.0,1,2,3,4,5,6", "1.5,1,2,x,4,5,6",
+                  "0.1,1,2,3,4,5,6"], id="first-bad-line-wins"),
+    pytest.param([_GOOD, "0.0,1,2,3,4,5,6"], id="repeated-timestamp"),
+    *_nonfinite_cases(),
+])
+def test_load_malformed_names_the_reference_line(tmp_path, lines):
+    p = tmp_path / "m.csv"
+    p.write_text(CSV_HEADER + "\n" + "".join(l + "\n" for l in lines))
+    expected = _error_of(_reference_load, p)
+    assert expected is not None
+    assert _error_of(load_imu_stream, p) == expected
+
+
+@pytest.mark.parametrize("token", ["1_0", "١", "１"])
+def test_load_rejects_underscores_and_non_ascii_digits(tmp_path, token):
+    # the one deliberate change of grammar: float() reads these, numpy does not
+    p = tmp_path / "u.csv"
+    p.write_text(f"{CSV_HEADER}\n{_GOOD}\n0.5,{token},2,3,4,5,6\n")
+    _reference_load(p)
+    with pytest.raises(DataError, match=rf"u\.csv:3: unparseable value"):
+        load_imu_stream(p)
+
+
+@pytest.mark.parametrize("body, where", [
+    (CSV_HEADER.encode() + b"\n0,1,2,3,4,5,6\n0.5,1,2,3,4,5,\xff\n", r"b\.csv:3: unparseable value"),
+    (CSV_HEADER.encode() + b"\n\xff\xfe\n", r"b\.csv:2: expected 7 fields, got 1"),
+    (b"\xfft,ax,ay,az,gx,gy,gz\n0,1,2,3,4,5,6\n", r"b\.csv: bad header"),
+], ids=["in-a-field", "whole-line", "in-the-header"])
+def test_load_names_bytes_that_are_not_utf8(tmp_path, body, where):
+    p = tmp_path / "b.csv"
+    p.write_bytes(body)
+    with pytest.raises(DataError, match=where):
+        load_imu_stream(p)
+
+
+_row_text = st.lists(st.one_of(_finite.map(repr), st.sampled_from(["nan", "inf", "", " ", "x"])),
+                     min_size=5, max_size=8).map(",".join)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=st.sampled_from([CSV_HEADER + "\n", ""]),
+       lines=st.lists(st.one_of(st.text(max_size=40), _row_text), max_size=6),
+       ending=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_load_arbitrary_text_raises_only_data_error(tmp_path, header, lines, ending):
+    p = tmp_path / "f.csv"
+    p.write_bytes((header + ending.join(lines)).encode("utf-8"))
+    got = _error_of(load_imu_stream, p)  # any other exception fails the test
+    body = "".join(lines)
+    if "_" in body or any(c.isdigit() and not c.isascii() for c in body):
+        return  # the documented grammar change
+    expected = _error_of(_reference_load, p)
+    assert got == expected
+    if expected is None:
+        _assert_loads_like_reference(p)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +426,13 @@ def test_assemble_drops_below_threshold(tmp_path):
     write_anchor_embeddings(partial, vp2)
     out, dropped = assemble_dataset(ds.windows, vp2, coverage_threshold=0.5)
     assert len(out) == 3 and len(dropped) == 1
+
+
+def test_assemble_rejects_repeated_window_ids(tmp_path):
+    _, vp, tp, lp = _synth_files(tmp_path, n=4, classes=2, t=64)
+    windows = synth_dataset(1, 4, 2, 8, 64, 0.05).windows
+    with pytest.raises(DataError, match=r"^assemble_dataset: repeated window ids: synth-0000:0$"):
+        assemble_dataset(windows + windows[:1], vp, tp, lp)
 
 
 def test_assemble_order_insensitive(tmp_path):

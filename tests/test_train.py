@@ -2,10 +2,12 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from imualign import container
 from imualign.autodiff import Tensor
 from imualign.container import read_container, write_container
 from imualign.encoder import EncoderConfig, init_params
@@ -288,6 +290,37 @@ def test_checkpoint_malformed_header_is_format_error(tmp_path, edit):
     _rewrite_checkpoint_header(p, edit)
     with pytest.raises(FormatError, match=str(p)):
         load_checkpoint(p)
+
+
+def test_two_threads_writing_one_path_both_succeed(tmp_path, monkeypatch):
+    # both temp files exist before either rename: with one temp name per
+    # process, the second rename would find its temp file gone
+    barrier, real_replace = threading.Barrier(2, timeout=30), container.os.replace
+
+    def replace_after_both_wrote(src, dst):
+        barrier.wait()
+        real_replace(src, dst)
+
+    monkeypatch.setattr(container.os, "replace", replace_after_both_wrote)
+    p = tmp_path / "c.bin"
+    payloads = [np.full((2, 3), float(i)) for i in range(2)]
+    errors = []
+
+    def write(a):
+        try:
+            write_container(p, b"TEST", 1, {}, [("a", a)])
+        except Exception as exc:  # noqa: BLE001 -- reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(a,)) for a in payloads]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    _, arrays = read_container(p, b"TEST", 1)
+    assert any(np.array_equal(arrays["a"], a) for a in payloads)
+    assert [f.name for f in tmp_path.iterdir()] == ["c.bin"]
 
 
 def test_checkpoint_non_object_header_is_format_error(tmp_path):
