@@ -72,7 +72,6 @@ class Tape:
 
     def __init__(self):
         self._entries: list[_Entry] = []
-        self._output_ids: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -87,10 +86,6 @@ class Tape:
         if any(t.requires_grad for t in inputs):
             output.requires_grad = True
             self._entries.append(_Entry(output, inputs, vjp))
-            self._output_ids.add(id(output))
-
-    def produced(self, t: Tensor) -> bool:
-        return id(t) in self._output_ids
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -100,7 +95,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ShapeMismatchError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not tape.produced(loss):
+    # the loss is almost always the last entry, so scan from the end
+    if not any(entry.output is loss for entry in reversed(tape._entries)):
         raise GraphError("loss is not the output of any operation recorded on this tape")
     adjoint: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     tensors: dict[int, Tensor] = {id(loss): loss}

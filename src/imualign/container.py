@@ -9,6 +9,7 @@ buffers), so save -> load -> save round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import threading
@@ -43,6 +44,14 @@ def write_container(
     os.replace(tmp, path)
 
 
+def _valid_array_meta(meta) -> bool:
+    """An `arrays` entry: an object with a string name and a shape that is a
+    list of non-negative integers."""
+    return (isinstance(meta, dict) and isinstance(meta.get("name"), str)
+            and isinstance(meta.get("shape"), list)
+            and all(type(d) is int and d >= 0 for d in meta["shape"]))
+
+
 def read_container(path, magic: bytes, version: int) -> tuple[dict, dict[str, np.ndarray]]:
     path = Path(path)
     raw = path.read_bytes()
@@ -61,16 +70,21 @@ def read_container(path, magic: bytes, version: int) -> tuple[dict, dict[str, np
         raise FormatError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
+    metas = header.get("arrays", [])
+    if not isinstance(metas, list) or not all(map(_valid_array_meta, metas)):
+        raise FormatError(f"{path}: malformed arrays metadata in header")
     arrays: dict[str, np.ndarray] = {}
     offset = 13 + hlen
-    for meta in header.get("arrays", []):
-        shape = tuple(int(s) for s in meta["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
+    for meta in metas:
+        name, shape = meta["name"], meta["shape"]
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(raw):
-            raise FormatError(f"{path}: truncated payload for array {meta['name']!r}")
-        arrays[meta["name"]] = np.frombuffer(
-            raw, dtype="<f8", count=nbytes // 8, offset=offset
-        ).reshape(shape).copy()
+            raise FormatError(f"{path}: truncated payload for array {name!r}")
+        values = np.frombuffer(raw, dtype="<f8", count=nbytes // 8, offset=offset)
+        try:
+            arrays[name] = values.reshape(shape).copy()
+        except ValueError as exc:  # an empty array with a dimension numpy cannot hold
+            raise FormatError(f"{path}: array {name!r} has unsupported shape {shape}") from exc
         offset += nbytes
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes after payload")

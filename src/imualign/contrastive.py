@@ -29,15 +29,6 @@ class SimilarityMatrix:
 
 
 @dataclass
-class ContrastiveConfig:
-    temperature: float = 0.1
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise DataError(f"temperature must be > 0, got {self.temperature}")
-
-
-@dataclass
 class LossReport:
     """Per-batch loss values; fields are populated per training mode."""
 

@@ -131,10 +131,6 @@ class EncoderParams:
     def param_count(self) -> int:
         return sum(t.data.size for t in self.named().values())
 
-    def zero_grads(self) -> None:
-        for t in self.named().values():
-            t.grad = None
-
     def checksum(self) -> str:
         digest = hashlib.sha256()
         for name, t in self.named().items():

@@ -14,9 +14,9 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .container import read_container, write_container
 from .encoder import EncoderConfig, EncoderParams, encode_batch, encode_batch_on_tape
-from .errors import CoverageError, DataError, NumericError, ShapeMismatchError
+from .errors import CoverageError, DataError, ShapeMismatchError
 from .signalio import ParallelDataset
-from .train import AdagradState, adagrad_step, make_batches
+from .train import AdagradState, adagrad_step, gradients, make_batches
 
 HEAD_MAGIC = b"IMUH"
 HEAD_VERSION = 1
@@ -219,17 +219,38 @@ def _labeled_ids(dataset: ParallelDataset) -> list[str]:
     return ids
 
 
-def _head_tensors(head: ClassifierHead) -> tuple[Tensor, Tensor]:
-    return (Tensor(head.weight.copy(), requires_grad=True),
-            Tensor(head.bias.copy(), requires_grad=True))
-
-
 def init_head(n_classes: int, dim: int, class_names: list[str], seed: int) -> ClassifierHead:
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(dim)
     return ClassifierHead(
         rng.uniform(-bound, bound, size=(n_classes, dim)), np.zeros(n_classes), list(class_names)
     )
+
+
+def _fit_head(
+    head: ClassifierHead,
+    features,
+    labels: np.ndarray,
+    config: ProbeConfig,
+    encoder_tensors: dict[str, Tensor],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adagrad on the softmax cross-entropy of a copy of `head` and, in
+    place, `encoder_tensors`; `features(tape, batch)` is the head's (B, D)
+    input for a batch of row indices. Returns the fitted weight and bias."""
+    w = Tensor(head.weight.copy(), requires_grad=True)
+    b = Tensor(head.bias.copy(), requires_grad=True)
+    named = {**encoder_tensors, "head.w": w, "head.b": b}
+    state = AdagradState()
+    n = len(labels)
+    batch_size = min(config.batch_size or n, n)
+    for epoch in range(config.epochs):
+        for batch in make_batches(n, batch_size, config.seed, epoch):
+            tape = Tape()
+            logits = ad.add_rowvec(tape, ad.matmul_nt(tape, features(tape, batch), w), b)
+            loss = softmax_cross_entropy(tape, logits, labels[batch])
+            adagrad_step(named, gradients(tape, loss, named), state,
+                         config.learning_rate, config.adagrad_eps)
+    return w.data, b.data
 
 
 def fit_linear_head(
@@ -242,26 +263,12 @@ def fit_linear_head(
     """Train a softmax linear head with Adagrad on fixed embeddings."""
     emb = np.asarray(embeddings, dtype=np.float64)
     n, dim = emb.shape
+    if np.shape(label_indices) != (n,):
+        raise ShapeMismatchError(f"fit_linear_head: labels of shape {np.shape(label_indices)} for {n} rows")
     if head is None:
         head = init_head(len(class_names), dim, class_names, config.seed)
-    w, b = _head_tensors(head)
-    named = {"head.w": w, "head.b": b}
-    state = AdagradState()
-    batch_size = config.batch_size or n
-    for epoch in range(config.epochs):
-        batches = make_batches(n, min(batch_size, n), config.seed, epoch)
-        for batch in batches:
-            w.grad = b.grad = None
-            tape = Tape()
-            x = Tensor(emb[batch])
-            logits = ad.add_rowvec(tape, ad.matmul_nt(tape, x, w), b)
-            loss = softmax_cross_entropy(tape, logits, label_indices[batch])
-            if not np.isfinite(loss.data):
-                raise NumericError(f"non-finite probe loss at epoch {epoch}")
-            ad.backward(tape, loss)
-            adagrad_step(named, {k: t.grad for k, t in named.items()}, state,
-                         config.learning_rate, config.adagrad_eps)
-    return ClassifierHead(w.data, b.data, list(class_names))
+    weight, bias = _fit_head(head, lambda tape, batch: Tensor(emb[batch]), label_indices, config, {})
+    return ClassifierHead(weight, bias, list(class_names))
 
 
 def train_probe(
@@ -289,35 +296,18 @@ def fine_tune(
     """
     ids = _labeled_ids(dataset)
     by_id = {w.window_id: w for w in dataset.windows}
-    labels = _label_indices(dataset, ids)
+    signals = [by_id[i].signal for i in ids]
     params = params.copy()
     if head is None:
         head = init_head(len(dataset.class_names), encoder_config.embed_dim,
                          dataset.class_names, config.seed)
-    w, b = _head_tensors(head)
-    named = dict(params.named())
-    named["head.w"] = w
-    named["head.b"] = b
-    state = AdagradState()
-    n = len(ids)
-    batch_size = config.batch_size or n
-    for epoch in range(config.epochs):
-        batches = make_batches(n, min(batch_size, n), config.seed, epoch)
-        for batch in batches:
-            for t in named.values():
-                t.grad = None
-            tape = Tape()
-            emb = encode_batch_on_tape(tape, [by_id[ids[i]].signal for i in batch],
-                                       params, encoder_config)
-            logits = ad.add_rowvec(tape, ad.matmul_nt(tape, emb, w), b)
-            loss = softmax_cross_entropy(tape, logits, labels[batch])
-            if not np.isfinite(loss.data):
-                raise NumericError(f"non-finite fine-tune loss at epoch {epoch}")
-            ad.backward(tape, loss)
-            adagrad_step(named, {k: t.grad for k, t in named.items()}, state,
-                         config.learning_rate, config.adagrad_eps)
+
+    def features(tape, batch):
+        return encode_batch_on_tape(tape, [signals[i] for i in batch], params, encoder_config)
+
+    weight, bias = _fit_head(head, features, _label_indices(dataset, ids), config, params.named())
     params.assert_finite()
-    return params, ClassifierHead(w.data, b.data, list(head.class_names))
+    return params, ClassifierHead(weight, bias, list(head.class_names))
 
 
 def classification_metrics(

@@ -149,6 +149,19 @@ def _parse_rows(lines: list[str]) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
 
 
+def _first_bad_field(line: str) -> tuple[int, str]:
+    """The 1-based number and the text of the first field of a line that
+    `_parse_rows` refuses."""
+    for k, field in enumerate(line.split(","), start=1):
+        try:
+            if field.strip() and _parse_rows([field]).shape == (1, 1):
+                continue
+        except ValueError:
+            pass
+        return k, field
+    raise ValueError(f"every field of {line!r} parses")
+
+
 def load_imu_stream(path) -> ImuStream:
     """Parse and validate one IMU CSV in one numpy pass; a bad or NaN/Inf row is
     then found line by line and named, and timestamps must strictly increase."""
@@ -172,14 +185,19 @@ def load_imu_stream(path) -> ImuStream:
         try:
             row = _parse_rows([line])
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: unparseable value: {exc}") from exc
+            k, field = _first_bad_field(line)
+            raise DataError(f"{path}:{lineno}: unparseable value: field {k} is {field!r}") from exc
         if not np.isfinite(row).all():
             raise DataError(f"{path}:{lineno}: non-finite value")
     ts = data[:, 0]
-    bad = np.nonzero(np.diff(ts) <= 0)[0]
+    bad = np.nonzero(ts[1:] <= ts[:-1])[0]  # compared, not subtracted: no overflow
     if bad.size:
         raise DataError(f"{path}: timestamps not strictly increasing at sample index {int(bad[0]) + 1}")
-    rate = (len(ts) - 1) / (ts[-1] - ts[0]) if len(ts) > 1 else 0.0
+    first, last = float(ts[0]), float(ts[-1])
+    span = last - first  # Python floats: an overflow gives inf, not a warning
+    if not math.isfinite(span):
+        raise DataError(f"{path}: timestamps from {first!r} to {last!r} span no finite duration")
+    rate = (len(ts) - 1) / span if len(ts) > 1 else 0.0
     return ImuStream(source_id=path.stem, sample_rate_hz=float(rate), timestamps=ts, values=data[:, 1:])
 
 
@@ -198,8 +216,13 @@ def resample(stream: ImuStream, target_hz: float) -> ImuStream:
     if stream.n_samples < 2:
         raise DataError(f"resample: stream {stream.source_id} has {stream.n_samples} sample(s), need >= 2")
     t0, t1 = float(stream.timestamps[0]), float(stream.timestamps[-1])
-    n = int(math.floor((t1 - t0) * target_hz + 1e-9)) + 1
-    grid = t0 + np.arange(n) / target_hz
+    intervals = (t1 - t0) * target_hz
+    try:
+        n = int(math.floor(intervals + 1e-9)) + 1
+        grid = t0 + np.arange(n) / target_hz
+    except (OverflowError, ValueError, MemoryError) as exc:  # inf or nan, or too many for numpy
+        raise DataError(f"resample: stream {stream.source_id} needs {intervals + 1:.6g} samples at "
+                        f"{target_hz} Hz, more than numpy can allocate") from exc
     values = np.column_stack(
         [np.interp(grid, stream.timestamps, stream.values[:, c]) for c in range(6)]
     )

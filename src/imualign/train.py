@@ -1,4 +1,5 @@
-"""Contrastive pre-training loop: batch construction, Adagrad updates,
+"""Contrastive pre-training loop: batch construction, the optimization step
+that probing and fine-tuning share (`gradients` then `adagrad_step`),
 inverse-time learning-rate decay, run-directory output, checkpoints.
 
 Anchors enter every batch as constants, so they never receive gradients;
@@ -115,6 +116,18 @@ def adagrad_step(
     state.step += 1
 
 
+def gradients(tape: Tape, loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """d(loss)/d(param) for each named tensor, from a clean `.grad` buffer,
+    so no earlier step's gradient leaks into the update.
+    """
+    if not np.isfinite(loss.data):
+        raise NumericError(f"non-finite loss: {loss.data}")
+    for t in params.values():
+        t.grad = None
+    ad.backward(tape, loss)
+    return {name: t.grad for name, t in params.items()}
+
+
 def lr_at(epoch: int, base_lr: float, decay: float) -> float:
     """Inverse-time decay: base_lr / (1 + decay * epoch)."""
     return base_lr / (1.0 + decay * epoch)
@@ -165,14 +178,9 @@ def train_epoch(
     sums: dict[str, float] = {}
     named = params.named()
     for batch in batches:
-        params.zero_grads()
         tape = Tape()
         report, loss = _batch_loss(tape, dataset, batch, params, encoder_config, config)
-        if not np.isfinite(loss.data):
-            raise NumericError(f"non-finite loss at epoch {epoch}: {loss.data}")
-        ad.backward(tape, loss)
-        grads = {name: t.grad for name, t in named.items()}
-        adagrad_step(named, grads, opt_state, lr, config.adagrad_eps)
+        adagrad_step(named, gradients(tape, loss, named), opt_state, lr, config.adagrad_eps)
         for k, v in report.present().items():
             sums[k] = sums.get(k, 0.0) + v
     params.assert_finite()

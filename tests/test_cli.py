@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from imualign.cli import main
-from imualign.signalio import WindowCache, load_window_cache, save_window_cache
+from imualign.signalio import CACHE_MAGIC, WindowCache, load_window_cache, save_window_cache
 
 
 def run_cli(capsys, *argv):
@@ -139,23 +139,55 @@ def test_ingest_same_stem_in_two_directories_exit_2(corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+def run_cli_process(*argv):
+    """The CLI in a child process, so a traceback would reach stderr."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "imualign.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_ingest_bad_line_exit_2_without_traceback(corpus, tmp_path):
     src = sorted(corpus.glob("synth-*.csv"))[0]
     lines = src.read_text().splitlines()
     lines[4] = lines[4].rsplit(",", 1)[0] + ",nan"
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     out = tmp_path / "c.bin"
-    proc = subprocess.run(
-        [sys.executable, "-m", "imualign.cli", "ingest", "--imu", str(bad), "--window-s", "0.32",
-         "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    proc = run_cli_process("ingest", "--imu", str(bad), "--window-s", "0.32", "--out", str(out))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: {bad}:5: non-finite value\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("t0, t1, message", [
+    ("-1e308", "1e308", "span no finite duration"),
+    ("0", "1e12", "needs 2e+14 samples"),
+], ids=["span-overflows", "grid-too-large"])
+def test_ingest_time_span_too_long_exit_2(tmp_path, t0, t1, message):
+    csv = tmp_path / "long.csv"
+    csv.write_text(f"t,ax,ay,az,gx,gy,gz\n{t0},0,0,0,0,0,0\n{t1},0,0,0,0,0,0\n")
+    out = tmp_path / "c.bin"
+    proc = run_cli_process("ingest", "--imu", str(csv), "--window-s", "0.32", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()
+
+
+def test_train_on_a_container_with_malformed_arrays_metadata_exit_2(corpus, tmp_path):
+    blob = json.dumps({"arrays": 5}).encode()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(CACHE_MAGIC + bytes([1]) + len(blob).to_bytes(8, "little") + blob)
+    proc = run_cli_process("train", "--cache", str(bad),
+                           "--video-anchors", str(corpus / "anchors_video.jsonl"),
+                           "--epochs", "1", "--batch-size", "4", *TRAIN_FLAGS,
+                           "--run-dir", str(tmp_path / "r"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {bad}: malformed arrays metadata in header\n"
 
 
 @pytest.fixture(scope="module")

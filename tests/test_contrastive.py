@@ -12,7 +12,6 @@ from imualign.autodiff import Tape, Tensor, backward
 from imualign.contrastive import (
     COL_TO_ROW,
     ROW_TO_COL,
-    ContrastiveConfig,
     info_nce,
     retrieval_distribution,
     similarity_matrix,
@@ -20,6 +19,7 @@ from imualign.contrastive import (
     trimodal_loss,
 )
 from imualign.errors import DataError, ShapeMismatchError
+from imualign.train import TrainConfig
 
 
 def _unit_rows(rng, b, d):
@@ -129,7 +129,7 @@ def test_distribution_rejects_bad_temperature():
     with pytest.raises(DataError):
         retrieval_distribution(np.eye(2), 0.0)
     with pytest.raises(DataError):
-        ContrastiveConfig(temperature=-1.0)
+        TrainConfig(temperature=-1.0)
 
 
 # ---------------------------------------------------------------------------

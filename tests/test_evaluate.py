@@ -293,6 +293,12 @@ def test_zero_epoch_head_equals_init():
     np.testing.assert_array_equal(head.bias, ref.bias)
 
 
+@pytest.mark.parametrize("n_labels", [3, 5])
+def test_fit_linear_head_rejects_labels_of_another_length(n_labels):
+    with pytest.raises(ShapeMismatchError, match="labels of shape"):
+        fit_linear_head(np.ones((4, 3)), np.arange(n_labels) % 2, ["a", "b"], ProbeConfig(epochs=1))
+
+
 def test_probe_keeps_encoder_frozen():
     ds = synth_dataset(9, 8, 2, 16, 64, 0.05)
     params = init_params(SMALL_ENC, 0)

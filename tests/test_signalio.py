@@ -99,19 +99,25 @@ def _reference_load(path):
             parts = line.split(",")
             if len(parts) != 7:
                 raise DataError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unparseable value: {exc}") from exc
+            for k, part in enumerate(parts, start=1):
+                try:
+                    float(part)
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: unparseable value: field {k} is {part!r}") from exc
+            row = [float(p) for p in parts]
             if not all(math.isfinite(v) for v in row):
                 raise DataError(f"{path}:{lineno}: non-finite value")
             rows.append(row)
     if not rows:
         raise DataError(f"{path}: no samples")
     data = np.asarray(rows, dtype=np.float64)
-    bad = np.nonzero(np.diff(data[:, 0]) <= 0)[0]
+    with np.errstate(over="ignore"):
+        bad = np.nonzero(np.diff(data[:, 0]) <= 0)[0]
     if bad.size:
         raise DataError(f"{path}: timestamps not strictly increasing at sample index {int(bad[0]) + 1}")
+    first, last = float(data[0, 0]), float(data[-1, 0])
+    if not math.isfinite(last - first):
+        raise DataError(f"{path}: timestamps from {first!r} to {last!r} span no finite duration")
     return data[:, 0], data[:, 1:]
 
 
@@ -130,8 +136,14 @@ def _error_of(load, path):
 
 
 def _assert_loads_like_reference(path):
+    try:
+        ts, values = _reference_load(path)
+    except DataError as refused:  # a finite-valued file still refused: its span overflows
+        with pytest.raises(DataError) as got:
+            load_imu_stream(path)
+        assert str(got.value) == str(refused)
+        return
     stream = load_imu_stream(path)
-    ts, values = _reference_load(path)
     assert np.array_equal(stream.timestamps, ts) and np.array_equal(stream.values, values)
     assert stream.timestamps.tobytes() == ts.tobytes()
     assert stream.values.tobytes() == values.tobytes()
@@ -192,14 +204,17 @@ def _nonfinite_cases():
     pytest.param([_GOOD, "0.5,1,2,3,4,5,6", "1.0,1,2,3,4,5,6", "1.5,1,2,x,4,5,6",
                   "0.1,1,2,3,4,5,6"], id="first-bad-line-wins"),
     pytest.param([_GOOD, "0.0,1,2,3,4,5,6"], id="repeated-timestamp"),
+    pytest.param([_GOOD, "", "0.5,1,2,3, 4 ,y,x"], id="first-bad-field-named"),
     *_nonfinite_cases(),
 ])
 def test_load_malformed_names_the_reference_line(tmp_path, lines):
     p = tmp_path / "m.csv"
     p.write_text(CSV_HEADER + "\n" + "".join(l + "\n" for l in lines))
-    expected = _error_of(_reference_load, p)
-    assert expected is not None
-    assert _error_of(load_imu_stream, p) == expected
+    with pytest.raises(DataError) as expected:
+        _reference_load(p)
+    with pytest.raises(DataError) as got:
+        load_imu_stream(p)
+    assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("token", ["1_0", "١", "１"])
@@ -267,6 +282,16 @@ def test_resample_constant_stream():
     stream = ImuStream("s", 10.0, np.arange(20) / 10.0, np.full((20, 6), 3.3))
     out = resample(stream, 37.0)
     np.testing.assert_allclose(out.values, 3.3)
+
+
+@pytest.mark.parametrize("end, hz, message", [
+    (1.0, 0.0, "must be > 0"), (1.0, math.inf, "needs inf samples"), (1.0, math.nan, "needs nan samples"),
+    (1.0, 1e300, "needs 1e\\+300 samples"), (10.0, 1e308, "needs inf samples"),
+], ids=["zero-rate", "inf-rate", "nan-rate", "grid-beyond-numpy", "grid-overflows"])
+def test_resample_refuses_a_rate_or_grid_it_cannot_use(end, hz, message):
+    stream = ImuStream("s", 1.0, np.array([0.0, end]), np.zeros((2, 6)))
+    with pytest.raises(DataError, match=message):
+        resample(stream, hz)
 
 
 def test_resample_needs_two_samples():

@@ -6,8 +6,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from imualign import container
+from imualign import container, evaluate, train
 from imualign.autodiff import Tensor
 from imualign.container import read_container, write_container
 from imualign.encoder import EncoderConfig, init_params
@@ -108,6 +110,70 @@ def test_adagrad_rejects_non_finite_gradient():
     p = Tensor(np.array([0.0]), requires_grad=True)
     with pytest.raises(NumericError, match="non-finite gradient"):
         adagrad_step({"p": p}, {"p": np.array([np.nan])}, AdagradState(), 0.01, 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the shared optimization step: gradients + adagrad_step
+
+
+def _nan_at(tensor):
+    tensor.data = tensor.data.copy()
+    tensor.data.flat[0] = np.nan
+
+
+def test_train_epoch_refuses_a_non_finite_loss():
+    params = init_params(SMALL_ENC, 0)
+    _nan_at(params.proj_w)
+    cfg = TrainConfig(batch_size=4, epochs=1, mode="iv")
+    with pytest.raises(NumericError, match="non-finite loss"):
+        train_epoch(_dataset(n=8), params, AdagradState(), cfg, SMALL_ENC, 0)
+
+
+def test_fit_linear_head_refuses_a_non_finite_loss():
+    emb = np.random.default_rng(0).standard_normal((6, 4))
+    emb[2, 1] = np.nan
+    with pytest.raises(NumericError, match="non-finite loss"):
+        evaluate.fit_linear_head(emb, np.arange(6) % 2, ["a", "b"], evaluate.ProbeConfig(epochs=1))
+
+
+def test_fine_tune_refuses_a_non_finite_loss():
+    params = init_params(SMALL_ENC, 0)
+    _nan_at(params.conv_weights[0])
+    with pytest.raises(NumericError, match="non-finite loss"):
+        evaluate.fine_tune(_dataset(n=8), params, None, SMALL_ENC, evaluate.ProbeConfig(epochs=1))
+
+
+def _three_loops(params):
+    """Parameter and head bits after a few steps of each optimization loop."""
+    ds = _dataset(n=8)
+    state = AdagradState()
+    cfg = TrainConfig(batch_size=4, epochs=2, seed=3, mode="ivt")
+    for epoch in range(cfg.epochs):
+        train_epoch(ds, params, state, cfg, SMALL_ENC, epoch)
+    probe_cfg = evaluate.ProbeConfig(epochs=3, batch_size=3, seed=1)
+    emb = np.random.default_rng(2).standard_normal((8, 5))
+    head = evaluate.fit_linear_head(emb, np.arange(8) % 2, ["a", "b"], probe_cfg)
+    ft_params, ft_head = evaluate.fine_tune(ds, params, None, SMALL_ENC, probe_cfg)
+    return (params.checksum(), [a.tobytes() for a in state.accumulators.values()],
+            head.weight.tobytes(), head.bias.tobytes(),
+            ft_params.checksum(), ft_head.weight.tobytes(), ft_head.bias.tobytes())
+
+
+def test_stale_gradients_do_not_leak_into_updates(monkeypatch):
+    clean = _three_loops(init_params(SMALL_ENC, 4))
+    real_step = train.adagrad_step
+
+    def step_then_soil(params, grads, state, lr, eps):
+        real_step(params, grads, state, lr, eps)
+        for t in params.values():
+            t.grad = np.full_like(t.data, 7.0)
+
+    monkeypatch.setattr(train, "adagrad_step", step_then_soil)
+    monkeypatch.setattr(evaluate, "adagrad_step", step_then_soil)
+    params = init_params(SMALL_ENC, 4)
+    for t in params.named().values():
+        t.grad = np.full_like(t.data, -3.0)
+    assert _three_loops(params) == clean
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +387,67 @@ def test_two_threads_writing_one_path_both_succeed(tmp_path, monkeypatch):
     _, arrays = read_container(p, b"TEST", 1)
     assert any(np.array_equal(arrays["a"], a) for a in payloads)
     assert [f.name for f in tmp_path.iterdir()] == ["c.bin"]
+
+
+def _container_bytes(header_json: str, payload: bytes = b"") -> bytes:
+    blob = header_json.encode("utf-8")
+    return b"TEST" + bytes([1]) + len(blob).to_bytes(8, "little") + blob + payload
+
+
+@pytest.mark.parametrize("arrays", [
+    5, "x", {"name": "a"}, [1], [None], [{"shape": [1]}], [{"name": 3, "shape": [1]}],
+    [{"name": "a"}], [{"name": "a", "shape": 1}], [{"name": "a", "shape": ["a"]}],
+    [{"name": "a", "shape": [-1]}], [{"name": "a", "shape": [1.0]}], [{"name": "a", "shape": [True]}],
+], ids=["number", "string", "object", "number-entry", "null-entry", "no-name", "number-name",
+        "no-shape", "number-shape", "string-dim", "negative-dim", "float-dim", "bool-dim"])
+def test_container_malformed_arrays_metadata_is_format_error(tmp_path, arrays):
+    p = tmp_path / "c.bin"
+    p.write_bytes(_container_bytes(json.dumps({"arrays": arrays}), b"\0" * 8))
+    with pytest.raises(FormatError, match=f"{p}: malformed arrays metadata"):
+        read_container(p, b"TEST", 1)
+
+
+def test_container_empty_array_too_large_for_numpy_is_format_error(tmp_path):
+    p = tmp_path / "c.bin"
+    p.write_bytes(_container_bytes(json.dumps({"arrays": [{"name": "a", "shape": [0, 2**70]}]})))
+    with pytest.raises(FormatError, match="unsupported shape"):
+        read_container(p, b"TEST", 1)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12)
+_array_meta = st.fixed_dictionaries({}, optional={
+    "name": st.text(max_size=3) | _json,
+    "shape": st.lists(st.integers(min_value=-2, max_value=3) | st.integers(), max_size=3) | _json})
+_headers = st.one_of(
+    _json.map(json.dumps),
+    st.fixed_dictionaries({"arrays": st.lists(_array_meta, max_size=3) | _json}).map(json.dumps))
+
+
+@st.composite
+def _sized_containers(draw):
+    """Well-formed metadata with a payload of the declared size, give or take a few bytes."""
+    shapes = draw(st.lists(st.lists(st.integers(0, 3) | st.just(2**70), max_size=3), max_size=3))
+    header = {"arrays": [{"name": str(i), "shape": s} for i, s in enumerate(shapes)]}
+    size = min(8 * sum(math.prod(s) for s in shapes), 200) + draw(st.integers(-3, 3))
+    size = max(size, 0)
+    return _container_bytes(json.dumps(header), draw(st.binary(min_size=size, max_size=size)))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.one_of(st.binary(max_size=64).map(lambda b: b"TEST" + bytes([1]) + b),
+                     st.builds(_container_bytes, _headers, st.binary(max_size=80)),
+                     _sized_containers()))
+def test_container_arbitrary_header_and_bytes_raise_only_format_error(tmp_path, raw):
+    p = tmp_path / "f.bin"
+    p.write_bytes(raw)
+    try:
+        header, arrays = read_container(p, b"TEST", 1)  # any other exception fails the test
+    except FormatError:
+        return
+    assert isinstance(header, dict) and all(a.dtype == np.float64 for a in arrays.values())
 
 
 def test_checkpoint_non_object_header_is_format_error(tmp_path):
