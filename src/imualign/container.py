@@ -77,6 +77,8 @@ def read_container(path, magic: bytes, version: int) -> tuple[dict, dict[str, np
     offset = 13 + hlen
     for meta in metas:
         name, shape = meta["name"], meta["shape"]
+        if name in arrays:
+            raise FormatError(f"{path}: malformed arrays metadata in header: array {name!r} repeated")
         nbytes = math.prod(shape) * 8
         if offset + nbytes > len(raw):
             raise FormatError(f"{path}: truncated payload for array {name!r}")

@@ -14,7 +14,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .container import read_container, write_container
 from .encoder import EncoderConfig, EncoderParams, encode_batch, encode_batch_on_tape
-from .errors import CoverageError, DataError, ShapeMismatchError
+from .errors import CoverageError, DataError, FormatError, NumericError, ShapeMismatchError
 from .signalio import ParallelDataset
 from .train import AdagradState, adagrad_step, gradients, make_batches
 
@@ -31,48 +31,53 @@ RETRIEVAL_DIRECTIONS = ("text2imu", "imu2video", "video2imu", "imu2text")
 @dataclass
 class RetrievalResult:
     query_id: str
-    ranked_pool_ids: list[str]
     gold_rank: int  # 1-based
 
 
 def _inner_products(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
-    # einsum, not `matrix @ query`: BLAS gemv sums rows in a different order
+    # vecdot, not `matrix @ query`: BLAS gemv sums rows in a different order
     # depending on where they fall in its blocks, so two equal rows can score
-    # an ulp apart and break a tie rule; einsum runs the same loop on every row
-    return np.einsum("ij,j->i", matrix, query)
+    # an ulp apart and break a tie rule; vecdot runs the same dot on every row
+    if np.shape(query) != matrix.shape[1:]:
+        raise ShapeMismatchError(f"query dim {np.shape(query)} does not match pool dim {matrix.shape[1]}")
+    return np.vecdot(matrix, query)
 
 
 class Pool:
     """Exact inner-product search over an ``{id: vector}`` map, after FAISS's
-    IndexFlatIP: the ids sorted ascending, their vectors stacked as the rows
-    of one matrix, so a row's position is its tie-break order.
+    IndexFlatIP: the ids sorted ascending, their vectors the rows of one
+    matrix, so a row's position is its tie-break order.
     """
 
     def __init__(self, vectors: dict[str, np.ndarray]):
         if not vectors:
             raise DataError("empty pool")
         self.ids = sorted(vectors)
-        self.matrix = np.stack([vectors[i] for i in self.ids])
+        try:
+            self.matrix = np.array([vectors[i] for i in self.ids], dtype=np.float64)
+        except ValueError as exc:
+            raise ShapeMismatchError(f"pool vectors of unequal shape: {exc}") from exc
+        if self.matrix.ndim != 2:
+            raise ShapeMismatchError(f"pool vectors must be 1-D, got shape {self.matrix.shape[1:]}")
 
     def rank(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row indices by descending score, ties by ascending id, and each
         row's score.
         """
-        if np.shape(query) != self.matrix.shape[1:]:
-            raise ShapeMismatchError(
-                f"query dim {np.shape(query)} does not match pool dim {self.matrix.shape[1]}")
         scores = _inner_products(self.matrix, query)
         return np.argsort(-scores, kind="stable"), scores
 
 
 def rank_pool(query: np.ndarray, pool: Pool, gold_id: str) -> RetrievalResult:
-    """Rank the pool against the query and find the gold id's 1-based rank."""
+    """The gold id's 1-based position in `Pool.rank`'s order, counted, not sorted."""
     row = bisect_left(pool.ids, gold_id)
     if row == len(pool.ids) or pool.ids[row] != gold_id:
         raise CoverageError(f"rank_pool: gold id {gold_id!r} not in pool", [gold_id])
-    order, _ = pool.rank(query)
-    ranked = [pool.ids[i] for i in order.tolist()]
-    return RetrievalResult(gold_id, ranked, int(np.flatnonzero(order == row)[0]) + 1)
+    s = _inner_products(pool.matrix, query)
+    if np.isnan(s[row]):  # NaN compares false with everything: the count would read rank 1
+        raise NumericError(f"rank_pool: gold id {gold_id!r} scores NaN")
+    rank = 1 + np.count_nonzero(s > s[row]) + np.count_nonzero(s[:row] == s[row])
+    return RetrievalResult(gold_id, int(rank))
 
 
 def recall_at_k(results: list[RetrievalResult], k: int) -> float:
@@ -95,7 +100,7 @@ def eval_retrieval(
     direction: str,
     ks: tuple[int, ...] = (1, 10, 50),
 ) -> dict:
-    """Rank the full pool for every query and aggregate R@k and MRR.
+    """Each query's gold rank in the pool (`rank_pool`), aggregated into R@k and MRR.
 
     Queries and pool are assigned by direction: ``text2imu``/``video2imu``
     use anchors as queries against the IMU-embedding pool; ``imu2video``/
@@ -116,14 +121,13 @@ def eval_retrieval(
         )
     pool = Pool(pool_map)
     results = [rank_pool(queries[qid], pool, qid) for qid in sorted(queries)]
-    flags = ["pool_lt_50"] if len(pool.ids) < 50 else []
     out = {"direction": direction}
     for k in ks:
         out[f"R@{k}"] = round(recall_at_k(results, k), 6)
     out["MRR"] = round(mrr(results), 6)
     out["pool_size"] = len(pool.ids)
     out["n_queries"] = len(results)
-    out["flags"] = flags
+    out["flags"] = ["pool_lt_50"] if len(pool.ids) < 50 else []
     return out
 
 
@@ -349,4 +353,8 @@ def save_head(path, head: ClassifierHead) -> None:
 
 def load_head(path) -> ClassifierHead:
     header, arrays = read_container(path, HEAD_MAGIC, HEAD_VERSION)
-    return ClassifierHead(arrays["weight"], arrays["bias"], list(header["class_names"]))
+    names, weight, bias = header.get("class_names"), arrays.get("weight"), arrays.get("bias")
+    if (not isinstance(names, list) or not all(isinstance(c, str) for c in names)
+            or weight is None or weight.ndim != 2 or bias is None):
+        raise FormatError(f"{path}: a classifier head needs string class_names, a 2-D weight and a bias")
+    return ClassifierHead(weight, bias, names)

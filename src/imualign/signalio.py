@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import read_container, write_container
-from .errors import CoverageError, DataError
+from .errors import CoverageError, DataError, FormatError
 
 CSV_HEADER = "t,ax,ay,az,gx,gy,gz"
 CACHE_MAGIC = b"IMUC"
@@ -262,6 +262,18 @@ def make_windows(stream: ImuStream, window_s: float, stride_s: float) -> list[Im
 # anchors and labels
 
 
+def _is_window_id(x) -> bool:
+    return isinstance(x, str) and x != ""
+
+
+def _check_record_id(wid, seen, where: str) -> None:
+    """A JSONL record's window_id: a non-empty string not seen before in its file."""
+    if not _is_window_id(wid):
+        raise DataError(f"{where}: window_id must be a non-empty string, got {wid!r}")
+    if wid in seen:
+        raise DataError(f"{where}: duplicate window_id {wid!r}")
+
+
 def load_anchor_embeddings(path) -> dict[str, AnchorEmbedding]:
     """Load a JSONL anchor file; vectors are re-normalized to unit length."""
     path = Path(path)
@@ -282,6 +294,7 @@ def load_anchor_embeddings(path) -> dict[str, AnchorEmbedding]:
                 vec = np.asarray(rec["vector"], dtype=np.float64)
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed anchor record: {exc}") from exc
+            _check_record_id(wid, out, f"{path}:{lineno}")
             if modality not in ("video", "text"):
                 raise DataError(f"{path}:{lineno}: unknown modality {modality!r}")
             if vec.ndim != 1:
@@ -292,8 +305,6 @@ def load_anchor_embeddings(path) -> dict[str, AnchorEmbedding]:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:
                 raise DataError(f"{path}:{lineno}: vector dim {vec.shape[0]} != file dim {dim}")
-            if wid in out:
-                raise DataError(f"{path}:{lineno}: duplicate window_id {wid!r}")
             norm = float(np.linalg.norm(vec))
             if norm == 0.0:
                 raise DataError(f"{path}:{lineno}: zero vector cannot be normalized")
@@ -331,9 +342,12 @@ def load_labels(path) -> tuple[dict[str, str], list[str]]:
             if "classes" in rec:
                 if class_names is not None:
                     raise DataError(f"{path}:{lineno}: duplicate classes header")
-                if not isinstance(rec["classes"], list):
-                    raise DataError(f"{path}:{lineno}: classes must be a list")
-                class_names = [str(c) for c in rec["classes"]]
+                class_names = rec["classes"]
+                if not isinstance(class_names, list) or not all(isinstance(c, str) for c in class_names):
+                    raise DataError(f"{path}:{lineno}: classes must be a list of strings")
+                repeated = [c for c, n in Counter(class_names).items() if n > 1]
+                if repeated:
+                    raise DataError(f"{path}:{lineno}: class {repeated[0]!r} declared twice")
                 continue
             if class_names is None:
                 raise DataError(f"{path}:{lineno}: label record before classes header")
@@ -341,6 +355,7 @@ def load_labels(path) -> tuple[dict[str, str], list[str]]:
                 wid, label = rec["window_id"], rec["label"]
             except KeyError as exc:
                 raise DataError(f"{path}:{lineno}: malformed label record: {exc}") from exc
+            _check_record_id(wid, labels, f"{path}:{lineno}")
             if label not in class_names:
                 raise DataError(f"{path}:{lineno}: label {label!r} not in declared classes")
             labels[wid] = label
@@ -446,12 +461,31 @@ def save_window_cache(cache: WindowCache, path) -> None:
     write_container(path, CACHE_MAGIC, CACHE_VERSION, header, [("signals", signals)])
 
 
+_NUMBER = (int, float)  # JSON numbers; `type(x) in _NUMBER` leaves out bool
+
+
+def _valid_window_meta(meta) -> bool:
+    """A cache `windows` entry: string ids, a numeric start and duration."""
+    return (type(meta) is dict and _is_window_id(meta.get("window_id"))
+            and type(meta.get("source_id")) is str
+            and type(meta.get("start_s")) in _NUMBER and type(meta.get("duration_s")) in _NUMBER)
+
+
 def load_window_cache(path) -> WindowCache:
     header, arrays = read_container(path, CACHE_MAGIC, CACHE_VERSION)
-    signals = arrays["signals"]
+    signals, metas = arrays.get("signals"), header.get("windows")
+    if signals is None or signals.ndim != 3:
+        raise FormatError(f"{path}: window cache has no (n, 6, T) signals array")
+    if not isinstance(metas, list) or not all(map(_valid_window_meta, metas)):
+        raise FormatError(f"{path}: malformed windows metadata in header")
+    if len(metas) != len(signals):
+        raise FormatError(f"{path}: {len(metas)} windows in the header for {len(signals)} signal rows")
+    for key in ("sample_rate_hz", "window_s", "stride_s"):
+        if type(header.get(key)) not in _NUMBER:
+            raise FormatError(f"{path}: header field {key!r} is missing or not a number")
     windows = [
         ImuWindow(m["window_id"], m["source_id"], m["start_s"], m["duration_s"], signals[i])
-        for i, m in enumerate(header["windows"])
+        for i, m in enumerate(metas)
     ]
     _refuse_repeated_ids(windows, path)
     return WindowCache(

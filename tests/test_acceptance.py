@@ -207,7 +207,7 @@ def test_criterion_03_distribution_sanity():
 
 def test_criterion_04_retrieval_metric_oracles():
     with criterion(4, "R@k / MRR hand values; rank_pool vs brute-force on 1000 pools"):
-        results = [RetrievalResult(f"q{i}", [], r) for i, r in enumerate([1, 2, 4])]
+        results = [RetrievalResult(f"q{i}", r) for i, r in enumerate([1, 2, 4])]
         hand_value = (1.0 + 1.0 / 2.0 + 1.0 / 4.0) / 3.0  # independent hand arithmetic
         assert abs(mrr(results) - hand_value) < 1e-6
         assert abs(recall_at_k(results, 2) - 2 / 3) < 1e-12

@@ -190,6 +190,19 @@ def test_train_on_a_container_with_malformed_arrays_metadata_exit_2(corpus, tmp_
     assert proc.stderr == f"error: {bad}: malformed arrays metadata in header\n"
 
 
+def test_train_on_a_cache_without_signals_exit_2(corpus, tmp_path):
+    blob = json.dumps({"arrays": []}).encode()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(CACHE_MAGIC + bytes([1]) + len(blob).to_bytes(8, "little") + blob)
+    proc = run_cli_process("train", "--cache", str(bad),
+                           "--video-anchors", str(corpus / "anchors_video.jsonl"),
+                           "--epochs", "1", "--batch-size", "4", *TRAIN_FLAGS,
+                           "--run-dir", str(tmp_path / "r"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {bad}: window cache has no (n, 6, T) signals array\n"
+
+
 @pytest.fixture(scope="module")
 def repeated_id_cache(cache_path, tmp_path_factory):
     cache = load_window_cache(cache_path)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from imualign import evaluate
 from imualign.encoder import EncoderConfig, encode_batch, init_params
-from imualign.errors import CoverageError, DataError, ShapeMismatchError
+from imualign.container import write_container
+from imualign.errors import CoverageError, DataError, ImuAlignError, NumericError, ShapeMismatchError
 from imualign.evaluate import (
     ClassifierHead,
     Pool,
@@ -52,15 +53,17 @@ def brute_force_rank(query, pool, gold_id):
 
 def test_rank_pool_self_similarity_first():
     q = _unit([1.0, 0.0])
-    res = rank_pool(q, Pool({"gold": q, "other": _unit([0.0, 1.0])}), "gold")
+    pool = Pool({"gold": q, "other": _unit([0.0, 1.0])})
+    res = rank_pool(q, pool, "gold")
     assert res.gold_rank == 1
-    assert res.ranked_pool_ids[0] == "gold"
+    assert pool.ids[pool.rank(q)[0][0]] == "gold"
 
 
 def test_rank_pool_tie_breaks_by_id():
     v = _unit([1.0, 1.0])
-    res = rank_pool(v, Pool({"c": v.copy(), "a": v.copy(), "b": v.copy()}), "b")
-    assert res.ranked_pool_ids == ["a", "b", "c"]
+    pool = Pool({"c": v.copy(), "a": v.copy(), "b": v.copy()})
+    res = rank_pool(v, pool, "b")
+    assert [pool.ids[i] for i in pool.rank(v)[0]] == ["a", "b", "c"]
     assert res.gold_rank == 2
 
 
@@ -77,7 +80,7 @@ def test_equal_vectors_tie_by_id_at_every_pool_size(dim):
         order, scores = pool.rank(q)
         assert len(set(scores[:n].tolist())) == 1
         res = rank_pool(q, pool, "id00")
-        assert [i for i in res.ranked_pool_ids if i != "other"] == sorted(vectors)[:n]
+        assert [pool.ids[i] for i in order if pool.ids[i] != "other"] == sorted(vectors)[:n]
         assert res.gold_rank == 1 + (scores[n] > scores[0])
 
 
@@ -99,6 +102,37 @@ def test_pool_rejects_empty_map_and_wrong_query_dim():
         Pool({})
     with pytest.raises(ShapeMismatchError, match="dim"):
         Pool({"a": _unit([1.0, 0.0])}).rank(_unit([1.0, 0.0, 0.0]))
+    with pytest.raises(ShapeMismatchError, match="unequal shape"):
+        Pool({"a": _unit([1.0, 0.0]), "b": _unit([1.0, 0.0, 0.0])})
+    with pytest.raises(ShapeMismatchError, match="1-D"):
+        Pool({"a": np.eye(2), "b": np.eye(2)})
+    with pytest.raises(ShapeMismatchError, match="1-D"):
+        Pool({"a": np.float64(1.0)})
+
+
+def test_rank_pool_counts_the_stable_sort_position_among_duplicates_and_zeros():
+    # many exact ties: rank_pool's count must give the gold's place in
+    # Pool.rank's stable ascending-id order, for every gold
+    rng = np.random.default_rng(6)
+    for dim in (3, 17, 512):
+        base = [_unit(rng.standard_normal(dim)) for _ in range(4)] + [np.zeros(dim)]
+        vectors = {f"id{i:02d}": base[int(rng.integers(len(base)))].copy() for i in range(37)}
+        pool = Pool(vectors)
+        for q in (_unit(rng.standard_normal(dim)), base[0], np.zeros(dim)):
+            order = pool.rank(q)[0].tolist()
+            for gold in vectors:
+                assert rank_pool(q, pool, gold).gold_rank == 1 + order.index(pool.ids.index(gold))
+
+
+def test_rank_pool_refuses_a_nan_gold_score_and_ranks_nan_rows_last():
+    v = {"a": _unit([1.0, 0.0]), "b": np.array([np.nan, 0.0]), "c": _unit([1.0, 1.0]),
+         "d": _unit([1.0, 0.0])}
+    pool, q = Pool(v), _unit([1.0, 0.0])
+    order = pool.rank(q)[0].tolist()
+    assert [pool.ids[i] for i in order] == ["a", "d", "c", "b"]
+    assert [rank_pool(q, pool, g).gold_rank for g in "acd"] == [1, 3, 2]
+    with pytest.raises(NumericError, match="'b' scores NaN"):
+        rank_pool(q, pool, "b")
 
 
 def test_rank_pool_matches_brute_force_oracle():
@@ -109,9 +143,10 @@ def test_rank_pool_matches_brute_force_oracle():
         pool = [(f"id{i:03d}", _unit(rng.standard_normal(d))) for i in range(n)]
         q = _unit(rng.standard_normal(d))
         gold = f"id{int(rng.integers(n)):03d}"
-        res = rank_pool(q, Pool(dict(pool)), gold)
+        ranked = Pool(dict(pool))
+        res = rank_pool(q, ranked, gold)
         assert res.gold_rank == brute_force_rank(q, pool, gold)
-        assert sorted(res.ranked_pool_ids) == sorted(p[0] for p in pool)
+        assert sorted(ranked.ids[i] for i in ranked.rank(q)[0]) == sorted(p[0] for p in pool)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +154,7 @@ def test_rank_pool_matches_brute_force_oracle():
 
 
 def _results(ranks):
-    return [RetrievalResult(f"q{i}", [], r) for i, r in enumerate(ranks)]
+    return [RetrievalResult(f"q{i}", r) for i, r in enumerate(ranks)]
 
 
 def test_recall_examples():
@@ -400,3 +435,22 @@ def test_head_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.weight, head.weight)
     np.testing.assert_array_equal(loaded.bias, head.bias)
     assert loaded.class_names == head.class_names
+
+
+_HEAD = [("weight", np.zeros((2, 3))), ("bias", np.zeros(2))]
+
+
+@pytest.mark.parametrize("header, arrays, message", [
+    ({}, _HEAD, "needs string class_names"),
+    ({"class_names": "ab"}, _HEAD, "needs string class_names"),
+    ({"class_names": ["a", 1]}, _HEAD, "needs string class_names"),
+    ({"class_names": ["a", "b"]}, _HEAD[1:], "a 2-D weight"),
+    ({"class_names": ["a", "b"]}, [("weight", np.zeros(2)), _HEAD[1]], "a 2-D weight"),
+    ({"class_names": ["a", "b"]}, _HEAD[:1], "and a bias"),
+    ({"class_names": ["a", "b"]}, [_HEAD[0], ("bias", np.zeros(3))], "do not match 2 classes"),
+], ids=["no-names", "string-names", "number-name", "no-weight", "1d-weight", "no-bias", "bias-length"])
+def test_load_head_refuses_a_malformed_head(tmp_path, header, arrays, message):
+    p = tmp_path / "head.bin"
+    write_container(p, evaluate.HEAD_MAGIC, evaluate.HEAD_VERSION, header, arrays)
+    with pytest.raises(ImuAlignError, match=message):
+        load_head(p)

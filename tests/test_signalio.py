@@ -10,8 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from imualign.container import write_container
 from imualign.errors import CoverageError, DataError, FormatError
 from imualign.signalio import (
+    CACHE_MAGIC,
+    CACHE_VERSION,
     CSV_HEADER,
     ImuStream,
     WindowCache,
@@ -334,13 +337,13 @@ def test_make_windows_signal_content():
 # anchors
 
 
-def _write_anchors(path, records):
+def _write_jsonl(path, records):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
 
 
 def test_load_anchors_normalizes(tmp_path):
     p = tmp_path / "a.jsonl"
-    _write_anchors(p, [
+    _write_jsonl(p, [
         {"window_id": "w1", "modality": "video", "vector": [2.0, 0.0, 0.0, 0.0]},
         {"window_id": "w2", "modality": "video", "vector": [0.0, 3.0, 0.0, 0.0]},
     ])
@@ -353,7 +356,7 @@ def test_load_anchors_normalizes(tmp_path):
 
 def test_load_anchors_dim_mismatch(tmp_path):
     p = tmp_path / "a.jsonl"
-    _write_anchors(p, [
+    _write_jsonl(p, [
         {"window_id": "w1", "modality": "video", "vector": [1.0, 0.0]},
         {"window_id": "w2", "modality": "video", "vector": [1.0, 0.0, 0.0]},
     ])
@@ -363,11 +366,22 @@ def test_load_anchors_dim_mismatch(tmp_path):
 
 def test_load_anchors_duplicate_id(tmp_path):
     p = tmp_path / "a.jsonl"
-    _write_anchors(p, [
+    _write_jsonl(p, [
         {"window_id": "w1", "modality": "video", "vector": [1.0, 0.0]},
         {"window_id": "w1", "modality": "video", "vector": [0.0, 1.0]},
     ])
     with pytest.raises(DataError, match="duplicate"):
+        load_anchor_embeddings(p)
+
+
+@pytest.mark.parametrize("wid", [["w1"], 7, "", None], ids=["list", "number", "empty", "null"])
+def test_load_anchors_window_id_must_be_a_non_empty_string(tmp_path, wid):
+    p = tmp_path / "a.jsonl"
+    _write_jsonl(p, [
+        {"window_id": "w0", "modality": "video", "vector": [1.0, 0.0]},
+        {"window_id": wid, "modality": "video", "vector": [0.0, 1.0]},
+    ])
+    with pytest.raises(DataError, match=re.escape(f"{p}:2: window_id must be a non-empty string")):
         load_anchor_embeddings(p)
 
 
@@ -411,6 +425,23 @@ def test_labels_classes_header_must_be_a_list(tmp_path):
     p = tmp_path / "l.jsonl"
     p.write_text(json.dumps({"classes": 7}) + "\n")
     with pytest.raises(DataError, match=f"{p}:1: classes must be a list"):
+        load_labels(p)
+
+
+@pytest.mark.parametrize("records, line, message", [
+    ([{"classes": ["a", "b"]}, {"window_id": "w1", "label": "a"}, {"window_id": "w1", "label": "b"}],
+     3, "duplicate window_id 'w1'"),
+    ([{"classes": ["a", "b", "a"]}], 1, "class 'a' declared twice"),
+    ([{"classes": ["a", 1]}], 1, "classes must be a list of strings"),
+    ([{"classes": ["a"]}, {"window_id": ["w1"], "label": "a"}], 2, "window_id must be a non-empty string"),
+    ([{"classes": ["a"]}, {"window_id": "", "label": "a"}], 2, "window_id must be a non-empty string"),
+    ([{"classes": ["a"]}, {"window_id": 7, "label": "a"}], 2, "window_id must be a non-empty string"),
+], ids=["repeated-window-id", "repeated-class", "non-string-class", "list-window-id",
+        "empty-window-id", "number-window-id"])
+def test_labels_refuse_repeated_or_malformed_ids_naming_the_line(tmp_path, records, line, message):
+    p = tmp_path / "l.jsonl"
+    _write_jsonl(p, records)
+    with pytest.raises(DataError, match=re.escape(f"{p}:{line}: {message}")):
         load_labels(p)
 
 
@@ -494,6 +525,46 @@ def test_cache_rejects_repeated_window_ids(tmp_path):
     save_window_cache(WindowCache(wins + wins[:1], 50.0, 1.0, 1.0), p)
     with pytest.raises(DataError, match=f"{p}: repeated window ids: src:0$"):
         load_window_cache(p)
+
+
+_CACHE_WINDOW = {"window_id": "w0", "source_id": "s", "start_s": 0.0, "duration_s": 1.0}
+_CACHE_HEADER = {"kind": "window-cache", "sample_rate_hz": 50.0, "window_s": 1.0, "stride_s": 1.0,
+                 "content_hash": "", "windows": [_CACHE_WINDOW]}
+
+
+@pytest.mark.parametrize("header, arrays, message", [
+    ({"windows": [_CACHE_WINDOW]}, [], "window cache has no (n, 6, T) signals array"),
+    ({}, [("signals", np.zeros((6, 50)))], "window cache has no (n, 6, T) signals array"),
+    ({"windows": None}, None, "malformed windows metadata"),
+    ({"windows": 7}, None, "malformed windows metadata"),
+    ({"windows": ["w0"]}, None, "malformed windows metadata"),
+    ({"windows": [{**_CACHE_WINDOW, "window_id": 7}]}, None, "malformed windows metadata"),
+    ({"windows": [{**_CACHE_WINDOW, "window_id": ""}]}, None, "malformed windows metadata"),
+    ({"windows": [{**_CACHE_WINDOW, "source_id": None}]}, None, "malformed windows metadata"),
+    ({"windows": [{**_CACHE_WINDOW, "start_s": "0"}]}, None, "malformed windows metadata"),
+    ({"windows": [_CACHE_WINDOW, {**_CACHE_WINDOW, "window_id": "w1"}]}, None,
+     "2 windows in the header for 1 signal rows"),
+    ({}, [("signals", np.zeros((2, 6, 50)))], "1 windows in the header for 2 signal rows"),
+    ({"sample_rate_hz": None}, None, "header field 'sample_rate_hz' is missing or not a number"),
+    ({"window_s": "1.0"}, None, "header field 'window_s' is missing or not a number"),
+    ({"stride_s": True}, None, "header field 'stride_s' is missing or not a number"),
+], ids=["no-signals", "signals-2d", "no-windows", "windows-number", "window-entry-string",
+        "number-window-id", "empty-window-id", "null-source-id", "string-start",
+        "more-windows-than-rows", "fewer-windows-than-rows", "no-rate", "string-window-s",
+        "bool-stride-s"])
+def test_cache_refuses_a_malformed_header_naming_the_path(tmp_path, header, arrays, message):
+    header = {k: v for k, v in {**_CACHE_HEADER, **header}.items() if v is not None}
+    p = tmp_path / "c.bin"
+    write_container(p, CACHE_MAGIC, CACHE_VERSION, header,
+                    [("signals", np.zeros((1, 6, 50)))] if arrays is None else arrays)
+    with pytest.raises(FormatError, match=re.escape(f"{p}: {message}")):
+        load_window_cache(p)
+
+
+def test_cache_of_the_malformed_header_cases_loads_when_well_formed(tmp_path):
+    p = tmp_path / "c.bin"
+    write_container(p, CACHE_MAGIC, CACHE_VERSION, _CACHE_HEADER, [("signals", np.zeros((1, 6, 50)))])
+    assert [w.window_id for w in load_window_cache(p).windows] == ["w0"]
 
 
 def test_cache_rejects_bad_magic_and_version(tmp_path):

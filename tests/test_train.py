@@ -398,13 +398,17 @@ def _container_bytes(header_json: str, payload: bytes = b"") -> bytes:
     5, "x", {"name": "a"}, [1], [None], [{"shape": [1]}], [{"name": 3, "shape": [1]}],
     [{"name": "a"}], [{"name": "a", "shape": 1}], [{"name": "a", "shape": ["a"]}],
     [{"name": "a", "shape": [-1]}], [{"name": "a", "shape": [1.0]}], [{"name": "a", "shape": [True]}],
+    [{"name": "a", "shape": [1]}, {"name": "a", "shape": [0]}],
 ], ids=["number", "string", "object", "number-entry", "null-entry", "no-name", "number-name",
-        "no-shape", "number-shape", "string-dim", "negative-dim", "float-dim", "bool-dim"])
+        "no-shape", "number-shape", "string-dim", "negative-dim", "float-dim", "bool-dim",
+        "repeated-name"])
 def test_container_malformed_arrays_metadata_is_format_error(tmp_path, arrays):
     p = tmp_path / "c.bin"
     p.write_bytes(_container_bytes(json.dumps({"arrays": arrays}), b"\0" * 8))
-    with pytest.raises(FormatError, match=f"{p}: malformed arrays metadata"):
+    with pytest.raises(FormatError, match=f"{p}: malformed arrays metadata") as exc:
         read_container(p, b"TEST", 1)
+    if isinstance(arrays, list) and len(arrays) == 2:  # repeated-name
+        assert str(exc.value).endswith("array 'a' repeated")
 
 
 def test_container_empty_array_too_large_for_numpy_is_format_error(tmp_path):
