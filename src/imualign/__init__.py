@@ -8,12 +8,11 @@ __version__ = "0.1.0"
 from .autodiff import Tape, Tensor, backward, finite_difference_check
 from .contrastive import (
     LossReport,
-    SimilarityMatrix,
+    alignment_loss,
     info_nce,
     retrieval_distribution,
     similarity_matrix,
     symmetric_loss,
-    trimodal_loss,
 )
 from .encoder import (
     EncoderConfig,

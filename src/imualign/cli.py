@@ -49,8 +49,10 @@ from .signalio import (
     write_anchor_embeddings,
     write_imu_stream,
     write_labels,
+    _jsonl_records,
+    _unit_vector,
 )
-from .train import TrainConfig, fit, load_checkpoint, save_checkpoint, write_manifest
+from .train import MODES, Checkpoint, TrainConfig, fit, load_checkpoint, save_checkpoint, write_manifest
 
 
 def _sha256(path) -> str:
@@ -116,7 +118,7 @@ def cmd_train(args) -> int:
         mode=args.mode,
         temperature=args.temperature,
     )
-    if config.mode in ("it", "ivt") and not args.text_anchors:
+    if "text" in MODES[config.mode] and not args.text_anchors:
         raise DataError(f"mode {config.mode!r} requires --text-anchors")
     encoder_config = EncoderConfig(
         n_conv_layers=len(args.conv_channels),
@@ -147,7 +149,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _embeddings_from(ckpt_path, cache_path) -> tuple[dict[str, np.ndarray], "EncoderConfig"]:
+def _embeddings_from(ckpt_path, cache_path) -> tuple[dict[str, np.ndarray], Checkpoint]:
     ckpt = load_checkpoint(ckpt_path)
     cache = load_window_cache(cache_path)
     if not cache.windows:
@@ -265,29 +267,19 @@ def _load_query_vector(value: str) -> np.ndarray:
     """Accept either an inline JSON anchor record or a path to a JSONL file
     whose first record is the query.
     """
-    text, source = value.strip(), "--query-anchor"
-    if not text.startswith("{"):
-        with open(value, "r", encoding="utf-8") as fh:
-            text = next((ln for ln in fh if ln.strip()), None)
-        if text is None:
+    if value.strip().startswith("{"):
+        source = "--query-anchor"
+        try:
+            rec = json.loads(value)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{source}: bad JSON: {exc}") from exc
+    else:
+        source, rec = next(_jsonl_records(value), (value, None))
+        if rec is None:
             raise DataError(f"{value}: empty query file")
-        source = value
-    try:
-        rec = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{source}: bad JSON: {exc}") from exc
     if not isinstance(rec, dict) or "vector" not in rec:
         raise DataError(f'{source}: the query must be a JSON object with a "vector" field')
-    try:
-        vec = np.asarray(rec["vector"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{source}: query vector is not numeric: {exc}") from exc
-    if vec.ndim != 1 or not np.all(np.isfinite(vec)):
-        raise DataError("query vector must be a finite 1-D array")
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise DataError("query vector has zero norm")
-    return vec / norm
+    return _unit_vector(rec["vector"], source)
 
 
 def cmd_synth(args) -> int:
@@ -354,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", required=True)
     p.add_argument("--video-anchors", required=True)
     p.add_argument("--text-anchors", default=None)
-    p.add_argument("--mode", choices=["iv", "it", "ivt"], default="iv")
+    p.add_argument("--mode", choices=list(MODES), default=TrainConfig.mode)
     p.add_argument("--epochs", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch-size", type=int, default=16)
@@ -428,7 +420,7 @@ def main(argv=None) -> int:
     except ImuAlignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

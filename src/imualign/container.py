@@ -34,14 +34,18 @@ def write_container(
     # writers exclusive per path and readers from ever seeing a partial file
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}-{threading.get_ident()}")
-    with open(tmp, "wb") as fh:
-        fh.write(magic)
-        fh.write(bytes([version]))
-        fh.write(_LEN.pack(len(blob)))
-        fh.write(blob)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic)
+            fh.write(bytes([version]))
+            fh.write(_LEN.pack(len(blob)))
+            fh.write(blob)
+            for _, a in arrays:
+                fh.write(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _valid_array_meta(meta) -> bool:

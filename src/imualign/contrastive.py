@@ -6,6 +6,14 @@ mean negative log-probability of the diagonal under a row softmax of
 similarities scaled by 1/temperature; the backward loss uses the column
 softmax; the symmetric loss is their mean. All losses are recorded on the
 tape with closed-form gradients (softmax minus identity, scaled).
+
+A training mode aligns the IMU embeddings with one or more anchor
+modalities (`train.MODES`); its loss is the sum, in this order, of one
+symmetric loss per modality:
+
+    iv   video          l_sym_iv
+    it   text           l_sym_it
+    ivt  video, text    l_sym_iv + l_sym_it
 """
 
 from __future__ import annotations
@@ -22,15 +30,8 @@ COL_TO_ROW = "col_to_row"
 
 
 @dataclass
-class SimilarityMatrix:
-    values: Tensor  # (B, B)
-    row_modality: str
-    col_modality: str
-
-
-@dataclass
 class LossReport:
-    """Per-batch loss values; fields are populated per training mode."""
+    """Per-batch loss values; a mode fills the fields of its modalities."""
 
     l_i2v: float | None = None
     l_v2i: float | None = None
@@ -48,14 +49,8 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _values(sims) -> Tensor:
-    return sims.values if isinstance(sims, SimilarityMatrix) else _as_tensor(sims)
-
-
-def similarity_matrix(
-    tape: Tape, rows, cols, row_modality: str = "imu", col_modality: str = "video"
-) -> SimilarityMatrix:
-    """Pairwise inner products of unit-norm row sets: values[i][j] = <rows_i, cols_j>."""
+def similarity_matrix(tape: Tape, rows, cols) -> Tensor:
+    """Pairwise inner products of unit-norm row sets: S[i][j] = <rows_i, cols_j>."""
     rows_t, cols_t = _as_tensor(rows), _as_tensor(cols)
     if rows_t.data.ndim != 2 or cols_t.data.ndim != 2:
         raise ShapeMismatchError(
@@ -74,7 +69,7 @@ def similarity_matrix(
             )
     from .autodiff import matmul_nt
 
-    return SimilarityMatrix(matmul_nt(tape, rows_t, cols_t), row_modality, col_modality)
+    return matmul_nt(tape, rows_t, cols_t)
 
 
 def _scaled_logits(values: np.ndarray, temperature: float) -> np.ndarray:
@@ -95,7 +90,7 @@ def retrieval_distribution(sims, temperature: float, direction: str = ROW_TO_COL
     row_to_col: row i is the softmax over columns given row item i.
     col_to_row: row i is the softmax over rows given column item i.
     """
-    values = _values(sims).data
+    values = _as_tensor(sims).data
     logits = _scaled_logits(values, temperature)
     if direction == ROW_TO_COL:
         return _row_softmax(logits)
@@ -108,7 +103,7 @@ def info_nce(tape: Tape, sims, temperature: float, direction: str = ROW_TO_COL) 
     """Mean cross-entropy of the diagonal positives against in-batch
     negatives; differentiable w.r.t. the similarity matrix.
     """
-    values_t = _values(sims)
+    values_t = _as_tensor(sims)
     values = values_t.data
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ShapeMismatchError(f"info_nce: similarity matrix must be square, got {values.shape}")
@@ -140,19 +135,23 @@ def symmetric_loss(tape: Tape, sims, temperature: float) -> tuple[Tensor, Tensor
     return l_fwd, l_bwd, l_sym
 
 
-def trimodal_loss(tape: Tape, sims_iv, sims_it, temperature: float) -> tuple[LossReport, Tensor]:
-    """Sum of the two symmetric losses; reports every component."""
-    v_iv, v_it = _values(sims_iv), _values(sims_it)
-    if v_iv.shape != v_it.shape:
-        raise ShapeMismatchError(
-            f"trimodal_loss: batch sizes differ: {v_iv.shape} vs {v_it.shape}"
-        )
-    i2v, v2i, sym_iv = symmetric_loss(tape, sims_iv, temperature)
-    i2t, t2i, sym_it = symmetric_loss(tape, sims_it, temperature)
-    total = add(tape, sym_iv, sym_it)
-    report = LossReport(
-        l_i2v=i2v.item(), l_v2i=v2i.item(), l_sym_iv=sym_iv.item(),
-        l_i2t=i2t.item(), l_t2i=t2i.item(), l_sym_it=sym_it.item(),
-        l_total=total.item(),
-    )
+def alignment_loss(tape: Tape, sims: dict, temperature: float) -> tuple[LossReport, Tensor]:
+    """Sum of one symmetric loss per modality, in the order of `sims`
+    (e.g. {"video": S_iv, "text": S_it}); reports every component.
+    """
+    if not sims or not set(sims) <= {"video", "text"}:
+        raise DataError(f"alignment_loss: modalities must be video and/or text, got {list(sims)}")
+    tensors = {m: _as_tensor(s) for m, s in sims.items()}
+    shapes = sorted({t.shape for t in tensors.values()})
+    if len(shapes) > 1:
+        raise ShapeMismatchError(f"alignment_loss: batch sizes differ: {shapes}")
+    report, total = LossReport(), None
+    for modality, values in tensors.items():
+        m = modality[0]
+        fwd, bwd, sym = symmetric_loss(tape, values, temperature)
+        setattr(report, f"l_i2{m}", fwd.item())
+        setattr(report, f"l_{m}2i", bwd.item())
+        setattr(report, f"l_sym_i{m}", sym.item())
+        total = sym if total is None else add(tape, total, sym)
+    report.l_total = total.item()
     return report, total

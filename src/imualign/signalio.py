@@ -266,6 +266,46 @@ def _is_window_id(x) -> bool:
     return isinstance(x, str) and x != ""
 
 
+def _jsonl_records(path):
+    """Yield ("path:line", record) for each non-blank line; each record is a JSON object."""
+    # bytes that are not UTF-8 decode to lone surrogates, so the line that holds them can be named
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise DataError(f"{where}: bytes that are not UTF-8") from exc
+            try:
+                rec = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # bad syntax, >4300-digit ints, deep nesting
+                raise DataError(f"{where}: bad JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise DataError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+            yield where, rec
+
+
+def _unit_vector(value, where: str) -> np.ndarray:
+    """A record's vector: finite, 1-D float64, divided by its norm."""
+    try:
+        vec = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{where}: vector is not numeric: {exc}") from exc
+    if vec.ndim != 1:
+        raise DataError(f"{where}: vector must be 1-D")
+    if not np.all(np.isfinite(vec)):
+        raise DataError(f"{where}: non-finite vector component")
+    with np.errstate(over="ignore"):  # components near 1e308 overflow the squared norm
+        norm = float(np.linalg.norm(vec))
+    if not 0.0 < norm < math.inf:
+        raise DataError(f"{where}: vector of norm {norm} cannot be scaled to unit length")
+    return vec / norm
+
+
 def _check_record_id(wid, seen, where: str) -> None:
     """A JSONL record's window_id: a non-empty string not seen before in its file."""
     if not _is_window_id(wid):
@@ -279,36 +319,20 @@ def load_anchor_embeddings(path) -> dict[str, AnchorEmbedding]:
     path = Path(path)
     out: dict[str, AnchorEmbedding] = {}
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            try:
-                wid = rec["window_id"]
-                modality = rec["modality"]
-                vec = np.asarray(rec["vector"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed anchor record: {exc}") from exc
-            _check_record_id(wid, out, f"{path}:{lineno}")
-            if modality not in ("video", "text"):
-                raise DataError(f"{path}:{lineno}: unknown modality {modality!r}")
-            if vec.ndim != 1:
-                raise DataError(f"{path}:{lineno}: vector must be 1-D")
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"{path}:{lineno}: non-finite vector component")
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise DataError(f"{path}:{lineno}: vector dim {vec.shape[0]} != file dim {dim}")
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0:
-                raise DataError(f"{path}:{lineno}: zero vector cannot be normalized")
-            out[wid] = AnchorEmbedding(wid, modality, vec / norm)
+    for where, rec in _jsonl_records(path):
+        try:
+            wid, modality, value = rec["window_id"], rec["modality"], rec["vector"]
+        except KeyError as exc:
+            raise DataError(f"{where}: malformed anchor record: missing {exc}") from exc
+        _check_record_id(wid, out, where)
+        if modality not in ("video", "text"):
+            raise DataError(f"{where}: unknown modality {modality!r}")
+        vec = _unit_vector(value, where)
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise DataError(f"{where}: vector dim {vec.shape[0]} != file dim {dim}")
+        out[wid] = AnchorEmbedding(wid, modality, vec)
     if not out:
         raise DataError(f"{path}: no anchor records")
     return out
@@ -328,37 +352,27 @@ def load_labels(path) -> tuple[dict[str, str], list[str]]:
     path = Path(path)
     labels: dict[str, str] = {}
     class_names: list[str] | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(rec).__name__}")
-            if "classes" in rec:
-                if class_names is not None:
-                    raise DataError(f"{path}:{lineno}: duplicate classes header")
-                class_names = rec["classes"]
-                if not isinstance(class_names, list) or not all(isinstance(c, str) for c in class_names):
-                    raise DataError(f"{path}:{lineno}: classes must be a list of strings")
-                repeated = [c for c, n in Counter(class_names).items() if n > 1]
-                if repeated:
-                    raise DataError(f"{path}:{lineno}: class {repeated[0]!r} declared twice")
-                continue
-            if class_names is None:
-                raise DataError(f"{path}:{lineno}: label record before classes header")
-            try:
-                wid, label = rec["window_id"], rec["label"]
-            except KeyError as exc:
-                raise DataError(f"{path}:{lineno}: malformed label record: {exc}") from exc
-            _check_record_id(wid, labels, f"{path}:{lineno}")
-            if label not in class_names:
-                raise DataError(f"{path}:{lineno}: label {label!r} not in declared classes")
-            labels[wid] = label
+    for where, rec in _jsonl_records(path):
+        if "classes" in rec:
+            if class_names is not None:
+                raise DataError(f"{where}: duplicate classes header")
+            class_names = rec["classes"]
+            if not isinstance(class_names, list) or not all(isinstance(c, str) for c in class_names):
+                raise DataError(f"{where}: classes must be a list of strings")
+            repeated = [c for c, n in Counter(class_names).items() if n > 1]
+            if repeated:
+                raise DataError(f"{where}: class {repeated[0]!r} declared twice")
+            continue
+        if class_names is None:
+            raise DataError(f"{where}: label record before classes header")
+        try:
+            wid, label = rec["window_id"], rec["label"]
+        except KeyError as exc:
+            raise DataError(f"{where}: malformed label record: {exc}") from exc
+        _check_record_id(wid, labels, where)
+        if label not in class_names:
+            raise DataError(f"{where}: label {label!r} not in declared classes")
+        labels[wid] = label
     if class_names is None:
         raise DataError(f"{path}: missing classes header")
     return labels, class_names

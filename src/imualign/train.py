@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .container import read_container, write_container
-from .contrastive import LossReport, similarity_matrix, symmetric_loss, trimodal_loss
+from .contrastive import LossReport, alignment_loss, similarity_matrix
 from .encoder import EncoderConfig, EncoderParams, encode_batch_on_tape, init_params
 from .errors import DataError, FormatError, NumericError
 from .signalio import ParallelDataset
@@ -26,7 +26,8 @@ from .signalio import ParallelDataset
 CKPT_MAGIC = b"IMUK"
 CKPT_VERSION = 1
 
-MODES = ("iv", "it", "ivt")
+# a training mode is the tuple of anchor modalities the IMU embeddings align with
+MODES = {"iv": ("video",), "it": ("text",), "ivt": ("video", "text")}
 
 
 @dataclass
@@ -48,7 +49,7 @@ class TrainConfig:
         if self.decay < 0:
             raise DataError(f"decay must be >= 0, got {self.decay}")
         if self.mode not in MODES:
-            raise DataError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise DataError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -144,22 +145,9 @@ def _batch_loss(
     ids = [dataset.windows[i].window_id for i in batch]
     signals = [dataset.windows[i].signal for i in batch]
     emb = encode_batch_on_tape(tape, signals, params, encoder_config)
-    if config.mode in ("iv", "ivt"):
-        anchors_v = Tensor(dataset.anchor_matrix(ids, "video"))
-        sims_iv = similarity_matrix(tape, emb, anchors_v, "imu", "video")
-    if config.mode in ("it", "ivt"):
-        anchors_t = Tensor(dataset.anchor_matrix(ids, "text"))
-        sims_it = similarity_matrix(tape, emb, anchors_t, "imu", "text")
-
-    if config.mode == "iv":
-        f, b, sym = symmetric_loss(tape, sims_iv, config.temperature)
-        report = LossReport(l_i2v=f.item(), l_v2i=b.item(), l_sym_iv=sym.item(), l_total=sym.item())
-        return report, sym
-    if config.mode == "it":
-        f, b, sym = symmetric_loss(tape, sims_it, config.temperature)
-        report = LossReport(l_i2t=f.item(), l_t2i=b.item(), l_sym_it=sym.item(), l_total=sym.item())
-        return report, sym
-    return trimodal_loss(tape, sims_iv, sims_it, config.temperature)
+    sims = {m: similarity_matrix(tape, emb, Tensor(dataset.anchor_matrix(ids, m)))
+            for m in MODES[config.mode]}
+    return alignment_loss(tape, sims, config.temperature)
 
 
 def train_epoch(
@@ -171,8 +159,8 @@ def train_epoch(
     epoch: int,
 ) -> LossReport:
     """One pass over the shuffled dataset; returns mean per-batch losses."""
-    if config.mode in ("it", "ivt") and dataset.text_anchors is None:
-        raise DataError(f"mode {config.mode!r} needs text anchors but the dataset has none")
+    for modality in MODES[config.mode]:
+        dataset.anchors(modality)
     lr = lr_at(epoch, config.learning_rate, config.decay)
     batches = make_batches(dataset, config.batch_size, config.seed, epoch)
     sums: dict[str, float] = {}
@@ -222,10 +210,7 @@ def fit(
         for epoch in range(start_epoch, config.epochs):
             report = train_epoch(dataset, params, opt_state, config, encoder_config, epoch)
             record: dict = {"epoch": epoch, "lr": lr_at(epoch, config.learning_rate, config.decay)}
-            for key in ("l_i2v", "l_v2i", "l_i2t", "l_t2i", "l_total"):
-                value = getattr(report, key)
-                if value is not None:
-                    record[key] = value
+            record.update({k: v for k, v in report.present().items() if not k.startswith("l_sym_")})
             history.append(record)
             if metrics_fh is not None:
                 metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -17,7 +17,7 @@ import pytest
 from imualign import autodiff as ad
 from imualign.autodiff import Tape, Tensor, finite_difference_check
 from imualign.cli import main as cli_main
-from imualign.contrastive import info_nce, retrieval_distribution, trimodal_loss
+from imualign.contrastive import alignment_loss, info_nce, retrieval_distribution
 from imualign.encoder import EncoderConfig, EncoderParams, encode_batch, encode_batch_on_tape, init_params
 from imualign.evaluate import (
     Pool,
@@ -184,8 +184,8 @@ def test_criterion_02_loss_oracles():
             uniform = info_nce(Tape(), np.full((b, b), 0.3), 1.0).item()
             assert abs(uniform - math.log(b)) < 1e-9
         rng = np.random.default_rng(0)
-        report, total = trimodal_loss(Tape(), rng.uniform(-1, 1, (4, 4)),
-                                      rng.uniform(-1, 1, (4, 4)), 0.1)
+        report, total = alignment_loss(Tape(), {"video": rng.uniform(-1, 1, (4, 4)),
+                                                "text": rng.uniform(-1, 1, (4, 4))}, 0.1)
         assert abs(report.l_total - (report.l_sym_iv + report.l_sym_it)) < 1e-12
         assert abs(total.item() - report.l_total) < 1e-12
 

@@ -139,6 +139,16 @@ def test_ingest_same_stem_in_two_directories_exit_2(corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_out_is_a_directory_exit_2_and_leaves_no_temp_file(corpus, tmp_path, capsys):
+    src = sorted(corpus.glob("synth-*.csv"))[0]
+    out = tmp_path / "out"
+    out.mkdir()
+    code, payload, err = run_cli(capsys, "ingest", "--imu", str(src), "--window-s", "0.32",
+                                 "--out", str(out))
+    assert code == 2 and payload is None and err.startswith("error: ")
+    assert list(tmp_path.glob("*.tmp-*")) == []
+
+
 def run_cli_process(*argv):
     """The CLI in a child process, so a traceback would reach stderr."""
     root = Path(__file__).resolve().parents[1]
@@ -549,6 +559,55 @@ def test_numeric_failure_exits_3(monkeypatch, cache_path, corpus, tmp_path, caps
     )
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("case", ["retrieve-query-is-a-dir", "retrieve-pool-is-a-dir",
+                                  "eval-retrieval-cache-is-a-dir", "train-run-dir-is-a-file"])
+def test_os_errors_exit_2(case, run_dir, cache_path, corpus, tmp_path, capsys):
+    a_dir, a_file = str(tmp_path), tmp_path / "file"
+    a_file.write_text("")
+    ckpt, video = str(run_dir / "ckpt-30.bin"), str(corpus / "anchors_video.jsonl")
+    query = (corpus / "anchors_video.jsonl").read_text().splitlines()[0]
+    argv = {
+        "retrieve-query-is-a-dir": ["retrieve", "--pool", video, "--query-anchor", a_dir],
+        "retrieve-pool-is-a-dir": ["retrieve", "--pool", a_dir, "--query-anchor", query],
+        "eval-retrieval-cache-is-a-dir": ["eval-retrieval", "--ckpt", ckpt, "--cache", a_dir,
+                                          "--anchors", video, "--direction", "imu2video"],
+        "train-run-dir-is-a-file": ["train", "--cache", str(cache_path), "--video-anchors", video,
+                                    "--epochs", "1", "--batch-size", "4", *TRAIN_FLAGS,
+                                    "--run-dir", str(a_file)],
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", ["retrieve-pool", "train-video-anchors", "eval-classify-labels",
+                                  "retrieve-query-file"])
+def test_bytes_that_are_not_utf8_exit_2_naming_the_line(case, run_dir, cache_path, corpus,
+                                                       tmp_path, capsys):
+    video = corpus / "anchors_video.jsonl"
+    bad = tmp_path / "bad.jsonl"
+    source = corpus / "labels.jsonl" if case == "eval-classify-labels" else video
+    bad.write_bytes(source.read_bytes() + b'{"window_id": "\xff"}\n')
+    line = len(source.read_bytes().splitlines()) + 1
+    if case == "retrieve-query-file":  # only the first record is read
+        bad.write_bytes(b'{"vector": [1.0, \xff]}\n')
+        line = 1
+    ckpt, query = str(run_dir / "ckpt-30.bin"), video.read_text().splitlines()[0]
+    argv = {
+        "retrieve-pool": ["retrieve", "--pool", str(bad), "--query-anchor", query],
+        "train-video-anchors": ["train", "--cache", str(cache_path), "--video-anchors", str(bad),
+                                "--epochs", "1", "--batch-size", "4", *TRAIN_FLAGS,
+                                "--run-dir", str(tmp_path / "r")],
+        "eval-classify-labels": ["eval-classify", "--ckpt", ckpt, "--cache", str(cache_path),
+                                 "--labels", str(bad), "--protocol", "probe"],
+        "retrieve-query-file": ["retrieve", "--pool", str(video), "--query-anchor", str(bad)],
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}:{line}: bytes that are not UTF-8")
 
 
 def test_thread_env_var_is_ignored(monkeypatch, run_dir, cache_path, corpus, capsys):

@@ -12,11 +12,11 @@ from imualign.autodiff import Tape, Tensor, backward
 from imualign.contrastive import (
     COL_TO_ROW,
     ROW_TO_COL,
+    alignment_loss,
     info_nce,
     retrieval_distribution,
     similarity_matrix,
     symmetric_loss,
-    trimodal_loss,
 )
 from imualign.errors import DataError, ShapeMismatchError
 from imualign.train import TrainConfig
@@ -34,18 +34,18 @@ def _unit_rows(rng, b, d):
 def test_similarity_orthonormal_identity():
     basis = np.eye(4)[:3]
     sims = similarity_matrix(Tape(), basis, basis)
-    np.testing.assert_allclose(sims.values.data, np.eye(3))
+    np.testing.assert_allclose(sims.data, np.eye(3))
 
 
 def test_similarity_diagonal_of_self_is_one():
     rows = _unit_rows(np.random.default_rng(0), 5, 8)
     sims = similarity_matrix(Tape(), rows, rows)
-    np.testing.assert_allclose(np.diag(sims.values.data), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.diag(sims.data), 1.0, atol=1e-12)
 
 
 def test_similarity_hand_value():
     sims = similarity_matrix(Tape(), np.array([[1.0, 0.0]]), np.array([[0.6, 0.8]]))
-    np.testing.assert_allclose(sims.values.data, [[0.6]])
+    np.testing.assert_allclose(sims.data, [[0.6]])
 
 
 def test_similarity_rejects_dim_mismatch_and_non_unit():
@@ -58,8 +58,8 @@ def test_similarity_rejects_dim_mismatch_and_non_unit():
 def test_similarity_bounds_cauchy_schwarz():
     rng = np.random.default_rng(1)
     sims = similarity_matrix(Tape(), _unit_rows(rng, 6, 5), _unit_rows(rng, 6, 5))
-    assert np.all(sims.values.data <= 1.0 + 1e-12)
-    assert np.all(sims.values.data >= -1.0 - 1e-12)
+    assert np.all(sims.data <= 1.0 + 1e-12)
+    assert np.all(sims.data >= -1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +214,20 @@ def test_symmetric_loss_transpose_swaps_directions():
 
 
 def test_trimodal_identity_total():
-    report, total = trimodal_loss(Tape(), np.eye(2), np.eye(2), 1.0)
+    report, total = alignment_loss(Tape(), {"video": np.eye(2), "text": np.eye(2)}, 1.0)
     assert abs(total.item() - 0.62652) < 1e-4
     assert abs(report.l_total - (report.l_sym_iv + report.l_sym_it)) < 1e-12
 
 
 def test_trimodal_mixed_case():
-    report, total = trimodal_loss(Tape(), np.eye(2), np.full((2, 2), 0.5), 1.0)
+    report, total = alignment_loss(Tape(), {"video": np.eye(2), "text": np.full((2, 2), 0.5)}, 1.0)
     assert abs(total.item() - (0.31326 + math.log(2))) < 1e-4
 
 
 def test_trimodal_report_fields_and_bound():
     rng = np.random.default_rng(8)
-    report, total = trimodal_loss(Tape(), rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)), 0.1)
+    report, total = alignment_loss(Tape(), {"video": rng.uniform(-1, 1, (3, 3)),
+                                            "text": rng.uniform(-1, 1, (3, 3))}, 0.1)
     assert report.l_sym_iv == (report.l_i2v + report.l_v2i) / 2
     assert report.l_sym_it == (report.l_i2t + report.l_t2i) / 2
     assert report.l_total >= max(report.l_sym_iv, report.l_sym_it)
@@ -234,7 +235,18 @@ def test_trimodal_report_fields_and_bound():
 
 def test_trimodal_batch_mismatch():
     with pytest.raises(ShapeMismatchError, match="batch sizes differ"):
-        trimodal_loss(Tape(), np.eye(2), np.eye(3), 1.0)
+        alignment_loss(Tape(), {"video": np.eye(2), "text": np.eye(3)}, 1.0)
+
+
+def test_alignment_loss_of_one_modality_fills_only_its_fields():
+    m = np.random.default_rng(10).uniform(-1, 1, (3, 3))
+    report, total = alignment_loss(Tape(), {"text": m}, 0.1)
+    _, _, sym = symmetric_loss(Tape(), m, 0.1)
+    assert set(report.present()) == {"l_i2t", "l_t2i", "l_sym_it", "l_total"}
+    assert report.l_total == report.l_sym_it == total.item() == sym.item()
+    for sims in ({}, {"audio": m}):
+        with pytest.raises(DataError, match="video and/or text"):
+            alignment_loss(Tape(), sims, 0.1)
 
 
 def test_loss_gradients_flow_to_embeddings():

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from imualign.cli import _load_query_vector
 from imualign.container import write_container
-from imualign.errors import CoverageError, DataError, FormatError
+from imualign.errors import CoverageError, DataError, FormatError, ImuAlignError
 from imualign.signalio import (
     CACHE_MAGIC,
     CACHE_VERSION,
@@ -443,6 +444,103 @@ def test_labels_refuse_repeated_or_malformed_ids_naming_the_line(tmp_path, recor
     _write_jsonl(p, records)
     with pytest.raises(DataError, match=re.escape(f"{p}:{line}: {message}")):
         load_labels(p)
+
+
+# ---------------------------------------------------------------------------
+# JSONL records: arbitrary input raises only ImuAlignError
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers(-2**70, 2**70) | st.just(10**400),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+_vectors = st.lists(st.floats() | st.integers(-2**70, 2**70) | st.just(10**400), max_size=4)
+_anchor_records = st.fixed_dictionaries({}, optional={
+    "window_id": st.sampled_from(["w0", "w1", ""]) | _json,
+    "modality": st.sampled_from(["video", "text"]) | _json,
+    "vector": _vectors | _json,
+})
+_label_records = st.one_of(
+    st.fixed_dictionaries({"classes": st.lists(st.sampled_from(["a", "b"]), max_size=3) | _json}),
+    st.fixed_dictionaries({}, optional={"window_id": st.sampled_from(["w0", "w1", ""]) | _json,
+                                        "label": st.sampled_from(["a", "b", "c"]) | _json}),
+)
+
+
+# JSON that json.dumps cannot write: deep nesting, an int past the 4300-digit limit
+_hostile = st.sampled_from(["[" * 5000, '{"vector": [' + "1" * 5000 + "]}", '{"a": 1'])
+
+
+def _lines(records):
+    """One JSONL line: a well-formed record, other JSON, text or raw bytes."""
+    return st.one_of(records.map(json.dumps), _json.map(json.dumps), st.text(max_size=20), _hostile,
+                     st.binary(max_size=12)).map(lambda x: x if isinstance(x, bytes) else x.encode())
+
+
+def _unit_or_refused(load, arg):
+    try:
+        return load(arg)  # any exception but an ImuAlignError fails the test
+    except ImuAlignError:
+        return None
+
+
+_fuzz = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+_HUGE = b'{"window_id": "w0", "modality": "video", "vector": [1e308, 1e308]}'
+
+
+@_fuzz
+@given(lines=st.lists(_lines(_anchor_records), max_size=5))
+@example(lines=[_HUGE])  # the squared norm overflows
+def test_load_anchors_arbitrary_records_raise_only_imu_align_errors(tmp_path, lines):
+    p = tmp_path / "a.jsonl"
+    p.write_bytes(b"\n".join(lines))
+    anchors = _unit_or_refused(load_anchor_embeddings, p)
+    for a in (anchors or {}).values():
+        assert abs(np.linalg.norm(a.vector) - 1.0) < 1e-9
+
+
+@_fuzz
+@given(lines=st.lists(_lines(_label_records), max_size=5))
+def test_load_labels_arbitrary_records_raise_only_imu_align_errors(tmp_path, lines):
+    p = tmp_path / "l.jsonl"
+    p.write_bytes(b"\n".join(lines))
+    loaded = _unit_or_refused(load_labels, p)
+    if loaded is not None:
+        labels, class_names = loaded
+        assert set(labels.values()) <= set(class_names)
+
+
+_query_records = st.fixed_dictionaries({}, optional={"window_id": _json, "vector": _vectors | _json})
+
+
+@_fuzz
+@given(record=st.one_of(_query_records.map(json.dumps), _hostile.filter(lambda t: t[0] == "{"),
+                        st.text(max_size=20).map(lambda t: "{" + t)),
+       from_file=st.booleans())
+@example(record=_HUGE.decode(), from_file=False)
+def test_query_record_arbitrary_input_raises_only_imu_align_errors(tmp_path, record, from_file):
+    arg = record
+    if from_file:
+        arg = str(tmp_path / "q.jsonl")
+        Path(arg).write_text(record + "\n", encoding="utf-8", errors="surrogatepass")
+    vec = _unit_or_refused(_load_query_vector, arg)
+    if vec is not None:
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
+
+
+@_fuzz
+@given(lines=st.lists(_lines(_query_records), min_size=1, max_size=3))
+def test_query_file_arbitrary_bytes_raise_only_imu_align_errors(tmp_path, lines):
+    p = tmp_path / "q.jsonl"
+    p.write_bytes(b"\n".join(lines))
+    vec = _unit_or_refused(_load_query_vector, str(p))
+    if vec is not None:
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
