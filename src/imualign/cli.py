@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -136,7 +137,7 @@ def cmd_train(args) -> int:
         print(f"dropped {len(dropped)} windows without anchors", file=sys.stderr)
 
     inputs = [args.cache, args.video_anchors] + ([args.text_anchors] if args.text_anchors else [])
-    manifest = _manifest("train", {**config.to_dict(), "encoder": encoder_config.to_dict()}, inputs)
+    manifest = _manifest("train", {**asdict(config), "encoder": asdict(encoder_config)}, inputs)
     t0 = time.time()
     _, _, history = fit(dataset, encoder_config, config, run_dir=args.run_dir, manifest=manifest)
     _emit({
@@ -348,18 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text-anchors", default=None)
     p.add_argument("--mode", choices=list(MODES), default=TrainConfig.mode)
     p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--adagrad-eps", type=float, default=1e-8)
-    p.add_argument("--decay", type=float, default=0.1)
-    p.add_argument("--temperature", type=float, default=0.1)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--adagrad-eps", type=float, default=TrainConfig.adagrad_eps)
+    p.add_argument("--decay", type=float, default=TrainConfig.decay)
+    p.add_argument("--temperature", type=float, default=TrainConfig.temperature)
     p.add_argument("--coverage", type=float, default=1.0)
-    p.add_argument("--conv-channels", type=int, nargs="+", default=[32, 64, 128])
-    p.add_argument("--conv-kernels", type=int, nargs="+", default=[10, 5, 5])
-    p.add_argument("--conv-strides", type=int, nargs="+", default=[2, 2, 2])
-    p.add_argument("--gru-hidden", type=int, default=128)
-    p.add_argument("--embed-dim", type=int, default=512)
+    p.add_argument("--conv-channels", type=int, nargs="+", default=list(EncoderConfig.conv_channels))
+    p.add_argument("--conv-kernels", type=int, nargs="+", default=list(EncoderConfig.conv_kernels))
+    p.add_argument("--conv-strides", type=int, nargs="+", default=list(EncoderConfig.conv_strides))
+    p.add_argument("--gru-hidden", type=int, default=EncoderConfig.gru_hidden)
+    p.add_argument("--embed-dim", type=int, default=EncoderConfig.embed_dim)
     p.add_argument("--run-dir", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -377,10 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--protocol", choices=["zeroshot", "probe", "finetune"], required=True)
     p.add_argument("--class-anchors", default=None)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=0, help="0 = full batch")
+    p.add_argument("--epochs", type=int, default=ProbeConfig.epochs)
+    p.add_argument("--lr", type=float, default=ProbeConfig.learning_rate)
+    p.add_argument("--seed", type=int, default=ProbeConfig.seed)
+    p.add_argument("--batch-size", type=int, default=ProbeConfig.batch_size, help="0 = full batch")
     p.add_argument("--run-dir", default=None, help="where probe/finetune write trained weights")
     p.set_defaults(func=cmd_eval_classify)
 

@@ -4,10 +4,14 @@ Layout: 4-byte magic, 1 version byte, 8-byte little-endian header length,
 UTF-8 JSON header, then the raw float64 payload of every array in header
 order. Serialization is fully deterministic (sorted JSON keys, C-order
 buffers), so save -> load -> save round-trips bit-exactly.
+
+`read_container` checks that structure; each loader then declares its arrays
+(`checked_arrays`) and its header fields' JSON types (`header_field`, `header_config`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 
 _LEN = struct.Struct("<Q")
 
@@ -49,11 +53,9 @@ def write_container(
 
 
 def _valid_array_meta(meta) -> bool:
-    """An `arrays` entry: an object with a string name and a shape that is a
-    list of non-negative integers."""
-    return (isinstance(meta, dict) and isinstance(meta.get("name"), str)
-            and isinstance(meta.get("shape"), list)
-            and all(type(d) is int and d >= 0 for d in meta["shape"]))
+    """An `arrays` entry: an object with a string name and a list of non-negative int sizes."""
+    return (type(meta) is dict and json_is(meta.get("name"), str)
+            and json_is(meta.get("shape"), list[int]) and min(meta["shape"], default=0) >= 0)
 
 
 def read_container(path, magic: bytes, version: int) -> tuple[dict, dict[str, np.ndarray]]:
@@ -70,7 +72,7 @@ def read_container(path, magic: bytes, version: int) -> tuple[dict, dict[str, np
         raise FormatError(f"{path}: truncated header ({hlen} bytes declared)")
     try:
         header = json.loads(raw[13 : 13 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also ints past 4,300 digits and deep nesting
         raise FormatError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
@@ -95,3 +97,47 @@ def read_container(path, magic: bytes, version: int) -> tuple[dict, dict[str, np
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes after payload")
     return header, arrays
+
+
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def json_is(value, kind) -> bool:
+    """Whether parsed JSON is a `kind` or ``list[kind]``; a bool is never a number, an int is a float."""
+    if type(kind) is type:
+        return type(value) is kind or (kind is float and type(value) is int)
+    return type(value) is list and all(json_is(v, kind.__args__[0]) for v in value)
+
+
+def header_field(path, header: dict, key: str, kind):
+    """``header[key]``, refused with `FormatError` unless it is a JSON `kind`."""
+    if not json_is(header.get(key), kind):
+        name = _JSON_NAMES.get(kind) or f"a list of {_JSON_NAMES[kind.__args__[0]].split()[1]}s"
+        raise FormatError(f"{path}: header field {key!r} is missing or not {name}")
+    return header[key]
+
+
+def header_config(path, header: dict, key: str, cls):
+    """``header[key]`` as dataclass `cls`: exactly its fields, each of its default's JSON type."""
+    record, fields = header_field(path, header, key, dict), dataclasses.fields(cls)
+    if record.keys() != {f.name for f in fields}:
+        raise FormatError(f"{path}: {key} has fields {sorted(record)}, expected {sorted(f.name for f in fields)}")
+    for f in fields:
+        header_field(f"{path}: {key}", record, f.name,
+                     list[type(f.default[0])] if isinstance(f.default, tuple) else type(f.default))
+    try:
+        return cls(**record)
+    except DataError as exc:
+        raise FormatError(f"{path}: {key}: {exc}") from exc
+
+
+def checked_arrays(path, arrays: dict[str, np.ndarray], shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """`arrays`, unless they are not exactly `shapes`' names, ranks and sizes (``None``: any)."""
+    missing, extra = sorted(shapes.keys() - arrays.keys()), sorted(arrays.keys() - shapes.keys())
+    if missing or extra:
+        raise FormatError(f"{path}: missing arrays {missing}, unexpected arrays {extra}")
+    for name, shape in shapes.items():
+        got = arrays[name].shape
+        if len(got) != len(shape) or any(d is not None and g != d for g, d in zip(got, shape)):
+            raise FormatError(f"{path}: array {name!r} has shape {got}, expected {shape}")
+    return arrays

@@ -10,6 +10,7 @@ L2 normalization onto the unit sphere.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,42 +34,20 @@ class EncoderConfig:
     groupnorm_eps: float = 1e-8
 
     def __post_init__(self):
-        self.conv_channels = tuple(int(c) for c in self.conv_channels)
-        self.conv_kernels = tuple(int(k) for k in self.conv_kernels)
-        self.conv_strides = tuple(int(s) for s in self.conv_strides)
         n = self.n_conv_layers
         if n < 1:
             raise DataError(f"encoder config: n_conv_layers must be >= 1, got {n}")
-        for name, seq in (
-            ("conv_channels", self.conv_channels),
-            ("conv_kernels", self.conv_kernels),
-            ("conv_strides", self.conv_strides),
-        ):
+        for name in ("conv_channels", "conv_kernels", "conv_strides"):
+            seq = tuple(int(v) for v in getattr(self, name))
+            setattr(self, name, seq)
             if len(seq) != n:
                 raise DataError(f"encoder config: {name} has {len(seq)} entries for {n} layers")
             if any(v < 1 for v in seq):
                 raise DataError(f"encoder config: {name} entries must be positive, got {seq}")
         if min(self.pool_kernel, self.pool_stride, self.gru_hidden, self.embed_dim) < 1:
             raise DataError("encoder config: pool/gru/embed sizes must be positive")
-        if self.groupnorm_eps <= 0:
-            raise DataError(f"encoder config: groupnorm_eps must be > 0, got {self.groupnorm_eps}")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_conv_layers": self.n_conv_layers,
-            "conv_channels": list(self.conv_channels),
-            "conv_kernels": list(self.conv_kernels),
-            "conv_strides": list(self.conv_strides),
-            "pool_kernel": self.pool_kernel,
-            "pool_stride": self.pool_stride,
-            "gru_hidden": self.gru_hidden,
-            "embed_dim": self.embed_dim,
-            "groupnorm_eps": self.groupnorm_eps,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
+        if not 0 < self.groupnorm_eps < math.inf:
+            raise DataError(f"encoder config: groupnorm_eps must be finite and > 0, got {self.groupnorm_eps}")
 
 
 def conv_out_len(time: int, kernel: int, stride: int) -> int:
@@ -96,6 +75,19 @@ def pipeline_time_lengths(config: EncoderConfig, n_samples: int) -> list[int]:
     t = conv_out_len(t, config.pool_kernel, config.pool_stride)
     lengths.append(t)
     return lengths
+
+
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in `EncoderParams.named()` order."""
+    c, h, d = (6, *config.conv_channels), config.gru_hidden, config.embed_dim
+    shapes = {"input_gn.gamma": (6,), "input_gn.beta": (6,)}
+    for i, k in enumerate(config.conv_kernels):
+        shapes.update({f"conv{i}.w": (c[i + 1], c[i], k), f"conv{i}.b": (c[i + 1],)})
+    return shapes | {
+        "post_gn.gamma": (c[-1],), "post_gn.beta": (c[-1],),
+        "gru.w_ih": (3 * h, c[-1]), "gru.w_hh": (3 * h, h), "gru.b_ih": (3 * h,), "gru.b_hh": (3 * h,),
+        "proj.w": (d, h), "proj.b": (d,),
+    }
 
 
 @dataclass
@@ -128,6 +120,14 @@ class EncoderParams:
         })
         return out
 
+    @classmethod
+    def from_named(cls, named: dict[str, Tensor]) -> "EncoderParams":
+        """The inverse of `named()`: ``conv{i}.w``/``.b`` fill the conv lists, ``a.b`` is field ``a_b``."""
+        n_conv = sum(1 for name in named if name.startswith("conv")) // 2
+        return cls(conv_weights=[named[f"conv{i}.w"] for i in range(n_conv)],
+                   conv_biases=[named[f"conv{i}.b"] for i in range(n_conv)],
+                   **{n.replace(".", "_"): t for n, t in named.items() if not n.startswith("conv")})
+
     def param_count(self) -> int:
         return sum(t.data.size for t in self.named().values())
 
@@ -139,11 +139,8 @@ class EncoderParams:
         return digest.hexdigest()
 
     def copy(self) -> "EncoderParams":
-        def dup(t: Tensor) -> Tensor:
-            return Tensor(t.data.copy(), requires_grad=t.requires_grad)
-
-        return EncoderParams(**{k: [dup(t) for t in v] if isinstance(v, list) else dup(v)
-                                for k, v in vars(self).items()})
+        return EncoderParams.from_named({name: Tensor(t.data.copy(), requires_grad=t.requires_grad)
+                                         for name, t in self.named().items()})
 
     def assert_finite(self) -> None:
         for name, t in self.named().items():
@@ -157,38 +154,18 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     """
     rng = np.random.default_rng(seed)
 
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    def init(name, shape):
+        if len(shape) == 1:  # GroupNorm gains start at 1, shifts and biases at 0
+            return np.full(shape, 1.0 if name.endswith(".gamma") else 0.0)
+        bound = 1.0 / math.sqrt(math.prod(shape[1:]))  # fan_in: every axis but the output one
+        return rng.uniform(-bound, bound, size=shape)
 
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape), requires_grad=True)
-
-    conv_w, conv_b = [], []
-    c_in = 6
-    for i in range(config.n_conv_layers):
-        c_out, k = config.conv_channels[i], config.conv_kernels[i]
-        conv_w.append(uniform((c_out, c_in, k), c_in * k))
-        conv_b.append(zeros((c_out,)))
-        c_in = c_out
-    h = config.gru_hidden
-    return EncoderParams(
-        input_gn_gamma=ones((6,)),
-        input_gn_beta=zeros((6,)),
-        conv_weights=conv_w,
-        conv_biases=conv_b,
-        post_gn_gamma=ones((c_in,)),
-        post_gn_beta=zeros((c_in,)),
-        gru_w_ih=uniform((3 * h, c_in), c_in),
-        gru_w_hh=uniform((3 * h, h), h),
-        gru_b_ih=zeros((3 * h,)),
-        gru_b_hh=zeros((3 * h,)),
-        proj_w=uniform((config.embed_dim, h), h),
-        proj_b=zeros((config.embed_dim,)),
-    )
+    try:
+        named = {name: Tensor(init(name, shape), requires_grad=True)
+                 for name, shape in param_shapes(config).items()}
+    except (MemoryError, ValueError, OverflowError) as exc:  # sizes too large for numpy
+        raise DataError(f"encoder config: parameters do not fit in memory: {exc}") from exc
+    return EncoderParams.from_named(named)
 
 
 _CHUNK = 64  # windows per encode_batch tape: bounds the memory one call holds

@@ -35,4 +35,4 @@ class NumericError(ImuAlignError):
 
 
 class FormatError(DataError):
-    """A binary container with a bad magic number, version, or truncation."""
+    """A binary container that is not what its kind declares: magic, version, header or arrays."""

@@ -12,9 +12,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .container import read_container, write_container
+from .container import checked_arrays, header_field, read_container, write_container
 from .encoder import EncoderConfig, EncoderParams, encode_batch, encode_batch_on_tape
-from .errors import CoverageError, DataError, FormatError, NumericError, ShapeMismatchError
+from .errors import CoverageError, DataError, NumericError, ShapeMismatchError
 from .signalio import ParallelDataset
 from .train import AdagradState, adagrad_step, gradients, make_batches
 
@@ -168,6 +168,12 @@ class ProbeConfig:
     adagrad_eps: float = 1e-8
     batch_size: int = 0  # 0 = full batch
     seed: int = 0
+
+    def __post_init__(self):
+        if (min(self.epochs, self.batch_size, self.seed) < 0
+                or not (0 <= self.learning_rate < np.inf and 0 < self.adagrad_eps < np.inf)):
+            raise DataError(f"probe config: epochs, batch_size, seed and learning_rate must be finite "
+                            f"and >= 0, adagrad_eps finite and > 0; got {self}")
 
 
 def zeroshot_classify(
@@ -353,8 +359,6 @@ def save_head(path, head: ClassifierHead) -> None:
 
 def load_head(path) -> ClassifierHead:
     header, arrays = read_container(path, HEAD_MAGIC, HEAD_VERSION)
-    names, weight, bias = header.get("class_names"), arrays.get("weight"), arrays.get("bias")
-    if (not isinstance(names, list) or not all(isinstance(c, str) for c in names)
-            or weight is None or weight.ndim != 2 or bias is None):
-        raise FormatError(f"{path}: a classifier head needs string class_names, a 2-D weight and a bias")
-    return ClassifierHead(weight, bias, names)
+    names = header_field(path, header, "class_names", list[str])
+    checked_arrays(path, arrays, {"weight": (len(names), None), "bias": (len(names),)})
+    return ClassifierHead(arrays["weight"], arrays["bias"], names)

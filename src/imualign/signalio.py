@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import checked_arrays, header_field, json_is, read_container, write_container
 from .errors import CoverageError, DataError, FormatError
 
 CSV_HEADER = "t,ax,ay,az,gx,gy,gz"
@@ -235,8 +235,8 @@ def make_windows(stream: ImuStream, window_s: float, stride_s: float) -> list[Im
     The trailing partial window is dropped; a stream shorter than one window
     yields an empty list. Window ids are ``source_id:<start sample index>``.
     """
-    if window_s <= 0 or stride_s <= 0:
-        raise DataError(f"make_windows: window_s/stride_s must be > 0, got {window_s}/{stride_s}")
+    if not (0 < window_s < math.inf and 0 < stride_s < math.inf):
+        raise DataError(f"make_windows: window_s/stride_s must be finite and > 0, got {window_s}/{stride_s}")
     hz = stream.sample_rate_hz
     t_win = int(round(window_s * hz))
     t_stride = max(1, int(round(stride_s * hz)))
@@ -385,10 +385,10 @@ def write_labels(labels: dict[str, str], class_names: list[str], path) -> None:
             fh.write(json.dumps({"window_id": wid, "label": labels[wid]}) + "\n")
 
 
-def _refuse_repeated_ids(windows: list[ImuWindow], where) -> None:
+def _refuse_repeated_ids(windows: list[ImuWindow], where, error=DataError) -> None:
     repeated = [wid for wid, n in Counter(w.window_id for w in windows).items() if n > 1]
     if repeated:
-        raise DataError(f"{where}: repeated window ids: {', '.join(repeated[:20])}")
+        raise error(f"{where}: repeated window ids: {', '.join(repeated[:20])}")
 
 
 def assemble_dataset(
@@ -404,6 +404,8 @@ def assemble_dataset(
     below `coverage_threshold` (fraction of windows with every requested
     anchor) raises CoverageError listing the missing ids.
     """
+    if not 0 <= coverage_threshold <= 1:
+        raise DataError(f"assemble_dataset: coverage threshold must be in [0, 1], got {coverage_threshold}")
     if not windows:
         raise DataError("assemble_dataset: no windows")
     _refuse_repeated_ids(windows, "assemble_dataset")
@@ -475,40 +477,28 @@ def save_window_cache(cache: WindowCache, path) -> None:
     write_container(path, CACHE_MAGIC, CACHE_VERSION, header, [("signals", signals)])
 
 
-_NUMBER = (int, float)  # JSON numbers; `type(x) in _NUMBER` leaves out bool
-
-
 def _valid_window_meta(meta) -> bool:
     """A cache `windows` entry: string ids, a numeric start and duration."""
     return (type(meta) is dict and _is_window_id(meta.get("window_id"))
             and type(meta.get("source_id")) is str
-            and type(meta.get("start_s")) in _NUMBER and type(meta.get("duration_s")) in _NUMBER)
+            and json_is(meta.get("start_s"), float) and json_is(meta.get("duration_s"), float))
 
 
 def load_window_cache(path) -> WindowCache:
     header, arrays = read_container(path, CACHE_MAGIC, CACHE_VERSION)
-    signals, metas = arrays.get("signals"), header.get("windows")
-    if signals is None or signals.ndim != 3:
-        raise FormatError(f"{path}: window cache has no (n, 6, T) signals array")
+    signals = checked_arrays(path, arrays, {"signals": (None, 6, None)})["signals"]
+    metas = header.get("windows")
     if not isinstance(metas, list) or not all(map(_valid_window_meta, metas)):
         raise FormatError(f"{path}: malformed windows metadata in header")
     if len(metas) != len(signals):
         raise FormatError(f"{path}: {len(metas)} windows in the header for {len(signals)} signal rows")
-    for key in ("sample_rate_hz", "window_s", "stride_s"):
-        if type(header.get(key)) not in _NUMBER:
-            raise FormatError(f"{path}: header field {key!r} is missing or not a number")
     windows = [
         ImuWindow(m["window_id"], m["source_id"], m["start_s"], m["duration_s"], signals[i])
         for i, m in enumerate(metas)
     ]
-    _refuse_repeated_ids(windows, path)
-    return WindowCache(
-        windows=windows,
-        sample_rate_hz=header["sample_rate_hz"],
-        window_s=header["window_s"],
-        stride_s=header["stride_s"],
-        content_hash=header.get("content_hash", ""),
-    )
+    _refuse_repeated_ids(windows, path, FormatError)
+    sizes = [header_field(path, header, key, float) for key in ("sample_rate_hz", "window_s", "stride_s")]
+    return WindowCache(windows, *sizes, header_field(path, header, "content_hash", str))
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .container import read_container, write_container
+from .container import checked_arrays, header_config, header_field, read_container, write_container
 from .contrastive import LossReport, alignment_loss, similarity_matrix
-from .encoder import EncoderConfig, EncoderParams, encode_batch_on_tape, init_params
+from .encoder import EncoderConfig, EncoderParams, encode_batch_on_tape, init_params, param_shapes
 from .errors import DataError, FormatError, NumericError
 from .signalio import ParallelDataset
 
@@ -44,28 +44,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise DataError(f"batch_size must be >= 2 for in-batch negatives, got {self.batch_size}")
-        if min(self.learning_rate, self.adagrad_eps, self.temperature) <= 0:
-            raise DataError("learning_rate, adagrad_eps, and temperature must be positive")
-        if self.decay < 0:
-            raise DataError(f"decay must be >= 0, got {self.decay}")
+        if (min(self.epochs, self.seed) < 0 or not 0 <= self.decay < np.inf
+                or not all(0 < v < np.inf for v in (self.learning_rate, self.adagrad_eps, self.temperature))):
+            raise DataError(f"epochs and seed must be >= 0, decay finite and >= 0, and learning_rate, "
+                            f"adagrad_eps and temperature finite and > 0; got {self}")
         if self.mode not in MODES:
             raise DataError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "adagrad_eps": self.adagrad_eps,
-            "decay": self.decay,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "mode": self.mode,
-            "temperature": self.temperature,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 class AdagradState:
@@ -200,7 +184,7 @@ def fit(
         run_path = Path(run_dir)
         run_path.mkdir(parents=True, exist_ok=True)
         (run_path / "config.json").write_text(
-            json.dumps({"train": config.to_dict(), "encoder": encoder_config.to_dict()},
+            json.dumps({"train": asdict(config), "encoder": asdict(encoder_config)},
                        indent=2, sort_keys=True) + "\n"
         )
         metrics_fh = open(run_path / "metrics.jsonl", "a" if start_epoch else "w", encoding="utf-8")
@@ -267,8 +251,8 @@ def save_checkpoint(
     header = {
         "kind": "checkpoint",
         "step": int(step),
-        "encoder_config": encoder_config.to_dict(),
-        "train_config": None if train_config is None else train_config.to_dict(),
+        "encoder_config": asdict(encoder_config),
+        "train_config": None if train_config is None else asdict(train_config),
         "param_names": list(named.keys()),
         "opt": None if opt_state is None else {
             "step": opt_state.step,
@@ -283,27 +267,25 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Refuses what `save_checkpoint` would not write; allocates nothing from header sizes."""
     header, arrays = read_container(path, CKPT_MAGIC, CKPT_VERSION)
-    try:
-        encoder_config = EncoderConfig.from_dict(header["encoder_config"])
-        train_config = None
-        if header.get("train_config") is not None:
-            train_config = TrainConfig.from_dict(header["train_config"])
-        params = init_params(encoder_config, seed=0)
-        named = params.named()
-        if list(named.keys()) != header["param_names"]:
-            raise DataError(f"{path}: parameter names do not match the encoder config")
-        for name, t in named.items():
-            stored = arrays[f"param.{name}"]
-            if stored.shape != t.data.shape:
-                raise DataError(f"{path}: parameter {name} has shape {stored.shape}, expected {t.data.shape}")
-            t.data = stored
-        opt_state = None
-        if header.get("opt") is not None:
-            opt_state = AdagradState(
-                accumulators={name: arrays[f"acc.{name}"] for name in header["opt"]["names"]},
-                step=int(header["opt"]["step"]),
-            )
-        return Checkpoint(params, opt_state, encoder_config, train_config, int(header["step"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed checkpoint header: {exc!r}") from exc
+    encoder_config = header_config(path, header, "encoder_config", EncoderConfig)
+    train_config = (None if header.get("train_config") is None
+                    else header_config(path, header, "train_config", TrainConfig))
+    shapes = param_shapes(encoder_config)
+    if header_field(path, header, "param_names", list[str]) != list(shapes):
+        raise FormatError(f"{path}: parameter names do not match the encoder config")
+    expected = {f"param.{name}": shape for name, shape in shapes.items()}
+    opt = header.get("opt")
+    if opt is not None:
+        opt = header_field(path, header, "opt", dict)
+        header_field(f"{path}: opt", opt, "step", int)
+        if not set(header_field(f"{path}: opt", opt, "names", list[str])) <= shapes.keys():
+            raise FormatError(f"{path}: optimizer state names parameters the encoder does not have")
+        expected.update({f"acc.{name}": shapes[name] for name in opt["names"]})
+    checked_arrays(path, arrays, expected)
+    params = EncoderParams.from_named(
+        {name: Tensor(arrays[f"param.{name}"], requires_grad=True) for name in shapes})
+    opt_state = None if opt is None else AdagradState(
+        {name: arrays[f"acc.{name}"] for name in opt["names"]}, step=opt["step"])
+    return Checkpoint(params, opt_state, encoder_config, train_config, header_field(path, header, "step", int))

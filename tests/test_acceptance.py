@@ -10,6 +10,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -65,16 +66,7 @@ TINY = EncoderConfig(n_conv_layers=1, conv_channels=(4,), conv_kernels=(5,),
 
 
 def _tiny_params_with(params, name, probe):
-    named = dict(params.named())
-    named[name] = probe
-    return EncoderParams(
-        input_gn_gamma=named["input_gn.gamma"], input_gn_beta=named["input_gn.beta"],
-        conv_weights=[named["conv0.w"]], conv_biases=[named["conv0.b"]],
-        post_gn_gamma=named["post_gn.gamma"], post_gn_beta=named["post_gn.beta"],
-        gru_w_ih=named["gru.w_ih"], gru_w_hh=named["gru.w_hh"],
-        gru_b_ih=named["gru.b_ih"], gru_b_hh=named["gru.b_hh"],
-        proj_w=named["proj.w"], proj_b=named["proj.b"],
-    )
+    return EncoderParams.from_named({**params.named(), name: probe})
 
 
 def _kernel_cases(rng):
@@ -362,12 +354,12 @@ def test_criterion_09_determinism(tmp_path):
 
 def test_criterion_10_hyperparameter_fidelity(tmp_path):
     with criterion(10, "defaults serialize B=16, lr=0.01, eps=1e-8, decay=0.1, pool 5"):
-        train_dict = TrainConfig().to_dict()
+        train_dict = asdict(TrainConfig())
         assert train_dict["batch_size"] == 16
         assert train_dict["learning_rate"] == 0.01
         assert train_dict["adagrad_eps"] == 1e-8
         assert train_dict["decay"] == 0.1
-        assert EncoderConfig().to_dict()["pool_kernel"] == 5
+        assert asdict(EncoderConfig())["pool_kernel"] == 5
 
         # the CLI's default flags write exactly these values to config.json
         corpus = tmp_path / "corpus"

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from imualign.cli import main
 from imualign.signalio import CACHE_MAGIC, WindowCache, load_window_cache, save_window_cache
@@ -210,7 +212,7 @@ def test_train_on_a_cache_without_signals_exit_2(corpus, tmp_path):
                            "--run-dir", str(tmp_path / "r"))
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == f"error: {bad}: window cache has no (n, 6, T) signals array\n"
+    assert proc.stderr == f"error: {bad}: missing arrays ['signals'], unexpected arrays []\n"
 
 
 @pytest.fixture(scope="module")
@@ -608,6 +610,72 @@ def test_bytes_that_are_not_utf8_exit_2_naming_the_line(case, run_dir, cache_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {bad}:{line}: bytes that are not UTF-8")
+
+
+_FLOATS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e300", "1e400"])
+_INTS = st.sampled_from(["nan", "inf", "-1", "0", "1.5", str(10**30), str(10**400)])
+_EPOCHS = st.sampled_from(["nan", "inf", "-1", "0", "1.5"])  # a huge epoch count would just run long
+# each numeric flag of a command: a value that works on the tiny corpus, and hostile ones
+_FUZZ_FLAGS = {
+    "ingest": {"--window-s": ("0.32", _FLOATS), "--stride-s": ("0.32", _FLOATS),
+               "--rate-hz": ("200", _FLOATS)},
+    "train": {"--epochs": ("1", _EPOCHS), "--seed": ("0", _INTS), "--batch-size": ("4", _INTS),
+              "--lr": ("0.01", _FLOATS), "--adagrad-eps": ("1e-8", _FLOATS),
+              "--decay": ("0.1", _FLOATS), "--temperature": ("0.1", _FLOATS),
+              "--coverage": ("1", _FLOATS), "--conv-channels": ("8", _INTS),
+              "--conv-kernels": ("7", _INTS), "--conv-strides": ("2", _INTS),
+              "--gru-hidden": ("12", _INTS), "--embed-dim": ("16", _INTS)},
+    "eval-classify": {"--epochs": ("2", _EPOCHS), "--lr": ("0.1", _FLOATS), "--seed": ("0", _INTS),
+                      "--batch-size": ("0", _INTS)},
+    "retrieve": {"--top-k": ("3", _INTS)},
+}
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    spec = _FUZZ_FLAGS[command]
+    chosen = draw(st.sets(st.sampled_from(sorted(spec)), min_size=1, max_size=2))
+    flags = [f"{flag}={draw(hostile) if flag in chosen else valid}"
+             for flag, (valid, hostile) in spec.items()]
+    if command == "eval-classify":
+        flags.append(f"--protocol={draw(st.sampled_from(['zeroshot', 'probe', 'finetune']))}")
+    return [command, *flags]
+
+
+# RuntimeWarnings stay warnings here, as in a real run: numpy's overflow warnings on the way
+# to exit 3 (say, with --lr=1e300) are not tracebacks
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(argv=["ingest", "--window-s=nan"])
+@example(argv=["ingest", "--window-s=0.32", "--stride-s=inf"])
+@example(argv=["train", "--epochs=1", "--seed=-1"])
+@given(argv=_fuzzed_argv())
+def test_numeric_flags_exit_0_2_or_3_without_traceback(argv, run_dir, cache_path, corpus,
+                                                        tmp_path, capsys):
+    video = str(corpus / "anchors_video.jsonl")
+    command, ckpt = argv[0], str(run_dir / "ckpt-30.bin")
+    argv = argv + {  # a new list: the drawn one may be replayed
+        "ingest": [arg for c in sorted(corpus.glob("synth-*.csv")) for arg in ("--imu", str(c))]
+                  + ["--out", str(tmp_path / "c.bin")],
+        "train": ["--cache", str(cache_path), "--video-anchors", video,
+                  "--run-dir", str(tmp_path / "r")],
+        "eval-classify": ["--ckpt", ckpt, "--cache", str(cache_path),
+                          "--labels", str(corpus / "labels.jsonl"),
+                          "--class-anchors", str(corpus / "class_anchors.jsonl")],
+        "retrieve": ["--pool", video, "--query-anchor", video],
+    }[command]
+    try:
+        code = main(argv)  # any exception but argparse's SystemExit fails the test
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert isinstance(json.loads(out), dict)
+    else:
+        assert out == ""
 
 
 def test_thread_env_var_is_ignored(monkeypatch, run_dir, cache_path, corpus, capsys):

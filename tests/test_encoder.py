@@ -1,13 +1,16 @@
 """Encoder pipeline: init, shapes, invariances, full-pipeline gradient check."""
 
+import json
 import time
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from imualign import autodiff as ad
 from imualign.autodiff import Tape, Tensor, finite_difference_check
+from imualign.container import header_config
 from imualign.encoder import (
     EncoderConfig,
     EncoderParams,
@@ -33,17 +36,7 @@ def _window(seed=0, t=64):
 
 
 def _params_with(params: EncoderParams, name: str, probe: Tensor) -> EncoderParams:
-    named = dict(params.named())
-    named[name] = probe
-    return EncoderParams(
-        input_gn_gamma=named["input_gn.gamma"], input_gn_beta=named["input_gn.beta"],
-        conv_weights=[named[f"conv{i}.w"] for i in range(len(params.conv_weights))],
-        conv_biases=[named[f"conv{i}.b"] for i in range(len(params.conv_biases))],
-        post_gn_gamma=named["post_gn.gamma"], post_gn_beta=named["post_gn.beta"],
-        gru_w_ih=named["gru.w_ih"], gru_w_hh=named["gru.w_hh"],
-        gru_b_ih=named["gru.b_ih"], gru_b_hh=named["gru.b_hh"],
-        proj_w=named["proj.w"], proj_b=named["proj.b"],
-    )
+    return EncoderParams.from_named({**params.named(), name: probe})
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +95,13 @@ def test_config_list_length_mismatch():
 
 def test_config_round_trips_via_dict():
     cfg = EncoderConfig()
-    assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
+    header = json.loads(json.dumps({"encoder_config": asdict(cfg)}))
+    assert header_config("ck.bin", header, "encoder_config", EncoderConfig) == cfg
+
+
+def test_init_params_too_large_for_numpy_is_data_error():
+    with pytest.raises(DataError, match="do not fit in memory"):
+        init_params(EncoderConfig(gru_hidden=10**30), 0)
 
 
 # ---------------------------------------------------------------------------

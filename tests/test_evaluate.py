@@ -1,5 +1,8 @@
 """Retrieval metrics, classification protocols, and their oracles."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from imualign import evaluate
 from imualign.encoder import EncoderConfig, encode_batch, init_params
 from imualign.container import write_container
-from imualign.errors import CoverageError, DataError, ImuAlignError, NumericError, ShapeMismatchError
+from imualign.errors import CoverageError, DataError, FormatError, NumericError, ShapeMismatchError
 from imualign.evaluate import (
     ClassifierHead,
     Pool,
@@ -369,6 +372,16 @@ def test_fine_tune_beats_or_matches_probe_on_fixture():
     assert ft_acc >= probe_acc
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epochs", -1), ("batch_size", -3), ("seed", -1), ("learning_rate", -0.1),
+    ("learning_rate", math.nan), ("learning_rate", math.inf), ("adagrad_eps", 0.0),
+    ("adagrad_eps", math.nan),
+])
+def test_probe_config_refuses_a_value_it_cannot_use(field, value):
+    with pytest.raises(DataError, match="probe config"):
+        ProbeConfig(**{field: value})
+
+
 def test_fine_tune_zero_lr_keeps_params():
     ds = synth_dataset(10, 8, 2, 16, 64, 0.05)
     params = init_params(SMALL_ENC, 2)
@@ -441,16 +454,19 @@ _HEAD = [("weight", np.zeros((2, 3))), ("bias", np.zeros(2))]
 
 
 @pytest.mark.parametrize("header, arrays, message", [
-    ({}, _HEAD, "needs string class_names"),
-    ({"class_names": "ab"}, _HEAD, "needs string class_names"),
-    ({"class_names": ["a", 1]}, _HEAD, "needs string class_names"),
-    ({"class_names": ["a", "b"]}, _HEAD[1:], "a 2-D weight"),
-    ({"class_names": ["a", "b"]}, [("weight", np.zeros(2)), _HEAD[1]], "a 2-D weight"),
-    ({"class_names": ["a", "b"]}, _HEAD[:1], "and a bias"),
-    ({"class_names": ["a", "b"]}, [_HEAD[0], ("bias", np.zeros(3))], "do not match 2 classes"),
-], ids=["no-names", "string-names", "number-name", "no-weight", "1d-weight", "no-bias", "bias-length"])
+    ({}, _HEAD, "'class_names' is missing or not a list of strings"),
+    ({"class_names": "ab"}, _HEAD, "'class_names' is missing or not a list of strings"),
+    ({"class_names": ["a", 1]}, _HEAD, "'class_names' is missing or not a list of strings"),
+    ({"class_names": ["a", "b"]}, _HEAD[1:], "missing arrays ['weight']"),
+    ({"class_names": ["a", "b"]}, [("weight", np.zeros(2)), _HEAD[1]], "array 'weight' has shape (2,)"),
+    ({"class_names": ["a", "b"]}, _HEAD[:1], "missing arrays ['bias']"),
+    ({"class_names": ["a", "b"]}, [_HEAD[0], ("bias", np.zeros(3))], "array 'bias' has shape (3,), expected (2,)"),
+    ({"class_names": ["a", "b"]}, [*_HEAD, ("extra", np.zeros(1))], "unexpected arrays ['extra']"),
+    ({"class_names": ["a"]}, _HEAD, "array 'weight' has shape (2, 3), expected (1, None)"),
+], ids=["no-names", "string-names", "number-name", "no-weight", "1d-weight", "no-bias", "bias-length",
+        "extra-array", "weight-rows"])
 def test_load_head_refuses_a_malformed_head(tmp_path, header, arrays, message):
     p = tmp_path / "head.bin"
     write_container(p, evaluate.HEAD_MAGIC, evaluate.HEAD_VERSION, header, arrays)
-    with pytest.raises(ImuAlignError, match=message):
+    with pytest.raises(FormatError, match=re.escape(f"{p}: ") + ".*" + re.escape(message)):
         load_head(p)

@@ -328,6 +328,15 @@ def test_make_windows_short_stream_empty():
     assert make_windows(stream, 5.0, 5.0) == []
 
 
+@pytest.mark.parametrize("window_s, stride_s", [
+    (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0),
+    (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -1.0),
+])
+def test_make_windows_refuses_a_size_that_is_not_positive_and_finite(window_s, stride_s):
+    with pytest.raises(DataError, match="must be finite and > 0"):
+        make_windows(_stream(100, hz=10.0), window_s, stride_s)
+
+
 def test_make_windows_signal_content():
     stream = _stream(30, hz=10.0)
     wins = make_windows(stream, 1.0, 1.0)
@@ -582,6 +591,13 @@ def test_assemble_drops_below_threshold(tmp_path):
     assert len(out) == 3 and len(dropped) == 1
 
 
+@pytest.mark.parametrize("threshold", [math.nan, -0.1, 1.5, math.inf])
+def test_assemble_refuses_a_coverage_threshold_outside_0_1(tmp_path, threshold):
+    ds, vp, _, _ = _synth_files(tmp_path, n=2, classes=2)
+    with pytest.raises(DataError, match="coverage threshold must be in"):
+        assemble_dataset(ds.windows, vp, coverage_threshold=threshold)
+
+
 def test_assemble_rejects_repeated_window_ids(tmp_path):
     _, vp, tp, lp = _synth_files(tmp_path, n=4, classes=2, t=64)
     windows = synth_dataset(1, 4, 2, 8, 64, 0.05).windows
@@ -631,8 +647,8 @@ _CACHE_HEADER = {"kind": "window-cache", "sample_rate_hz": 50.0, "window_s": 1.0
 
 
 @pytest.mark.parametrize("header, arrays, message", [
-    ({"windows": [_CACHE_WINDOW]}, [], "window cache has no (n, 6, T) signals array"),
-    ({}, [("signals", np.zeros((6, 50)))], "window cache has no (n, 6, T) signals array"),
+    ({"windows": [_CACHE_WINDOW]}, [], "missing arrays ['signals'], unexpected arrays []"),
+    ({}, [("signals", np.zeros((6, 50)))], "array 'signals' has shape (6, 50), expected (None, 6, None)"),
     ({"windows": None}, None, "malformed windows metadata"),
     ({"windows": 7}, None, "malformed windows metadata"),
     ({"windows": ["w0"]}, None, "malformed windows metadata"),
@@ -646,10 +662,15 @@ _CACHE_HEADER = {"kind": "window-cache", "sample_rate_hz": 50.0, "window_s": 1.0
     ({"sample_rate_hz": None}, None, "header field 'sample_rate_hz' is missing or not a number"),
     ({"window_s": "1.0"}, None, "header field 'window_s' is missing or not a number"),
     ({"stride_s": True}, None, "header field 'stride_s' is missing or not a number"),
+    ({"windows": [{**_CACHE_WINDOW, "duration_s": False}]}, None, "malformed windows metadata"),
+    ({"content_hash": 7}, None, "header field 'content_hash' is missing or not a string"),
+    ({}, [("signals", np.zeros((1, 3, 50)))], "array 'signals' has shape (1, 3, 50)"),
+    ({}, [("signals", np.zeros((1, 6, 50))), ("extra", np.zeros(1))],
+     "missing arrays [], unexpected arrays ['extra']"),
 ], ids=["no-signals", "signals-2d", "no-windows", "windows-number", "window-entry-string",
         "number-window-id", "empty-window-id", "null-source-id", "string-start",
         "more-windows-than-rows", "fewer-windows-than-rows", "no-rate", "string-window-s",
-        "bool-stride-s"])
+        "bool-stride-s", "bool-duration", "number-content-hash", "three-channels", "extra-array"])
 def test_cache_refuses_a_malformed_header_naming_the_path(tmp_path, header, arrays, message):
     header = {k: v for k, v in {**_CACHE_HEADER, **header}.items() if v is not None}
     p = tmp_path / "c.bin"

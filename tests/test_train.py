@@ -1,15 +1,18 @@
 """Batching, Adagrad, decay schedule, training loop, checkpointing."""
 
+import copy
 import json
 import math
+import re
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from imualign import container, evaluate, train
+from imualign import container, evaluate, signalio, train
 from imualign.autodiff import Tensor
 from imualign.container import read_container, write_container
 from imualign.encoder import EncoderConfig, init_params
@@ -196,7 +199,7 @@ def test_default_hyperparameters():
     assert cfg.learning_rate == 0.01
     assert cfg.adagrad_eps == 1e-8
     assert cfg.decay == 0.1
-    d = cfg.to_dict()
+    d = asdict(cfg)
     assert (d["batch_size"], d["learning_rate"], d["adagrad_eps"], d["decay"]) == (16, 0.01, 1e-8, 0.1)
 
 
@@ -207,6 +210,14 @@ def test_config_validation():
         TrainConfig(mode="video")
     with pytest.raises(DataError):
         TrainConfig(learning_rate=0.0)
+    for field in ("learning_rate", "temperature", "adagrad_eps", "decay"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DataError, match="finite"):
+                TrainConfig(**{field: bad})
+    for field in ("epochs", "seed"):
+        with pytest.raises(DataError, match="must be >= 0"):
+            TrainConfig(**{field: -1})
+    assert TrainConfig(epochs=0, decay=0.0).epochs == 0
 
 
 # ---------------------------------------------------------------------------
@@ -337,24 +348,41 @@ def test_checkpoint_corrupted_magic(tmp_path):
         load_checkpoint(p)
 
 
-def _rewrite_checkpoint_header(path, edit):
+def _rewrite_checkpoint(path, edit):
+    """Apply `edit(header, arrays)` to a checkpoint file in place."""
     header, arrays = read_container(path, b"IMUK", 1)
-    edit(header)
-    write_container(path, b"IMUK", 1, header,
-                    [(m["name"], arrays[m["name"]]) for m in header["arrays"]])
+    edit(header, arrays)
+    write_container(path, b"IMUK", 1, header, list(arrays.items()))
 
 
-@pytest.mark.parametrize("edit", [
-    lambda h: h["encoder_config"].update(unknown_knob=1),
-    lambda h: h["train_config"].update(unknown_knob=1),
-    lambda h: h.pop("param_names"),
-    lambda h: h.pop("step"),
-], ids=["encoder_config-key", "train_config-key", "no-param_names", "no-step"])
-def test_checkpoint_malformed_header_is_format_error(tmp_path, edit):
+def _save_small_checkpoint(path):
+    state = AdagradState({"conv0.w": np.ones((8, 6, 7))}, step=2)
+    save_checkpoint(path, init_params(SMALL_ENC, 0), state, SMALL_ENC, TrainConfig(), 0)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h, a: h["encoder_config"].update(unknown_knob=1), "encoder_config has fields"),
+    (lambda h, a: h["train_config"].update(unknown_knob=1), "train_config has fields"),
+    (lambda h, a: h.pop("param_names"), "'param_names' is missing"),
+    (lambda h, a: h.pop("step"), "'step' is missing"),
+    (lambda h, a: h["encoder_config"].update(conv_channels=[10**12]), "has shape (8, 6, 7)"),
+    (lambda h, a: a.update({"param.extra": np.zeros(1)}), "unexpected arrays ['param.extra']"),
+    (lambda h, a: a.update({"acc.conv0.w": np.zeros(3)}), "array 'acc.conv0.w' has shape (3,)"),
+    (lambda h, a: h.update(step=1.9), "'step' is missing or not an integer"),
+    (lambda h, a: h.update(step=True), "'step' is missing or not an integer"),
+    (lambda h, a: h["opt"].update(step=True), "opt: header field 'step'"),
+    (lambda h, a: h["encoder_config"].update(conv_channels=[8.7]), "not a list of integers"),
+    (lambda h, a: h["train_config"].pop("seed"), "train_config has fields"),
+    (lambda h, a: h["train_config"].update(learning_rate=math.nan), "finite and > 0"),
+    (lambda h, a: h["opt"].update(names=["conv9.w"]), "names parameters the encoder does not have"),
+], ids=["encoder_config-key", "train_config-key", "no-param_names", "no-step", "huge-channels",
+        "extra-array", "accumulator-shape", "float-step", "bool-step", "bool-opt-step",
+        "float-channels", "missing-config-field", "nan-learning-rate", "unknown-accumulator"])
+def test_checkpoint_malformed_header_is_format_error(tmp_path, edit, message):
     p = tmp_path / "ck.bin"
-    save_checkpoint(p, init_params(SMALL_ENC, 0), None, SMALL_ENC, TrainConfig(), 0)
-    _rewrite_checkpoint_header(p, edit)
-    with pytest.raises(FormatError, match=str(p)):
+    _save_small_checkpoint(p)
+    _rewrite_checkpoint(p, edit)
+    with pytest.raises(FormatError, match=re.escape(f"{p}") + ".*" + re.escape(message)):
         load_checkpoint(p)
 
 
@@ -441,6 +469,8 @@ def _sized_containers(draw):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(raw=_container_bytes("1" * 5000))  # past Python's int-string limit: ValueError
+@example(raw=_container_bytes("[" * 5000 + "]" * 5000))  # RecursionError
 @given(raw=st.one_of(st.binary(max_size=64).map(lambda b: b"TEST" + bytes([1]) + b),
                      st.builds(_container_bytes, _headers, st.binary(max_size=80)),
                      _sized_containers()))
@@ -452,6 +482,63 @@ def test_container_arbitrary_header_and_bytes_raise_only_format_error(tmp_path, 
     except FormatError:
         return
     assert isinstance(header, dict) and all(a.dtype == np.float64 for a in arrays.values())
+
+
+def _json_paths(node, prefix=()):
+    """Every key or index path into a parsed JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+_CONTAINER_KINDS = {
+    "checkpoint": (b"IMUK", _save_small_checkpoint, load_checkpoint),
+    "head": (evaluate.HEAD_MAGIC, lambda p: evaluate.save_head(
+        p, evaluate.ClassifierHead(np.zeros((2, 3)), np.zeros(2), ["a", "b"])), evaluate.load_head),
+    "cache": (signalio.CACHE_MAGIC, lambda p: signalio.save_window_cache(signalio.WindowCache(
+        [signalio.ImuWindow(f"w{i}", "s", i * 1.0, 1.0, np.zeros((6, 4))) for i in range(2)],
+        4.0, 1.0, 1.0, "h"), p), signalio.load_window_cache),
+}
+_DELETE = object()
+_hostile_json = st.sampled_from([True, 1.9, 8.7, -1, 0, 10**12, 10**30, math.nan, math.inf, "w0",
+                                 [8.7], [10**12, 8, 8], ["conv0.w"], [True], {}])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(_CONTAINER_KINDS)), data=st.data())
+def test_loaders_let_only_format_error_escape_a_mutated_container(tmp_path, kind, data):
+    magic, save, load = _CONTAINER_KINDS[kind]
+    p = tmp_path / "f.bin"
+    save(p)
+    header, arrays = read_container(p, magic, 1)
+    del header["arrays"]  # write_container derives it from the arrays
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = sorted(_json_paths(header), key=repr)
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        *parents, last = path
+        node = header
+        for key in parents:
+            node = node[key]
+        value = data.draw(st.just(_DELETE) | _hostile_json | _json)
+        if value is _DELETE:
+            del node[last]
+        else:
+            node[last] = copy.deepcopy(value)  # sampled values are shared between examples
+    if data.draw(st.booleans()):
+        name = data.draw(st.sampled_from(sorted(arrays) + ["extra"]))
+        shape = data.draw(st.none() | st.lists(st.integers(0, 3), max_size=3))
+        if shape is None:
+            arrays.pop(name, None)
+        else:
+            arrays[name] = np.zeros(shape)
+    write_container(p, magic, 1, header, list(arrays.items()))
+    try:
+        load(p)  # any exception but FormatError fails the test
+    except FormatError:
+        pass
 
 
 def test_checkpoint_non_object_header_is_format_error(tmp_path):
