@@ -3,9 +3,9 @@
 Every layer the IMU encoder needs (1-D conv, GroupNorm, max pooling, GRU,
 linear, L2 normalization) is a float64 numpy kernel that records a backward
 rule on a Tape. The encoder layers take a leading batch axis: (B, C, T)
-signals, (B, T, F) sequences and (B, F) rows. backward() replays the tape in reverse and accumulates
-gradients; finite_difference_check() compares them against central
-differences.
+signals, (B, T, F) sequences and (B, F) rows. backward() replays the tape in reverse and returns
+the gradients of the tensors it is asked for; finite_difference_check()
+compares them against central differences.
 """
 
 import numpy as np
@@ -17,13 +17,14 @@ from imualign.autodiff import Tape, Tensor, backward, finite_difference_check
 tape = Tape()
 x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
 loss = ad.sum_all(tape, ad.mul(tape, x, x))  # ||x||^2
-backward(tape, loss)
+(dx,) = backward(tape, loss, [x])
 print("loss      :", loss.item())
-print("d loss/dx :", x.grad, "(expected 2*x)")
+print("d loss/dx :", dx, "(expected 2*x)")
 
-# calling backward again accumulates: gradients double
-backward(tape, loss)
-print("after 2nd backward:", x.grad)
+# a tensor the loss does not reach gets zeros
+unused = Tensor([5.0, 6.0], requires_grad=True)
+dx, dunused = backward(tape, loss, [x, unused])
+print("d loss/d unused:", dunused)
 
 # --- a convolution over a batch of two one-channel signals ----------------
 tape = Tape()
@@ -31,8 +32,8 @@ signal = Tensor([[[1.0, 2.0, 3.0, 4.0]], [[4.0, 3.0, 2.0, 1.0]]], requires_grad=
 kernel = Tensor([[[1.0, 0.0, -1.0]]], requires_grad=True)
 out = ad.conv1d(tape, signal, kernel, Tensor([0.0]), stride=1)
 print("\nconv1d([[1,2,3,4]], [[4,3,2,1]]; taps [1,0,-1]) =", out.data.tolist())
-backward(tape, ad.sum_all(tape, out))
-print("d sum/d taps (summed over the batch):", kernel.grad.tolist())
+(dkernel,) = backward(tape, ad.sum_all(tape, out), [kernel])
+print("d sum/d taps (summed over the batch):", dkernel.tolist())
 
 # --- gradient checking -----------------------------------------------------
 err = finite_difference_check(

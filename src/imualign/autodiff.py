@@ -16,8 +16,8 @@ same bits in a batch of any size: BLAS picks its kernel, and with it the
 summation order, by the operand shapes. Backward products sum over the batch.
 
 Forward calls record entries on a Tape. `backward` replays the tape in
-reverse, accumulating adjoints, and adds them into each tensor's `grad`
-buffer, so calling it twice on the same tape doubles every gradient.
+reverse, accumulating adjoints, and returns the gradients of the tensors it
+is asked for; it leaves the tape and every tensor as they were.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ Array = np.ndarray
 
 
 class Tensor:
-    """A float64 array plus an optional same-shape gradient buffer."""
+    """A float64 array, marked when gradients should flow back to it."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -88,20 +87,24 @@ class Tape:
             self._entries.append(_Entry(output, inputs, vjp))
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into `.grad` of every tensor on the tape.
+def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor]) -> list[Array]:
+    """d(loss)/d(t) for each tensor t in `wrt`, zeros where the loss does not
+    reach t. Two results may share memory, so treat them as read-only.
 
-    Repeated calls without clearing grads accumulate additively.
+    An entry's output adjoint is released once its vjp has used it, unless
+    `wrt` asks for it: the tape is in topological order, so no entry still
+    to be replayed adds to it.
     """
     if loss.data.size != 1:
         raise ShapeMismatchError(f"backward needs a scalar loss, got shape {loss.shape}")
     # the loss is almost always the last entry, so scan from the end
     if not any(entry.output is loss for entry in reversed(tape._entries)):
         raise GraphError("loss is not the output of any operation recorded on this tape")
+    kept = {id(t) for t in wrt}
     adjoint: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    tensors: dict[int, Tensor] = {id(loss): loss}
     for entry in reversed(tape._entries):
-        g = adjoint.get(id(entry.output))
+        out = id(entry.output)
+        g = adjoint.get(out) if out in kept else adjoint.pop(out, None)
         if g is None:
             continue
         contribs = entry.vjp(g)
@@ -109,16 +112,12 @@ def backward(tape: Tape, loss: Tensor) -> None:
             if c is None or not t.requires_grad:
                 continue
             key = id(t)
-            tensors[key] = t
             if key in adjoint:
                 adjoint[key] = adjoint[key] + c
             else:
                 adjoint[key] = np.asarray(c, dtype=np.float64)
-    for key, t in tensors.items():
-        g = adjoint[key]
-        if g.shape != t.data.shape:
-            g = g.reshape(t.data.shape)
-        t.grad = g.copy() if t.grad is None else t.grad + g
+    return [adjoint[id(t)].reshape(t.shape) if id(t) in adjoint else np.zeros_like(t.data)
+            for t in wrt]
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +467,10 @@ def l2_normalize(tape: Tape, v: Tensor, eps: float = 1e-12) -> Tensor:
     out = Tensor(y)
 
     def vjp(g):
-        tangent = (g - y * (y * g).sum(axis=1, keepdims=True)) / s
-        return (np.where(norm < eps, g / eps, tangent),)
+        dv = (g - y * (y * g).sum(axis=1, keepdims=True)) / s
+        small = norm[:, 0] < eps
+        dv[small] = g[small] / eps
+        return (dv,)
 
     tape.record(out, (v,), vjp)
     return out
@@ -499,8 +500,7 @@ def finite_difference_check(
     out = f(tape, probe)
     if out.data.size != 1:
         raise ShapeMismatchError(f"finite_difference_check: f returned shape {out.shape}")
-    backward(tape, out)
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(base)
+    (analytic,) = backward(tape, out, [probe])
 
     fd = np.zeros_like(base)
     flat = base.ravel()

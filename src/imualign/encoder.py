@@ -78,7 +78,7 @@ def pipeline_time_lengths(config: EncoderConfig, n_samples: int) -> list[int]:
 
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Every parameter's name and shape, in `EncoderParams.named()` order."""
+    """Every parameter's name and shape, in the order `EncoderParams` holds them."""
     c, h, d = (6, *config.conv_channels), config.gru_hidden, config.embed_dim
     shapes = {"input_gn.gamma": (6,), "input_gn.beta": (6,)}
     for i, k in enumerate(config.conv_kernels):
@@ -90,60 +90,38 @@ def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
-@dataclass
 class EncoderParams:
-    """Every trainable weight of the encoder, as autodiff tensors."""
+    """Every trainable weight of the encoder, as autodiff tensors by name in
+    `param_shapes` order."""
 
-    input_gn_gamma: Tensor
-    input_gn_beta: Tensor
-    conv_weights: list[Tensor]
-    conv_biases: list[Tensor]
-    post_gn_gamma: Tensor
-    post_gn_beta: Tensor
-    gru_w_ih: Tensor
-    gru_w_hh: Tensor
-    gru_b_ih: Tensor
-    gru_b_hh: Tensor
-    proj_w: Tensor
-    proj_b: Tensor
+    def __init__(self, named: dict[str, Tensor]):
+        self._named = named
+
+    def __getitem__(self, name: str) -> Tensor:
+        return self._named[name]
+
+    @property
+    def conv_weights(self) -> list[Tensor]:
+        """The convolution weights, first layer first."""
+        return [t for name, t in self._named.items()
+                if name.startswith("conv") and name.endswith(".w")]
 
     def named(self) -> dict[str, Tensor]:
-        out = {"input_gn.gamma": self.input_gn_gamma, "input_gn.beta": self.input_gn_beta}
-        for i, (w, b) in enumerate(zip(self.conv_weights, self.conv_biases)):
-            out[f"conv{i}.w"] = w
-            out[f"conv{i}.b"] = b
-        out.update({
-            "post_gn.gamma": self.post_gn_gamma, "post_gn.beta": self.post_gn_beta,
-            "gru.w_ih": self.gru_w_ih, "gru.w_hh": self.gru_w_hh,
-            "gru.b_ih": self.gru_b_ih, "gru.b_hh": self.gru_b_hh,
-            "proj.w": self.proj_w, "proj.b": self.proj_b,
-        })
-        return out
-
-    @classmethod
-    def from_named(cls, named: dict[str, Tensor]) -> "EncoderParams":
-        """The inverse of `named()`: ``conv{i}.w``/``.b`` fill the conv lists, ``a.b`` is field ``a_b``."""
-        n_conv = sum(1 for name in named if name.startswith("conv")) // 2
-        return cls(conv_weights=[named[f"conv{i}.w"] for i in range(n_conv)],
-                   conv_biases=[named[f"conv{i}.b"] for i in range(n_conv)],
-                   **{n.replace(".", "_"): t for n, t in named.items() if not n.startswith("conv")})
-
-    def param_count(self) -> int:
-        return sum(t.data.size for t in self.named().values())
+        return dict(self._named)
 
     def checksum(self) -> str:
         digest = hashlib.sha256()
-        for name, t in self.named().items():
+        for name, t in self._named.items():
             digest.update(name.encode())
             digest.update(t.data.tobytes())
         return digest.hexdigest()
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams.from_named({name: Tensor(t.data.copy(), requires_grad=t.requires_grad)
-                                         for name, t in self.named().items()})
+        return EncoderParams({name: Tensor(t.data.copy(), requires_grad=t.requires_grad)
+                              for name, t in self._named.items()})
 
     def assert_finite(self) -> None:
-        for name, t in self.named().items():
+        for name, t in self._named.items():
             if not np.all(np.isfinite(t.data)):
                 raise NumericError(f"parameter {name} contains non-finite values")
 
@@ -161,11 +139,10 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
         return rng.uniform(-bound, bound, size=shape)
 
     try:
-        named = {name: Tensor(init(name, shape), requires_grad=True)
-                 for name, shape in param_shapes(config).items()}
+        return EncoderParams({name: Tensor(init(name, shape), requires_grad=True)
+                              for name, shape in param_shapes(config).items()})
     except (MemoryError, ValueError, OverflowError) as exc:  # sizes too large for numpy
         raise DataError(f"encoder config: parameters do not fit in memory: {exc}") from exc
-    return EncoderParams.from_named(named)
 
 
 _CHUNK = 64  # windows per encode_batch tape: bounds the memory one call holds
@@ -183,19 +160,19 @@ def encode_batch_on_tape(
     x = np.stack(signals).astype(np.float64, copy=False)
     pipeline_time_lengths(config, x.shape[2])  # fail early, naming the layer
     x = ad.group_norm(
-        tape, Tensor(x), 2, params.input_gn_gamma, params.input_gn_beta, config.groupnorm_eps
+        tape, Tensor(x), 2, params["input_gn.gamma"], params["input_gn.beta"], config.groupnorm_eps
     )
     for i in range(config.n_conv_layers):
-        x = ad.conv1d(tape, x, params.conv_weights[i], params.conv_biases[i], config.conv_strides[i])
+        x = ad.conv1d(tape, x, params[f"conv{i}.w"], params[f"conv{i}.b"], config.conv_strides[i])
         x = ad.relu(tape, x)
     x = ad.max_pool1d(tape, x, config.pool_kernel, config.pool_stride)
-    x = ad.group_norm(tape, x, 1, params.post_gn_gamma, params.post_gn_beta, config.groupnorm_eps)
+    x = ad.group_norm(tape, x, 1, params["post_gn.gamma"], params["post_gn.beta"], config.groupnorm_eps)
     seq = ad.swap_last_axes(tape, x)
     h0 = Tensor(np.zeros((len(signals), config.gru_hidden)))
     hs = ad.gru_forward(
-        tape, seq, params.gru_w_ih, params.gru_w_hh, params.gru_b_ih, params.gru_b_hh, h0
+        tape, seq, params["gru.w_ih"], params["gru.w_hh"], params["gru.b_ih"], params["gru.b_hh"], h0
     )
-    emb = ad.linear(tape, ad.last_step(tape, hs), params.proj_w, params.proj_b)
+    emb = ad.linear(tape, ad.last_step(tape, hs), params["proj.w"], params["proj.b"])
     return ad.l2_normalize(tape, emb)
 
 

@@ -211,8 +211,8 @@ def write_imu_stream(stream: ImuStream, path) -> None:
 
 def resample(stream: ImuStream, target_hz: float) -> ImuStream:
     """Linear interpolation onto a uniform grid spanning the stream."""
-    if target_hz <= 0:
-        raise DataError(f"resample: target_hz must be > 0, got {target_hz}")
+    if not 0 < target_hz < math.inf:
+        raise DataError(f"resample: target_hz must be > 0 and finite, got {target_hz}")
     if stream.n_samples < 2:
         raise DataError(f"resample: stream {stream.source_id} has {stream.n_samples} sample(s), need >= 2")
     t0, t1 = float(stream.timestamps[0]), float(stream.timestamps[-1])
@@ -299,11 +299,11 @@ def _unit_vector(value, where: str) -> np.ndarray:
         raise DataError(f"{where}: vector must be 1-D")
     if not np.all(np.isfinite(vec)):
         raise DataError(f"{where}: non-finite vector component")
-    with np.errstate(over="ignore"):  # components near 1e308 overflow the squared norm
-        norm = float(np.linalg.norm(vec))
-    if not 0.0 < norm < math.inf:
-        raise DataError(f"{where}: vector of norm {norm} cannot be scaled to unit length")
-    return vec / norm
+    peak = float(np.max(np.abs(vec), initial=0.0))
+    if peak == 0.0:
+        raise DataError(f"{where}: vector of norm 0.0 cannot be scaled to unit length")
+    vec = vec / peak  # the squared norm of components near 1e308 or 1e-162 would overflow or underflow
+    return vec / np.linalg.norm(vec)
 
 
 def _check_record_id(wid, seen, where: str) -> None:
@@ -314,25 +314,28 @@ def _check_record_id(wid, seen, where: str) -> None:
         raise DataError(f"{where}: duplicate window_id {wid!r}")
 
 
-def load_anchor_embeddings(path) -> dict[str, AnchorEmbedding]:
-    """Load a JSONL anchor file; vectors are re-normalized to unit length."""
+def load_anchor_embeddings(path, modality: str | None = None) -> dict[str, AnchorEmbedding]:
+    """Load a JSONL anchor file; vectors are re-normalized to unit length.
+    Given a `modality`, a record of any other modality is refused."""
     path = Path(path)
     out: dict[str, AnchorEmbedding] = {}
     dim = None
     for where, rec in _jsonl_records(path):
         try:
-            wid, modality, value = rec["window_id"], rec["modality"], rec["vector"]
+            wid, kind, value = rec["window_id"], rec["modality"], rec["vector"]
         except KeyError as exc:
             raise DataError(f"{where}: malformed anchor record: missing {exc}") from exc
         _check_record_id(wid, out, where)
-        if modality not in ("video", "text"):
-            raise DataError(f"{where}: unknown modality {modality!r}")
+        if kind not in ("video", "text"):
+            raise DataError(f"{where}: unknown modality {kind!r}")
+        if modality is not None and kind != modality:
+            raise DataError(f"{where}: expected a {modality} anchor, got modality {kind!r}")
         vec = _unit_vector(value, where)
         if dim is None:
             dim = vec.shape[0]
         elif vec.shape[0] != dim:
             raise DataError(f"{where}: vector dim {vec.shape[0]} != file dim {dim}")
-        out[wid] = AnchorEmbedding(wid, modality, vec)
+        out[wid] = AnchorEmbedding(wid, kind, vec)
     if not out:
         raise DataError(f"{path}: no anchor records")
     return out
@@ -413,8 +416,8 @@ def assemble_dataset(
     if len(lens) > 1:
         raise DataError(f"assemble_dataset: mixed window lengths {sorted(lens)}")
     windows = sorted(windows, key=lambda w: w.window_id)
-    video = load_anchor_embeddings(video_anchor_path)
-    text = load_anchor_embeddings(text_anchor_path) if text_anchor_path else None
+    video = load_anchor_embeddings(video_anchor_path, "video")
+    text = load_anchor_embeddings(text_anchor_path, "text") if text_anchor_path else None
 
     missing = []
     kept = []

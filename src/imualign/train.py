@@ -86,31 +86,30 @@ def adagrad_step(
     lr: float,
     eps: float,
 ) -> None:
-    """Per coordinate: acc += g^2; p -= lr * g / (sqrt(acc) + eps)."""
+    """Per coordinate: acc += g^2; p -= lr * g / (sqrt(acc) + eps).
+
+    A gradient that is not finite, or whose square overflows the sum, raises
+    NumericError before its parameter moves; its accumulator is then spoiled.
+    """
     for name, g in grads.items():
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name}")
         p = params[name]
         if g.shape != p.data.shape:
             raise DataError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
         acc = state.accumulator_for(name, p.data.shape)
-        acc += g * g
+        with np.errstate(over="ignore"):  # refused just below, naming the parameter
+            acc += g * g
+        if not acc.max(initial=0.0) < np.inf:  # one pass finds both a NaN and an inf
+            fault = "non-finite gradient" if not np.all(np.isfinite(g)) else "overflowing squared gradient"
+            raise NumericError(f"{fault} for parameter {name}")
         p.data -= lr * g / (np.sqrt(acc) + eps)
     state.step += 1
 
 
 def gradients(tape: Tape, loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """d(loss)/d(param) for each named tensor, from a clean `.grad` buffer,
-    so no earlier step's gradient leaks into the update.
-    """
+    """d(loss)/d(param) for each named tensor; refuses a non-finite loss."""
     if not np.isfinite(loss.data):
         raise NumericError(f"non-finite loss: {loss.data}")
-    for t in params.values():
-        t.grad = None
-    ad.backward(tape, loss)
-    return {name: t.grad for name, t in params.items()}
+    return dict(zip(params, ad.backward(tape, loss, list(params.values()))))
 
 
 def lr_at(epoch: int, base_lr: float, decay: float) -> float:
@@ -284,8 +283,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(f"{path}: optimizer state names parameters the encoder does not have")
         expected.update({f"acc.{name}": shapes[name] for name in opt["names"]})
     checked_arrays(path, arrays, expected)
-    params = EncoderParams.from_named(
-        {name: Tensor(arrays[f"param.{name}"], requires_grad=True) for name in shapes})
+    params = EncoderParams({name: Tensor(arrays[f"param.{name}"], requires_grad=True) for name in shapes})
     opt_state = None if opt is None else AdagradState(
         {name: arrays[f"acc.{name}"] for name in opt["names"]}, step=opt["step"])
     return Checkpoint(params, opt_state, encoder_config, train_config, header_field(path, header, "step", int))

@@ -66,7 +66,7 @@ TINY = EncoderConfig(n_conv_layers=1, conv_channels=(4,), conv_kernels=(5,),
 
 
 def _tiny_params_with(params, name, probe):
-    return EncoderParams.from_named({**params.named(), name: probe})
+    return EncoderParams({**params.named(), name: probe})
 
 
 def _kernel_cases(rng):

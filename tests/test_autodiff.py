@@ -207,8 +207,8 @@ def test_max_pool_tie_routes_gradient_to_first_max():
     tape = Tape()
     x = Tensor([[[2.0, 5.0, 5.0, 1.0]]], requires_grad=True)
     out = ad.max_pool1d(tape, x, 4, 4)
-    backward(tape, ad.sum_all(tape, out))
-    np.testing.assert_allclose(x.grad, [[[0.0, 1.0, 0.0, 0.0]]])
+    (dx,) = backward(tape, ad.sum_all(tape, out), [x])
+    np.testing.assert_allclose(dx, [[[0.0, 1.0, 0.0, 0.0]]])
 
 
 # ---------------------------------------------------------------------------
@@ -348,32 +348,58 @@ def test_batched_kernels_reject_unbatched_inputs():
 def test_backward_sum_gives_ones():
     tape = Tape()
     x = Tensor(np.random.default_rng(9).standard_normal((3, 4)), requires_grad=True)
-    backward(tape, ad.sum_all(tape, x))
-    np.testing.assert_allclose(x.grad, np.ones((3, 4)))
+    (dx,) = backward(tape, ad.sum_all(tape, x), [x])
+    np.testing.assert_allclose(dx, np.ones((3, 4)))
 
 
 def test_backward_squared_norm():
     tape = Tape()
     x = Tensor([1.0, 2.0], requires_grad=True)
-    backward(tape, ad.sum_all(tape, ad.mul(tape, x, x)))
-    np.testing.assert_allclose(x.grad, [2.0, 4.0])
+    (dx,) = backward(tape, ad.sum_all(tape, ad.mul(tape, x, x)), [x])
+    np.testing.assert_allclose(dx, [2.0, 4.0])
 
 
-def test_backward_twice_doubles_gradients():
+def test_backward_twice_on_one_tape_returns_equal_arrays():
     tape = Tape()
     x = Tensor([1.0, -2.0, 0.5], requires_grad=True)
     loss = ad.sum_all(tape, ad.tanh(tape, x))
-    backward(tape, loss)
-    first = x.grad.copy()
-    backward(tape, loss)
-    np.testing.assert_allclose(x.grad, 2.0 * first)
+    (first,) = backward(tape, loss, [x])
+    (second,) = backward(tape, loss, [x])
+    np.testing.assert_array_equal(second, first)
+    np.testing.assert_allclose(first, 1.0 - np.tanh(x.data) ** 2)
+
+
+def test_backward_gives_zeros_where_the_loss_does_not_reach():
+    tape = Tape()
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    unused = Tensor(np.ones((2, 3)), requires_grad=True)
+    ad.tanh(tape, unused)  # on the tape, but not upstream of the loss
+    dx, dunused = backward(tape, ad.sum_all(tape, ad.mul(tape, x, x)), [x, unused])
+    np.testing.assert_allclose(dx, [2.0, 4.0])
+    np.testing.assert_array_equal(dunused, np.zeros((2, 3)))
+
+
+def test_backward_keeps_a_requested_intermediate_adjoint():
+    # y's adjoint is consumed by tanh's vjp before x's is complete; asking
+    # for y keeps it, and asking changes nothing else
+    tape = Tape()
+    x = Tensor([0.3, -1.2, 0.7], requires_grad=True)
+    y = ad.tanh(tape, x)
+    z = ad.mul(tape, y, y)
+    loss = ad.sum_all(tape, ad.mul(tape, z, x))
+    dz, dy, dx = backward(tape, loss, [z, y, x])
+    np.testing.assert_allclose(dz, x.data)
+    np.testing.assert_allclose(dy, 2.0 * y.data * x.data)
+    np.testing.assert_allclose(dx, dy * (1.0 - y.data ** 2) + z.data)
+    (dx_alone,) = backward(tape, loss, [x])
+    np.testing.assert_array_equal(dx_alone, dx)
 
 
 def test_backward_rejects_off_tape_loss():
     tape = Tape()
     x = Tensor([1.0], requires_grad=True)
     with pytest.raises(GraphError):
-        backward(tape, x)
+        backward(tape, x, [x])
 
 
 def test_backward_rejects_non_scalar():
@@ -381,16 +407,16 @@ def test_backward_rejects_non_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = ad.mul(tape, x, x)
     with pytest.raises(ShapeMismatchError):
-        backward(tape, y)
+        backward(tape, y, [x])
 
 
 def test_constants_receive_no_gradient():
     tape = Tape()
     x = Tensor([1.0, 2.0], requires_grad=True)
     c = Tensor([3.0, 4.0])  # constant
-    backward(tape, ad.sum_all(tape, ad.mul(tape, x, c)))
-    np.testing.assert_allclose(x.grad, [3.0, 4.0])
-    assert c.grad is None
+    dx, dc = backward(tape, ad.sum_all(tape, ad.mul(tape, x, c)), [x, c])
+    np.testing.assert_allclose(dx, [3.0, 4.0])
+    np.testing.assert_array_equal(dc, [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

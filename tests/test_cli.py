@@ -285,6 +285,34 @@ def test_train_mode_it_without_text_anchors_exit_2(cache_path, corpus, tmp_path,
     assert "--text-anchors" in err
 
 
+@pytest.mark.parametrize("video, text, where", [
+    ("anchors_text.jsonl", None, "anchors_text.jsonl:1: expected a video anchor"),
+    ("anchors_video.jsonl", "anchors_video.jsonl", "anchors_video.jsonl:1: expected a text anchor"),
+], ids=["text-as-video", "video-as-text"])
+def test_train_on_anchors_of_another_modality_exit_2(cache_path, corpus, tmp_path, capsys,
+                                                     video, text, where):
+    argv = ["train", "--cache", str(cache_path), "--video-anchors", str(corpus / video),
+            "--mode", "iv" if text is None else "ivt", "--epochs", "1", *TRAIN_FLAGS,
+            "--run-dir", str(tmp_path / "r")]
+    if text is not None:
+        argv += ["--text-anchors", str(corpus / text)]
+    code, payload, err = run_cli(capsys, *argv)
+    assert code == 2 and payload is None
+    assert where in err
+
+
+def test_train_with_a_temperature_whose_gradients_overflow_exit_3(cache_path, corpus, tmp_path, capsys):
+    # runs under the suite's error::RuntimeWarning filter: no numpy warning on the way
+    code, payload, err = run_cli(
+        capsys, "train", "--cache", str(cache_path),
+        "--video-anchors", str(corpus / "anchors_video.jsonl"),
+        "--mode", "iv", "--epochs", "1", "--batch-size", "4", "--temperature", "1e-300",
+        *TRAIN_FLAGS, "--run-dir", str(tmp_path / "r"),
+    )
+    assert code == 3 and payload is None
+    assert "overflowing squared gradient" in err
+
+
 def test_train_metrics_reproducible(cache_path, corpus, tmp_path, capsys):
     outs = []
     for name in ("r1", "r2"):

@@ -15,6 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    # the warning rule pyproject.toml sets for the tests
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -36,7 +36,7 @@ def _window(seed=0, t=64):
 
 
 def _params_with(params: EncoderParams, name: str, probe: Tensor) -> EncoderParams:
-    return EncoderParams.from_named({**params.named(), name: probe})
+    return EncoderParams({**params.named(), name: probe})
 
 
 # ---------------------------------------------------------------------------
@@ -53,13 +53,13 @@ def test_init_deterministic():
 
 def test_init_groupnorm_exact_ones_zeros():
     p = init_params(TINY, 3)
-    assert np.all(p.input_gn_gamma.data == 1.0)
-    assert np.all(p.input_gn_beta.data == 0.0)
-    assert np.all(p.post_gn_gamma.data == 1.0)
-    assert np.all(p.post_gn_beta.data == 0.0)
-    assert all(np.all(b.data == 0.0) for b in p.conv_biases)
-    assert np.all(p.gru_b_ih.data == 0.0) and np.all(p.gru_b_hh.data == 0.0)
-    assert np.all(p.proj_b.data == 0.0)
+    assert np.all(p["input_gn.gamma"].data == 1.0)
+    assert np.all(p["input_gn.beta"].data == 0.0)
+    assert np.all(p["post_gn.gamma"].data == 1.0)
+    assert np.all(p["post_gn.beta"].data == 0.0)
+    assert np.all(p["conv0.b"].data == 0.0)
+    assert np.all(p["gru.b_ih"].data == 0.0) and np.all(p["gru.b_hh"].data == 0.0)
+    assert np.all(p["proj.b"].data == 0.0)
 
 
 def test_param_count_closed_form_default_config():
@@ -74,14 +74,14 @@ def test_param_count_closed_form_default_config():
     h = cfg.gru_hidden
     expected += 3 * h * c_in + 3 * h * h + 3 * h + 3 * h
     expected += cfg.embed_dim * h + cfg.embed_dim
-    assert p.param_count() == expected
+    assert sum(t.data.size for t in p.named().values()) == expected
 
 
 def test_init_bounds_follow_fan_in():
     p = init_params(TINY, 5)
-    w = p.conv_weights[0].data
+    w = p["conv0.w"].data
     assert np.abs(w).max() <= 1.0 / np.sqrt(6 * 5)
-    assert np.abs(p.proj_w.data).max() <= 1.0 / np.sqrt(TINY.gru_hidden)
+    assert np.abs(p["proj.w"].data).max() <= 1.0 / np.sqrt(TINY.gru_hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +150,9 @@ def test_group_permutation_invariance():
     perm = np.array([2, 0, 1, 3, 5, 4])
     w2 = ImuWindow(w.window_id, w.source_id, w.start_s, w.duration_s, w.signal[perm])
     p2 = p.copy()
-    p2.input_gn_gamma.data = p.input_gn_gamma.data[perm]
-    p2.input_gn_beta.data = p.input_gn_beta.data[perm]
-    p2.conv_weights[0].data = p.conv_weights[0].data[:, perm, :]
+    p2["input_gn.gamma"].data = p["input_gn.gamma"].data[perm]
+    p2["input_gn.beta"].data = p["input_gn.beta"].data[perm]
+    p2["conv0.w"].data = p["conv0.w"].data[:, perm, :]
     np.testing.assert_allclose(encode(w, p, TINY), encode(w2, p2, TINY), atol=1e-10)
 
 

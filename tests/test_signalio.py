@@ -289,7 +289,8 @@ def test_resample_constant_stream():
 
 
 @pytest.mark.parametrize("end, hz, message", [
-    (1.0, 0.0, "must be > 0"), (1.0, math.inf, "needs inf samples"), (1.0, math.nan, "needs nan samples"),
+    (1.0, 0.0, "must be > 0"), (1.0, math.inf, "must be > 0 and finite, got inf"),
+    (1.0, math.nan, "must be > 0 and finite, got nan"),
     (1.0, 1e300, "needs 1e\\+300 samples"), (10.0, 1e308, "needs inf samples"),
 ], ids=["zero-rate", "inf-rate", "nan-rate", "grid-beyond-numpy", "grid-overflows"])
 def test_resample_refuses_a_rate_or_grid_it_cannot_use(end, hz, message):
@@ -393,6 +394,17 @@ def test_load_anchors_window_id_must_be_a_non_empty_string(tmp_path, wid):
     ])
     with pytest.raises(DataError, match=re.escape(f"{p}:2: window_id must be a non-empty string")):
         load_anchor_embeddings(p)
+
+
+def test_load_anchors_refuses_another_modality_when_asked(tmp_path):
+    p = tmp_path / "a.jsonl"
+    _write_jsonl(p, [
+        {"window_id": "w0", "modality": "text", "vector": [1.0, 0.0]},
+        {"window_id": "w1", "modality": "video", "vector": [0.0, 1.0]},
+    ])
+    assert set(load_anchor_embeddings(p)) == {"w0", "w1"}
+    with pytest.raises(DataError, match=re.escape(f"{p}:2: expected a text anchor, got modality 'video'")):
+        load_anchor_embeddings(p, "text")
 
 
 def test_anchor_round_trip(tmp_path):
@@ -505,6 +517,7 @@ _HUGE = b'{"window_id": "w0", "modality": "video", "vector": [1e308, 1e308]}'
 @_fuzz
 @given(lines=st.lists(_lines(_anchor_records), max_size=5))
 @example(lines=[_HUGE])  # the squared norm overflows
+@example(lines=[b'{"window_id": "w0", "modality": "video", "vector": [1e-170, 3e-170]}'])  # and underflows
 def test_load_anchors_arbitrary_records_raise_only_imu_align_errors(tmp_path, lines):
     p = tmp_path / "a.jsonl"
     p.write_bytes(b"\n".join(lines))
@@ -532,6 +545,7 @@ _query_records = st.fixed_dictionaries({}, optional={"window_id": _json, "vector
                         st.text(max_size=20).map(lambda t: "{" + t)),
        from_file=st.booleans())
 @example(record=_HUGE.decode(), from_file=False)
+@example(record='{"vector": [2.088001406757372e-162]}', from_file=False)  # the squared norm underflows
 def test_query_record_arbitrary_input_raises_only_imu_align_errors(tmp_path, record, from_file):
     arg = record
     if from_file:
