@@ -34,13 +34,26 @@ class RetrievalResult:
     gold_rank: int  # 1-based
 
 
-def _inner_products(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
+def _inner_products(matrix: np.ndarray, query: np.ndarray, pairs: bool = False) -> np.ndarray:
+    """Each row of `matrix` dotted with `query`, or with `query`'s matching row (`pairs`)."""
     # vecdot, not `matrix @ query`: BLAS gemv sums rows in a different order
     # depending on where they fall in its blocks, so two equal rows can score
-    # an ulp apart and break a tie rule; vecdot runs the same dot on every row
-    if np.shape(query) != matrix.shape[1:]:
+    # an ulp apart and break a tie rule; vecdot runs the same dot on every row,
+    # so a (row, query) pair gets the same bits in either layout
+    if np.shape(query) != (matrix.shape if pairs else matrix.shape[1:]):
         raise ShapeMismatchError(f"query dim {np.shape(query)} does not match pool dim {matrix.shape[1]}")
     return np.vecdot(matrix, query)
+
+
+def _stack(vectors: list, what: str) -> np.ndarray:
+    """Equal-length 1-D vectors as the rows of one float64 matrix."""
+    try:
+        matrix = np.array(vectors, dtype=np.float64)
+    except ValueError as exc:
+        raise ShapeMismatchError(f"{what} vectors of unequal shape: {exc}") from exc
+    if matrix.ndim != 2:
+        raise ShapeMismatchError(f"{what} vectors must be 1-D, got shape {matrix.shape[1:]}")
+    return matrix
 
 
 class Pool:
@@ -53,12 +66,7 @@ class Pool:
         if not vectors:
             raise DataError("empty pool")
         self.ids = sorted(vectors)
-        try:
-            self.matrix = np.array([vectors[i] for i in self.ids], dtype=np.float64)
-        except ValueError as exc:
-            raise ShapeMismatchError(f"pool vectors of unequal shape: {exc}") from exc
-        if self.matrix.ndim != 2:
-            raise ShapeMismatchError(f"pool vectors must be 1-D, got shape {self.matrix.shape[1:]}")
+        self.matrix = _stack([vectors[i] for i in self.ids], "pool")
 
     def rank(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row indices by descending score, ties by ascending id, and each
@@ -68,16 +76,56 @@ class Pool:
         return np.argsort(-scores, kind="stable"), scores
 
 
-def rank_pool(query: np.ndarray, pool: Pool, gold_id: str) -> RetrievalResult:
-    """The gold id's 1-based position in `Pool.rank`'s order, counted, not sorted."""
+def rank_pool(scores: np.ndarray, pool: Pool, gold_id: str) -> RetrievalResult:
+    """The gold id's 1-based position in `Pool.rank`'s order, counted, not
+    sorted: 1 + the rows scoring above the gold + the rows of smaller id
+    scoring the same. `scores` is one query's score for every pool row.
+
+    The count is `Pool.rank`'s order when every score compares with the
+    gold's as its `_inner_products` score would; `eval_retrieval` re-scores
+    every pair for which a GEMM score might not.
+    """
     row = bisect_left(pool.ids, gold_id)
     if row == len(pool.ids) or pool.ids[row] != gold_id:
         raise CoverageError(f"rank_pool: gold id {gold_id!r} not in pool", [gold_id])
-    s = _inner_products(pool.matrix, query)
-    if np.isnan(s[row]):  # NaN compares false with everything: the count would read rank 1
+    if np.shape(scores) != (len(pool.ids),):
+        raise ShapeMismatchError(f"rank_pool: scores of shape {np.shape(scores)} for a pool of {len(pool.ids)}")
+    if np.isnan(scores[row]):  # NaN compares false with everything: the count would read rank 1
         raise NumericError(f"rank_pool: gold id {gold_id!r} scores NaN")
-    rank = 1 + np.count_nonzero(s > s[row]) + np.count_nonzero(s[:row] == s[row])
+    rank = 1 + np.count_nonzero(scores > scores[row]) + np.count_nonzero(scores[:row] == scores[row])
     return RetrievalResult(gold_id, int(rank))
+
+
+_QUERY_BLOCK = 256  # queries per GEMM: bounds the (block, pool) score matrix
+_U = 2.0 ** -53  # float64 unit roundoff
+_TINY = 2.0 ** -1074  # smallest subnormal: twice what one underflowing product can lose
+_SAFE_SCALE = 2.0 ** 1000  # below this no product or partial sum of a dot can overflow
+
+
+def _norm_bounds(matrix: np.ndarray) -> np.ndarray:
+    """An upper bound on each row's 2-norm, up to a (1 + D·u) factor, even
+    where the squares underflow; inf where they overflow."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.einsum("ij,ij->i", matrix, matrix) + matrix.shape[1] * _TINY)
+
+
+def _block_scores(block: np.ndarray, pool: Pool, gold_rows: list[int], max_norm: float) -> np.ndarray:
+    """Each query's score for every pool row: one GEMM, then the
+    `_inner_products` value of every pair the GEMM could misorder against
+    its query's gold."""
+    n, dim = block.shape
+    gold = (np.arange(n), gold_rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows here is re-scored below
+        scores = block @ pool.matrix.T
+        scale = _norm_bounds(block) * max_norm
+        band = np.where(scale < _SAFE_SCALE, 4 * (dim + 2) * (_U * scale + _TINY), np.inf)
+        diff = scores - scores[gold][:, None]
+        np.abs(diff, out=diff)
+        near = ~(diff > band[:, None])  # NaN and inf differences are re-scored too
+    near[gold] = True
+    qi, rj = np.nonzero(near)
+    scores[qi, rj] = _inner_products(pool.matrix[rj], block[qi], pairs=True)
+    return scores
 
 
 def recall_at_k(results: list[RetrievalResult], k: int) -> float:
@@ -106,6 +154,23 @@ def eval_retrieval(
     use anchors as queries against the IMU-embedding pool; ``imu2video``/
     ``imu2text`` use IMU embeddings as queries against the anchor pool.
     Gold is the entry sharing the query's window id.
+
+    The sorted queries are scored in blocks of `_QUERY_BLOCK`, one GEMM
+    against the pool per block, after FAISS's exhaustive inner-product
+    search. A GEMM sums a dot product in its own order, so its scores can
+    differ from `_inner_products`' in the last bits and flip a tie or a
+    near-tie with the gold. Any summation order of a D-term dot product is
+    within γ_D·Σ|q_k·p_k| ≤ γ_D·‖q‖·‖p‖ of the exact value, γ_D = D·u/(1 - D·u)
+    with u = 2⁻⁵³ (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    §3.1), plus D·2⁻¹⁰⁷⁴ where products underflow. A row's GEMM score and
+    the kernel's therefore differ by at most half of
+    ``band = 4·(D+2)·(u·‖q‖·max_j‖p_j‖ + 2⁻¹⁰⁷⁴)``, and so do the gold's: a
+    row whose GEMM score is more than `band` from the gold's compares with
+    the gold as the kernel's score would. Every other row, the gold itself
+    and every NaN or inf difference is re-scored with `_inner_products`; the
+    band is infinite where ‖q‖·max‖p‖ is large enough for a dot to overflow.
+    `rank_pool` then counts each query's ranks bit for bit as on the
+    per-query kernel's scores.
     """
     if direction not in RETRIEVAL_DIRECTIONS:
         raise DataError(f"direction must be one of {RETRIEVAL_DIRECTIONS}, got {direction!r}")
@@ -120,7 +185,18 @@ def eval_retrieval(
             missing,
         )
     pool = Pool(pool_map)
-    results = [rank_pool(queries[qid], pool, qid) for qid in sorted(queries)]
+    dim = pool.matrix.shape[1]
+    max_norm = np.fmax.reduce(_norm_bounds(pool.matrix))  # NaN rows are re-scored anyway
+    qids = sorted(queries)
+    results = []
+    for start in range(0, len(qids), _QUERY_BLOCK):
+        block_ids = qids[start:start + _QUERY_BLOCK]
+        block = _stack([queries[qid] for qid in block_ids], "query")
+        if block.shape[1] != dim:
+            raise ShapeMismatchError(f"query dim {block.shape[1]} does not match pool dim {dim}")
+        rows = [bisect_left(pool.ids, qid) for qid in block_ids]
+        scores = _block_scores(block, pool, rows, max_norm)
+        results += [rank_pool(s, pool, qid) for s, qid in zip(scores, block_ids)]
     out = {"direction": direction}
     for k in ks:
         out[f"R@{k}"] = round(recall_at_k(results, k), 6)
@@ -256,8 +332,9 @@ def _fit_head(
     for epoch in range(config.epochs):
         for batch in make_batches(n, batch_size, config.seed, epoch):
             tape = Tape()
-            logits = ad.add_rowvec(tape, ad.matmul_nt(tape, features(tape, batch), w), b)
-            loss = softmax_cross_entropy(tape, logits, labels[batch])
+            with np.errstate(over="ignore", invalid="ignore"):  # `gradients` refuses a non-finite loss
+                logits = ad.add_rowvec(tape, ad.matmul_nt(tape, features(tape, batch), w), b)
+                loss = softmax_cross_entropy(tape, logits, labels[batch])
             adagrad_step(named, gradients(tape, loss, named), state,
                          config.learning_rate, config.adagrad_eps)
     return w.data, b.data

@@ -127,10 +127,11 @@ def _batch_loss(
 ) -> tuple[LossReport, Tensor]:
     ids = [dataset.windows[i].window_id for i in batch]
     signals = [dataset.windows[i].signal for i in batch]
-    emb = encode_batch_on_tape(tape, signals, params, encoder_config)
-    sims = {m: similarity_matrix(tape, emb, Tensor(dataset.anchor_matrix(ids, m)))
-            for m in MODES[config.mode]}
-    return alignment_loss(tape, sims, config.temperature)
+    with np.errstate(over="ignore", invalid="ignore"):  # `gradients` refuses a non-finite loss
+        emb = encode_batch_on_tape(tape, signals, params, encoder_config)
+        sims = {m: similarity_matrix(tape, emb, Tensor(dataset.anchor_matrix(ids, m)))
+                for m in MODES[config.mode]}
+        return alignment_loss(tape, sims, config.temperature)
 
 
 def train_epoch(

@@ -213,7 +213,8 @@ def test_criterion_04_retrieval_metric_oracles():
             q = rng.standard_normal(d)
             q /= np.linalg.norm(q)
             gold = f"id{int(rng.integers(n)):03d}"
-            got = rank_pool(q, Pool(dict(pool)), gold).gold_rank
+            ranked = Pool(dict(pool))
+            got = rank_pool(ranked.rank(q)[1], ranked, gold).gold_rank
             expected = sorted(((-float(q @ v), pid) for pid, v in pool)).index(
                 (-float(q @ dict(pool)[gold]), gold)) + 1
             assert got == expected

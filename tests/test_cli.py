@@ -313,6 +313,20 @@ def test_train_with_a_temperature_whose_gradients_overflow_exit_3(cache_path, co
     assert "overflowing squared gradient" in err
 
 
+def test_train_with_a_learning_rate_that_overflows_the_forward_exit_3(cache_path, corpus,
+                                                                    tmp_path, capsys):
+    # runs under the suite's error::RuntimeWarning filter: the first step moves each
+    # weight by about 1e300, and the second forward overflows without a numpy warning
+    code, payload, err = run_cli(
+        capsys, "train", "--cache", str(cache_path),
+        "--video-anchors", str(corpus / "anchors_video.jsonl"),
+        "--mode", "iv", "--epochs", "1", "--batch-size", "4", "--lr", "1e300",
+        *TRAIN_FLAGS, "--run-dir", str(tmp_path / "r"),
+    )
+    assert code == 3 and payload is None
+    assert "non-finite loss" in err
+
+
 def test_train_metrics_reproducible(cache_path, corpus, tmp_path, capsys):
     outs = []
     for name in ("r1", "r2"):
@@ -369,6 +383,21 @@ def test_eval_retrieval_modality_mismatch_exit_2(run_dir, cache_path, corpus, ca
         "--direction", "text2imu",
     )
     assert code == 2 and "modality" in err
+
+
+@pytest.mark.parametrize("direction", ["imu2video", "video2imu"])
+def test_eval_retrieval_on_anchors_of_another_dimension_exit_2(run_dir, cache_path, corpus,
+                                                              tmp_path, capsys, direction):
+    anchors = tmp_path / "anchors_8d.jsonl"
+    anchors.write_text("".join(
+        json.dumps({**rec, "vector": rec["vector"][:8]}) + "\n"
+        for rec in map(json.loads, (corpus / "anchors_video.jsonl").read_text().splitlines())))
+    code, payload, err = run_cli(
+        capsys, "eval-retrieval", "--ckpt", str(run_dir / "ckpt-30.bin"),
+        "--cache", str(cache_path), "--anchors", str(anchors), "--direction", direction,
+    )
+    assert code == 2 and payload is None
+    assert "dim" in err and "Traceback" not in err
 
 
 def test_eval_retrieval_text_direction_via_transitivity(run_dir, cache_path, corpus, capsys):
@@ -671,11 +700,9 @@ def _fuzzed_argv(draw):
     return [command, *flags]
 
 
-# RuntimeWarnings stay warnings here, as in a real run: numpy's overflow warnings on the way
-# to exit 3 (say, with --lr=1e300) are not tracebacks
-@pytest.mark.filterwarnings("default::RuntimeWarning")
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example(argv=["ingest", "--window-s=nan"])
+@example(argv=["eval-classify", "--lr=1e300", "--protocol=finetune"])
 @example(argv=["ingest", "--window-s=0.32", "--stride-s=inf"])
 @example(argv=["train", "--epochs=1", "--seed=-1"])
 @given(argv=_fuzzed_argv())

@@ -57,7 +57,7 @@ def brute_force_rank(query, pool, gold_id):
 def test_rank_pool_self_similarity_first():
     q = _unit([1.0, 0.0])
     pool = Pool({"gold": q, "other": _unit([0.0, 1.0])})
-    res = rank_pool(q, pool, "gold")
+    res = rank_pool(pool.rank(q)[1], pool, "gold")
     assert res.gold_rank == 1
     assert pool.ids[pool.rank(q)[0][0]] == "gold"
 
@@ -65,7 +65,7 @@ def test_rank_pool_self_similarity_first():
 def test_rank_pool_tie_breaks_by_id():
     v = _unit([1.0, 1.0])
     pool = Pool({"c": v.copy(), "a": v.copy(), "b": v.copy()})
-    res = rank_pool(v, pool, "b")
+    res = rank_pool(pool.rank(v)[1], pool, "b")
     assert [pool.ids[i] for i in pool.rank(v)[0]] == ["a", "b", "c"]
     assert res.gold_rank == 2
 
@@ -82,7 +82,7 @@ def test_equal_vectors_tie_by_id_at_every_pool_size(dim):
         pool = Pool(vectors)
         order, scores = pool.rank(q)
         assert len(set(scores[:n].tolist())) == 1
-        res = rank_pool(q, pool, "id00")
+        res = rank_pool(scores, pool, "id00")
         assert [pool.ids[i] for i in order if pool.ids[i] != "other"] == sorted(vectors)[:n]
         assert res.gold_rank == 1 + (scores[n] > scores[0])
 
@@ -90,14 +90,15 @@ def test_equal_vectors_tie_by_id_at_every_pool_size(dim):
 def test_rank_pool_hand_order():
     q = _unit([1.0, 0.0])
     pool = Pool({"a": _unit([0.9, np.sqrt(1 - 0.81)]), "b": _unit([0.5, np.sqrt(0.75)])})
-    res = rank_pool(q, pool, "b")
+    res = rank_pool(pool.rank(q)[1], pool, "b")
     assert res.gold_rank == 2
 
 
 def test_rank_pool_missing_gold():
+    pool = Pool({"a": _unit([1.0, 0.0])})
     for gold in ("zzz", "0", "aa"):
         with pytest.raises(CoverageError):
-            rank_pool(_unit([1.0, 0.0]), Pool({"a": _unit([1.0, 0.0])}), gold)
+            rank_pool(pool.rank(_unit([1.0, 0.0]))[1], pool, gold)
 
 
 def test_pool_rejects_empty_map_and_wrong_query_dim():
@@ -124,7 +125,7 @@ def test_rank_pool_counts_the_stable_sort_position_among_duplicates_and_zeros():
         for q in (_unit(rng.standard_normal(dim)), base[0], np.zeros(dim)):
             order = pool.rank(q)[0].tolist()
             for gold in vectors:
-                assert rank_pool(q, pool, gold).gold_rank == 1 + order.index(pool.ids.index(gold))
+                assert rank_pool(pool.rank(q)[1], pool, gold).gold_rank == 1 + order.index(pool.ids.index(gold))
 
 
 def test_rank_pool_refuses_a_nan_gold_score_and_ranks_nan_rows_last():
@@ -133,9 +134,9 @@ def test_rank_pool_refuses_a_nan_gold_score_and_ranks_nan_rows_last():
     pool, q = Pool(v), _unit([1.0, 0.0])
     order = pool.rank(q)[0].tolist()
     assert [pool.ids[i] for i in order] == ["a", "d", "c", "b"]
-    assert [rank_pool(q, pool, g).gold_rank for g in "acd"] == [1, 3, 2]
+    assert [rank_pool(pool.rank(q)[1], pool, g).gold_rank for g in "acd"] == [1, 3, 2]
     with pytest.raises(NumericError, match="'b' scores NaN"):
-        rank_pool(q, pool, "b")
+        rank_pool(pool.rank(q)[1], pool, "b")
 
 
 def test_rank_pool_matches_brute_force_oracle():
@@ -147,7 +148,7 @@ def test_rank_pool_matches_brute_force_oracle():
         q = _unit(rng.standard_normal(d))
         gold = f"id{int(rng.integers(n)):03d}"
         ranked = Pool(dict(pool))
-        res = rank_pool(q, ranked, gold)
+        res = rank_pool(ranked.rank(q)[1], ranked, gold)
         assert res.gold_rank == brute_force_rank(q, pool, gold)
         assert sorted(ranked.ids[i] for i in ranked.rank(q)[0]) == sorted(p[0] for p in pool)
 
@@ -248,8 +249,8 @@ def test_eval_retrieval_repeat_calls_match_brute_force(monkeypatch):
     imu = {k: _unit(v + 0.3 * rng.standard_normal(8)) for k, v in text.items()}
     gold_ranks = []
 
-    def recording(query, pool, gold_id):
-        result = rank_pool(query, pool, gold_id)
+    def recording(scores, pool, gold_id):
+        result = rank_pool(scores, pool, gold_id)
         gold_ranks.append((gold_id, result.gold_rank))
         return result
 
@@ -260,6 +261,98 @@ def test_eval_retrieval_repeat_calls_match_brute_force(monkeypatch):
     expected = [(qid, brute_force_rank(q, list(imu.items()), qid))
                 for qid, q in sorted(text.items())]
     assert gold_ranks == expected + expected
+
+
+def _recorded_ranks(pool_map, queries, ks=(1, 10, 50)):
+    """`eval_retrieval(..., "text2imu")` and the gold ranks it passed through `rank_pool`."""
+    gold_ranks = []
+
+    def recording(scores, pool, gold_id):
+        result = rank_pool(scores, pool, gold_id)
+        gold_ranks.append((gold_id, result.gold_rank))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "rank_pool", recording)
+        return eval_retrieval(pool_map, queries, "text2imu", ks), gold_ranks
+
+
+def _kernel_rank(pool, query, gold_id):
+    """The per-query oracle: the count on `_inner_products`' scores for `query`."""
+    s = evaluate._inner_products(pool.matrix, query)
+    row = pool.ids.index(gold_id)
+    return 1 + int(np.sum(s > s[row])) + int(np.sum(s[:row] == s[row]))
+
+
+@st.composite
+def _tie_heavy_retrieval(draw):
+    """A pool full of exact and near ties (duplicate rows, rows one
+    nextafter apart, zero rows) with NaN rows and rows scaled by 1e+-150,
+    and a query for every id whose row is not NaN; sometimes more than one
+    query block."""
+    dim = draw(st.sampled_from([1, 2, 3, 17, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((draw(st.integers(1, 4)), dim))
+    kinds = sorted(draw(st.sets(st.sampled_from(["dup", "nextafter", "zero", "fresh"]), min_size=1)))
+    scales = sorted(draw(st.sets(st.sampled_from([1e-150, 1.0, 1e150]), min_size=1)))
+    n = draw(st.integers(1, 40) | st.just(evaluate._QUERY_BLOCK + 44))
+    pool, queries = {}, {}
+    for i in range(n):
+        kind = kinds[rng.integers(len(kinds))]
+        row = rng.standard_normal(dim) if kind == "fresh" else base[rng.integers(len(base))].copy()
+        row *= 0.0 if kind == "zero" else scales[rng.integers(len(scales))]
+        if kind == "nextafter":
+            row = np.nextafter(row, rng.choice([-np.inf, np.inf], size=dim))
+        pool[f"id{i:03d}"] = row
+        q = base[rng.integers(len(base))] if rng.random() < 0.5 else rng.standard_normal(dim)
+        queries[f"id{i:03d}"] = q * scales[rng.integers(len(scales))]
+    for i in rng.choice(n, size=min(n - 1, draw(st.integers(0, 3))), replace=False):
+        pool[f"id{i:03d}"][rng.integers(dim):] = np.nan
+        del queries[f"id{i:03d}"]
+    return queries, pool
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_tie_heavy_retrieval())
+def test_eval_retrieval_ranks_equal_the_per_query_kernel_count(case):
+    queries, pool_map = case
+    out, gold_ranks = _recorded_ranks(pool_map, queries, ks=(1, 2, 10))
+    pool = Pool(pool_map)
+    expected = [(qid, _kernel_rank(pool, queries[qid], qid)) for qid in sorted(queries)]
+    assert gold_ranks == expected
+    results = [RetrievalResult(qid, rank) for qid, rank in expected]
+    assert out["MRR"] == round(mrr(results), 6)
+    assert all(out[f"R@{k}"] == round(recall_at_k(results, k), 6) for k in (1, 2, 10))
+
+
+def test_eval_retrieval_ranks_equal_the_kernel_count_where_dots_overflow():
+    # inf components and 1e200-scaled rows and queries: scores overflow to
+    # +-inf or NaN, depending on the summation order
+    rng = np.random.default_rng(8)
+    base = rng.standard_normal((3, 17))
+    pool, queries = {}, {}
+    for i in range(90):
+        row = base[i % 3] * (1e200 if i % 5 == 1 else 1.0)
+        if i % 7 == 2:
+            row[i % 17] = np.inf
+        pool[f"id{i:02d}"] = row
+        queries[f"id{i:02d}"] = base[i % 2] * (1e200 if i % 5 not in (1, 2) else 1.0)
+    ranked = Pool(pool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = [(qid, _kernel_rank(ranked, queries[qid], qid)) for qid in sorted(queries)]
+        assert _recorded_ranks(pool, queries)[1] == expected
+
+
+def test_eval_retrieval_refuses_misshapen_queries_and_a_nan_gold():
+    pool = {"a": _unit([1.0, 0.0]), "b": _unit([1.0, 1.0]), "c": np.array([np.nan, 0.0])}
+    for queries in ({"a": _unit([1.0, 0.0, 0.0])},  # another dimension
+                    {"a": _unit([1.0, 0.0]), "b": _unit([1.0, 0.0, 1.0])},  # ragged
+                    {"a": _unit([[1.0, 0.0]])},  # not 1-D
+                    {"a": np.float64(1.0)}):
+        with pytest.raises(ShapeMismatchError):
+            eval_retrieval(pool, queries, "text2imu")
+    with pytest.raises(NumericError, match="'c' scores NaN"):
+        eval_retrieval(pool, {"a": _unit([1.0, 0.0]), "c": _unit([1.0, 0.0])}, "text2imu")
 
 
 # ---------------------------------------------------------------------------
