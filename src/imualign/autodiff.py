@@ -140,10 +140,11 @@ def mul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale(tape: Tape, x: Tensor, c: float) -> Tensor:
+def divide(tape: Tape, x: Tensor, c: float) -> Tensor:
+    """x / c for a constant c."""
     c = float(c)
-    out = Tensor(x.data * c)
-    tape.record(out, (x,), lambda g: (g * c,))
+    out = Tensor(x.data / c)
+    tape.record(out, (x,), lambda g: (g / c,))
     return out
 
 
@@ -176,6 +177,15 @@ def swap_last_axes(tape: Tape, x: Tensor) -> Tensor:
         raise ShapeMismatchError(f"swap_last_axes: expected (B,C,T) input, got {x.shape}")
     out = Tensor(np.ascontiguousarray(x.data.transpose(0, 2, 1)))
     tape.record(out, (x,), lambda g: (g.transpose(0, 2, 1),))
+    return out
+
+
+def transpose(tape: Tape, x: Tensor) -> Tensor:
+    """(M, N) -> (N, M), as a view of x's data."""
+    if x.data.ndim != 2:
+        raise ShapeMismatchError(f"transpose: expected a 2-D input, got {x.shape}")
+    out = Tensor(x.data.T)
+    tape.record(out, (x,), lambda g: (g.T,))
     return out
 
 

@@ -32,6 +32,7 @@ from .evaluate import (
     zeroshot_classify,
 )
 from .signalio import (
+    CACHE_MAGIC,
     AnchorEmbedding,
     ImuStream,
     ParallelDataset,
@@ -41,6 +42,7 @@ from .signalio import (
     load_anchor_embeddings,
     load_imu_stream,
     load_labels,
+    load_query_vector,
     load_window_cache,
     make_windows,
     resample,
@@ -50,8 +52,6 @@ from .signalio import (
     write_anchor_embeddings,
     write_imu_stream,
     write_labels,
-    _jsonl_records,
-    _unit_vector,
 )
 from .train import MODES, Checkpoint, TrainConfig, fit, load_checkpoint, save_checkpoint, write_manifest
 
@@ -213,8 +213,9 @@ def cmd_eval_classify(args) -> int:
         raise DataError(f"unknown protocol {args.protocol!r}")
 
     metrics = classification_metrics(preds, golds, class_names)
-    metrics["task"] = "classification"
-    metrics["protocol"] = args.protocol
+    metrics.update(task="classification", protocol=args.protocol,
+                   unlabeled_windows=len(cache.windows) - len(windows),
+                   labels_without_window=len(labels) - len(windows))
     _emit(metrics)
     return 0
 
@@ -237,10 +238,10 @@ def _write_classify_run(args, head, params=None, ckpt=None) -> None:
 def cmd_retrieve(args) -> int:
     if args.top_k < 1:
         raise DataError(f"--top-k must be >= 1, got {args.top_k}")
-    query = _load_query_vector(args.query_anchor)
+    query = load_query_vector(args.query_anchor)
     pool_path = Path(args.pool)
     with open(pool_path, "rb") as fh:
-        is_cache = fh.read(4) == b"IMUC"
+        is_cache = fh.read(len(CACHE_MAGIC)) == CACHE_MAGIC
     if is_cache:
         if not args.ckpt:
             raise DataError("--ckpt is required when the pool is a window cache")
@@ -255,25 +256,6 @@ def cmd_retrieve(args) -> int:
                     for j in order[: args.top_k]],
     })
     return 0
-
-
-def _load_query_vector(value: str) -> np.ndarray:
-    """Accept either an inline JSON anchor record or a path to a JSONL file
-    whose first record is the query.
-    """
-    if value.strip().startswith("{"):
-        source = "--query-anchor"
-        try:
-            rec = json.loads(value)
-        except (ValueError, RecursionError) as exc:
-            raise DataError(f"{source}: bad JSON: {exc}") from exc
-    else:
-        source, rec = next(_jsonl_records(value), (value, None))
-        if rec is None:
-            raise DataError(f"{value}: empty query file")
-    if not isinstance(rec, dict) or "vector" not in rec:
-        raise DataError(f'{source}: the query must be a JSON object with a "vector" field')
-    return _unit_vector(rec["vector"], source)
 
 
 def cmd_synth(args) -> int:

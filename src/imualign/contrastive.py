@@ -1,11 +1,14 @@
-"""Similarities, temperature-scaled retrieval distributions, and symmetric
-InfoNCE losses over in-batch negatives.
+"""Similarities, temperature-scaled retrieval distributions, symmetric
+InfoNCE losses over in-batch negatives, and the softmax cross-entropy they
+share with the classifier heads.
 
-A batch pairs row i with column i as its positive. The forward loss is the
-mean negative log-probability of the diagonal under a row softmax of
-similarities scaled by 1/temperature; the backward loss uses the column
-softmax; the symmetric loss is their mean. All losses are recorded on the
-tape with closed-form gradients (softmax minus identity, scaled).
+A batch pairs row i with column i as its positive. The forward loss is
+InfoNCE: the softmax cross-entropy of the similarities divided by the
+temperature, with labels arange(B), i.e. the mean negative log-probability
+of the diagonal under a row softmax. The backward loss is InfoNCE of the
+transposed matrix; the symmetric loss is their mean. The one hand-written
+gradient is softmax_cross_entropy's (softmax minus one-hot, over the batch);
+the losses compose it with the tape's divide, transpose and add.
 
 A training mode aligns the IMU embeddings with one or more anchor
 modalities (`train.MODES`); its loss is the sum, in this order, of one
@@ -22,11 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, scale
+from .autodiff import Tape, Tensor, add, divide, matmul_nt, transpose
 from .errors import DataError, ShapeMismatchError
-
-ROW_TO_COL = "row_to_col"
-COL_TO_ROW = "col_to_row"
 
 
 @dataclass
@@ -67,71 +67,76 @@ def similarity_matrix(tape: Tape, rows, cols) -> Tensor:
             raise DataError(
                 f"similarity_matrix: {name} not unit-norm (max deviation {worst:.2e})"
             )
-    from .autodiff import matmul_nt
-
     return matmul_nt(tape, rows_t, cols_t)
 
 
-def _scaled_logits(values: np.ndarray, temperature: float) -> np.ndarray:
-    if temperature <= 0:
-        raise DataError(f"temperature must be > 0, got {temperature}")
-    return values / temperature
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of a (B, C) array, shifted by each row's max."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _row_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def retrieval_distribution(sims, temperature: float, direction: str = ROW_TO_COL) -> np.ndarray:
-    """Row-stochastic retrieval matrix.
-
-    row_to_col: row i is the softmax over columns given row item i.
-    col_to_row: row i is the softmax over rows given column item i.
+def softmax_cross_entropy(tape: Tape, logits: Tensor, label_indices: np.ndarray) -> Tensor:
+    """Mean negative log-softmax of the gold class; gradient is
+    (softmax - onehot) / batch.
     """
-    values = _as_tensor(sims).data
-    logits = _scaled_logits(values, temperature)
-    if direction == ROW_TO_COL:
-        return _row_softmax(logits)
-    if direction == COL_TO_ROW:
-        return _row_softmax(logits.T)
-    raise DataError(f"unknown direction {direction!r}")
-
-
-def info_nce(tape: Tape, sims, temperature: float, direction: str = ROW_TO_COL) -> Tensor:
-    """Mean cross-entropy of the diagonal positives against in-batch
-    negatives; differentiable w.r.t. the similarity matrix.
-    """
-    values_t = _as_tensor(sims)
-    values = values_t.data
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ShapeMismatchError(f"info_nce: similarity matrix must be square, got {values.shape}")
-    if direction not in (ROW_TO_COL, COL_TO_ROW):
-        raise DataError(f"unknown direction {direction!r}")
-    b = values.shape[0]
-    logits = _scaled_logits(values, temperature)
-    oriented = logits if direction == ROW_TO_COL else logits.T
-    shifted = oriented - oriented.max(axis=1, keepdims=True)
-    log_prob_diag = np.diag(shifted) - np.log(np.exp(shifted).sum(axis=1))
-    out = Tensor(-log_prob_diag.mean())
+    z = logits.data
+    if z.ndim != 2:
+        raise ShapeMismatchError(f"softmax_cross_entropy: logits must be (B, C), got {z.shape}")
+    labels = np.asarray(label_indices, dtype=np.int64)
+    if labels.shape != (z.shape[0],):
+        raise ShapeMismatchError(
+            f"softmax_cross_entropy: {labels.shape[0] if labels.ndim else 0} labels for {z.shape[0]} rows"
+        )
+    if labels.size and not (labels.min() >= 0 and labels.max() < z.shape[1]):
+        raise ShapeMismatchError(f"softmax_cross_entropy: labels must lie in [0, {z.shape[1]}), "
+                                 f"got {labels.min()}..{labels.max()}")
+    b = z.shape[0]
+    log_probs = log_softmax(z)
+    out = Tensor(-log_probs[np.arange(b), labels].sum() / b)  # the bits of .mean(), without its overhead
 
     def vjp(g):
-        p = _row_softmax(oriented)
-        grad = (p - np.eye(b)) / (b * temperature)
-        if direction == COL_TO_ROW:
-            grad = grad.T
-        return (grad * float(g),)
+        grad = np.exp(log_probs)
+        grad[np.arange(b), labels] -= 1.0
+        return (grad * (float(g) / b),)
 
-    tape.record(out, (values_t,), vjp)
+    tape.record(out, (logits,), vjp)
     return out
 
 
+def _check_temperature(temperature: float) -> None:
+    if not temperature > 0:  # NaN too
+        raise DataError(f"temperature must be > 0, got {temperature}")
+
+
+def retrieval_distribution(sims, temperature: float) -> np.ndarray:
+    """Row-stochastic retrieval matrix: row i is the softmax over columns
+    given row item i. Pass `sims.T` for the other direction.
+    """
+    _check_temperature(temperature)
+    return np.exp(log_softmax(_as_tensor(sims).data / temperature))
+
+
+def info_nce(tape: Tape, sims, temperature: float) -> Tensor:
+    """Mean cross-entropy of the diagonal positives against in-batch
+    negatives: the classifier loss of `sims / temperature` with labels
+    arange(B); differentiable w.r.t. the similarity matrix.
+    """
+    values = _as_tensor(sims)
+    if values.data.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ShapeMismatchError(f"info_nce: similarity matrix must be square, got {values.shape}")
+    _check_temperature(temperature)
+    return softmax_cross_entropy(tape, divide(tape, values, temperature), np.arange(values.shape[0]))
+
+
 def symmetric_loss(tape: Tape, sims, temperature: float) -> tuple[Tensor, Tensor, Tensor]:
-    """(forward, backward, symmetric) losses; symmetric = their mean."""
-    l_fwd = info_nce(tape, sims, temperature, ROW_TO_COL)
-    l_bwd = info_nce(tape, sims, temperature, COL_TO_ROW)
-    l_sym = scale(tape, add(tape, l_fwd, l_bwd), 0.5)
+    """(forward, backward, symmetric) losses; the backward loss is InfoNCE
+    of the transposed matrix, the symmetric loss their mean.
+    """
+    values = _as_tensor(sims)
+    l_fwd = info_nce(tape, values, temperature)
+    l_bwd = info_nce(tape, transpose(tape, values), temperature)
+    l_sym = divide(tape, add(tape, l_fwd, l_bwd), 2.0)
     return l_fwd, l_bwd, l_sym
 
 

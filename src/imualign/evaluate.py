@@ -13,6 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .container import checked_arrays, header_field, read_container, write_container
+from .contrastive import softmax_cross_entropy
 from .encoder import EncoderConfig, EncoderParams, encode_batch, encode_batch_on_tape
 from .errors import CoverageError, DataError, NumericError, ShapeMismatchError
 from .signalio import ParallelDataset
@@ -260,32 +261,6 @@ def zeroshot_classify(
         raise DataError("zeroshot_classify: no class anchors")
     scores = _inner_products(np.stack([vec for _, vec in class_anchors]), imu_embedding)
     return class_anchors[int(np.argmax(scores))][0]
-
-
-def softmax_cross_entropy(tape: Tape, logits: Tensor, label_indices: np.ndarray) -> Tensor:
-    """Mean negative log-softmax of the gold class; gradient is
-    (softmax - onehot) / batch.
-    """
-    z = logits.data
-    if z.ndim != 2:
-        raise ShapeMismatchError(f"softmax_cross_entropy: logits must be (B, C), got {z.shape}")
-    labels = np.asarray(label_indices, dtype=np.int64)
-    if labels.shape != (z.shape[0],):
-        raise ShapeMismatchError(
-            f"softmax_cross_entropy: {labels.shape[0] if labels.ndim else 0} labels for {z.shape[0]} rows"
-        )
-    b = z.shape[0]
-    shifted = z - z.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = Tensor(-log_probs[np.arange(b), labels].mean())
-
-    def vjp(g):
-        grad = np.exp(log_probs)
-        grad[np.arange(b), labels] -= 1.0
-        return (grad * (float(g) / b),)
-
-    tape.record(out, (logits,), vjp)
-    return out
 
 
 def _label_indices(dataset: ParallelDataset, ids: list[str]) -> np.ndarray:

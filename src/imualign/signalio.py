@@ -341,6 +341,25 @@ def load_anchor_embeddings(path, modality: str | None = None) -> dict[str, Ancho
     return out
 
 
+def load_query_vector(value: str) -> np.ndarray:
+    """Accept either an inline JSON anchor record or a path to a JSONL file
+    whose first record is the query.
+    """
+    if value.strip().startswith("{"):
+        source = "--query-anchor"
+        try:
+            rec = json.loads(value)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{source}: bad JSON: {exc}") from exc
+    else:
+        source, rec = next(_jsonl_records(value), (value, None))
+        if rec is None:
+            raise DataError(f"{value}: empty query file")
+    if not isinstance(rec, dict) or "vector" not in rec:
+        raise DataError(f'{source}: the query must be a JSON object with a "vector" field')
+    return _unit_vector(rec["vector"], source)
+
+
 def write_anchor_embeddings(anchors: dict[str, AnchorEmbedding], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for wid in sorted(anchors):

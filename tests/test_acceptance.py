@@ -119,14 +119,14 @@ def _kernel_cases(rng):
         ("relu", (lambda t, p: ad.sum_all(t, ad.relu(t, p))), Tensor(_away_from_zero(rng.standard_normal(8)))),
         ("tanh", (lambda t, p: ad.sum_all(t, ad.tanh(t, p))), Tensor(rng.standard_normal(8))),
         ("mul", (lambda t, p: ad.sum_all(t, ad.mul(t, p, p))), Tensor(rng.standard_normal(6))),
-        ("add+scale", (lambda t, p: ad.sum_all(t, ad.scale(t, ad.add(t, p, p), 0.75))), Tensor(rng.standard_normal(6))),
+        ("add+divide", (lambda t, p: ad.sum_all(t, ad.divide(t, ad.add(t, p, p), 0.75))), Tensor(rng.standard_normal(6))),
         ("matmul_nt/a", enc_tanh(lambda t, p: ad.matmul_nt(t, p, Tensor(m))), Tensor(m2)),
         ("matmul_nt/b", enc_tanh(lambda t, p: ad.matmul_nt(t, Tensor(m2), p)), Tensor(m)),
         ("add_rowvec/v", enc_tanh(lambda t, p: ad.add_rowvec(t, Tensor(mat34), p)), Tensor(rng.standard_normal(4))),
         ("last_step", enc_tanh(lambda t, p: ad.last_step(t, p)), Tensor(rng.standard_normal((2, 3, 4)))),
         ("swap_last_axes", (lambda t, p: ad.sum_all(t, ad.mul(t, ad.swap_last_axes(t, ad.tanh(t, p)), Tensor(swap_w)))), Tensor(rng.standard_normal((2, 3, 5)))),
-        ("info_nce/row", (lambda t, p: info_nce(t, p, 0.2, "row_to_col")), Tensor(sims)),
-        ("info_nce/col", (lambda t, p: info_nce(t, p, 0.2, "col_to_row")), Tensor(sims)),
+        ("info_nce/row", (lambda t, p: info_nce(t, p, 0.2)), Tensor(sims)),
+        ("info_nce/col", (lambda t, p: info_nce(t, ad.transpose(t, p), 0.2)), Tensor(sims)),
         ("cross_entropy", (lambda t, p: softmax_cross_entropy(t, p, labels)), Tensor(rng.standard_normal((4, 3)))),
     ]
 
@@ -190,8 +190,8 @@ def test_criterion_03_distribution_sanity():
             for b in (2, 8, 16):
                 for temperature in (0.05, 0.1, 1.0, 10.0):
                     sims = rng.uniform(-1, 1, size=(b, b))
-                    for direction in ("row_to_col", "col_to_row"):
-                        p = retrieval_distribution(sims, temperature, direction)
+                    for oriented in (sims, sims.T):
+                        p = retrieval_distribution(oriented, temperature)
                         assert np.all(np.abs(p.sum(axis=1) - 1.0) < 1e-9)
                         assert np.all(p >= 0.0)
                     cases += 1

@@ -424,6 +424,22 @@ def test_eval_classify_zeroshot(run_dir, cache_path, corpus, capsys):
     assert payload["task"] == "classification"
     assert set(payload["per_class_f1"]) == {"walking", "running"}
     assert 0.0 <= payload["accuracy"] <= 1.0
+    assert payload["unlabeled_windows"] == 0 and payload["labels_without_window"] == 0
+
+
+def test_eval_classify_reports_what_it_dropped(run_dir, cache_path, corpus, tmp_path, capsys):
+    header, *records = (corpus / "labels.jsonl").read_text().splitlines()
+    ghosts = [json.dumps(dict(json.loads(records[0]), window_id=f"ghost:{i}")) for i in range(3)]
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("".join(line + "\n" for line in [header] + records[2:] + ghosts))
+    code, payload, _ = run_cli(
+        capsys, "eval-classify", "--ckpt", str(run_dir / "ckpt-30.bin"),
+        "--cache", str(cache_path), "--labels", str(labels),
+        "--protocol", "zeroshot", "--class-anchors", str(corpus / "class_anchors.jsonl"),
+    )
+    assert code == 0
+    assert payload["unlabeled_windows"] == 2 and payload["labels_without_window"] == 3
+    assert payload["n"] == 6
 
 
 def test_eval_classify_zeroshot_mean_embedding_anchors(tmp_path, capsys):

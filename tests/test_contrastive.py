@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from imualign import autodiff as ad
 from imualign.autodiff import Tape, Tensor, backward
 from imualign.contrastive import (
-    COL_TO_ROW,
-    ROW_TO_COL,
     alignment_loss,
     info_nce,
     retrieval_distribution,
     similarity_matrix,
+    softmax_cross_entropy,
     symmetric_loss,
 )
 from imualign.errors import DataError, ShapeMismatchError
@@ -87,9 +86,10 @@ def test_distribution_low_temperature_concentrates():
 def test_distribution_col_to_row_transposes():
     rng = np.random.default_rng(2)
     sims = rng.standard_normal((4, 4))
-    p = retrieval_distribution(sims, 0.5, COL_TO_ROW)
-    expected = retrieval_distribution(sims.T, 0.5, ROW_TO_COL)
-    np.testing.assert_allclose(p, expected)
+    p = retrieval_distribution(sims.T, 0.5)
+    e = np.exp(sims / 0.5)
+    expected = (e / e.sum(axis=0)).T  # row i: the softmax over rows given column item i
+    np.testing.assert_allclose(p, expected, rtol=1e-12, atol=0)
 
 
 @given(
@@ -100,8 +100,8 @@ def test_distribution_col_to_row_transposes():
 @settings(max_examples=100, deadline=None)
 def test_distribution_rows_sum_to_one(b, temperature, seed):
     sims = np.random.default_rng(seed).uniform(-1, 1, size=(b, b))
-    for direction in (ROW_TO_COL, COL_TO_ROW):
-        p = retrieval_distribution(sims, temperature, direction)
+    for oriented in (sims, sims.T):
+        p = retrieval_distribution(oriented, temperature)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -126,8 +126,11 @@ def test_distribution_row_shift_invariance():
 
 
 def test_distribution_rejects_bad_temperature():
-    with pytest.raises(DataError):
-        retrieval_distribution(np.eye(2), 0.0)
+    for temperature in (0.0, -1.0, math.nan):
+        with pytest.raises(DataError, match="temperature"):
+            retrieval_distribution(np.eye(2), temperature)
+        with pytest.raises(DataError, match="temperature"):
+            info_nce(Tape(), np.eye(2), temperature)
     with pytest.raises(DataError):
         TrainConfig(temperature=-1.0)
 
@@ -171,17 +174,51 @@ def test_info_nce_nonnegative_and_decreases_with_margin():
 def test_info_nce_gradient_signs_and_fd():
     rng = np.random.default_rng(5)
     sims = rng.uniform(-0.5, 0.5, size=(4, 4))
-    for direction in (ROW_TO_COL, COL_TO_ROW):
+    for loss in (lambda t, p: info_nce(t, p, 0.2), lambda t, p: info_nce(t, ad.transpose(t, p), 0.2)):
         tape = Tape()
         s = Tensor(sims, requires_grad=True)
-        (grad,) = backward(tape, info_nce(tape, s, 0.2, direction), [s])
+        (grad,) = backward(tape, loss(tape, s), [s])
         assert np.all(np.diag(grad) < 0)
         off = grad[~np.eye(4, dtype=bool)]
         assert np.all(off > 0)
-        err = ad.finite_difference_check(
-            lambda t, p, d=direction: info_nce(t, p, 0.2, d), Tensor(sims)
-        )
-        assert err < 1e-6
+        assert ad.finite_difference_check(loss, Tensor(sims)) < 1e-6
+
+
+def _closed_form_info_nce(sims, temperature):
+    """The loss -mean(diag(log_softmax(S/T))) and its gradient
+    (softmax(S/T) - I) / (B*T), written out directly."""
+    logits = sims / temperature
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    loss = -(np.diag(shifted) - np.log(np.exp(shifted).sum(axis=1))).mean()
+    p = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    return loss, (p - np.eye(len(sims))) / (len(sims) * temperature)
+
+
+@given(
+    b=st.sampled_from([1, 2, 8, 16]),
+    temperature=st.sampled_from([0.05, 0.1, 1.0, 10.0]),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=100, deadline=None)
+def test_info_nce_matches_the_closed_form_in_both_directions(b, temperature, seed):
+    sims = np.random.default_rng(seed).uniform(-1, 1, size=(b, b))
+    for transposed in (False, True):
+        oriented = sims.T if transposed else sims
+        loss, grad = _closed_form_info_nce(oriented, temperature)
+        tape = Tape()
+        s = Tensor(sims, requires_grad=True)
+        out = info_nce(tape, ad.transpose(tape, s) if transposed else s, temperature)
+        (got,) = backward(tape, out, [s])
+        assert out.item() == loss
+        np.testing.assert_allclose(got, grad.T if transposed else grad, rtol=0, atol=1e-12)
+
+
+def test_softmax_cross_entropy_refuses_labels_out_of_range():
+    logits = Tensor(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 5.0]]))
+    for labels in ([-1, 0], [3, 0], [0, 7]):
+        with pytest.raises(ShapeMismatchError, match=r"\[0, 3\)"):
+            softmax_cross_entropy(Tape(), logits, np.array(labels))
+    assert softmax_cross_entropy(Tape(), logits, np.array([2, 0])).item() > 0.0
 
 
 # ---------------------------------------------------------------------------

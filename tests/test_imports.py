@@ -1,0 +1,45 @@
+"""Module boundaries: no imualign module reaches into another's private names."""
+
+import ast
+from pathlib import Path
+
+import imualign
+
+PACKAGE = Path(imualign.__file__).parent
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_imports(path: Path) -> list[str]:
+    """`_`-prefixed names that `path` imports from another imualign module,
+    or reads as attributes of an imualign module it imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("imualign")):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append(f"{path.name}:{node.lineno}: {alias.name}")
+                elif node.module in (None, "imualign"):  # `from . import signalio [as s]`
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)):
+            found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _private_imports(path)]
+    assert found == []
+
+
+def test_the_guard_sees_private_imports(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from . import __version__, signalio as s\n"
+                   "from .signalio import load_labels, _unit_vector\n"
+                   "from imualign.cli import _emit\n"
+                   "s._jsonl_records(s.CACHE_MAGIC)\n")
+    assert _private_imports(src) == ["m.py:2: _unit_vector", "m.py:3: _emit", "m.py:4: s._jsonl_records"]

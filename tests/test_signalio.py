@@ -10,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from imualign.cli import _load_query_vector
 from imualign.container import write_container
 from imualign.errors import CoverageError, DataError, FormatError, ImuAlignError
 from imualign.signalio import (
@@ -23,6 +22,7 @@ from imualign.signalio import (
     load_anchor_embeddings,
     load_imu_stream,
     load_labels,
+    load_query_vector,
     load_window_cache,
     make_windows,
     resample,
@@ -551,7 +551,7 @@ def test_query_record_arbitrary_input_raises_only_imu_align_errors(tmp_path, rec
     if from_file:
         arg = str(tmp_path / "q.jsonl")
         Path(arg).write_text(record + "\n", encoding="utf-8", errors="surrogatepass")
-    vec = _unit_or_refused(_load_query_vector, arg)
+    vec = _unit_or_refused(load_query_vector, arg)
     if vec is not None:
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
 
@@ -561,7 +561,7 @@ def test_query_record_arbitrary_input_raises_only_imu_align_errors(tmp_path, rec
 def test_query_file_arbitrary_bytes_raise_only_imu_align_errors(tmp_path, lines):
     p = tmp_path / "q.jsonl"
     p.write_bytes(b"\n".join(lines))
-    vec = _unit_or_refused(_load_query_vector, str(p))
+    vec = _unit_or_refused(load_query_vector, str(p))
     if vec is not None:
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
 
