@@ -10,10 +10,12 @@ Shape contract: the encoder layers take a leading batch axis B, one entry
 per window. `group_norm`, `conv1d`, `relu` and `max_pool1d` work on (B, C, T)
 signals, `gru_forward` on (B, T, F) sequences with (B, H) initial states, and
 `linear` and `l2_normalize` on (B, F) rows; `swap_last_axes` and `last_step`
-connect them. The products whose rows are windows run as one fixed-shape
-BLAS call per window (a stacked `np.matmul`), so a window's result has the
-same bits in a batch of any size: BLAS picks its kernel, and with it the
-summation order, by the operand shapes. Backward products sum over the batch.
+connect them. A window's result has the same bits in a batch of any size.
+The convolutions get this from one fixed-shape product per window. The GRU
+and `linear` multiply all their rows by a weight in one GEMM
+(`_row_stable_matmul`), whose row i does not depend on the other rows as
+long as the weight operand is a C-contiguous (K, N) array and a lone row is
+padded to two. Backward products sum over the batch.
 
 Forward calls record entries on a Tape. `backward` replays the tape in
 reverse, accumulating adjoints, and returns the gradients of the tensors it
@@ -204,12 +206,20 @@ def last_step(tape: Tape, x: Tensor) -> Tensor:
     return out
 
 
-def _per_row(a: Array, b: Array) -> Array:
-    """a @ b as one (1, K) @ (K, N) product per row of a, so that a row's
-    result has the same bits whatever the number of rows: BLAS picks its
-    kernel, and with it the summation order, by the operand shapes.
+def _row_stable_matmul(a: Array, b: Array) -> Array:
+    """a @ b for a: (M, K) and b: (K, N) as one GEMM whose row i has the
+    same bits for every M. BLAS picks its kernel, and with it the summation
+    order, by the operand shapes and layouts; two facts, measured on
+    OpenBLAS and pinned by the row-stability test, keep a row's order fixed:
+    - b is a C-contiguous (K, N) array. A transposed view takes another
+      kernel for small M, whose rows differ from the large-M ones;
+    - a lone row is padded with a zero row: numpy sends a (1, K) product
+      to a matrix-vector routine that sums in another order.
     """
-    return np.matmul(a[:, None, :], b)[:, 0]
+    b = np.ascontiguousarray(b)  # no copy when the caller hoisted one
+    if a.shape[0] == 1:
+        return (np.concatenate([a, np.zeros_like(a)]) @ b)[:1]
+    return a @ b
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +236,7 @@ def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"linear: w {w.shape} incompatible with x {x.shape} and b {b.shape}"
         )
-    out = Tensor(_per_row(x.data, w.data.T) + b.data)
+    out = Tensor(_row_stable_matmul(x.data, w.data.T) + b.data)
     tape.record(out, (x, w, b), lambda g: (g @ w.data, g.T @ x.data, g.sum(axis=0)))
     return out
 
@@ -358,7 +368,8 @@ def group_norm(
 
 def max_pool1d(tape: Tape, x: Tensor, kernel: int, stride: int) -> Tensor:
     """Per-channel max over sliding time windows of x: (B, C, T); gradient
-    routes to the first maximal position of each window.
+    routes to the first maximal position of each window. A window holding a
+    NaN pools to NaN and routes its gradient to the first NaN.
     """
     if x.data.ndim != 3:
         raise ShapeMismatchError(f"max_pool1d: expected (B,C,T) input, got {x.shape}")
@@ -368,13 +379,17 @@ def max_pool1d(tape: Tape, x: Tensor, kernel: int, stride: int) -> Tensor:
     if time < kernel:
         raise ShapeMismatchError(f"max_pool1d: time {time} shorter than kernel {kernel}")
     windows = np.lib.stride_tricks.sliding_window_view(x.data, kernel, axis=2)[:, :, ::stride]
-    flat = windows.reshape(-1, kernel)  # a copy: numpy reduces short contiguous rows fastest
-    argmax = flat.argmax(axis=1)  # first occurrence on ties
-    out = Tensor(flat[np.arange(flat.shape[0]), argmax].reshape(windows.shape[:3]))
-    argmax = argmax.reshape(windows.shape[:3])
+    pooled = windows[..., 0].copy()
+    for k in range(1, kernel):
+        # the earlier tap second: np.maximum keeps its second operand on a
+        # tie of +0 and -0, so the first maximal element is kept, as argmax does
+        np.maximum(windows[..., k], pooled, out=pooled)
+    out = Tensor(pooled)
     span = stride * (out.shape[2] - 1) + 1
 
     def vjp(g):
+        # a copy: numpy reduces short contiguous rows fastest
+        argmax = windows.reshape(-1, kernel).argmax(axis=1).reshape(out.shape)  # first on ties
         dx = np.zeros_like(x.data)
         for k in range(kernel):
             dx[:, :, k : k + span : stride] += g * (argmax == k)
@@ -419,12 +434,15 @@ def gru_forward(
         )
 
     H = hidden
-    gi_all = np.matmul(x.data, w_ih.data.T) + b_ih.data  # (B, T, 3H), a product per window
+    # the input side for every step at once: one GEMM over all B*T rows
+    gi_all = _row_stable_matmul(x.data.reshape(-1, feat), w_ih.data.T) + b_ih.data
+    gi_all = gi_all.reshape(batch, time, 3 * H)
+    w_hh_t = np.ascontiguousarray(w_hh.data.T)  # copied once, not at every step
     hs = np.empty((batch, time, H))
     cache = []
     h = h0.data
     for t in range(time):
-        gh = _per_row(h, w_hh.data.T) + b_hh.data
+        gh = _row_stable_matmul(h, w_hh_t) + b_hh.data
         gi = gi_all[:, t]
         rz = _sigmoid(gi[:, : 2 * H] + gh[:, : 2 * H])
         r, z = rz[:, :H], rz[:, H:]

@@ -83,7 +83,9 @@ def softmax_cross_entropy(tape: Tape, logits: Tensor, label_indices: np.ndarray)
     z = logits.data
     if z.ndim != 2:
         raise ShapeMismatchError(f"softmax_cross_entropy: logits must be (B, C), got {z.shape}")
-    labels = np.asarray(label_indices, dtype=np.int64)
+    labels = np.asarray(label_indices)
+    if not np.issubdtype(labels.dtype, np.integer):  # a cast would truncate 2.9 to 2, True to 1
+        raise ShapeMismatchError(f"softmax_cross_entropy: labels must be integers, got dtype {labels.dtype}")
     if labels.shape != (z.shape[0],):
         raise ShapeMismatchError(
             f"softmax_cross_entropy: {labels.shape[0] if labels.ndim else 0} labels for {z.shape[0]} rows"

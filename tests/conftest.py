@@ -1,0 +1,24 @@
+"""Shared pytest hooks. The bit-for-bit batch-invariance tests rest on the
+kernels the BLAS picks, so the report header names the BLAS numpy runs on
+and its thread setting, and the `blas` fixture gives the same line to a
+failure message."""
+
+import os
+
+import numpy as np
+import pytest
+
+
+def _blas() -> str:
+    info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"{info.get('name')} {info.get('version')}, OPENBLAS_NUM_THREADS={threads}"
+
+
+def pytest_report_header(config):
+    return f"numpy {np.__version__}, BLAS {_blas()}"
+
+
+@pytest.fixture(scope="session")
+def blas() -> str:
+    return _blas()

@@ -211,6 +211,29 @@ def test_max_pool_tie_routes_gradient_to_first_max():
     np.testing.assert_allclose(dx, [[[0.0, 1.0, 0.0, 0.0]]])
 
 
+def test_max_pool_equals_the_argmax_formula_on_ties_nan_and_signed_zeros():
+    # the running-maximum forward must pick the element `argmax` picks: the
+    # first maximal one, a NaN if the window holds one; the gradient goes there
+    rng = np.random.default_rng(19)
+    x = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0, np.nan], size=(3, 4, 23), p=[.2, .25, .25, .1, .1, .1])
+    for kernel, stride in ((1, 1), (2, 1), (3, 2), (4, 4), (5, 5)):
+        tape, probe = Tape(), Tensor(x, requires_grad=True)
+        out = ad.max_pool1d(tape, probe, kernel, stride)
+        windows = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=2)[:, :, ::stride]
+        flat = windows.reshape(-1, kernel)
+        first = flat.argmax(axis=1)
+        expected = flat[np.arange(flat.shape[0]), first].reshape(out.shape)
+        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(np.signbit(out.data), np.signbit(expected))
+        assert np.array_equal(np.isnan(out.data), np.isnan(windows).any(axis=3))
+        g = rng.standard_normal(out.shape)
+        (dx,) = backward(tape, ad.sum_all(tape, ad.mul(tape, out, Tensor(g))), [probe])
+        want = np.zeros_like(x)
+        for (b, c, o), k in zip(np.ndindex(out.shape), first):
+            want[b, c, o * stride + k] += g[b, c, o]
+        np.testing.assert_array_equal(dx, want)
+
+
 # ---------------------------------------------------------------------------
 # gru_forward
 
@@ -328,6 +351,30 @@ def test_batched_kernels_match_per_window_oracles():
         np.testing.assert_allclose(unit[i], rows[i] / np.sqrt(np.sum(rows[i] ** 2)), atol=1e-12)
         np.testing.assert_array_equal(swapped[i], x[i].T)
         np.testing.assert_array_equal(last[i], seq[i, -1])
+
+
+def test_gru_and_linear_on_a_lone_row_match_their_oracles():
+    # one row is padded to two before its product; the pad must not leak
+    rng = np.random.default_rng(20)
+    seq, h0 = rng.standard_normal((1, 5, 3)), rng.standard_normal((1, 4))
+    w_ih, w_hh = rng.standard_normal((12, 3)), rng.standard_normal((12, 4))
+    b_ih, b_hh = rng.standard_normal(12), rng.standard_normal(12)
+    row, lw, lb = rng.standard_normal((1, 5)), rng.standard_normal((2, 5)), rng.standard_normal(2)
+    gru = ad.gru_forward(Tape(), *map(Tensor, (seq, w_ih, w_hh, b_ih, b_hh, h0))).data
+    np.testing.assert_allclose(gru[0], naive_gru(seq[0], w_ih, w_hh, b_ih, b_hh, h0[0]), atol=1e-12)
+    lin = ad.linear(Tape(), Tensor(row), Tensor(lw), Tensor(lb)).data
+    np.testing.assert_allclose(lin[0], lw @ row[0] + lb, atol=1e-12)
+    parts = [seq, w_ih, w_hh, b_ih, b_hh, h0]
+    for which in range(6):
+        def f(t, p, which=which):
+            args = [Tensor(a) for a in parts]
+            args[which] = p
+            return ad.sum_all(t, ad.gru_forward(t, *args))
+
+        assert finite_difference_check(f, Tensor(parts[which])) < 1e-4
+    lin_fd = finite_difference_check(
+        lambda t, p: ad.sum_all(t, ad.tanh(t, ad.linear(t, p, Tensor(lw), Tensor(lb)))), Tensor(row))
+    assert lin_fd < 1e-4
 
 
 def test_batched_kernels_reject_unbatched_inputs():

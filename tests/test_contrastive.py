@@ -221,6 +221,17 @@ def test_softmax_cross_entropy_refuses_labels_out_of_range():
     assert softmax_cross_entropy(Tape(), logits, np.array([2, 0])).item() > 0.0
 
 
+def test_softmax_cross_entropy_refuses_labels_that_are_not_integers():
+    # a cast would score [2.9, 0.2] as [2, 0] and [True, False] as [1, 0]
+    logits = Tensor(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 5.0]]))
+    for labels in ([2.9, 0.2], [2.0, 0.0], [True, False]):
+        with pytest.raises(ShapeMismatchError, match="integers"):
+            softmax_cross_entropy(Tape(), logits, np.array(labels))
+    expected = softmax_cross_entropy(Tape(), logits, np.array([2, 0])).item()
+    for labels in ([2, 0], np.array([2, 0], dtype=np.uint8)):
+        assert softmax_cross_entropy(Tape(), logits, labels).item() == expected
+
+
 # ---------------------------------------------------------------------------
 # symmetric and trimodal losses
 

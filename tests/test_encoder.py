@@ -19,6 +19,7 @@ from imualign.encoder import (
     encode_batch,
     encode_batch_on_tape,
     init_params,
+    param_shapes,
     pipeline_time_lengths,
 )
 from imualign.errors import DataError, ShapeMismatchError
@@ -209,6 +210,39 @@ def test_encode_equals_batch_rows_bit_for_bit(config):
     perm = [3, 1, 4, 0, 2]
     np.testing.assert_array_equal(encode_batch([windows[i] for i in perm], p, config),
                                   encode_batch(windows, p, config)[perm])
+
+
+@pytest.mark.parametrize("config", [TINY, EncoderConfig()], ids=["tiny", "default"])
+def test_row_products_keep_a_rows_bits_for_any_row_count(config, blas):
+    # the GRU input, recurrent and projection products run as one GEMM over
+    # all rows; row i must have the same bits for 1..130 rows at every offset
+    shapes = param_shapes(config)
+    rng = np.random.default_rng(21)
+    for name in ("gru.w_ih", "gru.w_hh", "proj.w"):
+        w = rng.standard_normal(shapes[name])
+        rows = rng.standard_normal((260, w.shape[1]))
+        alone = np.concatenate([ad._row_stable_matmul(rows[j : j + 1], w.T) for j in range(260)])
+        for m in range(1, 131):
+            for start in (0, 130 - m // 2, 260 - m):
+                block = ad._row_stable_matmul(rows[start : start + m], w.T)
+                same = np.all(block.view(np.int64) == alone[start : start + m].view(np.int64), axis=1)
+                assert same.all(), (f"{name} {w.shape}: rows {np.flatnonzero(~same).tolist()} of a "
+                                    f"{m}-row block at {start} changed bits; BLAS: {blas}")
+
+
+@pytest.mark.parametrize("config", [TINY, EncoderConfig()], ids=["tiny", "default"])
+def test_encode_batch_rows_keep_their_bits_across_chunk_boundaries(config):
+    # 64 windows fill one chunk; the 65th forms a one-window chunk, which
+    # runs the zero-row pad; 129 leaves one window after two full chunks
+    p = init_params(config, 12)
+    t = 64 if config is TINY else 200
+    windows = [_window(i, t=t) for i in range(129)]
+    single = np.stack([encode(w, p, config) for w in windows])
+    perm = np.random.default_rng(13).permutation(129)
+    for n in (64, 65, 129):
+        np.testing.assert_array_equal(encode_batch(windows[:n], p, config), single[:n])
+        order = perm[perm < n]
+        np.testing.assert_array_equal(encode_batch([windows[i] for i in order], p, config), single[order])
 
 
 def test_encode_batch_on_tape_rejects_unequal_signals():
