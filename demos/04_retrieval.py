@@ -16,7 +16,7 @@ from imualign.train import AdagradState, TrainConfig, train_epoch
 
 dataset = synth_dataset(seed=7, n_windows=32, n_classes=4, dim=32, n_samples=200, noise=0.05)
 encoder_config = EncoderConfig(
-    n_conv_layers=2, conv_channels=(16, 32), conv_kernels=(10, 5), conv_strides=(2, 2),
+    conv_channels=(16, 32), conv_kernels=(10, 5), conv_strides=(2, 2),
     gru_hidden=32, embed_dim=32,
 )
 config = TrainConfig(epochs=60, seed=0, mode="iv")  # video-only training

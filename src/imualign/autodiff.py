@@ -481,23 +481,24 @@ def gru_forward(
     return out
 
 
-def l2_normalize(tape: Tape, v: Tensor, eps: float = 1e-12) -> Tensor:
-    """Each row of v: (B, F) divided by max(||row||, eps); maps any row with
-    norm >= eps onto the unit sphere and leaves a zero row at zero.
+_L2_EPS = 1e-12  # the smallest norm l2_normalize divides by
+
+
+def l2_normalize(tape: Tape, v: Tensor) -> Tensor:
+    """Each row of v: (B, F) divided by max(||row||, _L2_EPS); maps any row
+    with norm >= _L2_EPS onto the unit sphere and leaves a zero row at zero.
     """
     if v.data.ndim != 2:
         raise ShapeMismatchError(f"l2_normalize: expected (B,F) rows, got {v.shape}")
-    if eps <= 0:
-        raise ShapeMismatchError(f"l2_normalize: eps must be > 0, got {eps}")
     norm = np.linalg.norm(v.data, axis=1, keepdims=True)
-    s = np.maximum(norm, eps)
+    s = np.maximum(norm, _L2_EPS)
     y = v.data / s
     out = Tensor(y)
 
     def vjp(g):
         dv = (g - y * (y * g).sum(axis=1, keepdims=True)) / s
-        small = norm[:, 0] < eps
-        dv[small] = g[small] / eps
+        small = norm[:, 0] < _L2_EPS
+        dv[small] = g[small] / _L2_EPS
         return (dv,)
 
     tape.record(out, (v,), vjp)

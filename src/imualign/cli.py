@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from . import __version__
 from .encoder import EncoderConfig, encode_batch
 from .errors import DataError, ImuAlignError, NumericError
 from .evaluate import (
+    RETRIEVAL_DIRECTIONS,
     Pool,
     ProbeConfig,
     classification_metrics,
@@ -64,6 +66,13 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _config(cls, args):
+    """A `cls` config from the parsed flags whose dest is one of its fields;
+    a field with no flag keeps its default."""
+    flags = vars(args)
+    return cls(**{f.name: flags[f.name] for f in fields(cls) if f.name in flags})
+
+
 def _manifest(command: str, args_map: dict, inputs: list) -> dict:
     return {
         "command": command,
@@ -84,17 +93,25 @@ def cmd_ingest(args) -> int:
         if not p.exists():
             raise DataError(f"input file {p} does not exist")
     windows, duration, source_of = [], 0.0, {}
-    for path in paths:
-        stream = resample(load_imu_stream(path), args.rate_hz)
-        duration += stream.duration_s
-        for w in make_windows(stream, args.window_s, args.stride_s):
-            if w.window_id in source_of:
-                raise DataError(f"window id {w.window_id!r} comes from both "
-                                f"{source_of[w.window_id]} and {path}")
-            source_of[w.window_id] = path
-            windows.append(w)
-    digest = content_hash(paths, {"window_s": args.window_s, "stride_s": args.stride_s,
-                                  "rate_hz": args.rate_hz})
+
+    def parsed_streams():
+        """Each file's samples as parsed, for `content_hash`; each is windowed once
+        hashed, so the raw samples of only one file are held at a time."""
+        nonlocal duration
+        for path in paths:
+            raw = load_imu_stream(path)
+            yield raw
+            stream = resample(raw, args.rate_hz)
+            duration += stream.duration_s
+            for w in make_windows(stream, args.window_s, args.stride_s):
+                if w.window_id in source_of:
+                    raise DataError(f"window id {w.window_id!r} comes from both "
+                                    f"{source_of[w.window_id]} and {path}")
+                source_of[w.window_id] = path
+                windows.append(w)
+
+    digest = content_hash(parsed_streams(), {"window_s": args.window_s, "stride_s": args.stride_s,
+                                             "rate_hz": args.rate_hz})
     cache = WindowCache(windows, args.rate_hz, args.window_s, args.stride_s, digest)
     save_window_cache(cache, args.out)
     _emit({
@@ -109,26 +126,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = TrainConfig(
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        adagrad_eps=args.adagrad_eps,
-        decay=args.decay,
-        epochs=args.epochs,
-        seed=args.seed,
-        mode=args.mode,
-        temperature=args.temperature,
-    )
+    config = _config(TrainConfig, args)
     if "text" in MODES[config.mode] and not args.text_anchors:
         raise DataError(f"mode {config.mode!r} requires --text-anchors")
-    encoder_config = EncoderConfig(
-        n_conv_layers=len(args.conv_channels),
-        conv_channels=tuple(args.conv_channels),
-        conv_kernels=tuple(args.conv_kernels),
-        conv_strides=tuple(args.conv_strides),
-        gru_hidden=args.gru_hidden,
-        embed_dim=args.embed_dim,
-    )
+    encoder_config = _config(EncoderConfig, args)
     cache = load_window_cache(args.cache)
     dataset, dropped = assemble_dataset(
         cache.windows, args.video_anchors, args.text_anchors, coverage_threshold=args.coverage
@@ -184,8 +185,7 @@ def cmd_eval_classify(args) -> int:
     dataset = ParallelDataset(windows, {}, None, labels, class_names)
     ids = [w.window_id for w in windows]
     golds = [labels[w] for w in ids]
-    probe_cfg = ProbeConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed,
-                            batch_size=args.batch_size)
+    probe_cfg = _config(ProbeConfig, args)
 
     if args.protocol == "zeroshot":
         if not args.class_anchors:
@@ -202,15 +202,13 @@ def cmd_eval_classify(args) -> int:
         emb = encode_batch(windows, ckpt.params, ckpt.encoder_config)
         preds = head.predict(emb)
         if args.run_dir:
-            _write_classify_run(args, head=head)
-    elif args.protocol == "finetune":
+            _write_classify_run(args, probe_cfg, head)
+    else:  # finetune
         params, head = fine_tune(dataset, ckpt.params, None, ckpt.encoder_config, probe_cfg)
         emb = encode_batch(windows, params, ckpt.encoder_config)
         preds = head.predict(emb)
         if args.run_dir:
-            _write_classify_run(args, head=head, params=params, ckpt=ckpt)
-    else:
-        raise DataError(f"unknown protocol {args.protocol!r}")
+            _write_classify_run(args, probe_cfg, head, params, ckpt)
 
     metrics = classification_metrics(preds, golds, class_names)
     metrics.update(task="classification", protocol=args.protocol,
@@ -220,7 +218,7 @@ def cmd_eval_classify(args) -> int:
     return 0
 
 
-def _write_classify_run(args, head, params=None, ckpt=None) -> None:
+def _write_classify_run(args, probe_cfg: ProbeConfig, head, params=None, ckpt=None) -> None:
     run = Path(args.run_dir)
     run.mkdir(parents=True, exist_ok=True)
     save_head(run / "head.bin", head)
@@ -230,9 +228,7 @@ def _write_classify_run(args, head, params=None, ckpt=None) -> None:
     inputs = [args.ckpt, args.cache, args.labels]
     if args.class_anchors:
         inputs.append(args.class_anchors)
-    write_manifest(run, _manifest(f"eval-classify:{args.protocol}", {
-        "epochs": args.epochs, "lr": args.lr, "seed": args.seed, "batch_size": args.batch_size,
-    }, inputs))
+    write_manifest(run, _manifest(f"eval-classify:{args.protocol}", asdict(probe_cfg), inputs))
 
 
 def cmd_retrieve(args) -> int:
@@ -259,11 +255,14 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    samples = args.window_s * args.rate_hz
+    if not math.isfinite(samples):
+        raise DataError(f"--window-s {args.window_s} at --rate-hz {args.rate_hz} "
+                        "gives no finite sample count")
+    dataset = synth_dataset(args.seed, args.n, args.classes, args.dim, round(samples),
+                            args.noise, args.rate_hz)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n_samples = int(round(args.window_s * args.rate_hz))
-    dataset = synth_dataset(args.seed, args.n, args.classes, args.dim, n_samples,
-                            args.noise, args.rate_hz)
     csv_paths = []
     for w in dataset.windows:
         ts = np.arange(w.n_samples) / args.rate_hz
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, required=True)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--adagrad-eps", type=float, default=TrainConfig.adagrad_eps)
     p.add_argument("--decay", type=float, default=TrainConfig.decay)
     p.add_argument("--temperature", type=float, default=TrainConfig.temperature)
@@ -343,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--anchors", required=True)
-    p.add_argument("--direction", choices=["text2imu", "imu2video", "video2imu", "imu2text"],
-                   required=True)
+    p.add_argument("--direction", choices=RETRIEVAL_DIRECTIONS, required=True)
     p.set_defaults(func=cmd_eval_retrieval)
 
     p = sub.add_parser("eval-classify", help="zeroshot / probe / finetune activity recognition")
@@ -354,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=["zeroshot", "probe", "finetune"], required=True)
     p.add_argument("--class-anchors", default=None)
     p.add_argument("--epochs", type=int, default=ProbeConfig.epochs)
-    p.add_argument("--lr", type=float, default=ProbeConfig.learning_rate)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=ProbeConfig.learning_rate)
     p.add_argument("--seed", type=int, default=ProbeConfig.seed)
     p.add_argument("--batch-size", type=int, default=ProbeConfig.batch_size, help="0 = full batch")
     p.add_argument("--run-dir", default=None, help="where probe/finetune write trained weights")

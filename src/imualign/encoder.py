@@ -21,9 +21,11 @@ from .errors import DataError, NumericError, ShapeMismatchError
 from .signalio import ImuWindow
 
 
+_GROUPNORM_EPS = 1e-8  # both GroupNorms' variance floor
+
+
 @dataclass
 class EncoderConfig:
-    n_conv_layers: int = 3
     conv_channels: tuple[int, ...] = (32, 64, 128)
     conv_kernels: tuple[int, ...] = (10, 5, 5)
     conv_strides: tuple[int, ...] = (2, 2, 2)
@@ -31,12 +33,11 @@ class EncoderConfig:
     pool_stride: int = 5
     gru_hidden: int = 128
     embed_dim: int = 512
-    groupnorm_eps: float = 1e-8
 
     def __post_init__(self):
-        n = self.n_conv_layers
+        n = len(self.conv_channels)
         if n < 1:
-            raise DataError(f"encoder config: n_conv_layers must be >= 1, got {n}")
+            raise DataError("encoder config: conv_channels must name at least one layer")
         for name in ("conv_channels", "conv_kernels", "conv_strides"):
             seq = tuple(int(v) for v in getattr(self, name))
             setattr(self, name, seq)
@@ -46,8 +47,6 @@ class EncoderConfig:
                 raise DataError(f"encoder config: {name} entries must be positive, got {seq}")
         if min(self.pool_kernel, self.pool_stride, self.gru_hidden, self.embed_dim) < 1:
             raise DataError("encoder config: pool/gru/embed sizes must be positive")
-        if not 0 < self.groupnorm_eps < math.inf:
-            raise DataError(f"encoder config: groupnorm_eps must be finite and > 0, got {self.groupnorm_eps}")
 
 
 def conv_out_len(time: int, kernel: int, stride: int) -> int:
@@ -60,8 +59,7 @@ def pipeline_time_lengths(config: EncoderConfig, n_samples: int) -> list[int]:
     """
     t = n_samples
     lengths = []
-    for i in range(config.n_conv_layers):
-        k, s = config.conv_kernels[i], config.conv_strides[i]
+    for i, (k, s) in enumerate(zip(config.conv_kernels, config.conv_strides)):
         if t < k:
             raise ShapeMismatchError(
                 f"encoder: time length {t} shorter than kernel {k} at conv layer {i}"
@@ -160,13 +158,13 @@ def encode_batch_on_tape(
     x = np.stack(signals).astype(np.float64, copy=False)
     pipeline_time_lengths(config, x.shape[2])  # fail early, naming the layer
     x = ad.group_norm(
-        tape, Tensor(x), 2, params["input_gn.gamma"], params["input_gn.beta"], config.groupnorm_eps
+        tape, Tensor(x), 2, params["input_gn.gamma"], params["input_gn.beta"], _GROUPNORM_EPS
     )
-    for i in range(config.n_conv_layers):
-        x = ad.conv1d(tape, x, params[f"conv{i}.w"], params[f"conv{i}.b"], config.conv_strides[i])
+    for i, stride in enumerate(config.conv_strides):
+        x = ad.conv1d(tape, x, params[f"conv{i}.w"], params[f"conv{i}.b"], stride)
         x = ad.relu(tape, x)
     x = ad.max_pool1d(tape, x, config.pool_kernel, config.pool_stride)
-    x = ad.group_norm(tape, x, 1, params["post_gn.gamma"], params["post_gn.beta"], config.groupnorm_eps)
+    x = ad.group_norm(tape, x, 1, params["post_gn.gamma"], params["post_gn.beta"], _GROUPNORM_EPS)
     seq = ad.swap_last_axes(tape, x)
     h0 = Tensor(np.zeros((len(signals), config.gru_hidden)))
     hs = ad.gru_forward(

@@ -24,6 +24,8 @@ HEAD_VERSION = 1
 
 RETRIEVAL_DIRECTIONS = ("text2imu", "imu2video", "video2imu", "imu2text")
 
+_ADAGRAD_EPS = 1e-8  # the Adagrad denominator floor of probing and fine-tuning
+
 
 # ---------------------------------------------------------------------------
 # retrieval
@@ -35,13 +37,13 @@ class RetrievalResult:
     gold_rank: int  # 1-based
 
 
-def _inner_products(matrix: np.ndarray, query: np.ndarray, pairs: bool = False) -> np.ndarray:
-    """Each row of `matrix` dotted with `query`, or with `query`'s matching row (`pairs`)."""
+def _inner_products(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Each row of `matrix` dotted with `query`."""
     # vecdot, not `matrix @ query`: BLAS gemv sums rows in a different order
     # depending on where they fall in its blocks, so two equal rows can score
     # an ulp apart and break a tie rule; vecdot runs the same dot on every row,
     # so a (row, query) pair gets the same bits in either layout
-    if np.shape(query) != (matrix.shape if pairs else matrix.shape[1:]):
+    if np.shape(query) != matrix.shape[1:]:
         raise ShapeMismatchError(f"query dim {np.shape(query)} does not match pool dim {matrix.shape[1]}")
     return np.vecdot(matrix, query)
 
@@ -125,7 +127,7 @@ def _block_scores(block: np.ndarray, pool: Pool, gold_rows: list[int], max_norm:
         near = ~(diff > band[:, None])  # NaN and inf differences are re-scored too
     near[gold] = True
     qi, rj = np.nonzero(near)
-    scores[qi, rj] = _inner_products(pool.matrix[rj], block[qi], pairs=True)
+    scores[qi, rj] = np.vecdot(pool.matrix[rj], block[qi])  # the kernel of `_inner_products`, pair by pair
     return scores
 
 
@@ -242,15 +244,13 @@ class ClassifierHead:
 class ProbeConfig:
     epochs: int = 100
     learning_rate: float = 0.1
-    adagrad_eps: float = 1e-8
     batch_size: int = 0  # 0 = full batch
     seed: int = 0
 
     def __post_init__(self):
-        if (min(self.epochs, self.batch_size, self.seed) < 0
-                or not (0 <= self.learning_rate < np.inf and 0 < self.adagrad_eps < np.inf)):
+        if min(self.epochs, self.batch_size, self.seed) < 0 or not 0 <= self.learning_rate < np.inf:
             raise DataError(f"probe config: epochs, batch_size, seed and learning_rate must be finite "
-                            f"and >= 0, adagrad_eps finite and > 0; got {self}")
+                            f"and >= 0; got {self}")
 
 
 def zeroshot_classify(
@@ -310,8 +310,7 @@ def _fit_head(
             with np.errstate(over="ignore", invalid="ignore"):  # `gradients` refuses a non-finite loss
                 logits = ad.add_rowvec(tape, ad.matmul_nt(tape, features(tape, batch), w), b)
                 loss = softmax_cross_entropy(tape, logits, labels[batch])
-            adagrad_step(named, gradients(tape, loss, named), state,
-                         config.learning_rate, config.adagrad_eps)
+            adagrad_step(named, gradients(tape, loss, named), state, config.learning_rate, _ADAGRAD_EPS)
     return w.data, b.data
 
 
@@ -320,15 +319,13 @@ def fit_linear_head(
     label_indices: np.ndarray,
     class_names: list[str],
     config: ProbeConfig,
-    head: ClassifierHead | None = None,
 ) -> ClassifierHead:
     """Train a softmax linear head with Adagrad on fixed embeddings."""
     emb = np.asarray(embeddings, dtype=np.float64)
     n, dim = emb.shape
     if np.shape(label_indices) != (n,):
         raise ShapeMismatchError(f"fit_linear_head: labels of shape {np.shape(label_indices)} for {n} rows")
-    if head is None:
-        head = init_head(len(class_names), dim, class_names, config.seed)
+    head = init_head(len(class_names), dim, class_names, config.seed)
     weight, bias = _fit_head(head, lambda tape, batch: Tensor(emb[batch]), label_indices, config, {})
     return ClassifierHead(weight, bias, list(class_names))
 

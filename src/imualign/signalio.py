@@ -19,6 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -587,32 +588,46 @@ def synth_dataset(
     """
     if n_classes < 1 or n_windows < n_classes:
         raise DataError(f"synth_dataset: need n_windows >= n_classes >= 1, got {n_windows}/{n_classes}")
+    if min(seed, n_samples - 1, dim - 1) < 0 or not (0 <= noise < math.inf and 0 < sample_rate_hz < math.inf):
+        raise DataError(f"synth_dataset: need seed >= 0, n_samples >= 1, dim >= 1, noise finite and >= 0, "
+                        f"sample_rate_hz finite and > 0; got {seed}, {n_samples}, {dim}, {noise}, "
+                        f"{sample_rate_hz}")
     rng = np.random.default_rng(seed)
-    centroids = _class_centroids(rng, n_classes, dim)
     names = activity_names(n_classes)
 
     windows, video, text, labels = [], {}, {}, {}
-    for w in range(n_windows):
-        cls = w % n_classes
-        source = f"synth-{w:04d}"
-        wid = f"{source}:0"
-        sig = synth_window_signal(rng, cls, n_samples)
-        windows.append(
-            ImuWindow(wid, source, 0.0, n_samples / sample_rate_hz, sig)
-        )
-        for modality, table in (("video", video), ("text", text)):
-            vec = centroids[cls] + noise * rng.standard_normal(dim)
-            vec = vec / np.linalg.norm(vec)
-            table[wid] = AnchorEmbedding(wid, modality, vec)
-        labels[wid] = names[cls]
+    try:
+        with np.errstate(over="ignore"):  # a noise that overflows an anchor is refused below
+            centroids = _class_centroids(rng, n_classes, dim)
+            for w in range(n_windows):
+                cls = w % n_classes
+                source = f"synth-{w:04d}"
+                wid = f"{source}:0"
+                sig = synth_window_signal(rng, cls, n_samples)
+                windows.append(ImuWindow(wid, source, 0.0, n_samples / sample_rate_hz, sig))
+                for modality, table in (("video", video), ("text", text)):
+                    vec = centroids[cls] + noise * rng.standard_normal(dim)
+                    norm = np.linalg.norm(vec)
+                    if not 0 < norm < math.inf:
+                        raise DataError(f"synth_dataset: noise {noise} gives an anchor of norm {norm}")
+                    table[wid] = AnchorEmbedding(wid, modality, vec / norm)
+                labels[wid] = names[cls]
+    except (MemoryError, ValueError, OverflowError) as exc:  # sizes too large for numpy
+        raise DataError(f"synth_dataset: {n_windows} windows of {n_samples} samples and {dim}-d anchors "
+                        f"do not fit in memory: {exc}") from exc
     return ParallelDataset(windows, video, text, labels, names)
 
 
-def content_hash(paths: list, params: dict) -> str:
-    """sha256 over input file bytes plus the windowing parameters."""
+def content_hash(streams: Iterable[ImuStream], params: dict) -> str:
+    """sha256 over each stream's source id, timestamps and values (little-endian
+    float64), then the windowing parameters. It identifies the parsed samples,
+    not the files' bytes: two CSVs that spell the same numbers differently hash
+    alike. `streams` is read once, in order.
+    """
     digest = hashlib.sha256()
-    for p in paths:
-        digest.update(Path(p).name.encode())
-        digest.update(Path(p).read_bytes())
+    for stream in streams:
+        digest.update(stream.source_id.encode())
+        digest.update(np.asarray(stream.timestamps, dtype="<f8").tobytes())
+        digest.update(np.asarray(stream.values, dtype="<f8").tobytes())
     digest.update(json.dumps(params, sort_keys=True).encode())
     return digest.hexdigest()

@@ -65,13 +65,10 @@ class AdagradState:
         return self.accumulators[name]
 
 
-def make_batches(dataset, batch_size: int, seed: int, epoch: int) -> list[list[int]]:
-    """Deterministic shuffle keyed by (seed, epoch); the trailing partial
-    batch is dropped so every batch defines a full positive pairing.
-
-    `dataset` may be anything with a length, or the item count itself.
+def make_batches(n_items: int, batch_size: int, seed: int, epoch: int) -> list[list[int]]:
+    """Deterministic shuffle of `n_items` indices keyed by (seed, epoch); the trailing
+    partial batch is dropped so every batch defines a full positive pairing.
     """
-    n_items = dataset if isinstance(dataset, int) else len(dataset)
     if n_items < batch_size:
         raise DataError(f"dataset of {n_items} items is smaller than batch size {batch_size}")
     order = np.random.default_rng([seed, epoch]).permutation(n_items)
@@ -146,7 +143,7 @@ def train_epoch(
     for modality in MODES[config.mode]:
         dataset.anchors(modality)
     lr = lr_at(epoch, config.learning_rate, config.decay)
-    batches = make_batches(dataset, config.batch_size, config.seed, epoch)
+    batches = make_batches(len(dataset), config.batch_size, config.seed, epoch)
     sums: dict[str, float] = {}
     named = params.named()
     for batch in batches:
@@ -166,8 +163,6 @@ def fit(
     config: TrainConfig,
     run_dir=None,
     params: EncoderParams | None = None,
-    opt_state: AdagradState | None = None,
-    start_epoch: int = 0,
     manifest: dict | None = None,
 ) -> tuple[EncoderParams, AdagradState, list[dict]]:
     """Run the training loop, optionally writing a run directory with
@@ -175,8 +170,7 @@ def fit(
     """
     if params is None:
         params = init_params(encoder_config, config.seed)
-    if opt_state is None:
-        opt_state = AdagradState()
+    opt_state = AdagradState()
 
     run_path = None
     metrics_fh = None
@@ -187,11 +181,11 @@ def fit(
             json.dumps({"train": asdict(config), "encoder": asdict(encoder_config)},
                        indent=2, sort_keys=True) + "\n"
         )
-        metrics_fh = open(run_path / "metrics.jsonl", "a" if start_epoch else "w", encoding="utf-8")
+        metrics_fh = open(run_path / "metrics.jsonl", "w", encoding="utf-8")
 
     history = []
     try:
-        for epoch in range(start_epoch, config.epochs):
+        for epoch in range(config.epochs):
             report = train_epoch(dataset, params, opt_state, config, encoder_config, epoch)
             record: dict = {"epoch": epoch, "lr": lr_at(epoch, config.learning_rate, config.decay)}
             record.update({k: v for k, v in report.present().items() if not k.startswith("l_sym_")})

@@ -61,7 +61,7 @@ def _spread(rng, shape, lo=-2.0, hi=2.0):
     return rng.permutation(np.linspace(lo, hi, int(flat))).reshape(shape)
 
 
-TINY = EncoderConfig(n_conv_layers=1, conv_channels=(4,), conv_kernels=(5,),
+TINY = EncoderConfig(conv_channels=(4,), conv_kernels=(5,),
                      conv_strides=(1,), gru_hidden=8, embed_dim=8)
 
 
@@ -224,7 +224,7 @@ def test_criterion_04_retrieval_metric_oracles():
 # the shared trained model for criteria 5-8
 
 
-REDUCED = EncoderConfig(n_conv_layers=2, conv_channels=(16, 32), conv_kernels=(10, 5),
+REDUCED = EncoderConfig(conv_channels=(16, 32), conv_kernels=(10, 5),
                         conv_strides=(2, 2), gru_hidden=32, embed_dim=32)
 
 

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from imualign.cli import main
+from imualign.cli import build_parser, main
+from imualign.encoder import EncoderConfig
+from imualign.evaluate import ProbeConfig
 from imualign.signalio import CACHE_MAGIC, WindowCache, load_window_cache, save_window_cache
+from imualign.train import TrainConfig
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +95,27 @@ def test_synth_invalid_params(tmp_path, capsys):
     assert "n_windows" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rate-hz", "0", "sample_rate_hz finite and > 0"),
+    ("--rate-hz", "nan", "no finite sample count"),
+    ("--window-s", "nan", "no finite sample count"),
+    ("--window-s", "0", "n_samples >= 1"),
+    ("--dim", "-1", "dim >= 1"),
+    ("--dim", "0", "dim >= 1"),
+    ("--noise", "nan", "noise finite and >= 0"),
+    ("--noise", "1e300", "gives an anchor of norm inf"),
+    ("--seed", "-1", "seed >= 0"),
+    ("--window-s", "1e300", "do not fit in memory"),
+])
+def test_synth_refuses_sizes_it_cannot_use_and_writes_nothing(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "x"
+    code, payload, err = run_cli(capsys, "synth", "--seed", "1", "--n", "4", "--classes", "2",
+                                 "--out-dir", str(out), flag, value)  # the last of a repeated flag counts
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # ingest
 
@@ -111,6 +136,23 @@ def test_ingest_summary_and_idempotence(corpus, tmp_path, capsys):
                          "--out", str(out2))
     assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_ingest_hash_identifies_samples_not_file_bytes(corpus, tmp_path, capsys):
+    src = sorted(corpus.glob("synth-*.csv"))[0]
+    respelled, shorter = tmp_path / "a" / src.name, tmp_path / "b" / src.name
+    lines = src.read_text().splitlines()
+    respelled.parent.mkdir()
+    respelled.write_text("\r\n".join(lines) + "\r\n\r\n")  # other line ends, a blank line: same samples
+    shorter.parent.mkdir()
+    shorter.write_text("\n".join(lines[:-1]) + "\n")
+    hashes = []
+    for path in (src, respelled, shorter):
+        code, payload, _ = run_cli(capsys, "ingest", "--imu", str(path), "--window-s", "0.16",
+                                   "--out", str(tmp_path / "c.bin"))
+        assert code == 0
+        hashes.append(payload["content_hash"])
+    assert hashes[0] == hashes[1] != hashes[2]
 
 
 def test_ingest_window_ids_match_anchor_ids(cache_path, corpus):
@@ -269,9 +311,54 @@ def test_train_flag_defaults(capsys):
         "train", "--cache", "x", "--video-anchors", "y", "--epochs", "1", "--run-dir", "z",
     ])
     assert args.batch_size == 16
-    assert args.lr == 0.01
+    assert args.learning_rate == 0.01
     assert args.adagrad_eps == 1e-8
     assert args.decay == 0.1
+
+
+def _json_defaults(*configs) -> dict:
+    return json.loads(json.dumps({k: v for c in configs for k, v in asdict(c).items()}))
+
+
+def test_train_flags_set_every_config_field(cache_path, corpus, tmp_path, capsys):
+    # a flag whose dest is not a field's name would leave that field at its default
+    values = {"batch_size": 4, "learning_rate": 0.02, "adagrad_eps": 1e-7, "decay": 0.2, "epochs": 1,
+              "seed": 3, "mode": "ivt", "temperature": 0.2, "conv_channels": [8], "conv_kernels": [7],
+              "conv_strides": [3], "gru_hidden": 12, "embed_dim": 16}
+    encoder_keys = {"conv_channels", "conv_kernels", "conv_strides", "gru_hidden", "embed_dim"}
+    assert values.keys() == {f.name for f in fields(TrainConfig)} | encoder_keys
+    defaults = _json_defaults(TrainConfig(), EncoderConfig())
+    assert all(v != defaults[k] for k, v in values.items())
+    run = tmp_path / "r"
+    argv = ["train", "--cache", str(cache_path), "--video-anchors", str(corpus / "anchors_video.jsonl"),
+            "--text-anchors", str(corpus / "anchors_text.jsonl"), "--run-dir", str(run),
+            "--batch-size", "4", "--lr", "0.02", "--adagrad-eps", "1e-7", "--decay", "0.2",
+            "--epochs", "1", "--seed", "3", "--mode", "ivt", "--temperature", "0.2",
+            "--conv-channels", "8", "--conv-kernels", "7", "--conv-strides", "3",
+            "--gru-hidden", "12", "--embed-dim", "16"]
+    assert values.keys() <= vars(build_parser().parse_args(argv)).keys()
+    assert main(argv) == 0
+    config = json.loads((run / "config.json").read_text())
+    manifest = json.loads((run / "manifest.json").read_text())["config"]
+    for key, value in values.items():
+        if key in encoder_keys:
+            assert config["encoder"][key] == manifest["encoder"][key] == value, key
+        else:
+            assert config["train"][key] == manifest[key] == value, key
+
+
+def test_eval_classify_flags_set_every_probe_config_field(run_dir, cache_path, corpus, tmp_path, capsys):
+    values = {"epochs": 3, "learning_rate": 0.2, "batch_size": 4, "seed": 2}
+    assert values.keys() == {f.name for f in fields(ProbeConfig)}
+    defaults = _json_defaults(ProbeConfig())
+    assert all(v != defaults[k] for k, v in values.items())
+    out = tmp_path / "probe"
+    argv = ["eval-classify", "--ckpt", str(run_dir / "ckpt-30.bin"), "--cache", str(cache_path),
+            "--labels", str(corpus / "labels.jsonl"), "--protocol", "probe", "--run-dir", str(out),
+            "--epochs", "3", "--lr", "0.2", "--batch-size", "4", "--seed", "2"]
+    assert values.keys() <= vars(build_parser().parse_args(argv)).keys()
+    assert main(argv) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"] == values
 
 
 def test_train_mode_it_without_text_anchors_exit_2(cache_path, corpus, tmp_path, capsys):
@@ -687,20 +774,23 @@ def test_bytes_that_are_not_utf8_exit_2_naming_the_line(case, run_dir, cache_pat
 
 _FLOATS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e300", "1e400"])
 _INTS = st.sampled_from(["nan", "inf", "-1", "0", "1.5", str(10**30), str(10**400)])
-_EPOCHS = st.sampled_from(["nan", "inf", "-1", "0", "1.5"])  # a huge epoch count would just run long
+_COUNTS = st.sampled_from(["nan", "inf", "-1", "0", "1.5"])  # a huge count would just run long
 # each numeric flag of a command: a value that works on the tiny corpus, and hostile ones
 _FUZZ_FLAGS = {
     "ingest": {"--window-s": ("0.32", _FLOATS), "--stride-s": ("0.32", _FLOATS),
                "--rate-hz": ("200", _FLOATS)},
-    "train": {"--epochs": ("1", _EPOCHS), "--seed": ("0", _INTS), "--batch-size": ("4", _INTS),
+    "train": {"--epochs": ("1", _COUNTS), "--seed": ("0", _INTS), "--batch-size": ("4", _INTS),
               "--lr": ("0.01", _FLOATS), "--adagrad-eps": ("1e-8", _FLOATS),
               "--decay": ("0.1", _FLOATS), "--temperature": ("0.1", _FLOATS),
               "--coverage": ("1", _FLOATS), "--conv-channels": ("8", _INTS),
               "--conv-kernels": ("7", _INTS), "--conv-strides": ("2", _INTS),
               "--gru-hidden": ("12", _INTS), "--embed-dim": ("16", _INTS)},
-    "eval-classify": {"--epochs": ("2", _EPOCHS), "--lr": ("0.1", _FLOATS), "--seed": ("0", _INTS),
+    "eval-classify": {"--epochs": ("2", _COUNTS), "--lr": ("0.1", _FLOATS), "--seed": ("0", _INTS),
                       "--batch-size": ("0", _INTS)},
     "retrieve": {"--top-k": ("3", _INTS)},
+    "synth": {"--seed": ("5", _INTS), "--n": ("4", _COUNTS), "--classes": ("2", _COUNTS),
+              "--dim": ("8", _INTS), "--noise": ("0.05", _FLOATS), "--window-s": ("0.16", _FLOATS),
+              "--rate-hz": ("200", _FLOATS)},
 }
 
 
@@ -735,6 +825,7 @@ def test_numeric_flags_exit_0_2_or_3_without_traceback(argv, run_dir, cache_path
                           "--labels", str(corpus / "labels.jsonl"),
                           "--class-anchors", str(corpus / "class_anchors.jsonl")],
         "retrieve": ["--pool", video, "--query-anchor", video],
+        "synth": ["--out-dir", str(tmp_path / "s")],
     }[command]
     try:
         code = main(argv)  # any exception but argparse's SystemExit fails the test

@@ -26,7 +26,7 @@ from imualign.errors import DataError, ShapeMismatchError
 from imualign.signalio import ImuWindow, synth_dataset
 
 TINY = EncoderConfig(
-    n_conv_layers=1, conv_channels=(4,), conv_kernels=(5,), conv_strides=(1,),
+    conv_channels=(4,), conv_kernels=(5,), conv_strides=(1,),
     gru_hidden=8, embed_dim=8,
 )
 
@@ -91,7 +91,9 @@ def test_init_bounds_follow_fan_in():
 
 def test_config_list_length_mismatch():
     with pytest.raises(DataError, match="conv_kernels"):
-        EncoderConfig(n_conv_layers=2, conv_channels=(8, 8), conv_kernels=(5,), conv_strides=(1, 1))
+        EncoderConfig(conv_channels=(8, 8), conv_kernels=(5,), conv_strides=(1, 1))
+    with pytest.raises(DataError, match="at least one layer"):
+        EncoderConfig(conv_channels=(), conv_kernels=(), conv_strides=())
 
 
 def test_config_round_trips_via_dict():
@@ -126,7 +128,7 @@ def test_encode_too_short_names_layer():
     p = init_params(TINY, 1)
     with pytest.raises(ShapeMismatchError, match="conv layer 0"):
         encode(_window(t=4), p, TINY)
-    cfg = EncoderConfig(n_conv_layers=1, conv_channels=(4,), conv_kernels=(5,),
+    cfg = EncoderConfig(conv_channels=(4,), conv_kernels=(5,),
                         conv_strides=(3,), gru_hidden=8, embed_dim=8)
     with pytest.raises(ShapeMismatchError, match="pooling kernel"):
         encode(_window(t=14), init_params(cfg, 1), cfg)  # conv leaves 4 < pool kernel 5
@@ -165,7 +167,7 @@ def test_pipeline_time_lengths_closed_form():
         strides = tuple(int(s) for s in rng.integers(1, 4, size=n))
         channels = tuple(int(c) for c in rng.integers(2, 6, size=n))
         pool_k = int(rng.integers(2, 5))
-        cfg = EncoderConfig(n_conv_layers=n, conv_channels=channels, conv_kernels=kernels,
+        cfg = EncoderConfig(conv_channels=channels, conv_kernels=kernels,
                             conv_strides=strides, pool_kernel=pool_k, pool_stride=pool_k,
                             gru_hidden=4, embed_dim=4)
         t = int(rng.integers(40, 200))

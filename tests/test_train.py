@@ -31,7 +31,7 @@ from imualign.train import (
 )
 
 SMALL_ENC = EncoderConfig(
-    n_conv_layers=1, conv_channels=(8,), conv_kernels=(7,), conv_strides=(2,),
+    conv_channels=(8,), conv_kernels=(7,), conv_strides=(2,),
     gru_hidden=12, embed_dim=16,
 )
 
@@ -248,7 +248,7 @@ def test_initial_loss_near_log_b():
     # random params, random data: retrieval distribution near uniform
     ds = _dataset(n=16, classes=4, dim=64, t=64, noise=0.5, seed=11)
     cfg = TrainConfig(batch_size=16, epochs=1, seed=0, mode="iv")
-    enc = EncoderConfig(n_conv_layers=1, conv_channels=(8,), conv_kernels=(7,),
+    enc = EncoderConfig(conv_channels=(8,), conv_kernels=(7,),
                         conv_strides=(2,), gru_hidden=12, embed_dim=64)
     report = train_epoch(ds, init_params(enc, 13), AdagradState(), cfg, enc, 0)
     log_b = math.log(16)
@@ -332,6 +332,8 @@ def _save_small_checkpoint(path):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda h, a: h["encoder_config"].update(unknown_knob=1), "encoder_config has fields"),
+    (lambda h, a: h["encoder_config"].update(n_conv_layers=1), "encoder_config has fields"),
+    (lambda h, a: h["encoder_config"].update(groupnorm_eps=1e-8), "encoder_config has fields"),
     (lambda h, a: h["train_config"].update(unknown_knob=1), "train_config has fields"),
     (lambda h, a: h.pop("param_names"), "'param_names' is missing"),
     (lambda h, a: h.pop("step"), "'step' is missing"),
@@ -345,9 +347,10 @@ def _save_small_checkpoint(path):
     (lambda h, a: h["train_config"].pop("seed"), "train_config has fields"),
     (lambda h, a: h["train_config"].update(learning_rate=math.nan), "finite and > 0"),
     (lambda h, a: h["opt"].update(names=["conv9.w"]), "names parameters the encoder does not have"),
-], ids=["encoder_config-key", "train_config-key", "no-param_names", "no-step", "huge-channels",
-        "extra-array", "accumulator-shape", "float-step", "bool-step", "bool-opt-step",
-        "float-channels", "missing-config-field", "nan-learning-rate", "unknown-accumulator"])
+], ids=["encoder_config-key", "old-n_conv_layers", "old-groupnorm_eps", "train_config-key",
+        "no-param_names", "no-step", "huge-channels", "extra-array", "accumulator-shape",
+        "float-step", "bool-step", "bool-opt-step", "float-channels", "missing-config-field",
+        "nan-learning-rate", "unknown-accumulator"])
 def test_checkpoint_malformed_header_is_format_error(tmp_path, edit, message):
     p = tmp_path / "ck.bin"
     _save_small_checkpoint(p)
