@@ -31,7 +31,7 @@ for epoch in range(train_config.epochs):
     report = train_epoch(dataset, params, state, train_config, encoder_config, epoch)
     if epoch % 10 == 0 or epoch == train_config.epochs - 1:
         lr = lr_at(epoch, train_config.learning_rate, train_config.decay)
-        print(f"{epoch:5d} {lr:8.5f} {report.l_i2v:8.4f} {report.l_v2i:8.4f} {report.l_total:8.4f}")
+        print(f"{epoch:5d} {lr:8.5f} {report['l_i2v']:8.4f} {report['l_v2i']:8.4f} {report['l_total']:8.4f}")
 
 # how well does the trained encoder retrieve its own video anchors?
 embeddings = dict(zip(

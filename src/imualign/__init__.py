@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .autodiff import Tape, Tensor, backward, finite_difference_check
 from .contrastive import (
-    LossReport,
     alignment_loss,
     info_nce,
     retrieval_distribution,

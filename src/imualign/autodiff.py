@@ -55,24 +55,16 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-class _Entry:
-    __slots__ = ("output", "inputs", "vjp")
-
-    def __init__(self, output: Tensor, inputs: tuple[Tensor, ...], vjp: Callable):
-        self.output = output
-        self.inputs = inputs
-        self.vjp = vjp
-
-
 class Tape:
     """Ordered record of primitive operations.
 
-    Entries are appended in execution order, which is a topological order by
-    construction: an op's inputs always exist before its output.
+    Entries are (output, inputs, vjp) tuples, appended in execution order,
+    which is a topological order by construction: an op's inputs always
+    exist before its output.
     """
 
     def __init__(self):
-        self._entries: list[_Entry] = []
+        self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -86,7 +78,7 @@ class Tape:
         inputs = tuple(inputs)
         if any(t.requires_grad for t in inputs):
             output.requires_grad = True
-            self._entries.append(_Entry(output, inputs, vjp))
+            self._entries.append((output, inputs, vjp))
 
 
 def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor]) -> list[Array]:
@@ -100,17 +92,16 @@ def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor]) -> list[Array]:
     if loss.data.size != 1:
         raise ShapeMismatchError(f"backward needs a scalar loss, got shape {loss.shape}")
     # the loss is almost always the last entry, so scan from the end
-    if not any(entry.output is loss for entry in reversed(tape._entries)):
+    if not any(output is loss for output, _, _ in reversed(tape._entries)):
         raise GraphError("loss is not the output of any operation recorded on this tape")
     kept = {id(t) for t in wrt}
     adjoint: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    for entry in reversed(tape._entries):
-        out = id(entry.output)
+    for output, inputs, vjp in reversed(tape._entries):
+        out = id(output)
         g = adjoint.get(out) if out in kept else adjoint.pop(out, None)
         if g is None:
             continue
-        contribs = entry.vjp(g)
-        for t, c in zip(entry.inputs, contribs):
+        for t, c in zip(inputs, vjp(g)):
             if c is None or not t.requires_grad:
                 continue
             key = id(t)

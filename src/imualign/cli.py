@@ -55,7 +55,7 @@ from .signalio import (
     write_imu_stream,
     write_labels,
 )
-from .train import MODES, Checkpoint, TrainConfig, fit, load_checkpoint, save_checkpoint, write_manifest
+from .train import MODES, TrainConfig, fit, load_checkpoint, save_checkpoint, write_manifest
 
 
 def _sha256(path) -> str:
@@ -151,18 +151,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _embeddings_from(ckpt_path, cache_path) -> tuple[dict[str, np.ndarray], Checkpoint]:
+def _embeddings_from(ckpt_path, cache_path) -> dict[str, np.ndarray]:
     ckpt = load_checkpoint(ckpt_path)
     cache = load_window_cache(cache_path)
     if not cache.windows:
         raise DataError(f"{cache_path}: cache holds no windows")
     matrix = encode_batch(cache.windows, ckpt.params, ckpt.encoder_config)
     ids = [w.window_id for w in cache.windows]
-    return dict(zip(ids, matrix)), ckpt
+    return dict(zip(ids, matrix))
 
 
 def cmd_eval_retrieval(args) -> int:
-    embeddings, _ = _embeddings_from(args.ckpt, args.cache)
+    embeddings = _embeddings_from(args.ckpt, args.cache)
     anchors = load_anchor_embeddings(args.anchors, "text" if "text" in args.direction else "video")
     vectors = {k: v.vector for k, v in anchors.items() if k in embeddings}
     if not vectors:
@@ -241,7 +241,7 @@ def cmd_retrieve(args) -> int:
     if is_cache:
         if not args.ckpt:
             raise DataError("--ckpt is required when the pool is a window cache")
-        vectors, _ = _embeddings_from(args.ckpt, pool_path)
+        vectors = _embeddings_from(args.ckpt, pool_path)
     else:
         vectors = {k: v.vector for k, v in load_anchor_embeddings(pool_path).items()}
     pool = Pool(vectors)

@@ -21,28 +21,10 @@ symmetric loss per modality:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tape, Tensor, add, divide, matmul_nt, transpose
 from .errors import DataError, ShapeMismatchError
-
-
-@dataclass
-class LossReport:
-    """Per-batch loss values; a mode fills the fields of its modalities."""
-
-    l_i2v: float | None = None
-    l_v2i: float | None = None
-    l_sym_iv: float | None = None
-    l_i2t: float | None = None
-    l_t2i: float | None = None
-    l_sym_it: float | None = None
-    l_total: float | None = None
-
-    def present(self) -> dict[str, float]:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
 def _as_tensor(x) -> Tensor:
@@ -142,9 +124,11 @@ def symmetric_loss(tape: Tape, sims, temperature: float) -> tuple[Tensor, Tensor
     return l_fwd, l_bwd, l_sym
 
 
-def alignment_loss(tape: Tape, sims: dict, temperature: float) -> tuple[LossReport, Tensor]:
+def alignment_loss(tape: Tape, sims: dict, temperature: float) -> tuple[dict[str, float], Tensor]:
     """Sum of one symmetric loss per modality, in the order of `sims`
-    (e.g. {"video": S_iv, "text": S_it}); reports every component.
+    (e.g. {"video": S_iv, "text": S_it}). Reports every component, keyed
+    l_i2{m}, l_{m}2i and l_sym_i{m} for each modality m in that order
+    (m = v or t), then l_total.
     """
     if not sims or not set(sims) <= {"video", "text"}:
         raise DataError(f"alignment_loss: modalities must be video and/or text, got {list(sims)}")
@@ -152,13 +136,11 @@ def alignment_loss(tape: Tape, sims: dict, temperature: float) -> tuple[LossRepo
     shapes = sorted({t.shape for t in tensors.values()})
     if len(shapes) > 1:
         raise ShapeMismatchError(f"alignment_loss: batch sizes differ: {shapes}")
-    report, total = LossReport(), None
+    report, total = {}, None
     for modality, values in tensors.items():
         m = modality[0]
         fwd, bwd, sym = symmetric_loss(tape, values, temperature)
-        setattr(report, f"l_i2{m}", fwd.item())
-        setattr(report, f"l_{m}2i", bwd.item())
-        setattr(report, f"l_sym_i{m}", sym.item())
+        report |= {f"l_i2{m}": fwd.item(), f"l_{m}2i": bwd.item(), f"l_sym_i{m}": sym.item()}
         total = sym if total is None else add(tape, total, sym)
-    report.l_total = total.item()
+    report["l_total"] = total.item()
     return report, total

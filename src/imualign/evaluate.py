@@ -236,9 +236,6 @@ class ClassifierHead:
         idx = np.argmax(self.logits(np.atleast_2d(embeddings)), axis=1)
         return [self.class_names[i] for i in idx]
 
-    def copy(self) -> "ClassifierHead":
-        return ClassifierHead(self.weight.copy(), self.bias.copy(), list(self.class_names))
-
 
 @dataclass
 class ProbeConfig:

@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .container import checked_arrays, header_config, header_field, read_container, write_container
-from .contrastive import LossReport, alignment_loss, similarity_matrix
+from .contrastive import alignment_loss, similarity_matrix
 from .encoder import EncoderConfig, EncoderParams, encode_batch_on_tape, init_params, param_shapes
 from .errors import DataError, FormatError, NumericError
 from .signalio import ParallelDataset
@@ -121,7 +122,7 @@ def _batch_loss(
     params: EncoderParams,
     encoder_config: EncoderConfig,
     config: TrainConfig,
-) -> tuple[LossReport, Tensor]:
+) -> tuple[dict[str, float], Tensor]:
     ids = [dataset.windows[i].window_id for i in batch]
     signals = [dataset.windows[i].signal for i in batch]
     with np.errstate(over="ignore", invalid="ignore"):  # `gradients` refuses a non-finite loss
@@ -138,8 +139,10 @@ def train_epoch(
     config: TrainConfig,
     encoder_config: EncoderConfig,
     epoch: int,
-) -> LossReport:
-    """One pass over the shuffled dataset; returns mean per-batch losses."""
+) -> dict[str, float]:
+    """One pass over the shuffled dataset; returns the mean of each per-batch
+    loss, keyed as `alignment_loss` reports them.
+    """
     for modality in MODES[config.mode]:
         dataset.anchors(modality)
     lr = lr_at(epoch, config.learning_rate, config.decay)
@@ -150,11 +153,10 @@ def train_epoch(
         tape = Tape()
         report, loss = _batch_loss(tape, dataset, batch, params, encoder_config, config)
         adagrad_step(named, gradients(tape, loss, named), opt_state, lr, config.adagrad_eps)
-        for k, v in report.present().items():
+        for k, v in report.items():
             sums[k] = sums.get(k, 0.0) + v
     params.assert_finite()
-    means = {k: v / len(batches) for k, v in sums.items()}
-    return LossReport(**means)
+    return {k: v / len(batches) for k, v in sums.items()}
 
 
 def fit(
@@ -186,9 +188,9 @@ def fit(
     history = []
     try:
         for epoch in range(config.epochs):
-            report = train_epoch(dataset, params, opt_state, config, encoder_config, epoch)
-            record: dict = {"epoch": epoch, "lr": lr_at(epoch, config.learning_rate, config.decay)}
-            record.update({k: v for k, v in report.present().items() if not k.startswith("l_sym_")})
+            losses = train_epoch(dataset, params, opt_state, config, encoder_config, epoch)
+            record = {"epoch": epoch, "lr": lr_at(epoch, config.learning_rate, config.decay),
+                      **{k: v for k, v in losses.items() if not k.startswith("l_sym_")}}
             history.append(record)
             if metrics_fh is not None:
                 metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -208,15 +210,9 @@ def fit(
 
 def write_manifest(run_dir, manifest: dict) -> None:
     manifest = dict(manifest)
-    manifest.setdefault("tool_version", _tool_version())
+    manifest.setdefault("tool_version", __version__)
     manifest.setdefault("finished_at", time.strftime("%Y-%m-%dT%H:%M:%S%z"))
     (Path(run_dir) / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 # ---------------------------------------------------------------------------

@@ -178,8 +178,8 @@ def test_criterion_02_loss_oracles():
         rng = np.random.default_rng(0)
         report, total = alignment_loss(Tape(), {"video": rng.uniform(-1, 1, (4, 4)),
                                                 "text": rng.uniform(-1, 1, (4, 4))}, 0.1)
-        assert abs(report.l_total - (report.l_sym_iv + report.l_sym_it)) < 1e-12
-        assert abs(total.item() - report.l_total) < 1e-12
+        assert abs(report["l_total"] - (report["l_sym_iv"] + report["l_sym_it"])) < 1e-12
+        assert abs(total.item() - report["l_total"]) < 1e-12
 
 
 def test_criterion_03_distribution_sanity():

@@ -263,7 +263,7 @@ def test_symmetric_loss_transpose_swaps_directions():
 def test_trimodal_identity_total():
     report, total = alignment_loss(Tape(), {"video": np.eye(2), "text": np.eye(2)}, 1.0)
     assert abs(total.item() - 0.62652) < 1e-4
-    assert abs(report.l_total - (report.l_sym_iv + report.l_sym_it)) < 1e-12
+    assert abs(report["l_total"] - (report["l_sym_iv"] + report["l_sym_it"])) < 1e-12
 
 
 def test_trimodal_mixed_case():
@@ -275,9 +275,9 @@ def test_trimodal_report_fields_and_bound():
     rng = np.random.default_rng(8)
     report, total = alignment_loss(Tape(), {"video": rng.uniform(-1, 1, (3, 3)),
                                             "text": rng.uniform(-1, 1, (3, 3))}, 0.1)
-    assert report.l_sym_iv == (report.l_i2v + report.l_v2i) / 2
-    assert report.l_sym_it == (report.l_i2t + report.l_t2i) / 2
-    assert report.l_total >= max(report.l_sym_iv, report.l_sym_it)
+    assert report["l_sym_iv"] == (report["l_i2v"] + report["l_v2i"]) / 2
+    assert report["l_sym_it"] == (report["l_i2t"] + report["l_t2i"]) / 2
+    assert report["l_total"] >= max(report["l_sym_iv"], report["l_sym_it"])
 
 
 def test_trimodal_batch_mismatch():
@@ -289,8 +289,12 @@ def test_alignment_loss_of_one_modality_fills_only_its_fields():
     m = np.random.default_rng(10).uniform(-1, 1, (3, 3))
     report, total = alignment_loss(Tape(), {"text": m}, 0.1)
     _, _, sym = symmetric_loss(Tape(), m, 0.1)
-    assert set(report.present()) == {"l_i2t", "l_t2i", "l_sym_it", "l_total"}
-    assert report.l_total == report.l_sym_it == total.item() == sym.item()
+    assert set(report) == {"l_i2t", "l_t2i", "l_sym_it", "l_total"}
+    assert report["l_total"] == report["l_sym_it"] == total.item() == sym.item()
+    report, _ = alignment_loss(Tape(), {"video": m}, 0.1)
+    assert set(report) == {"l_i2v", "l_v2i", "l_sym_iv", "l_total"}
+    report, _ = alignment_loss(Tape(), {"video": m, "text": m}, 0.1)
+    assert list(report) == ["l_i2v", "l_v2i", "l_sym_iv", "l_i2t", "l_t2i", "l_sym_it", "l_total"]
     for sims in ({}, {"audio": m}):
         with pytest.raises(DataError, match="video and/or text"):
             alignment_loss(Tape(), sims, 0.1)

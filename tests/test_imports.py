@@ -1,4 +1,5 @@
-"""Module boundaries: no imualign module reaches into another's private names."""
+"""Module boundaries: no imualign module reaches into another's private names
+or imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,33 @@ def test_the_guard_sees_private_imports(tmp_path):
                    "from imualign.cli import _emit\n"
                    "s._jsonl_records(s.CACHE_MAGIC)\n")
     assert _private_imports(src) == ["m.py:2: _unit_vector", "m.py:3: _emit", "m.py:4: s._jsonl_records"]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that `path` binds by an import statement and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                imported.setdefault((alias.asname or alias.name).split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+             for hit in _unused_imports(path)]
+    assert found == []
+
+
+def test_the_guard_sees_unused_imports(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from __future__ import annotations\n"
+                   "import os\n"
+                   "import os.path as osp, json\n"
+                   "import numpy as np\n"
+                   "from .train import MODES, Checkpoint\n"
+                   "def f(x: np.ndarray) -> dict:\n"
+                   "    return {m: json.dumps(x) for m in MODES}\n")
+    assert _unused_imports(src) == ["m.py:2: os", "m.py:3: osp", "m.py:5: Checkpoint"]

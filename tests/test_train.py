@@ -199,7 +199,7 @@ def test_epoch_loss_decreases_on_clean_fixture():
     cfg = TrainConfig(epochs=5, seed=0, mode="iv")
     params = init_params(SMALL_ENC, 0)
     state = AdagradState()
-    losses = [train_epoch(ds, params, state, cfg, SMALL_ENC, e).l_total for e in range(5)]
+    losses = [train_epoch(ds, params, state, cfg, SMALL_ENC, e)["l_total"] for e in range(5)]
     assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
 
@@ -252,19 +252,25 @@ def test_initial_loss_near_log_b():
                         conv_strides=(2,), gru_hidden=12, embed_dim=64)
     report = train_epoch(ds, init_params(enc, 13), AdagradState(), cfg, enc, 0)
     log_b = math.log(16)
-    assert 0.5 * log_b <= report.l_total <= 1.5 * log_b
+    assert 0.5 * log_b <= report["l_total"] <= 1.5 * log_b
 
 
-def test_mode_reports_expected_fields():
+@pytest.mark.parametrize("mode, directions, syms", [
+    ("iv", ["l_i2v", "l_v2i"], ["l_sym_iv"]),
+    ("it", ["l_i2t", "l_t2i"], ["l_sym_it"]),
+    ("ivt", ["l_i2v", "l_v2i", "l_i2t", "l_t2i"], ["l_sym_iv", "l_sym_it"]),
+], ids=["iv", "it", "ivt"])
+def test_mode_reports_expected_fields(tmp_path, mode, directions, syms):
     ds = _dataset(n=8)
-    params = init_params(SMALL_ENC, 0)
-    rep_iv = train_epoch(ds, params, AdagradState(), TrainConfig(batch_size=4, mode="iv"), SMALL_ENC, 0)
-    assert rep_iv.l_i2v is not None and rep_iv.l_i2t is None
-    rep_it = train_epoch(ds, params, AdagradState(), TrainConfig(batch_size=4, mode="it"), SMALL_ENC, 0)
-    assert rep_it.l_i2t is not None and rep_it.l_i2v is None
-    rep_ivt = train_epoch(ds, params, AdagradState(), TrainConfig(batch_size=4, mode="ivt"), SMALL_ENC, 0)
-    assert rep_ivt.l_i2v is not None and rep_ivt.l_i2t is not None
-    assert abs(rep_ivt.l_total - (rep_ivt.l_sym_iv + rep_ivt.l_sym_it)) < 1e-12
+    cfg = TrainConfig(batch_size=4, epochs=2, mode=mode)
+    report = train_epoch(ds, init_params(SMALL_ENC, 0), AdagradState(), cfg, SMALL_ENC, 0)
+    assert set(report) == {*directions, *syms, "l_total"}
+    assert abs(report["l_total"] - sum(report[k] for k in syms)) < 1e-12
+    # history and metrics.jsonl leave out the symmetric losses
+    _, _, history = fit(ds, SMALL_ENC, cfg, run_dir=tmp_path)
+    lines = [json.loads(l) for l in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    assert history == lines and [l["epoch"] for l in lines] == [0, 1]
+    assert all(set(line) == {"epoch", "lr", *directions, "l_total"} for line in lines)
 
 
 # ---------------------------------------------------------------------------
