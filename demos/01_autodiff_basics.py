@@ -3,7 +3,8 @@
 Every layer the IMU encoder needs (1-D conv, GroupNorm, max pooling, GRU,
 linear, L2 normalization) is a float64 numpy kernel that records a backward
 rule on a Tape. The encoder layers take a leading batch axis: (B, C, T)
-signals, (B, T, F) sequences and (B, F) rows. backward() replays the tape in reverse and returns
+signals and (B, F) rows; the GRU reads a (B, F, T) feature map and returns
+its final (B, H) states. backward() replays the tape in reverse and returns
 the gradients of the tensors it is asked for; finite_difference_check()
 compares them against central differences.
 """
@@ -45,7 +46,7 @@ print("\nsum(tanh(x)) gradient check, max relative error:", err)
 # the GRU has the largest hand-written backward rule; check it too
 rng = np.random.default_rng(1)
 h = 4
-seq = rng.standard_normal((2, 5, 3))  # two sequences of 5 steps, 3 features
+seq = rng.standard_normal((2, 3, 5))  # two feature maps: 3 features over 5 steps
 weights = {
     "w_ih": Tensor(0.5 * rng.standard_normal((3 * h, 3))),
     "w_hh": Tensor(0.5 * rng.standard_normal((3 * h, h))),
@@ -54,8 +55,7 @@ weights = {
 }
 err = finite_difference_check(
     lambda t, p: ad.sum_all(t, ad.gru_forward(
-        t, Tensor(seq), p, weights["w_hh"], weights["b_ih"], weights["b_hh"],
-        Tensor(np.zeros((2, h))))),
+        t, Tensor(seq), p, weights["w_hh"], weights["b_ih"], weights["b_hh"])),
     weights["w_ih"],
 )
 print("GRU input-weight gradient check, max relative error:", err)

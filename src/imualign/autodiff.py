@@ -8,9 +8,9 @@ takes exact shapes and raises ShapeMismatchError otherwise.
 
 Shape contract: the encoder layers take a leading batch axis B, one entry
 per window. `group_norm`, `conv1d`, `relu` and `max_pool1d` work on (B, C, T)
-signals, `gru_forward` on (B, T, F) sequences with (B, H) initial states, and
-`linear` and `l2_normalize` on (B, F) rows; `swap_last_axes` and `last_step`
-connect them. A window's result has the same bits in a batch of any size.
+signals; `gru_forward` reads such a (B, F, T) feature map as a sequence and
+returns its final (B, H) state; `linear` and `l2_normalize` work on (B, F)
+rows. A window's result has the same bits in a batch of any size.
 The convolutions get this from one fixed-shape product per window. The GRU
 and `linear` multiply all their rows by a weight in one GEMM
 (`_row_stable_matmul`), whose row i does not depend on the other rows as
@@ -164,36 +164,12 @@ def relu(tape: Tape, x: Tensor) -> Tensor:
 # shape plumbing
 
 
-def swap_last_axes(tape: Tape, x: Tensor) -> Tensor:
-    """(B, C, T) -> (B, T, C): channel-first features to time-major sequences."""
-    if x.data.ndim != 3:
-        raise ShapeMismatchError(f"swap_last_axes: expected (B,C,T) input, got {x.shape}")
-    out = Tensor(np.ascontiguousarray(x.data.transpose(0, 2, 1)))
-    tape.record(out, (x,), lambda g: (g.transpose(0, 2, 1),))
-    return out
-
-
 def transpose(tape: Tape, x: Tensor) -> Tensor:
     """(M, N) -> (N, M), as a view of x's data."""
     if x.data.ndim != 2:
         raise ShapeMismatchError(f"transpose: expected a 2-D input, got {x.shape}")
     out = Tensor(x.data.T)
     tape.record(out, (x,), lambda g: (g.T,))
-    return out
-
-
-def last_step(tape: Tape, x: Tensor) -> Tensor:
-    """(B, T, H) -> (B, H): the final time step of every sequence."""
-    if x.data.ndim != 3:
-        raise ShapeMismatchError(f"last_step: expected (B,T,H) input, got {x.shape}")
-    out = Tensor(x.data[:, -1].copy())
-
-    def vjp(g):
-        dx = np.zeros_like(x.data)
-        dx[:, -1] = g
-        return (dx,)
-
-    tape.record(out, (x,), vjp)
     return out
 
 
@@ -390,49 +366,38 @@ def max_pool1d(tape: Tape, x: Tensor, kernel: int, stride: int) -> Tensor:
     return out
 
 
-def gru_forward(
-    tape: Tape,
-    x: Tensor,
-    w_ih: Tensor,
-    w_hh: Tensor,
-    b_ih: Tensor,
-    b_hh: Tensor,
-    h0: Tensor,
-) -> Tensor:
-    """Unidirectional GRU over a batch of (time, features) sequences
-    x: (B, T, F) from initial states h0: (B, H); returns every hidden state
-    as (B, T, H). All B states advance together, one time step at a time.
+def gru_forward(tape: Tape, x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Tensor) -> Tensor:
+    """Unidirectional GRU over the time axis of a feature map x: (B, F, T),
+    started from zero states; returns the final hidden states, (B, H). All
+    B states advance together, one time step at a time.
 
     Gate layout stacks reset, update, candidate rows: w_ih is (3H, F), w_hh
     is (3H, H). The reset gate multiplies the hidden-side affine term of the
     candidate, and the state update is h' = (1 - z) * n + z * h.
     """
-    if x.data.ndim != 3:
-        raise ShapeMismatchError(f"gru_forward: expected (B,T,F) sequences, got {x.shape}")
-    batch, time, feat = x.shape
-    if h0.data.ndim != 2 or h0.shape[0] != batch:
-        raise ShapeMismatchError(f"gru_forward: h0 must be ({batch}, H), got {h0.shape}")
-    hidden = h0.shape[1]
-    if w_ih.shape != (3 * hidden, feat):
+    if x.data.ndim != 3 or w_hh.data.ndim != 2:
+        raise ShapeMismatchError(f"gru_forward: expected x (B,F,T) and w_hh (3H,H), got {x.shape}, {w_hh.shape}")
+    batch, feat, time = x.shape
+    H = w_hh.shape[1]
+    if w_hh.shape != (3 * H, H):
+        raise ShapeMismatchError(f"gru_forward: w_hh {w_hh.shape} must be (3*{H}, {H})")
+    if w_ih.shape != (3 * H, feat):
         raise ShapeMismatchError(
-            f"gru_forward: w_ih {w_ih.shape} does not match features {feat} / hidden {hidden}"
+            f"gru_forward: w_ih {w_ih.shape} does not match features {feat} / hidden {H}"
         )
-    if w_hh.shape != (3 * hidden, hidden):
-        raise ShapeMismatchError(f"gru_forward: w_hh {w_hh.shape} must be (3*{hidden}, {hidden})")
-    if b_ih.shape != (3 * hidden,) or b_hh.shape != (3 * hidden,):
-        raise ShapeMismatchError(
-            f"gru_forward: biases {b_ih.shape}/{b_hh.shape} must be (3*{hidden},)"
-        )
+    if b_ih.shape != (3 * H,) or b_hh.shape != (3 * H,):
+        raise ShapeMismatchError(f"gru_forward: biases {b_ih.shape}/{b_hh.shape} must be (3*{H},)")
 
-    H = hidden
+    seq = np.ascontiguousarray(x.data.transpose(0, 2, 1))  # time-major: (B, T, F)
     # the input side for every step at once: one GEMM over all B*T rows
-    gi_all = _row_stable_matmul(x.data.reshape(-1, feat), w_ih.data.T) + b_ih.data
+    gi_all = _row_stable_matmul(seq.reshape(-1, feat), w_ih.data.T) + b_ih.data
     gi_all = gi_all.reshape(batch, time, 3 * H)
     w_hh_t = np.ascontiguousarray(w_hh.data.T)  # copied once, not at every step
-    hs = np.empty((batch, time, H))
+    h_prev = np.empty((batch, time, H))  # the state each step starts from
     cache = []
-    h = h0.data
+    h = np.zeros((batch, H))
     for t in range(time):
+        h_prev[:, t] = h
         gh = _row_stable_matmul(h, w_hh_t) + b_hh.data
         gi = gi_all[:, t]
         rz = _sigmoid(gi[:, : 2 * H] + gh[:, : 2 * H])
@@ -441,19 +406,16 @@ def gru_forward(
         n = np.tanh(gi[:, 2 * H :] + r * hn)
         h = (1.0 - z) * n + z * h
         cache.append((r, z, n, hn))
-        hs[:, t] = h
-    out = Tensor(hs)
+    out = Tensor(h)
 
     def vjp(g):
         # pre-activation adjoints per step: input side (r, z, n) and hidden
         # side (r, z, hn); the weight products then run once over all steps
         da = np.empty((batch, time, 3 * H))
         dgh = np.empty((batch, time, 3 * H))
-        h_prev = np.concatenate([h0.data[:, None], hs[:, :-1]], axis=1)
-        dh = np.zeros((batch, H))
+        dh = g
         for t in range(time - 1, -1, -1):
             r, z, n, hn = cache[t]
-            dh = dh + g[:, t]
             da_n = dh * (1.0 - z) * (1.0 - n * n)
             da[:, t, :H] = da_n * hn * r * (1.0 - r)
             da[:, t, H : 2 * H] = dh * (h_prev[:, t] - n) * z * (1.0 - z)
@@ -463,12 +425,12 @@ def gru_forward(
             dh = dh * z + dgh[:, t] @ w_hh.data
         da = da.reshape(-1, 3 * H)
         dgh = dgh.reshape(-1, 3 * H)
-        dx = (da @ w_ih.data).reshape(x.shape)
-        dw_ih = da.T @ x.data.reshape(-1, feat)
+        dx = (da @ w_ih.data).reshape(batch, time, feat).transpose(0, 2, 1)
+        dw_ih = da.T @ seq.reshape(-1, feat)
         dw_hh = dgh.T @ h_prev.reshape(-1, H)
-        return (dx, dw_ih, dw_hh, da.sum(axis=0), dgh.sum(axis=0), dh)
+        return (dx, dw_ih, dw_hh, da.sum(axis=0), dgh.sum(axis=0))
 
-    tape.record(out, (x, w_ih, w_hh, b_ih, b_hh, h0), vjp)
+    tape.record(out, (x, w_ih, w_hh, b_ih, b_hh), vjp)
     return out
 
 

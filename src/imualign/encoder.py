@@ -165,12 +165,8 @@ def encode_batch_on_tape(
         x = ad.relu(tape, x)
     x = ad.max_pool1d(tape, x, config.pool_kernel, config.pool_stride)
     x = ad.group_norm(tape, x, 1, params["post_gn.gamma"], params["post_gn.beta"], _GROUPNORM_EPS)
-    seq = ad.swap_last_axes(tape, x)
-    h0 = Tensor(np.zeros((len(signals), config.gru_hidden)))
-    hs = ad.gru_forward(
-        tape, seq, params["gru.w_ih"], params["gru.w_hh"], params["gru.b_ih"], params["gru.b_hh"], h0
-    )
-    emb = ad.linear(tape, ad.last_step(tape, hs), params["proj.w"], params["proj.b"])
+    x = ad.gru_forward(tape, x, params["gru.w_ih"], params["gru.w_hh"], params["gru.b_ih"], params["gru.b_hh"])
+    emb = ad.linear(tape, x, params["proj.w"], params["proj.b"])
     return ad.l2_normalize(tape, emb)
 
 

@@ -16,7 +16,7 @@ from .container import checked_arrays, header_field, read_container, write_conta
 from .contrastive import softmax_cross_entropy
 from .encoder import EncoderConfig, EncoderParams, encode_batch, encode_batch_on_tape
 from .errors import CoverageError, DataError, NumericError, ShapeMismatchError
-from .signalio import ParallelDataset
+from .signalio import ImuWindow, ParallelDataset
 from .train import AdagradState, adagrad_step, gradients, make_batches
 
 HEAD_MAGIC = b"IMUH"
@@ -260,21 +260,21 @@ def zeroshot_classify(
     return class_anchors[int(np.argmax(scores))][0]
 
 
-def _label_indices(dataset: ParallelDataset, ids: list[str]) -> np.ndarray:
+def _label_indices(dataset: ParallelDataset, windows: list[ImuWindow]) -> np.ndarray:
     index = {name: i for i, name in enumerate(dataset.class_names)}
-    return np.asarray([index[dataset.labels[wid]] for wid in ids], dtype=np.int64)
+    return np.asarray([index[dataset.labels[w.window_id]] for w in windows], dtype=np.int64)
 
 
-def _labeled_ids(dataset: ParallelDataset) -> list[str]:
+def _labeled_windows(dataset: ParallelDataset) -> list[ImuWindow]:
     if not dataset.labels or not dataset.class_names:
         raise DataError("dataset has no labels")
-    ids = [w.window_id for w in dataset.windows if w.window_id in dataset.labels]
-    if not ids:
+    windows = [w for w in dataset.windows if w.window_id in dataset.labels]
+    if not windows:
         raise DataError("dataset has no labeled windows")
-    present = {dataset.labels[w] for w in ids}
+    present = {dataset.labels[w.window_id] for w in windows}
     if len(present) < 2:
         raise DataError(f"single-class dataset (only {present.pop()!r}); need >= 2 classes")
-    return ids
+    return windows
 
 
 def init_head(n_classes: int, dim: int, class_names: list[str], seed: int) -> ClassifierHead:
@@ -334,10 +334,9 @@ def train_probe(
     config: ProbeConfig,
 ) -> ClassifierHead:
     """Probing: the encoder stays frozen; only the linear head is trained."""
-    ids = _labeled_ids(dataset)
-    by_id = {w.window_id: w for w in dataset.windows}
-    emb = encode_batch([by_id[i] for i in ids], params, encoder_config)
-    return fit_linear_head(emb, _label_indices(dataset, ids), dataset.class_names, config)
+    windows = _labeled_windows(dataset)
+    emb = encode_batch(windows, params, encoder_config)
+    return fit_linear_head(emb, _label_indices(dataset, windows), dataset.class_names, config)
 
 
 def fine_tune(
@@ -350,18 +349,16 @@ def fine_tune(
     """Joint supervised training of encoder and head; the inputs are left
     untouched and updated copies are returned.
     """
-    ids = _labeled_ids(dataset)
-    by_id = {w.window_id: w for w in dataset.windows}
-    signals = [by_id[i].signal for i in ids]
+    windows = _labeled_windows(dataset)
     params = params.copy()
     if head is None:
         head = init_head(len(dataset.class_names), encoder_config.embed_dim,
                          dataset.class_names, config.seed)
 
     def features(tape, batch):
-        return encode_batch_on_tape(tape, [signals[i] for i in batch], params, encoder_config)
+        return encode_batch_on_tape(tape, [windows[i].signal for i in batch], params, encoder_config)
 
-    weight, bias = _fit_head(head, features, _label_indices(dataset, ids), config, params.named())
+    weight, bias = _fit_head(head, features, _label_indices(dataset, windows), config, params.named())
     params.assert_finite()
     return params, ClassifierHead(weight, bias, list(head.class_names))
 

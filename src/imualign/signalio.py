@@ -239,6 +239,8 @@ def make_windows(stream: ImuStream, window_s: float, stride_s: float) -> list[Im
     if not (0 < window_s < math.inf and 0 < stride_s < math.inf):
         raise DataError(f"make_windows: window_s/stride_s must be finite and > 0, got {window_s}/{stride_s}")
     hz = stream.sample_rate_hz
+    if not max(window_s, stride_s) * hz < math.inf:
+        raise DataError(f"make_windows: window_s/stride_s of {window_s}/{stride_s}s at {hz}Hz overflow a sample count")
     t_win = int(round(window_s * hz))
     t_stride = max(1, int(round(stride_s * hz)))
     if t_win < 1:

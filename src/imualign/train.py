@@ -20,7 +20,8 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .container import checked_arrays, header_config, header_field, read_container, write_container
 from .contrastive import alignment_loss, similarity_matrix
-from .encoder import EncoderConfig, EncoderParams, encode_batch_on_tape, init_params, param_shapes
+from .encoder import (EncoderConfig, EncoderParams, encode_batch_on_tape, init_params, param_shapes,
+                      pipeline_time_lengths)
 from .errors import DataError, FormatError, NumericError
 from .signalio import ParallelDataset
 
@@ -170,6 +171,15 @@ def fit(
     """Run the training loop, optionally writing a run directory with
     config.json, metrics.jsonl, a manifest, and a final checkpoint.
     """
+    # refuse what the first batch would refuse before anything is written
+    make_batches(len(dataset), config.batch_size, config.seed, 0)
+    for n_samples in {w.n_samples for w in dataset.windows}:
+        pipeline_time_lengths(encoder_config, n_samples)
+    for modality in MODES[config.mode]:
+        widths = {a.vector.shape for a in dataset.anchors(modality).values()}
+        if widths != {(encoder_config.embed_dim,)}:
+            raise DataError(f"{modality} anchors of shape {sorted(widths)} do not match embed_dim "
+                            f"{encoder_config.embed_dim}")
     if params is None:
         params = init_params(encoder_config, config.seed)
     opt_state = AdagradState()

@@ -79,12 +79,11 @@ def _kernel_cases(rng):
     gam = 0.5 + rng.uniform(size=4)
     bet = rng.standard_normal(4)
     xg = rng.standard_normal((2, 4, 6))
-    seq = rng.standard_normal((2, 4, 3))
+    seq = rng.standard_normal((2, 3, 4))  # (B, F, T): the adjoint crosses 4 steps of h
     w_ih = 0.5 * rng.standard_normal((12, 3))
     w_hh = 0.5 * rng.standard_normal((12, 4))
     b_ih = 0.5 * rng.standard_normal(12)
     b_hh = 0.5 * rng.standard_normal(12)
-    h0 = 0.5 * rng.standard_normal((2, 4))
     lw = rng.standard_normal((3, 5))
     lb = rng.standard_normal(3)
     lv = rng.standard_normal((2, 5))
@@ -93,7 +92,6 @@ def _kernel_cases(rng):
     mat34 = rng.standard_normal((3, 4))
     sims = rng.uniform(-0.8, 0.8, size=(4, 4))
     labels = rng.integers(0, 3, size=4)
-    swap_w = rng.standard_normal((2, 5, 3))
 
     def enc_tanh(op):
         return lambda t, p: ad.sum_all(t, ad.tanh(t, op(t, p)))
@@ -106,12 +104,11 @@ def _kernel_cases(rng):
         ("group_norm/gamma", enc_tanh(lambda t, p: ad.group_norm(t, Tensor(xg), 2, p, Tensor(bet), 1e-5)), Tensor(gam)),
         ("group_norm/beta", enc_tanh(lambda t, p: ad.group_norm(t, Tensor(xg), 2, Tensor(gam), p, 1e-5)), Tensor(bet)),
         ("max_pool1d/x", (lambda t, p: ad.sum_all(t, ad.max_pool1d(t, p, 3, 2))), Tensor(_spread(rng, (2, 2, 8)))),
-        ("gru/x", enc_tanh(lambda t, p: ad.gru_forward(t, p, Tensor(w_ih), Tensor(w_hh), Tensor(b_ih), Tensor(b_hh), Tensor(h0))), Tensor(seq)),
-        ("gru/w_ih", enc_tanh(lambda t, p: ad.gru_forward(t, Tensor(seq), p, Tensor(w_hh), Tensor(b_ih), Tensor(b_hh), Tensor(h0))), Tensor(w_ih)),
-        ("gru/w_hh", enc_tanh(lambda t, p: ad.gru_forward(t, Tensor(seq), Tensor(w_ih), p, Tensor(b_ih), Tensor(b_hh), Tensor(h0))), Tensor(w_hh)),
-        ("gru/b_ih", enc_tanh(lambda t, p: ad.gru_forward(t, Tensor(seq), Tensor(w_ih), Tensor(w_hh), p, Tensor(b_hh), Tensor(h0))), Tensor(b_ih)),
-        ("gru/b_hh", enc_tanh(lambda t, p: ad.gru_forward(t, Tensor(seq), Tensor(w_ih), Tensor(w_hh), Tensor(b_ih), p, Tensor(h0))), Tensor(b_hh)),
-        ("gru/h0", enc_tanh(lambda t, p: ad.gru_forward(t, Tensor(seq), Tensor(w_ih), Tensor(w_hh), Tensor(b_ih), Tensor(b_hh), p)), Tensor(h0)),
+        ("gru/x", enc_tanh(lambda t, p: ad.gru_forward(t, p, Tensor(w_ih), Tensor(w_hh), Tensor(b_ih), Tensor(b_hh))), Tensor(seq)),
+        ("gru/w_ih", enc_tanh(lambda t, p: ad.gru_forward(t, Tensor(seq), p, Tensor(w_hh), Tensor(b_ih), Tensor(b_hh))), Tensor(w_ih)),
+        ("gru/w_hh", enc_tanh(lambda t, p: ad.gru_forward(t, Tensor(seq), Tensor(w_ih), p, Tensor(b_ih), Tensor(b_hh))), Tensor(w_hh)),
+        ("gru/b_ih", enc_tanh(lambda t, p: ad.gru_forward(t, Tensor(seq), Tensor(w_ih), Tensor(w_hh), p, Tensor(b_hh))), Tensor(b_ih)),
+        ("gru/b_hh", enc_tanh(lambda t, p: ad.gru_forward(t, Tensor(seq), Tensor(w_ih), Tensor(w_hh), Tensor(b_ih), p)), Tensor(b_hh)),
         ("linear/x", enc_tanh(lambda t, p: ad.linear(t, p, Tensor(lw), Tensor(lb))), Tensor(lv)),
         ("linear/w", enc_tanh(lambda t, p: ad.linear(t, Tensor(lv), p, Tensor(lb))), Tensor(lw)),
         ("linear/b", enc_tanh(lambda t, p: ad.linear(t, Tensor(lv), Tensor(lw), p)), Tensor(lb)),
@@ -123,8 +120,6 @@ def _kernel_cases(rng):
         ("matmul_nt/a", enc_tanh(lambda t, p: ad.matmul_nt(t, p, Tensor(m))), Tensor(m2)),
         ("matmul_nt/b", enc_tanh(lambda t, p: ad.matmul_nt(t, Tensor(m2), p)), Tensor(m)),
         ("add_rowvec/v", enc_tanh(lambda t, p: ad.add_rowvec(t, Tensor(mat34), p)), Tensor(rng.standard_normal(4))),
-        ("last_step", enc_tanh(lambda t, p: ad.last_step(t, p)), Tensor(rng.standard_normal((2, 3, 4)))),
-        ("swap_last_axes", (lambda t, p: ad.sum_all(t, ad.mul(t, ad.swap_last_axes(t, ad.tanh(t, p)), Tensor(swap_w)))), Tensor(rng.standard_normal((2, 3, 5)))),
         ("info_nce/row", (lambda t, p: info_nce(t, p, 0.2)), Tensor(sims)),
         ("info_nce/col", (lambda t, p: info_nce(t, ad.transpose(t, p), 0.2)), Tensor(sims)),
         ("cross_entropy", (lambda t, p: softmax_cross_entropy(t, p, labels)), Tensor(rng.standard_normal((4, 3)))),

@@ -50,13 +50,13 @@ def naive_max_pool1d(x, kernel, stride):
     return out
 
 
-def naive_gru(x, w_ih, w_hh, b_ih, b_hh, h0):
+def naive_gru(x, w_ih, w_hh, b_ih, b_hh):
+    """Final state of a GRU run over the time steps of x: (T, F) from zero."""
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    h = h0.copy()
-    hidden = h0.shape[0]
-    outs = []
+    hidden = w_hh.shape[1]
+    h = np.zeros(hidden)
     for t in range(x.shape[0]):
         gi = w_ih @ x[t] + b_ih
         gh = w_hh @ h + b_hh
@@ -64,8 +64,7 @@ def naive_gru(x, w_ih, w_hh, b_ih, b_hh, h0):
         z = sig(gi[hidden : 2 * hidden] + gh[hidden : 2 * hidden])
         n = np.tanh(gi[2 * hidden :] + r * gh[2 * hidden :])
         h = (1 - z) * n + z * h
-        outs.append(h)
-    return np.stack(outs)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +240,9 @@ def test_max_pool_equals_the_argmax_formula_on_ties_nan_and_signed_zeros():
 def test_gru_zero_params_zero_states():
     h = 3
     out = ad.gru_forward(
-        Tape(), Tensor(np.random.default_rng(7).standard_normal((1, 4, 2))),
+        Tape(), Tensor(np.random.default_rng(7).standard_normal((1, 2, 4))),
         Tensor(np.zeros((3 * h, 2))), Tensor(np.zeros((3 * h, h))),
-        Tensor(np.zeros(3 * h)), Tensor(np.zeros(3 * h)), Tensor(np.zeros((1, h))),
+        Tensor(np.zeros(3 * h)), Tensor(np.zeros(3 * h)),
     )
     np.testing.assert_allclose(out.data, 0.0)
 
@@ -251,11 +250,11 @@ def test_gru_zero_params_zero_states():
 def test_gru_single_step_shape():
     h = 4
     out = ad.gru_forward(
-        Tape(), Tensor(np.ones((1, 1, 3))),
+        Tape(), Tensor(np.ones((1, 3, 1))),
         Tensor(np.zeros((3 * h, 3))), Tensor(np.zeros((3 * h, h))),
-        Tensor(np.zeros(3 * h)), Tensor(np.zeros(3 * h)), Tensor(np.zeros((1, h))),
+        Tensor(np.zeros(3 * h)), Tensor(np.zeros(3 * h)),
     )
-    assert out.shape == (1, 1, h)
+    assert out.shape == (1, h)
 
 
 def test_gru_deterministic_and_matches_naive_oracle():
@@ -266,21 +265,20 @@ def test_gru_deterministic_and_matches_naive_oracle():
     w_hh = rng.standard_normal((3 * h, h))
     b_ih = rng.standard_normal(3 * h)
     b_hh = rng.standard_normal(3 * h)
-    h0 = rng.standard_normal(h)
-    args = lambda: (Tensor(x[None]), Tensor(w_ih), Tensor(w_hh), Tensor(b_ih), Tensor(b_hh), Tensor(h0[None]))
+    args = lambda: (Tensor(x.T[None]), Tensor(w_ih), Tensor(w_hh), Tensor(b_ih), Tensor(b_hh))
     out1 = ad.gru_forward(Tape(), *args())
     out2 = ad.gru_forward(Tape(), *args())
     assert np.array_equal(out1.data, out2.data)
-    np.testing.assert_allclose(out1.data[0], naive_gru(x, w_ih, w_hh, b_ih, b_hh, h0), atol=1e-12)
+    np.testing.assert_allclose(out1.data[0], naive_gru(x, w_ih, w_hh, b_ih, b_hh), atol=1e-12)
 
 
 def test_gru_feature_mismatch_error():
     h = 2
     with pytest.raises(ShapeMismatchError, match="does not match features"):
         ad.gru_forward(
-            Tape(), Tensor(np.zeros((1, 3, 5))),
+            Tape(), Tensor(np.zeros((1, 5, 3))),
             Tensor(np.zeros((3 * h, 4))), Tensor(np.zeros((3 * h, h))),
-            Tensor(np.zeros(3 * h)), Tensor(np.zeros(3 * h)), Tensor(np.zeros((1, h))),
+            Tensor(np.zeros(3 * h)), Tensor(np.zeros(3 * h)),
         )
 
 
@@ -328,7 +326,7 @@ def test_batched_kernels_match_per_window_oracles():
     x = rng.standard_normal((3, 6, 17))
     w, b = rng.standard_normal((4, 6, 3)), rng.standard_normal(4)
     gamma, beta = rng.standard_normal(6), rng.standard_normal(6)
-    seq, h0 = rng.standard_normal((3, 5, 3)), rng.standard_normal((3, 4))
+    seq = rng.standard_normal((3, 5, 3))  # (B, T, F) for the oracle
     w_ih, w_hh = rng.standard_normal((12, 3)), rng.standard_normal((12, 4))
     b_ih, b_hh = rng.standard_normal(12), rng.standard_normal(12)
     rows, lw, lb = rng.standard_normal((3, 5)), rng.standard_normal((2, 5)), rng.standard_normal(2)
@@ -336,36 +334,32 @@ def test_batched_kernels_match_per_window_oracles():
     gn = ad.group_norm(Tape(), Tensor(x), 3, Tensor(gamma), Tensor(beta), 1e-5).data
     pool = ad.max_pool1d(Tape(), Tensor(x), 4, 3).data
     relu = ad.relu(Tape(), Tensor(x)).data
-    gru = ad.gru_forward(Tape(), *map(Tensor, (seq, w_ih, w_hh, b_ih, b_hh, h0))).data
+    gru = ad.gru_forward(Tape(), *map(Tensor, (seq.transpose(0, 2, 1), w_ih, w_hh, b_ih, b_hh))).data
     lin = ad.linear(Tape(), Tensor(rows), Tensor(lw), Tensor(lb)).data
     unit = ad.l2_normalize(Tape(), Tensor(rows)).data
-    swapped = ad.swap_last_axes(Tape(), Tensor(x)).data
-    last = ad.last_step(Tape(), Tensor(seq)).data
     for i in range(3):
         np.testing.assert_allclose(conv[i], naive_conv1d(x[i], w, b, 2), atol=1e-12)
         np.testing.assert_allclose(gn[i], naive_group_norm(x[i], 3, gamma, beta, 1e-5), atol=1e-12)
         np.testing.assert_array_equal(pool[i], naive_max_pool1d(x[i], 4, 3))
         np.testing.assert_array_equal(relu[i], np.maximum(x[i], 0.0))
-        np.testing.assert_allclose(gru[i], naive_gru(seq[i], w_ih, w_hh, b_ih, b_hh, h0[i]), atol=1e-12)
+        np.testing.assert_allclose(gru[i], naive_gru(seq[i], w_ih, w_hh, b_ih, b_hh), atol=1e-12)
         np.testing.assert_allclose(lin[i], lw @ rows[i] + lb, atol=1e-12)
         np.testing.assert_allclose(unit[i], rows[i] / np.sqrt(np.sum(rows[i] ** 2)), atol=1e-12)
-        np.testing.assert_array_equal(swapped[i], x[i].T)
-        np.testing.assert_array_equal(last[i], seq[i, -1])
 
 
 def test_gru_and_linear_on_a_lone_row_match_their_oracles():
     # one row is padded to two before its product; the pad must not leak
     rng = np.random.default_rng(20)
-    seq, h0 = rng.standard_normal((1, 5, 3)), rng.standard_normal((1, 4))
+    seq = rng.standard_normal((1, 3, 5))  # (B, F, T)
     w_ih, w_hh = rng.standard_normal((12, 3)), rng.standard_normal((12, 4))
     b_ih, b_hh = rng.standard_normal(12), rng.standard_normal(12)
     row, lw, lb = rng.standard_normal((1, 5)), rng.standard_normal((2, 5)), rng.standard_normal(2)
-    gru = ad.gru_forward(Tape(), *map(Tensor, (seq, w_ih, w_hh, b_ih, b_hh, h0))).data
-    np.testing.assert_allclose(gru[0], naive_gru(seq[0], w_ih, w_hh, b_ih, b_hh, h0[0]), atol=1e-12)
+    gru = ad.gru_forward(Tape(), *map(Tensor, (seq, w_ih, w_hh, b_ih, b_hh))).data
+    np.testing.assert_allclose(gru[0], naive_gru(seq[0].T, w_ih, w_hh, b_ih, b_hh), atol=1e-12)
     lin = ad.linear(Tape(), Tensor(row), Tensor(lw), Tensor(lb)).data
     np.testing.assert_allclose(lin[0], lw @ row[0] + lb, atol=1e-12)
-    parts = [seq, w_ih, w_hh, b_ih, b_hh, h0]
-    for which in range(6):
+    parts = [seq, w_ih, w_hh, b_ih, b_hh]
+    for which in range(5):
         def f(t, p, which=which):
             args = [Tensor(a) for a in parts]
             args[which] = p
@@ -380,10 +374,9 @@ def test_gru_and_linear_on_a_lone_row_match_their_oracles():
 def test_batched_kernels_reject_unbatched_inputs():
     with pytest.raises(ShapeMismatchError, match=r"\(B,C,T\)"):
         ad.conv1d(Tape(), Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1)), 1)
-    with pytest.raises(ShapeMismatchError, match="h0 must be"):
-        ad.gru_forward(Tape(), Tensor(np.zeros((2, 3, 1))), Tensor(np.zeros((6, 1))),
-                       Tensor(np.zeros((6, 2))), Tensor(np.zeros(6)), Tensor(np.zeros(6)),
-                       Tensor(np.zeros(2)))
+    with pytest.raises(ShapeMismatchError, match=r"\(B,F,T\)"):
+        ad.gru_forward(Tape(), Tensor(np.zeros((1, 3))), Tensor(np.zeros((6, 1))),
+                       Tensor(np.zeros((6, 2))), Tensor(np.zeros(6)), Tensor(np.zeros(6)))
     with pytest.raises(ShapeMismatchError, match=r"\(B,F\)"):
         ad.l2_normalize(Tape(), Tensor([3.0, 4.0]))
     with pytest.raises(ShapeMismatchError, match="2-D"):
@@ -540,14 +533,13 @@ def test_fd_group_norm_all_inputs():
 def test_fd_gru_all_inputs():
     def case(rng):
         t_len, f, h = 4, 3, 4
-        x = rng.standard_normal((3, t_len, f))
+        x = rng.standard_normal((3, f, t_len))
         w_ih = rng.standard_normal((3 * h, f)) * 0.5
         w_hh = rng.standard_normal((3 * h, h)) * 0.5
         b_ih = rng.standard_normal(3 * h) * 0.5
         b_hh = rng.standard_normal(3 * h) * 0.5
-        h0 = rng.standard_normal((3, h)) * 0.5
-        parts = [x, w_ih, w_hh, b_ih, b_hh, h0]
-        which = int(rng.integers(6))
+        parts = [x, w_ih, w_hh, b_ih, b_hh]
+        which = int(rng.integers(5))
 
         def f_probe(t, p, which=which):
             args = [Tensor(a) for a in parts]
@@ -584,16 +576,6 @@ def test_fd_l2_normalize_and_linear_and_matmul():
         return (lambda t, p: ad.sum_all(t, ad.tanh(t, ad.add_rowvec(t, p, Tensor(v))))), Tensor(rng.standard_normal((4, 3)))
 
     _fd_sweep(case, 40, seed=15)
-
-
-def test_fd_swap_last_axes_and_last_step():
-    def case(rng):
-        if rng.integers(2):
-            return (lambda t, p: ad.sum_all(t, ad.tanh(t, ad.last_step(t, p)))), Tensor(rng.standard_normal((3, 4, 2)))
-        c = rng.standard_normal((3, 4, 2))
-        return (lambda t, p: ad.sum_all(t, ad.mul(t, ad.swap_last_axes(t, ad.tanh(t, p)), Tensor(c)))), Tensor(rng.standard_normal((3, 2, 4)))
-
-    _fd_sweep(case, 20, seed=17)
 
 
 # ---------------------------------------------------------------------------

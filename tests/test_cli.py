@@ -372,6 +372,25 @@ def test_train_mode_it_without_text_anchors_exit_2(cache_path, corpus, tmp_path,
     assert "--text-anchors" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--embed-dim", "32", "embed_dim 32"),  # against 16-d anchors
+    ("--batch-size", "16", "smaller than batch size 16"),  # 8 windows
+    ("--conv-kernels", "100", "shorter than kernel 100"),  # 64-sample windows
+], ids=["embed-dim", "batch-size", "conv-kernel"])
+def test_train_refused_before_it_starts_leaves_no_run_dir(cache_path, corpus, tmp_path, capsys,
+                                                         flag, value, message):
+    run = tmp_path / "r"
+    code, payload, err = run_cli(
+        capsys, "train", "--cache", str(cache_path),
+        "--video-anchors", str(corpus / "anchors_video.jsonl"),
+        "--epochs", "1", "--batch-size", "4", *TRAIN_FLAGS, flag, value,  # the last of a repeated flag counts
+        "--run-dir", str(run),
+    )
+    assert code == 2 and payload is None
+    assert message in err
+    assert not run.exists()
+
+
 @pytest.mark.parametrize("video, text, where", [
     ("anchors_text.jsonl", None, "anchors_text.jsonl:1: expected a video anchor"),
     ("anchors_video.jsonl", "anchors_video.jsonl", "anchors_video.jsonl:1: expected a text anchor"),
@@ -811,6 +830,8 @@ def _fuzzed_argv(draw):
 @example(argv=["eval-classify", "--lr=1e300", "--protocol=finetune"])
 @example(argv=["ingest", "--window-s=0.32", "--stride-s=inf"])
 @example(argv=["train", "--epochs=1", "--seed=-1"])
+@example(argv=["ingest", "--window-s=1e307"])
+@example(argv=["ingest", "--stride-s=1e307"])
 @given(argv=_fuzzed_argv())
 def test_numeric_flags_exit_0_2_or_3_without_traceback(argv, run_dir, cache_path, corpus,
                                                         tmp_path, capsys):

@@ -292,6 +292,9 @@ def test_encode_batch_default_config_timing():
     elapsed = time.time() - t0
     assert out.shape == (16, 512)
     assert elapsed < 10.0, f"pathologically slow batch encode: {elapsed:.2f}s"
+    tape = Tape()
+    encode_batch_on_tape(tape, [w.signal for w in ds.windows], p, cfg)
+    assert len(tape) == 12  # one entry per layer kernel: GN, 3 x (conv, ReLU), pool, GN, GRU, linear, L2
 
 
 # ---------------------------------------------------------------------------
