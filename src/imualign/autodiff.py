@@ -17,6 +17,11 @@ and `linear` multiply all their rows by a weight in one GEMM
 long as the weight operand is a C-contiguous (K, N) array and a lone row is
 padded to two. Backward products sum over the batch.
 
+Backward allocates little beyond its results: a conv vjp makes its three
+outputs, one receptive-field copy for dW's single GEMM and one (B, C, t)
+buffer that each tap's dx product reuses; the pool vjp makes dx, the argmax
+and its routing indices.
+
 Forward calls record entries on a Tape. `backward` replays the tape in
 reverse, accumulating adjoints, and returns the gradients of the tensors it
 is asked for; it leaves the tape and every tensor as they were.
@@ -275,15 +280,27 @@ def conv1d(tape: Tape, x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tens
     out += b.data[:, None]
 
     def vjp(g):
-        cols = _im2col(x.data, kernel, stride)  # rebuilt rather than kept alive on the tape
-        dw = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+        batch = x.shape[0]
+        # dW = g (O, B*t) @ rows (B*t, C*K), in the layouts np.tensordot(g,
+        # im2col) would pass BLAS, so dW has its bits (a test pins them); for
+        # one window that is the transposed im2col. Rows are rebuilt rather
+        # than kept alive on the tape.
+        if batch == 1:
+            rows = _im2col(x.data, kernel, stride)[0].T
+        else:
+            windows = np.lib.stride_tricks.sliding_window_view(x.data, kernel, axis=2)[:, :, ::stride]
+            rows = windows.transpose(0, 2, 1, 3).reshape(batch * t_out, c_in * kernel)
+        dw = (g.transpose(1, 0, 2).reshape(c_out, batch * t_out) @ rows).reshape(w.shape)
         db = g.sum(axis=(0, 2))
-        dcols = np.matmul(w2.T, g).reshape(x.shape[0], c_in, kernel, t_out)
+        # dx tap by tap through one (B, C, t) buffer: positions k, k+stride, ...
+        # receive the k-th tap of every filter
+        w_taps = np.ascontiguousarray(w.data.transpose(2, 0, 1))  # (K, O, C)
+        tap = np.empty((batch, c_in, t_out))
         dx = np.zeros_like(x.data)
         span = stride * (t_out - 1) + 1
         for k in range(kernel):
-            # positions k, k+stride, ... receive the k-th tap of every filter
-            dx[:, :, k : k + span : stride] += dcols[:, :, k]
+            np.matmul(w_taps[k].T, g, out=tap)
+            dx[:, :, k : k + span : stride] += tap
         return (dx, dw, db)
 
     out = Tensor(out)
@@ -352,15 +369,18 @@ def max_pool1d(tape: Tape, x: Tensor, kernel: int, stride: int) -> Tensor:
         # tie of +0 and -0, so the first maximal element is kept, as argmax does
         np.maximum(windows[..., k], pooled, out=pooled)
     out = Tensor(pooled)
-    span = stride * (out.shape[2] - 1) + 1
 
     def vjp(g):
         # a copy: numpy reduces short contiguous rows fastest
         argmax = windows.reshape(-1, kernel).argmax(axis=1).reshape(out.shape)  # first on ties
-        dx = np.zeros_like(x.data)
-        for k in range(kernel):
-            dx[:, :, k : k + span : stride] += g * (argmax == k)
-        return (dx,)
+        batch, channels, t_out = out.shape
+        # each window's maximum as a flat index into x
+        row_start = (np.arange(batch * channels) * x.shape[2]).reshape(batch, channels, 1)
+        source = row_start + np.arange(t_out) * stride + argmax
+        # one pass sums each adjoint into its source, windows last to first, so
+        # a position that overlapping windows share adds them in tap order
+        dx = np.bincount(source[..., ::-1].ravel(), g[..., ::-1].ravel(), x.data.size)
+        return (dx.reshape(x.shape),)
 
     tape.record(out, (x,), vjp)
     return out

@@ -112,11 +112,13 @@ def cmd_ingest(args) -> int:
 
     digest = content_hash(parsed_streams(), {"window_s": args.window_s, "stride_s": args.stride_s,
                                              "rate_hz": args.rate_hz})
+    if not windows:
+        raise DataError(f"no stream is at least one window ({args.window_s}s) long")
     cache = WindowCache(windows, args.rate_hz, args.window_s, args.stride_s, digest)
     save_window_cache(cache, args.out)
     _emit({
         "n_windows": len(windows),
-        "window_samples": windows[0].n_samples if windows else 0,
+        "window_samples": windows[0].n_samples,
         "duration_s": round(duration, 6),
         "n_sources": len(paths),
         "content_hash": digest,

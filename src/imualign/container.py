@@ -45,7 +45,7 @@ def write_container(
             fh.write(_LEN.pack(len(blob)))
             fh.write(blob)
             for _, a in arrays:
-                fh.write(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+                fh.write(np.ascontiguousarray(a, dtype=np.float64).data)  # the buffer itself, no bytes copy
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -96,11 +96,17 @@ def adagrad_step(
             raise DataError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
         acc = state.accumulator_for(name, p.data.shape)
         with np.errstate(over="ignore"):  # refused just below, naming the parameter
-            acc += g * g
+            denom = g * g
+            acc += denom
         if not acc.max(initial=0.0) < np.inf:  # one pass finds both a NaN and an inf
             fault = "non-finite gradient" if not np.all(np.isfinite(g)) else "overflowing squared gradient"
             raise NumericError(f"{fault} for parameter {name}")
-        p.data -= lr * g / (np.sqrt(acc) + eps)
+        # in place, in the order (lr * g) / (sqrt(acc) + eps), which fixes the bits
+        np.sqrt(acc, out=denom)
+        denom += eps
+        step = lr * g
+        step /= denom
+        p.data -= step
     state.step += 1
 
 

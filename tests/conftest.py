@@ -1,7 +1,9 @@
 """Shared pytest hooks. The bit-for-bit batch-invariance tests rest on the
 kernels the BLAS picks, so the report header names the BLAS numpy runs on
 and its thread setting, and the `blas` fixture gives the same line to a
-failure message."""
+failure message. Training speed rests on how glibc's allocator hands out
+and returns pages, so the header also names the allocator settings in the
+environment: a run with pinned thresholds shows as such."""
 
 import os
 
@@ -15,8 +17,13 @@ def _blas() -> str:
     return f"{info.get('name')} {info.get('version')}, OPENBLAS_NUM_THREADS={threads}"
 
 
+def _allocator_settings() -> str:
+    names = sorted(k for k in os.environ if k.startswith("MALLOC_") or k == "GLIBC_TUNABLES")
+    return " ".join(f"{k}={os.environ[k]}" for k in names) or "none"
+
+
 def pytest_report_header(config):
-    return f"numpy {np.__version__}, BLAS {_blas()}"
+    return f"numpy {np.__version__}, BLAS {_blas()}, allocator settings: {_allocator_settings()}"
 
 
 @pytest.fixture(scope="session")

@@ -234,6 +234,84 @@ def test_max_pool_equals_the_argmax_formula_on_ties_nan_and_signed_zeros():
 
 
 # ---------------------------------------------------------------------------
+# the conv and pool vjps keep the bits of their plainest forms
+
+
+def plain_conv1d_vjp(x, w, g, stride):
+    """conv1d's vjp in its plainest form: im2col, dW by tensordot, dx from a (B, C*K, t) dcols."""
+    c_out, c_in, kernel = w.shape
+    t_out = g.shape[2]
+    windows = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=2)[:, :, ::stride]
+    cols = windows.transpose(0, 1, 3, 2).reshape(x.shape[0], c_in * kernel, t_out)
+    dw = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+    db = g.sum(axis=(0, 2))
+    dcols = np.matmul(w.reshape(c_out, -1).T, g).reshape(x.shape[0], c_in, kernel, t_out)
+    dx = np.zeros_like(x)
+    span = stride * (t_out - 1) + 1
+    for k in range(kernel):
+        dx[:, :, k : k + span : stride] += dcols[:, :, k]
+    return dx, dw, db
+
+
+def plain_max_pool1d_vjp(x, kernel, stride, g):
+    """max_pool1d's vjp in its plainest form: one masked product per tap."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=2)[:, :, ::stride]
+    argmax = windows.reshape(-1, kernel).argmax(axis=1).reshape(g.shape)
+    dx = np.zeros_like(x)
+    span = stride * (g.shape[2] - 1) + 1
+    for k in range(kernel):
+        dx[:, :, k : k + span : stride] += g * (argmax == k)
+    return dx
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _adjoints(op, inputs, g):
+    """The adjoints `op`'s vjp hands each input for the output adjoint g."""
+    tape = Tape()
+    probes = [Tensor(a, requires_grad=True) for a in inputs]
+    out = op(tape, *probes)
+    return backward(tape, ad.sum_all(tape, ad.mul(tape, out, Tensor(g))), probes)
+
+
+_VALUES = [-1.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0]  # repeats make ties
+
+
+# (kernel, stride) with stride < kernel (down to 3+ windows on one position),
+# stride == kernel and stride > kernel; then the default encoder's three layers
+@pytest.mark.parametrize("c_in, c_out, kernel, stride, time", [
+    (3, 4, 5, 2, 23), (2, 3, 4, 1, 13), (3, 2, 3, 3, 17), (2, 5, 2, 5, 21), (4, 3, 1, 2, 9),
+    (6, 32, 10, 2, 200), (32, 64, 5, 2, 96), (64, 128, 5, 2, 46),
+])
+@pytest.mark.parametrize("batch", [1, 2, 16])
+def test_conv1d_vjp_keeps_the_bits_of_the_plain_formula(batch, c_in, c_out, kernel, stride, time):
+    rng = np.random.default_rng([batch, c_in, kernel, stride])
+    shape = (batch, c_in, time)
+    x = np.where(rng.random(shape) < 0.5, rng.choice(_VALUES, size=shape), rng.standard_normal(shape))
+    x[-1, 0, 1] = np.nan  # one window of the last batch entry holds a NaN
+    w, b = rng.standard_normal((c_out, c_in, kernel)), rng.standard_normal(c_out)
+    t_out = (time - kernel) // stride + 1
+    g = rng.choice(_VALUES, size=(batch, c_out, t_out)) * rng.standard_normal((batch, c_out, t_out))
+    got = _adjoints(lambda t, *p: ad.conv1d(t, *p, stride), (x, w, b), g)
+    for got_one, want in zip(got, plain_conv1d_vjp(x, w, g, stride)):
+        _assert_same_bits(got_one, want)
+
+
+@pytest.mark.parametrize("kernel, stride", [(5, 2), (4, 1), (3, 2), (2, 1), (3, 3), (5, 5), (2, 5), (1, 3)])
+@pytest.mark.parametrize("batch", [1, 16])
+def test_max_pool1d_vjp_keeps_the_bits_of_the_plain_formula(batch, kernel, stride):
+    rng = np.random.default_rng([batch, kernel, stride])
+    x = rng.choice(_VALUES + [np.nan], size=(batch, 8, 27), p=[.13] * 7 + [.09])
+    t_out = (27 - kernel) // stride + 1
+    g = rng.choice(_VALUES, size=(batch, 8, t_out)) * 10.0 ** rng.integers(-8, 9, size=(batch, 8, t_out))
+    (dx,) = _adjoints(lambda t, p: ad.max_pool1d(t, p, kernel, stride), (x,), g)
+    _assert_same_bits(dx, plain_max_pool1d_vjp(x, kernel, stride, g))
+
+
+# ---------------------------------------------------------------------------
 # gru_forward
 
 

@@ -231,6 +231,16 @@ def test_ingest_time_span_too_long_exit_2(tmp_path, t0, t1, message):
     assert "Traceback" not in proc.stderr and not out.exists()
 
 
+def test_ingest_with_no_stream_one_window_long_exit_2_and_writes_no_cache(corpus, tmp_path):
+    src = sorted(corpus.glob("synth-*.csv"))[0]
+    out = tmp_path / "c.bin"
+    proc = run_cli_process("ingest", "--imu", str(src), "--window-s", "1e300", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: no stream is at least one window (1e+300s) long\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_on_a_container_with_malformed_arrays_metadata_exit_2(corpus, tmp_path):
     blob = json.dumps({"arrays": 5}).encode()
     bad = tmp_path / "bad.bin"

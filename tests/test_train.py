@@ -6,13 +6,14 @@ import math
 import re
 import threading
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from imualign import container, evaluate, signalio
+from imualign import container, evaluate, signalio, train
 from imualign.autodiff import Tensor
 from imualign.container import read_container, write_container
 from imualign.encoder import EncoderConfig, init_params
@@ -110,12 +111,36 @@ def test_adagrad_step_magnitude_non_increasing():
 
 
 def test_adagrad_rejects_non_finite_gradient():
-    p = Tensor(np.array([0.0]), requires_grad=True)
-    with pytest.raises(NumericError, match="non-finite gradient"):
-        adagrad_step({"p": p}, {"p": np.array([np.nan])}, AdagradState(), 0.01, 1e-8)
-    with pytest.raises(NumericError, match="overflowing squared gradient for parameter p"):
-        adagrad_step({"p": p}, {"p": np.array([1e200])}, AdagradState(), 0.01, 1e-8)
-    assert p.data[0] == 0.0
+    p = Tensor(np.arange(4.0), requires_grad=True)
+    state = AdagradState()
+    adagrad_step({"p": p}, {"p": np.ones(4)}, state, 0.01, 1e-8)
+    before = p.data.tobytes()
+    for bad, fault in ((np.nan, "non-finite gradient"), (np.inf, "non-finite gradient"),
+                       (-np.inf, "non-finite gradient"), (1e200, "overflowing squared gradient")):
+        with pytest.raises(NumericError, match=f"{fault} for parameter p"):
+            adagrad_step({"p": p}, {"p": np.array([0.5, bad, 0.5, 0.5])}, state, 0.01, 1e-8)
+        assert p.data.tobytes() == before
+
+
+def test_adagrad_matches_the_update_formula_bit_for_bit_over_50_steps():
+    rng = np.random.default_rng(3)
+    shapes = {"w": (7, 5), "b": (5,), "still": (3,)}
+    params = {k: Tensor(rng.standard_normal(s), requires_grad=True) for k, s in shapes.items()}
+    ref = {k: t.data.copy() for k, t in params.items()}
+    ref_acc = {k: np.zeros(s) for k, s in shapes.items()}
+    state = AdagradState()
+    for step in range(50):
+        lr = 0.05 / (1 + 0.1 * step)
+        grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-12, 12, size=s) for k, s in shapes.items()}
+        grads["w"][rng.random(shapes["w"]) < 0.3] = 0.0
+        grads["still"] = np.zeros(3) if step % 2 else -np.zeros(3)
+        adagrad_step(params, grads, state, lr, 1e-8)
+        for k, g in grads.items():
+            ref_acc[k] += g * g
+            ref[k] = ref[k] - lr * g / (np.sqrt(ref_acc[k]) + 1e-8)
+            assert params[k].data.tobytes() == ref[k].tobytes(), (step, k)
+            assert state.accumulators[k].tobytes() == ref_acc[k].tobytes(), (step, k)
+    assert state.step == 50
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +390,39 @@ def test_checkpoint_malformed_header_is_format_error(tmp_path, edit, message):
         load_checkpoint(p)
 
 
+def _layout_bytes(magic, version, header, arrays) -> bytes:
+    """The container layout spelled out, each payload as a `tobytes()` copy."""
+    header = {**header, "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays]}
+    payload = b"".join(np.ascontiguousarray(a, dtype=np.float64).tobytes() for _, a in arrays)
+    return _container_bytes(json.dumps(header, sort_keys=True, separators=(",", ":")), payload, magic, version)
+
+
+def test_checkpoint_and_window_cache_bytes_are_the_container_layout(tmp_path, monkeypatch):
+    calls = []
+
+    def recording_write(path, *args):
+        calls.append((path, args))
+        write_container(path, *args)
+
+    monkeypatch.setattr(train, "write_container", recording_write)
+    monkeypatch.setattr(signalio, "write_container", recording_write)
+    ds = _dataset(n=8)
+    params, state, _ = fit(ds, SMALL_ENC, TrainConfig(batch_size=4, epochs=1, mode="iv"))
+    save_checkpoint(tmp_path / "ck.bin", params, state, SMALL_ENC, TrainConfig(), step=1)
+    cache = signalio.WindowCache(ds.windows, 200.0, 0.32, 0.32, "h")
+    signalio.save_window_cache(cache, tmp_path / "windows.bin")
+    rng = np.random.default_rng(0)
+    odd = [("fortran", np.asfortranarray(rng.standard_normal((3, 4)))),
+           ("transposed", rng.standard_normal((4, 3, 2)).transpose(2, 0, 1)),
+           ("reversed", rng.standard_normal(7)[::-2]), ("float32", rng.standard_normal(5, dtype=np.float32)),
+           ("big-endian", rng.standard_normal(3).astype(">f8")), ("scalar", np.array(-0.0)),
+           ("empty", np.zeros((0, 6, 0)))]
+    recording_write(tmp_path / "odd.bin", b"TEST", 1, {}, odd)
+    assert [Path(p).name for p, _ in calls] == ["ck.bin", "windows.bin", "odd.bin"]
+    for path, args in calls:
+        assert Path(path).read_bytes() == _layout_bytes(*args), path
+
+
 def test_two_threads_writing_one_path_both_succeed(tmp_path, monkeypatch):
     # both temp files exist before either rename: with one temp name per
     # process, the second rename would find its temp file gone
@@ -396,9 +454,9 @@ def test_two_threads_writing_one_path_both_succeed(tmp_path, monkeypatch):
     assert [f.name for f in tmp_path.iterdir()] == ["c.bin"]
 
 
-def _container_bytes(header_json: str, payload: bytes = b"") -> bytes:
+def _container_bytes(header_json: str, payload: bytes = b"", magic: bytes = b"TEST", version: int = 1) -> bytes:
     blob = header_json.encode("utf-8")
-    return b"TEST" + bytes([1]) + len(blob).to_bytes(8, "little") + blob + payload
+    return magic + bytes([version]) + len(blob).to_bytes(8, "little") + blob + payload
 
 
 @pytest.mark.parametrize("arrays", [
