@@ -2,9 +2,12 @@
 
 The op set is intentionally small: exactly the layers the IMU encoder and
 its losses need (1-D convolution, group normalization, max pooling, a GRU,
-affine maps, L2 normalization) plus a handful of elementwise/reduction
-helpers used to compose losses. There is no broadcasting engine; every op
-takes exact shapes and raises ShapeMismatchError otherwise.
+affine maps, L2 normalization), the few ops the losses compose (`add`,
+`divide`, `transpose`, `matmul_nt`, `add_rowvec`), and three that no loss
+uses: `mul`, `sum_all` and `tanh` are the scalarizers that reduce a layer's
+output to the scalar the gradient checks, the tests and demo 01
+differentiate. There is no broadcasting engine; every op takes exact shapes
+and raises ShapeMismatchError otherwise.
 
 Shape contract: the encoder layers take a leading batch axis B, one entry
 per window. `group_norm`, `conv1d`, `relu` and `max_pool1d` work on (B, C, T)

@@ -1,9 +1,12 @@
 """Command-line entry points.
 
-Every command prints one machine-readable JSON object to stdout and human
-diagnostics to stderr. Exit codes: 0 success, 2 validation failure,
-3 numerical failure. Commands that create a run directory also write a
-manifest with the resolved configuration and input content hashes.
+A command that succeeds prints one machine-readable JSON object to stdout
+and human diagnostics to stderr. Exit codes: 0 success, 2 validation
+failure, 3 numerical failure. A refused command (exit 2 or 3) prints
+nothing to stdout, and its last line on stderr is `error: …` (exit 2) or
+`numerical failure: …` (exit 3). Commands that create a run directory
+also write a manifest with the resolved configuration and input content
+hashes.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from .evaluate import (
     classification_metrics,
     eval_retrieval,
     fine_tune,
+    fit_linear_head,
+    label_indices,
     save_head,
-    train_probe,
     zeroshot_classify,
 )
 from .signalio import (
@@ -153,26 +157,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _embeddings_from(ckpt_path, cache_path) -> dict[str, np.ndarray]:
+def _embeddings_from(ckpt_path, windows) -> dict[str, np.ndarray]:
     ckpt = load_checkpoint(ckpt_path)
-    cache = load_window_cache(cache_path)
-    if not cache.windows:
-        raise DataError(f"{cache_path}: cache holds no windows")
-    matrix = encode_batch(cache.windows, ckpt.params, ckpt.encoder_config)
-    ids = [w.window_id for w in cache.windows]
-    return dict(zip(ids, matrix))
+    matrix = encode_batch(windows, ckpt.params, ckpt.encoder_config)
+    return {w.window_id: row for w, row in zip(windows, matrix)}
 
 
 def cmd_eval_retrieval(args) -> int:
-    embeddings = _embeddings_from(args.ckpt, args.cache)
     anchors = load_anchor_embeddings(args.anchors, "text" if "text" in args.direction else "video")
-    vectors = {k: v.vector for k, v in anchors.items() if k in embeddings}
-    if not vectors:
+    cache = load_window_cache(args.cache)
+    windows = [w for w in cache.windows if w.window_id in anchors]
+    if not windows:
         raise DataError("no anchor ids overlap the cache windows")
-    kept = {k: v for k, v in embeddings.items() if k in vectors}
-    metrics = eval_retrieval(kept, vectors, args.direction)
-    metrics.update(task="retrieval", dropped_anchors=len(anchors) - len(vectors),
-                   dropped_windows=len(embeddings) - len(kept))
+    embeddings = _embeddings_from(args.ckpt, windows)
+    metrics = eval_retrieval(embeddings, {k: anchors[k].vector for k in embeddings}, args.direction)
+    metrics.update(task="retrieval", dropped_anchors=len(anchors) - len(windows),
+                   dropped_windows=len(cache.windows) - len(windows))
     _emit(metrics)
     return 0
 
@@ -185,10 +185,9 @@ def cmd_eval_classify(args) -> int:
     if not windows:
         raise DataError("no cached window has a label")
     dataset = ParallelDataset(windows, {}, None, labels, class_names)
-    ids = [w.window_id for w in windows]
-    golds = [labels[w] for w in ids]
     probe_cfg = _config(ProbeConfig, args)
 
+    params = ckpt.params
     if args.protocol == "zeroshot":
         if not args.class_anchors:
             raise DataError("zeroshot requires --class-anchors")
@@ -197,22 +196,19 @@ def cmd_eval_classify(args) -> int:
         if missing:
             raise DataError(f"class anchors missing for: {', '.join(missing)}")
         pairs = [(c, anchors[c].vector) for c in class_names]
-        emb = encode_batch(windows, ckpt.params, ckpt.encoder_config)
+    elif args.protocol == "finetune":
+        params, head = fine_tune(dataset, params, None, ckpt.encoder_config, probe_cfg)
+    emb = encode_batch(windows, params, ckpt.encoder_config)
+    if args.protocol == "zeroshot":
         preds = [zeroshot_classify(e, pairs) for e in emb]
-    elif args.protocol == "probe":
-        head = train_probe(dataset, ckpt.params, ckpt.encoder_config, probe_cfg)
-        emb = encode_batch(windows, ckpt.params, ckpt.encoder_config)
+    else:
+        if args.protocol == "probe":
+            head = fit_linear_head(emb, label_indices(dataset, windows), class_names, probe_cfg)
         preds = head.predict(emb)
         if args.run_dir:
-            _write_classify_run(args, probe_cfg, head)
-    else:  # finetune
-        params, head = fine_tune(dataset, ckpt.params, None, ckpt.encoder_config, probe_cfg)
-        emb = encode_batch(windows, params, ckpt.encoder_config)
-        preds = head.predict(emb)
-        if args.run_dir:
-            _write_classify_run(args, probe_cfg, head, params, ckpt)
+            _write_classify_run(args, probe_cfg, head, ckpt, params)
 
-    metrics = classification_metrics(preds, golds, class_names)
+    metrics = classification_metrics(preds, [labels[w.window_id] for w in windows], class_names)
     metrics.update(task="classification", protocol=args.protocol,
                    unlabeled_windows=len(cache.windows) - len(windows),
                    labels_without_window=len(labels) - len(windows))
@@ -220,16 +216,14 @@ def cmd_eval_classify(args) -> int:
     return 0
 
 
-def _write_classify_run(args, probe_cfg: ProbeConfig, head, params=None, ckpt=None) -> None:
+def _write_classify_run(args, probe_cfg: ProbeConfig, head, ckpt, params) -> None:
     run = Path(args.run_dir)
     run.mkdir(parents=True, exist_ok=True)
     save_head(run / "head.bin", head)
-    if params is not None:
+    if args.protocol == "finetune":
         save_checkpoint(run / "ckpt-finetuned.bin", params, None,
                         ckpt.encoder_config, ckpt.train_config, step=ckpt.step)
-    inputs = [args.ckpt, args.cache, args.labels]
-    if args.class_anchors:
-        inputs.append(args.class_anchors)
+    inputs = [args.ckpt, args.cache, args.labels]  # probe and finetune read no class anchors
     write_manifest(run, _manifest(f"eval-classify:{args.protocol}", asdict(probe_cfg), inputs))
 
 
@@ -243,7 +237,10 @@ def cmd_retrieve(args) -> int:
     if is_cache:
         if not args.ckpt:
             raise DataError("--ckpt is required when the pool is a window cache")
-        vectors = _embeddings_from(args.ckpt, pool_path)
+        windows = load_window_cache(pool_path).windows
+        if not windows:
+            raise DataError(f"{pool_path}: cache holds no windows")
+        vectors = _embeddings_from(args.ckpt, windows)
     else:
         vectors = {k: v.vector for k, v in load_anchor_embeddings(pool_path).items()}
     pool = Pool(vectors)

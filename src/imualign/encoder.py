@@ -174,7 +174,8 @@ def encode_batch(
     windows: list[ImuWindow], params: EncoderParams, config: EncoderConfig
 ) -> np.ndarray:
     """Row i embeds windows[i]; windows must share one length. Each row is
-    the same, bit for bit, in any batch (see `autodiff`).
+    the same, bit for bit, in any batch (see `autodiff`). Refuses a window
+    whose embedding is not finite.
     """
     if not windows:
         raise DataError("encode_batch: empty batch")
@@ -185,6 +186,9 @@ def encode_batch(
     for start in range(0, len(windows), _CHUNK):
         chunk = [w.signal for w in windows[start : start + _CHUNK]]
         out[start : start + len(chunk)] = encode_batch_on_tape(Tape(), chunk, params, config).data
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise NumericError(f"encode_batch: window {windows[bad[0]].window_id!r} embeds to non-finite values")
     return out
 
 

@@ -6,6 +6,7 @@ probing on the frozen encoder, full fine-tuning).
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,10 +258,12 @@ def zeroshot_classify(
     if not class_anchors:
         raise DataError("zeroshot_classify: no class anchors")
     scores = _inner_products(np.stack([vec for _, vec in class_anchors]), imu_embedding)
+    if np.isnan(scores).any():  # argmax would pick the first NaN
+        raise NumericError("zeroshot_classify: an inner product with a class anchor is NaN")
     return class_anchors[int(np.argmax(scores))][0]
 
 
-def _label_indices(dataset: ParallelDataset, windows: list[ImuWindow]) -> np.ndarray:
+def label_indices(dataset: ParallelDataset, windows: list[ImuWindow]) -> np.ndarray:
     index = {name: i for i, name in enumerate(dataset.class_names)}
     return np.asarray([index[dataset.labels[w.window_id]] for w in windows], dtype=np.int64)
 
@@ -271,9 +274,6 @@ def _labeled_windows(dataset: ParallelDataset) -> list[ImuWindow]:
     windows = [w for w in dataset.windows if w.window_id in dataset.labels]
     if not windows:
         raise DataError("dataset has no labeled windows")
-    present = {dataset.labels[w.window_id] for w in windows}
-    if len(present) < 2:
-        raise DataError(f"single-class dataset (only {present.pop()!r}); need >= 2 classes")
     return windows
 
 
@@ -291,10 +291,15 @@ def _fit_head(
     labels: np.ndarray,
     config: ProbeConfig,
     encoder_tensors: dict[str, Tensor],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> ClassifierHead:
     """Adagrad on the softmax cross-entropy of a copy of `head` and, in
     place, `encoder_tensors`; `features(tape, batch)` is the head's (B, D)
-    input for a batch of row indices. Returns the fitted weight and bias."""
+    input for a batch of row indices. Returns the fitted head; refuses
+    labels of fewer than two classes."""
+    present = np.unique(labels).tolist()
+    if len(present) < 2:
+        name_of = dict(enumerate(head.class_names))
+        raise DataError(f"single-class dataset (only {[name_of.get(i, i) for i in present]}); need >= 2 classes")
     w = Tensor(head.weight.copy(), requires_grad=True)
     b = Tensor(head.bias.copy(), requires_grad=True)
     named = {**encoder_tensors, "head.w": w, "head.b": b}
@@ -308,7 +313,7 @@ def _fit_head(
                 logits = ad.add_rowvec(tape, ad.matmul_nt(tape, features(tape, batch), w), b)
                 loss = softmax_cross_entropy(tape, logits, labels[batch])
             adagrad_step(named, gradients(tape, loss, named), state, config.learning_rate, _ADAGRAD_EPS)
-    return w.data, b.data
+    return ClassifierHead(w.data, b.data, list(head.class_names))
 
 
 def fit_linear_head(
@@ -323,8 +328,7 @@ def fit_linear_head(
     if np.shape(label_indices) != (n,):
         raise ShapeMismatchError(f"fit_linear_head: labels of shape {np.shape(label_indices)} for {n} rows")
     head = init_head(len(class_names), dim, class_names, config.seed)
-    weight, bias = _fit_head(head, lambda tape, batch: Tensor(emb[batch]), label_indices, config, {})
-    return ClassifierHead(weight, bias, list(class_names))
+    return _fit_head(head, lambda tape, batch: Tensor(emb[batch]), label_indices, config, {})
 
 
 def train_probe(
@@ -336,7 +340,7 @@ def train_probe(
     """Probing: the encoder stays frozen; only the linear head is trained."""
     windows = _labeled_windows(dataset)
     emb = encode_batch(windows, params, encoder_config)
-    return fit_linear_head(emb, _label_indices(dataset, windows), dataset.class_names, config)
+    return fit_linear_head(emb, label_indices(dataset, windows), dataset.class_names, config)
 
 
 def fine_tune(
@@ -358,9 +362,9 @@ def fine_tune(
     def features(tape, batch):
         return encode_batch_on_tape(tape, [windows[i].signal for i in batch], params, encoder_config)
 
-    weight, bias = _fit_head(head, features, _label_indices(dataset, windows), config, params.named())
+    head = _fit_head(head, features, label_indices(dataset, windows), config, params.named())
     params.assert_finite()
-    return params, ClassifierHead(weight, bias, list(head.class_names))
+    return params, head
 
 
 def classification_metrics(
@@ -373,17 +377,12 @@ def classification_metrics(
         raise DataError(f"{len(predictions)} predictions vs {len(golds)} golds")
     if not predictions:
         raise DataError("classification_metrics: empty input")
-    correct = sum(1 for p, g in zip(predictions, golds) if p == g)
-    per_class = {}
-    for c in class_names:
-        tp = sum(1 for p, g in zip(predictions, golds) if p == c and g == c)
-        fp = sum(1 for p, g in zip(predictions, golds) if p == c and g != c)
-        fn = sum(1 for p, g in zip(predictions, golds) if p != c and g == c)
-        denom = 2 * tp + fp + fn
-        per_class[c] = 2 * tp / denom if denom else 0.0
+    hits = Counter(p for p, g in zip(predictions, golds) if p == g)
+    denoms = Counter(predictions) + Counter(golds)  # per class, 2·tp + fp + fn
+    per_class = {c: 2 * hits[c] / denoms[c] if denoms[c] else 0.0 for c in class_names}
     macro = sum(per_class.values()) / len(class_names)
     return {
-        "accuracy": round(correct / len(golds), 6),
+        "accuracy": round(hits.total() / len(golds), 6),
         "macro_f1": round(macro, 6),
         "per_class_f1": {c: round(v, 6) for c, v in per_class.items()},
         "n": len(golds),

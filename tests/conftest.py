@@ -3,9 +3,12 @@ kernels the BLAS picks, so the report header names the BLAS numpy runs on
 and its thread setting, and the `blas` fixture gives the same line to a
 failure message. Training speed rests on how glibc's allocator hands out
 and returns pages, so the header also names the allocator settings in the
-environment: a run with pinned thresholds shows as such."""
+environment: a run with pinned thresholds shows as such. The header also
+gives the line count of the package source, `wc -l src/imualign/*.py`,
+the size figure the ROADMAP tracks."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +25,14 @@ def _allocator_settings() -> str:
     return " ".join(f"{k}={os.environ[k]}" for k in names) or "none"
 
 
+def _source_lines() -> int:
+    package = Path(__file__).resolve().parent.parent / "src" / "imualign"
+    return sum(p.read_bytes().count(b"\n") for p in package.glob("*.py"))
+
+
 def pytest_report_header(config):
-    return f"numpy {np.__version__}, BLAS {_blas()}, allocator settings: {_allocator_settings()}"
+    return [f"numpy {np.__version__}, BLAS {_blas()}, allocator settings: {_allocator_settings()}",
+            f"src/imualign/*.py: {_source_lines()} lines"]
 
 
 @pytest.fixture(scope="session")

@@ -13,11 +13,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from imualign import cli, evaluate
 from imualign.cli import build_parser, main
 from imualign.encoder import EncoderConfig
-from imualign.evaluate import ProbeConfig
-from imualign.signalio import CACHE_MAGIC, WindowCache, load_window_cache, save_window_cache
-from imualign.train import TrainConfig
+from imualign.evaluate import ProbeConfig, save_head, train_probe
+from imualign.signalio import (
+    CACHE_MAGIC,
+    ParallelDataset,
+    WindowCache,
+    load_labels,
+    load_window_cache,
+    save_window_cache,
+)
+from imualign.train import TrainConfig, load_checkpoint, save_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -492,6 +500,37 @@ def test_eval_retrieval_reports_what_it_dropped(run_dir, cache_path, corpus, tmp
     assert payload["n_queries"] == 6 and payload["pool_size"] == 6
 
 
+def _count_encoder_passes(monkeypatch) -> list[dict]:
+    """One record per `encode_batch` call made through `cli` or `evaluate`:
+    the window ids it encoded and the checksum of the parameters it used."""
+    passes = []
+    real = cli.encode_batch
+
+    def counted(windows, params, config):
+        passes.append({"ids": [w.window_id for w in windows], "params": params.checksum()})
+        return real(windows, params, config)
+
+    for module in (cli, evaluate):
+        monkeypatch.setattr(module, "encode_batch", counted)
+    return passes
+
+
+def test_eval_retrieval_encodes_only_the_windows_with_an_anchor(run_dir, cache_path, corpus,
+                                                                tmp_path, monkeypatch, capsys):
+    records = [json.loads(l) for l in (corpus / "anchors_video.jsonl").read_text().splitlines()]
+    anchors = tmp_path / "anchors.jsonl"
+    anchors.write_text("".join(json.dumps(r) + "\n" for r in records[2:]))
+    passes = _count_encoder_passes(monkeypatch)
+    code, payload, _ = run_cli(
+        capsys, "eval-retrieval", "--ckpt", str(run_dir / "ckpt-30.bin"),
+        "--cache", str(cache_path), "--anchors", str(anchors), "--direction", "video2imu",
+    )
+    assert code == 0 and payload["dropped_windows"] == 2
+    anchored = [w.window_id for w in load_window_cache(cache_path).windows
+                if w.window_id in {r["window_id"] for r in records[2:]}]
+    assert [p["ids"] for p in passes] == [anchored] and len(anchored) == 6
+
+
 def test_eval_retrieval_modality_mismatch_exit_2(run_dir, cache_path, corpus, capsys):
     code, _, err = run_cli(
         capsys, "eval-retrieval", "--ckpt", str(run_dir / "ckpt-30.bin"),
@@ -580,8 +619,6 @@ def test_eval_classify_zeroshot_mean_embedding_anchors(tmp_path, capsys):
     capsys.readouterr()
 
     from imualign.encoder import encode_batch
-    from imualign.signalio import load_labels, load_window_cache
-    from imualign.train import load_checkpoint
 
     ck = load_checkpoint(run / "ckpt-80.bin")
     windows = load_window_cache(cache).windows
@@ -607,6 +644,65 @@ def test_eval_classify_zeroshot_mean_embedding_anchors(tmp_path, capsys):
     assert payload["accuracy"] == 1.0
 
 
+@pytest.fixture
+def partial_labels(corpus, tmp_path):
+    """The corpus labels without their first two windows."""
+    header, *records = (corpus / "labels.jsonl").read_text().splitlines()
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("".join(line + "\n" for line in [header] + records[2:]))
+    return labels
+
+
+@pytest.mark.parametrize("protocol", ["zeroshot", "probe", "finetune"])
+def test_eval_classify_encodes_each_labeled_window_once(protocol, run_dir, cache_path, corpus,
+                                                        partial_labels, tmp_path, monkeypatch,
+                                                        capsys):
+    passes = _count_encoder_passes(monkeypatch)
+    events = []
+    real_fine_tune = cli.fine_tune
+
+    def fine_tune(*args):
+        events.append(len(passes))  # encoder passes made before tuning
+        return real_fine_tune(*args)
+
+    monkeypatch.setattr(cli, "fine_tune", fine_tune)
+    code, payload, _ = run_cli(
+        capsys, "eval-classify", "--ckpt", str(run_dir / "ckpt-30.bin"),
+        "--cache", str(cache_path), "--labels", str(partial_labels), "--protocol", protocol,
+        "--class-anchors", str(corpus / "class_anchors.jsonl"), "--epochs", "3",
+        "--run-dir", str(tmp_path / "run"),
+    )
+    assert code == 0 and payload["unlabeled_windows"] == 2
+    labels, _ = load_labels(partial_labels)
+    labeled = [w.window_id for w in load_window_cache(cache_path).windows if w.window_id in labels]
+    assert [p["ids"] for p in passes] == [labeled]
+    if protocol == "finetune":
+        assert events == [0]
+        tuned = load_checkpoint(tmp_path / "run" / "ckpt-finetuned.bin").params
+        assert passes[0]["params"] == tuned.checksum()
+    else:
+        assert events == []
+        assert passes[0]["params"] == load_checkpoint(run_dir / "ckpt-30.bin").params.checksum()
+
+
+def test_eval_classify_probe_head_is_train_probes_head(run_dir, cache_path, corpus,
+                                                       partial_labels, tmp_path, capsys):
+    code, _, _ = run_cli(
+        capsys, "eval-classify", "--ckpt", str(run_dir / "ckpt-30.bin"),
+        "--cache", str(cache_path), "--labels", str(partial_labels),
+        "--protocol", "probe", "--epochs", "20", "--batch-size", "2", "--seed", "3",
+        "--run-dir", str(tmp_path / "probe"),
+    )
+    assert code == 0
+    ckpt = load_checkpoint(run_dir / "ckpt-30.bin")
+    labels, class_names = load_labels(partial_labels)
+    windows = [w for w in load_window_cache(cache_path).windows if w.window_id in labels]
+    head = train_probe(ParallelDataset(windows, {}, None, labels, class_names), ckpt.params,
+                       ckpt.encoder_config, ProbeConfig(epochs=20, batch_size=2, seed=3))
+    save_head(tmp_path / "expected.bin", head)
+    assert (tmp_path / "probe" / "head.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes()
+
+
 def test_eval_classify_zeroshot_requires_class_anchors(run_dir, cache_path, corpus, capsys):
     code, _, err = run_cli(
         capsys, "eval-classify", "--ckpt", str(run_dir / "ckpt-30.bin"),
@@ -628,6 +724,22 @@ def test_eval_classify_probe_leaves_checkpoint_untouched(run_dir, cache_path, co
     assert ckpt.read_bytes() == before
     assert (tmp_path / "probe" / "head.bin").exists()
     assert (tmp_path / "probe" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("protocol", ["probe", "finetune"])
+def test_eval_classify_manifest_hashes_only_the_files_read(protocol, run_dir, cache_path, corpus,
+                                                           tmp_path, capsys):
+    # probe and finetune never open --class-anchors, so a missing file is no reason to fail
+    code, payload, _ = run_cli(
+        capsys, "eval-classify", "--ckpt", str(run_dir / "ckpt-30.bin"),
+        "--cache", str(cache_path), "--labels", str(corpus / "labels.jsonl"),
+        "--protocol", protocol, "--epochs", "2", "--class-anchors", str(tmp_path / "absent.jsonl"),
+        "--run-dir", str(tmp_path / "run"),
+    )
+    assert code == 0 and payload["protocol"] == protocol
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert sorted(manifest["input_hashes"]) == sorted(
+        [str(run_dir / "ckpt-30.bin"), str(cache_path), str(corpus / "labels.jsonl")])
 
 
 def test_eval_classify_finetune_emits_new_checkpoint(run_dir, cache_path, corpus, tmp_path, capsys):
@@ -702,6 +814,16 @@ def test_retrieve_cache_pool_without_ckpt_exit_2(cache_path, corpus, capsys):
     assert code == 2 and "--ckpt" in err
 
 
+def test_retrieve_cache_pool_without_windows_exit_2(run_dir, corpus, tmp_path, capsys):
+    pool = tmp_path / "empty.bin"
+    save_window_cache(WindowCache([], 200.0, 0.32, 0.32, "none"), pool)
+    line = (corpus / "anchors_video.jsonl").read_text().splitlines()[0]
+    code, payload, err = run_cli(capsys, "retrieve", "--ckpt", str(run_dir / "ckpt-30.bin"),
+                                 "--pool", str(pool), "--query-anchor", line)
+    assert code == 2 and payload is None
+    assert err == f"error: {pool}: cache holds no windows\n"
+
+
 def test_retrieve_dim_mismatch_exit_2(corpus, capsys):
     bad = json.dumps({"window_id": "q", "modality": "text", "vector": [1.0, 0.0]})
     code, _, err = run_cli(capsys, "retrieve", "--pool", str(corpus / "anchors_video.jsonl"),
@@ -735,7 +857,6 @@ def test_retrieve_malformed_query_file_exit_2(corpus, tmp_path, capsys, line):
 
 
 def test_numeric_failure_exits_3(monkeypatch, cache_path, corpus, tmp_path, capsys):
-    from imualign import cli
     from imualign.errors import NumericError
 
     def boom(*args, **kwargs):
@@ -750,6 +871,33 @@ def test_numeric_failure_exits_3(monkeypatch, cache_path, corpus, tmp_path, caps
     )
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.fixture(scope="module")
+def nan_ckpt(run_dir, tmp_path_factory):
+    """The trained checkpoint with a NaN projection bias: every embedding is NaN."""
+    ckpt = load_checkpoint(run_dir / "ckpt-30.bin")
+    ckpt.params["proj.b"].data[:] = np.nan
+    out = tmp_path_factory.mktemp("nan") / "ckpt-nan.bin"
+    save_checkpoint(out, ckpt.params, None, ckpt.encoder_config, ckpt.train_config, step=ckpt.step)
+    return out
+
+
+@pytest.mark.parametrize("command", ["retrieve", "eval-retrieval", "eval-classify:zeroshot",
+                                     "eval-classify:probe", "eval-classify:finetune"])
+def test_non_finite_embeddings_exit_3(command, nan_ckpt, cache_path, corpus, capsys):
+    video = str(corpus / "anchors_video.jsonl")
+    name, _, protocol = command.partition(":")
+    argv = {
+        "retrieve": ["--pool", str(cache_path), "--query-anchor", video],
+        "eval-retrieval": ["--cache", str(cache_path), "--anchors", video, "--direction", "imu2video"],
+        "eval-classify": ["--cache", str(cache_path), "--labels", str(corpus / "labels.jsonl"),
+                          "--protocol", protocol, "--epochs", "2",
+                          "--class-anchors", str(corpus / "class_anchors.jsonl")],
+    }[name]
+    code, payload, err = run_cli(capsys, name, "--ckpt", str(nan_ckpt), *argv)
+    assert code == 3 and payload is None
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", ["retrieve-query-is-a-dir", "retrieve-pool-is-a-dir",

@@ -22,7 +22,7 @@ from imualign.encoder import (
     param_shapes,
     pipeline_time_lengths,
 )
-from imualign.errors import DataError, ShapeMismatchError
+from imualign.errors import DataError, NumericError, ShapeMismatchError
 from imualign.signalio import ImuWindow, synth_dataset
 
 TINY = EncoderConfig(
@@ -274,6 +274,14 @@ def test_encode_batch_memory_is_bounded_by_one_chunk():
     small, large = peak(64), peak(512)
     extra_rows = (512 - 64) * cfg.embed_dim * 8
     assert large - small < extra_rows + (1 << 20), (small, large)
+
+
+def test_encode_batch_refuses_a_non_finite_embedding_naming_its_window():
+    p = init_params(TINY, 9)
+    windows = [_window(i) for i in range(3)]
+    windows[1].signal[0, 0] = np.nan  # past the check `ImuWindow` makes when built
+    with pytest.raises(NumericError, match="window 'w1:0' embeds to non-finite values"):
+        encode_batch(windows, p, TINY)
 
 
 def test_encode_batch_mixed_lengths_error():

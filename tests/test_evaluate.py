@@ -388,6 +388,13 @@ def test_zeroshot_empty_error():
         zeroshot_classify(_unit([1.0, 0.0]), [])
 
 
+def test_zeroshot_refuses_a_nan_score():
+    # argmax returns the first NaN, so a NaN embedding would read as the first class
+    anchors = [("a", _unit([1.0, 0.0])), ("b", _unit([0.0, 1.0]))]
+    with pytest.raises(NumericError, match="NaN"):
+        zeroshot_classify(np.array([np.nan, 1.0]), anchors)
+
+
 # ---------------------------------------------------------------------------
 # linear head / probing
 
@@ -428,6 +435,20 @@ def test_zero_epoch_head_equals_init():
 def test_fit_linear_head_rejects_labels_of_another_length(n_labels):
     with pytest.raises(ShapeMismatchError, match="labels of shape"):
         fit_linear_head(np.ones((4, 3)), np.arange(n_labels) % 2, ["a", "b"], ProbeConfig(epochs=1))
+
+
+def test_fit_linear_head_refuses_single_class_labels():
+    with pytest.raises(DataError, match=r"single-class dataset \(only \['b'\]\)"):
+        fit_linear_head(np.ones((4, 3)), np.ones(4, dtype=np.int64), ["a", "b"], ProbeConfig(epochs=1))
+    with pytest.raises(DataError, match=r"single-class dataset \(only \[\]\)"):
+        fit_linear_head(np.ones((0, 3)), np.ones(0, dtype=np.int64), ["a", "b"], ProbeConfig(epochs=1))
+
+
+def test_fine_tune_rejects_single_class():
+    ds = synth_dataset(9, 8, 2, 16, 64, 0.05)
+    ds.labels = {k: ds.class_names[1] for k in ds.labels}
+    with pytest.raises(DataError, match="single-class"):
+        fine_tune(ds, init_params(SMALL_ENC, 0), None, SMALL_ENC, ProbeConfig(epochs=1))
 
 
 def test_probe_keeps_encoder_frozen():
@@ -520,6 +541,38 @@ def test_metrics_absent_class_zero_f1():
     out = classification_metrics(["a", "a"], ["a", "a"], ["a", "b", "c"])
     assert out["per_class_f1"]["b"] == 0.0 and out["per_class_f1"]["c"] == 0.0
     assert abs(out["macro_f1"] - 1 / 3) < 1e-6
+
+
+def _per_class_three_pass_metrics(predictions, golds, class_names):
+    """The per-class loop `classification_metrics` replaced: three passes
+    over the pairs for each class."""
+    correct = sum(1 for p, g in zip(predictions, golds) if p == g)
+    per_class = {}
+    for c in class_names:
+        tp = sum(1 for p, g in zip(predictions, golds) if p == c and g == c)
+        fp = sum(1 for p, g in zip(predictions, golds) if p == c and g != c)
+        fn = sum(1 for p, g in zip(predictions, golds) if p != c and g == c)
+        denom = 2 * tp + fp + fn
+        per_class[c] = 2 * tp / denom if denom else 0.0
+    macro = sum(per_class.values()) / len(class_names)
+    return {
+        "accuracy": round(correct / len(golds), 6),
+        "macro_f1": round(macro, 6),
+        "per_class_f1": {c: round(v, 6) for c, v in per_class.items()},
+        "n": len(golds),
+    }
+
+
+def test_metrics_match_the_per_class_three_pass_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        class_names = [str(c) for c in rng.permutation(list("abcde"))[: rng.integers(1, 6)]]
+        drawn = class_names + ["f"]  # "f" is a prediction or gold outside the declared classes
+        n = int(rng.integers(1, 40))
+        predictions = [drawn[i] for i in rng.integers(0, len(drawn), n)]
+        golds = [drawn[i] for i in rng.integers(0, len(drawn), n)]
+        assert (classification_metrics(predictions, golds, class_names)
+                == _per_class_three_pass_metrics(predictions, golds, class_names))
 
 
 def test_metrics_length_mismatch():
