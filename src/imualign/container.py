@@ -5,16 +5,23 @@ UTF-8 JSON header, then the raw float64 payload of every array in header
 order. Serialization is fully deterministic (sorted JSON keys, C-order
 buffers), so save -> load -> save round-trips bit-exactly.
 
-`read_container` checks that structure; each loader then declares its arrays
-(`checked_arrays`) and its header fields' JSON types (`header_field`, `header_config`).
+`read_container` checks that structure as it reads: the prefix and the
+header first, then each array, whose size is checked against the file's
+size before it is allocated and read from the file straight into its own
+buffer. The file is never held whole, so each payload byte is copied once.
+A pipe has no size to check against and is read whole first. Each loader
+then declares its arrays (`checked_arrays`) and its header fields' JSON
+types (`header_field`, `header_config`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import os
+import stat
 import struct
 import threading
 from pathlib import Path
@@ -60,18 +67,28 @@ def _valid_array_meta(meta) -> bool:
 
 def read_container(path, magic: bytes, version: int) -> tuple[dict, dict[str, np.ndarray]]:
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 13:
-        raise FormatError(f"{path}: truncated container (only {len(raw)} bytes)")
-    if raw[:4] != magic:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
-    if raw[4] != version:
-        raise FormatError(f"{path}: format version {raw[4]} unsupported (expected {version})")
-    (hlen,) = _LEN.unpack(raw[5:13])
-    if 13 + hlen > len(raw):
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            return _parse(path, fh, info.st_size, magic, version)
+        raw = fh.read()  # a pipe has no size to check against before it is read
+    return _parse(path, io.BytesIO(raw), len(raw), magic, version)
+
+
+def _parse(path: Path, fh, size: int, magic: bytes, version: int) -> tuple[dict, dict[str, np.ndarray]]:
+    """The container in `fh`, positioned at its start and `size` bytes long."""
+    prefix = fh.read(13)
+    if len(prefix) < 13:
+        raise FormatError(f"{path}: truncated container (only {len(prefix)} bytes)")
+    if prefix[:4] != magic:
+        raise FormatError(f"{path}: bad magic {prefix[:4]!r}, expected {magic!r}")
+    if prefix[4] != version:
+        raise FormatError(f"{path}: format version {prefix[4]} unsupported (expected {version})")
+    (hlen,) = _LEN.unpack(prefix[5:13])
+    if 13 + hlen > size or len(blob := fh.read(hlen)) < hlen:
         raise FormatError(f"{path}: truncated header ({hlen} bytes declared)")
     try:
-        header = json.loads(raw[13 : 13 + hlen].decode("utf-8"))
+        header = json.loads(blob.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # also ints past 4,300 digits and deep nesting
         raise FormatError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
@@ -86,16 +103,18 @@ def read_container(path, magic: bytes, version: int) -> tuple[dict, dict[str, np
         if name in arrays:
             raise FormatError(f"{path}: malformed arrays metadata in header: array {name!r} repeated")
         nbytes = math.prod(shape) * 8
-        if offset + nbytes > len(raw):
+        if offset + nbytes > size:  # checked before anything is allocated from the header's sizes
             raise FormatError(f"{path}: truncated payload for array {name!r}")
-        values = np.frombuffer(raw, dtype="<f8", count=nbytes // 8, offset=offset)
         try:
-            arrays[name] = values.reshape(shape).copy()
+            values = np.empty(shape, dtype="<f8")
         except ValueError as exc:  # an empty array with a dimension numpy cannot hold
             raise FormatError(f"{path}: array {name!r} has unsupported shape {shape}") from exc
+        if fh.readinto(values.data) < nbytes:  # the file shrank since its size was taken
+            raise FormatError(f"{path}: truncated payload for array {name!r}")
+        arrays[name] = values
         offset += nbytes
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing bytes after payload")
+    if offset != size:
+        raise FormatError(f"{path}: {size - offset} trailing bytes after payload")
     return header, arrays
 
 

@@ -79,7 +79,7 @@ class ImuWindow:
         self.signal = np.asarray(self.signal, dtype=np.float64)
         if self.signal.ndim != 2 or self.signal.shape[0] != 6:
             raise DataError(f"window {self.window_id}: expected (6, T) signal, got {self.signal.shape}")
-        if not np.all(np.isfinite(self.signal)):
+        if not np.isfinite(self.signal).all():
             raise DataError(f"window {self.window_id}: non-finite signal values")
 
     @property
@@ -416,6 +416,14 @@ def _refuse_repeated_ids(windows: list[ImuWindow], where, error=DataError) -> No
         raise error(f"{where}: repeated window ids: {', '.join(repeated[:20])}")
 
 
+def _refuse_unstackable(windows: list[ImuWindow], where) -> None:
+    """Windows that cannot be one id-keyed (n, 6, T) array: repeated ids or mixed lengths."""
+    _refuse_repeated_ids(windows, where)
+    lens = {w.n_samples for w in windows}
+    if len(lens) > 1:
+        raise DataError(f"{where}: mixed window lengths {sorted(lens)}")
+
+
 def assemble_dataset(
     windows: list[ImuWindow],
     video_anchor_path,
@@ -433,10 +441,7 @@ def assemble_dataset(
         raise DataError(f"assemble_dataset: coverage threshold must be in [0, 1], got {coverage_threshold}")
     if not windows:
         raise DataError("assemble_dataset: no windows")
-    _refuse_repeated_ids(windows, "assemble_dataset")
-    lens = {w.n_samples for w in windows}
-    if len(lens) > 1:
-        raise DataError(f"assemble_dataset: mixed window lengths {sorted(lens)}")
+    _refuse_unstackable(windows, "assemble_dataset")
     windows = sorted(windows, key=lambda w: w.window_id)
     video = load_anchor_embeddings(video_anchor_path, "video")
     text = load_anchor_embeddings(text_anchor_path, "text") if text_anchor_path else None
@@ -485,6 +490,7 @@ class WindowCache:
 
 
 def save_window_cache(cache: WindowCache, path) -> None:
+    _refuse_unstackable(cache.windows, path)  # before the write: `load_window_cache` would refuse it
     meta = [
         {"window_id": w.window_id, "source_id": w.source_id,
          "start_s": w.start_s, "duration_s": w.duration_s}

@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 
 from imualign import cli, evaluate
 from imualign.cli import build_parser, main
+from imualign.container import read_container, write_container
 from imualign.encoder import EncoderConfig
 from imualign.evaluate import ProbeConfig, save_head, train_probe
 from imualign.signalio import (
     CACHE_MAGIC,
+    CACHE_VERSION,
     ParallelDataset,
     WindowCache,
     load_labels,
@@ -277,10 +279,12 @@ def test_train_on_a_cache_without_signals_exit_2(corpus, tmp_path):
 
 @pytest.fixture(scope="module")
 def repeated_id_cache(cache_path, tmp_path_factory):
-    cache = load_window_cache(cache_path)
-    cache.windows.append(cache.windows[0])
+    """The corpus cache with its first window once more; `save_window_cache` refuses to write it."""
+    header, arrays = read_container(cache_path, CACHE_MAGIC, CACHE_VERSION)
+    header["windows"].append(header["windows"][0])
     out = tmp_path_factory.mktemp("repeated") / "windows.bin"
-    save_window_cache(cache, out)
+    write_container(out, CACHE_MAGIC, CACHE_VERSION, header,
+                    [("signals", np.concatenate([arrays["signals"], arrays["signals"][:1]]))])
     return out
 
 

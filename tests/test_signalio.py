@@ -17,6 +17,7 @@ from imualign.signalio import (
     CACHE_VERSION,
     CSV_HEADER,
     ImuStream,
+    ImuWindow,
     WindowCache,
     assemble_dataset,
     load_anchor_embeddings,
@@ -647,17 +648,30 @@ def test_cache_round_trip(tmp_path):
     assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "c2.bin").read_bytes()
 
 
-def test_cache_rejects_repeated_window_ids(tmp_path):
-    wins = make_windows(_stream(100, hz=50.0), 1.0, 1.0)
-    p = tmp_path / "c.bin"
-    save_window_cache(WindowCache(wins + wins[:1], 50.0, 1.0, 1.0), p)
-    with pytest.raises(DataError, match=f"{p}: repeated window ids: src:0$"):
-        load_window_cache(p)
-
-
 _CACHE_WINDOW = {"window_id": "w0", "source_id": "s", "start_s": 0.0, "duration_s": 1.0}
 _CACHE_HEADER = {"kind": "window-cache", "sample_rate_hz": 50.0, "window_s": 1.0, "stride_s": 1.0,
                  "content_hash": "", "windows": [_CACHE_WINDOW]}
+
+
+def test_cache_rejects_repeated_window_ids(tmp_path):
+    p = tmp_path / "c.bin"
+    write_container(p, CACHE_MAGIC, CACHE_VERSION, {**_CACHE_HEADER, "windows": [_CACHE_WINDOW] * 2},
+                    [("signals", np.zeros((2, 6, 50)))])
+    with pytest.raises(FormatError, match=f"{p}: repeated window ids: w0$"):
+        load_window_cache(p)
+
+
+@pytest.mark.parametrize("extra_id, n_samples, message", [
+    ("src:0", 50, "repeated window ids: src:0"),
+    ("w1", 40, "mixed window lengths [40, 50]"),
+], ids=["repeated-id", "mixed-lengths"])
+def test_save_window_cache_refuses_what_the_loader_would_before_writing(tmp_path, extra_id, n_samples, message):
+    wins = make_windows(_stream(100, hz=50.0), 1.0, 1.0)[:1]  # one 50-sample window, id src:0
+    wins.append(ImuWindow(extra_id, "src", 1.0, 1.0, np.zeros((6, n_samples))))
+    p = tmp_path / "c.bin"
+    with pytest.raises(DataError, match=re.escape(f"{p}: {message}") + "$"):
+        save_window_cache(WindowCache(wins, 50.0, 1.0, 1.0), p)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("header, arrays, message", [
