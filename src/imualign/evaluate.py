@@ -80,27 +80,16 @@ class Pool:
         return np.argsort(-scores, kind="stable"), scores
 
 
-def rank_pool(scores: np.ndarray, pool: Pool, gold_id: str) -> RetrievalResult:
+def rank_pool(above: int, tied_before: int, gold_id: str) -> RetrievalResult:
     """The gold id's 1-based position in `Pool.rank`'s order, counted, not
-    sorted: 1 + the rows scoring above the gold + the rows of smaller id
-    scoring the same. `scores` is one query's score for every pool row.
-
-    The count is `Pool.rank`'s order when every score compares with the
-    gold's as its `_inner_products` score would; `eval_retrieval` re-scores
-    every pair for which a GEMM score might not.
-    """
-    row = bisect_left(pool.ids, gold_id)
-    if row == len(pool.ids) or pool.ids[row] != gold_id:
-        raise CoverageError(f"rank_pool: gold id {gold_id!r} not in pool", [gold_id])
-    if np.shape(scores) != (len(pool.ids),):
-        raise ShapeMismatchError(f"rank_pool: scores of shape {np.shape(scores)} for a pool of {len(pool.ids)}")
-    if np.isnan(scores[row]):  # NaN compares false with everything: the count would read rank 1
-        raise NumericError(f"rank_pool: gold id {gold_id!r} scores NaN")
-    rank = 1 + np.count_nonzero(scores > scores[row]) + np.count_nonzero(scores[:row] == scores[row])
-    return RetrievalResult(gold_id, int(rank))
+    sorted: 1 + `above`, the rows scoring above the gold, + `tied_before`,
+    the rows of smaller id scoring the same."""
+    return RetrievalResult(gold_id, 1 + int(above) + int(tied_before))
 
 
-_QUERY_BLOCK = 256  # queries per GEMM: bounds the (block, pool) score matrix
+_POOL_BLOCK = 512  # pool rows gathered at a time: bounds the pool copy
+_QUERY_BLOCK = 256  # queries per GEMM: with `_POOL_BLOCK`, bounds the score tile
+_RESCORE_PAIRS = 1024  # (query, row) pairs re-scored per `vecdot`: bounds their copies
 _U = 2.0 ** -53  # float64 unit roundoff
 _TINY = 2.0 ** -1074  # smallest subnormal: twice what one underflowing product can lose
 _SAFE_SCALE = 2.0 ** 1000  # below this no product or partial sum of a dot can overflow
@@ -110,26 +99,27 @@ def _norm_bounds(matrix: np.ndarray) -> np.ndarray:
     """An upper bound on each row's 2-norm, up to a (1 + D·u) factor, even
     where the squares underflow; inf where they overflow."""
     with np.errstate(over="ignore"):
-        return np.sqrt(np.einsum("ij,ij->i", matrix, matrix) + matrix.shape[1] * _TINY)
+        return np.sqrt(np.vecdot(matrix, matrix) + matrix.shape[1] * _TINY)
 
 
-def _block_scores(block: np.ndarray, pool: Pool, gold_rows: list[int], max_norm: float) -> np.ndarray:
-    """Each query's score for every pool row: one GEMM, then the
-    `_inner_products` value of every pair the GEMM could misorder against
-    its query's gold."""
-    n, dim = block.shape
-    gold = (np.arange(n), gold_rows)
+def _count_tile(queries: np.ndarray, rows: np.ndarray, gold: np.ndarray, band: np.ndarray,
+                gold_cols: np.ndarray, above: np.ndarray, tied: np.ndarray) -> None:
+    """Add to each query's `above` count the rows whose `_inner_products`
+    score exceeds its gold score `gold`, and to `tied` the rows left of its
+    gold column `gold_cols` that score the same: one GEMM, then the kernel
+    on every pair whose GEMM score is not more than `band` from `gold`."""
+    band = band[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows here is re-scored below
-        scores = block @ pool.matrix.T
-        scale = _norm_bounds(block) * max_norm
-        band = np.where(scale < _SAFE_SCALE, 4 * (dim + 2) * (_U * scale + _TINY), np.inf)
-        diff = scores - scores[gold][:, None]
+        diff = queries @ rows.T
+        diff -= gold[:, None]
+        above += np.count_nonzero(diff > band, axis=1)
         np.abs(diff, out=diff)
-        near = ~(diff > band[:, None])  # NaN and inf differences are re-scored too
-    near[gold] = True
-    qi, rj = np.nonzero(near)
-    scores[qi, rj] = np.vecdot(pool.matrix[rj], block[qi])  # the kernel of `_inner_products`, pair by pair
-    return scores
+        qi, rj = np.divmod(np.flatnonzero(~(diff > band)), diff.shape[1])  # NaN and inf differences too
+    for start in range(0, len(qi), _RESCORE_PAIRS):
+        q, r = qi[start:start + _RESCORE_PAIRS], rj[start:start + _RESCORE_PAIRS]
+        s, g = np.vecdot(rows[r], queries[q]), gold[q]  # the kernel of `_inner_products`, pair by pair
+        above += np.bincount(q[s > g], minlength=len(gold))
+        tied += np.bincount(q[(s == g) & (r < gold_cols[q])], minlength=len(gold))
 
 
 def recall_at_k(results: list[RetrievalResult], k: int) -> float:
@@ -159,22 +149,29 @@ def eval_retrieval(
     ``imu2text`` use IMU embeddings as queries against the anchor pool.
     Gold is the entry sharing the query's window id.
 
-    The sorted queries are scored in blocks of `_QUERY_BLOCK`, one GEMM
-    against the pool per block, after FAISS's exhaustive inner-product
-    search. A GEMM sums a dot product in its own order, so its scores can
-    differ from `_inner_products`' in the last bits and flip a tie or a
-    near-tie with the gold. Any summation order of a D-term dot product is
-    within γ_D·Σ|q_k·p_k| ≤ γ_D·‖q‖·‖p‖ of the exact value, γ_D = D·u/(1 - D·u)
-    with u = 2⁻⁵³ (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    §3.1), plus D·2⁻¹⁰⁷⁴ where products underflow. A row's GEMM score and
-    the kernel's therefore differ by at most half of
-    ``band = 4·(D+2)·(u·‖q‖·max_j‖p_j‖ + 2⁻¹⁰⁷⁴)``, and so do the gold's: a
-    row whose GEMM score is more than `band` from the gold's compares with
-    the gold as the kernel's score would. Every other row, the gold itself
-    and every NaN or inf difference is re-scored with `_inner_products`; the
-    band is infinite where ‖q‖·max‖p‖ is large enough for a dot to overflow.
-    `rank_pool` then counts each query's ranks bit for bit as on the
-    per-query kernel's scores.
+    The sorted pool is walked once, gathered `_POOL_BLOCK` rows at a time,
+    and each pool block is scored against the sorted queries `_QUERY_BLOCK`
+    at a time, one GEMM per tile, after FAISS's exhaustive inner-product
+    search; neither the pool matrix nor a queries × pool score matrix is
+    ever held. Each query's gold score `g` is computed once, up front, with
+    the kernel of `_inner_products`, so it is the kernel's value bit for
+    bit. A GEMM sums a dot product in its own order, so its score for a
+    row can differ from the kernel's in the last bits. Any summation order
+    of a D-term dot product is within γ_D·Σ|q_k·p_k| ≤ γ_D·‖q‖·‖p‖ of the
+    exact value, γ_D = D·u/(1 - D·u) with u = 2⁻⁵³ (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §3.1), plus D·2⁻¹⁰⁷⁴ where products
+    underflow. A row's GEMM score and its kernel score therefore differ by
+    at most half of ``band = 4·(D+2)·(u·‖q‖·max_j‖p_j‖ + 2⁻¹⁰⁷⁴)``, the max
+    taken over the tile's own pool block (every row's norm is at most it).
+    A row whose GEMM score is more than `band` from `g` compares with the
+    gold as its kernel score would, and is counted as above or below from
+    the GEMM alone. Every other pair, the gold's own among them, and every
+    NaN or inf difference is re-scored with the kernel, `_RESCORE_PAIRS`
+    pairs at a time, and compared with `g` exactly: above if greater, tied
+    if equal and of smaller id (an exact tie is always such a pair). The
+    band is infinite where ‖q‖·max‖p‖ is large enough for a dot to
+    overflow. `rank_pool` then turns each query's two counts into its rank,
+    bit for bit the count on the per-query kernel's scores.
     """
     if direction not in RETRIEVAL_DIRECTIONS:
         raise DataError(f"direction must be one of {RETRIEVAL_DIRECTIONS}, got {direction!r}")
@@ -182,32 +179,52 @@ def eval_retrieval(
         queries, pool_map = imu_embeddings, anchors
     else:
         queries, pool_map = anchors, imu_embeddings
-    missing = sorted(set(queries) - set(pool_map))
+    missing = sorted(qid for qid in queries if qid not in pool_map)
     if missing:
         raise CoverageError(
             f"eval_retrieval: {len(missing)} query ids missing from pool: {', '.join(missing[:20])}",
             missing,
         )
-    pool = Pool(pool_map)
-    dim = pool.matrix.shape[1]
-    max_norm = np.fmax.reduce(_norm_bounds(pool.matrix))  # NaN rows are re-scored anyway
-    qids = sorted(queries)
-    results = []
+    if not pool_map:
+        raise DataError("empty pool")
+    if not queries:
+        raise DataError("eval_retrieval: no queries")
+    pool_ids, qids = sorted(pool_map), sorted(queries)
+    query = _stack([queries[qid] for qid in qids], "query")
+    dim = query.shape[1]
+    gold = np.empty(len(qids))
     for start in range(0, len(qids), _QUERY_BLOCK):
-        block_ids = qids[start:start + _QUERY_BLOCK]
-        block = _stack([queries[qid] for qid in block_ids], "query")
-        if block.shape[1] != dim:
-            raise ShapeMismatchError(f"query dim {block.shape[1]} does not match pool dim {dim}")
-        rows = [bisect_left(pool.ids, qid) for qid in block_ids]
-        scores = _block_scores(block, pool, rows, max_norm)
-        results += [rank_pool(s, pool, qid) for s, qid in zip(scores, block_ids)]
+        block = slice(start, start + _QUERY_BLOCK)
+        golds = _stack([pool_map[qid] for qid in qids[block]], "pool")
+        if golds.shape[1] != dim:
+            raise ShapeMismatchError(f"query dim {dim} does not match pool dim {golds.shape[1]}")
+        gold[block] = np.vecdot(golds, query[block])  # the kernel of `_inner_products`
+    nan = np.flatnonzero(np.isnan(gold))
+    if nan.size:  # NaN compares false with everything: the count would read rank 1
+        raise NumericError(f"eval_retrieval: gold id {qids[nan[0]]!r} scores NaN")
+    gold_rows = np.array([bisect_left(pool_ids, qid) for qid in qids])
+    query_norms = _norm_bounds(query)
+    above = np.zeros(len(qids), dtype=np.int64)
+    tied = np.zeros(len(qids), dtype=np.int64)
+    for start in range(0, len(pool_ids), _POOL_BLOCK):
+        rows = _stack([pool_map[pid] for pid in pool_ids[start:start + _POOL_BLOCK]], "pool")
+        if rows.shape[1] != dim:
+            raise ShapeMismatchError(f"query dim {dim} does not match pool dim {rows.shape[1]}")
+        with np.errstate(over="ignore"):  # NaN rows are re-scored anyway
+            scale = query_norms * np.fmax.reduce(_norm_bounds(rows))
+        band = np.where(scale < _SAFE_SCALE, 4 * (dim + 2) * (_U * scale + _TINY), np.inf)
+        for q0 in range(0, len(qids), _QUERY_BLOCK):
+            block = slice(q0, q0 + _QUERY_BLOCK)
+            _count_tile(query[block], rows, gold[block], band[block], gold_rows[block] - start,
+                        above[block], tied[block])
+    results = [rank_pool(a, t, qid) for a, t, qid in zip(above.tolist(), tied.tolist(), qids)]
     out = {"direction": direction}
     for k in ks:
         out[f"R@{k}"] = round(recall_at_k(results, k), 6)
     out["MRR"] = round(mrr(results), 6)
-    out["pool_size"] = len(pool.ids)
+    out["pool_size"] = len(pool_ids)
     out["n_queries"] = len(results)
-    out["flags"] = ["pool_lt_50"] if len(pool.ids) < 50 else []
+    out["flags"] = ["pool_lt_50"] if len(pool_ids) < 50 else []
     return out
 
 

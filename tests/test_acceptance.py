@@ -21,13 +21,11 @@ from imualign.cli import main as cli_main
 from imualign.contrastive import alignment_loss, info_nce, retrieval_distribution
 from imualign.encoder import EncoderConfig, EncoderParams, encode_batch, encode_batch_on_tape, init_params
 from imualign.evaluate import (
-    Pool,
     ProbeConfig,
     classification_metrics,
     eval_retrieval,
     fine_tune,
     mrr,
-    rank_pool,
     recall_at_k,
     softmax_cross_entropy,
     train_probe,
@@ -36,6 +34,7 @@ from imualign.evaluate import (
 from imualign.evaluate import RetrievalResult
 from imualign.signalio import synth_class_anchors, synth_dataset
 from imualign.train import AdagradState, TrainConfig, train_epoch
+from test_evaluate import _recorded_ranks
 
 
 @contextmanager
@@ -193,7 +192,7 @@ def test_criterion_03_distribution_sanity():
 
 
 def test_criterion_04_retrieval_metric_oracles():
-    with criterion(4, "R@k / MRR hand values; rank_pool vs brute-force on 1000 pools"):
+    with criterion(4, "R@k / MRR hand values; eval_retrieval's gold ranks vs brute-force on 1000 pools"):
         results = [RetrievalResult(f"q{i}", r) for i, r in enumerate([1, 2, 4])]
         hand_value = (1.0 + 1.0 / 2.0 + 1.0 / 4.0) / 3.0  # independent hand arithmetic
         assert abs(mrr(results) - hand_value) < 1e-6
@@ -208,11 +207,10 @@ def test_criterion_04_retrieval_metric_oracles():
             q = rng.standard_normal(d)
             q /= np.linalg.norm(q)
             gold = f"id{int(rng.integers(n)):03d}"
-            ranked = Pool(dict(pool))
-            got = rank_pool(ranked.rank(q)[1], ranked, gold).gold_rank
+            got = _recorded_ranks(dict(pool), {gold: q})[1]
             expected = sorted(((-float(q @ v), pid) for pid, v in pool)).index(
                 (-float(q @ dict(pool)[gold]), gold)) + 1
-            assert got == expected
+            assert got == [(gold, expected)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,23 +52,42 @@ def brute_force_rank(query, pool, gold_id):
 
 
 # ---------------------------------------------------------------------------
-# rank_pool
+# rank_pool: gold ranks as `eval_retrieval` passes them through it
+
+
+def _recorded_ranks(pool_map, queries, ks=(1, 10, 50)):
+    """`eval_retrieval(..., "text2imu")` and the gold ranks it passed through `rank_pool`."""
+    gold_ranks = []
+
+    def recording(above, tied_before, gold_id):
+        result = rank_pool(above, tied_before, gold_id)
+        gold_ranks.append((gold_id, result.gold_rank))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "rank_pool", recording)
+        return eval_retrieval(pool_map, queries, "text2imu", ks), gold_ranks
+
+
+def _gold_rank(pool_map, query, gold_id):
+    """The gold rank of one query through `eval_retrieval`."""
+    return _recorded_ranks(pool_map, {gold_id: query})[1][0][1]
 
 
 def test_rank_pool_self_similarity_first():
     q = _unit([1.0, 0.0])
-    pool = Pool({"gold": q, "other": _unit([0.0, 1.0])})
-    res = rank_pool(pool.rank(q)[1], pool, "gold")
-    assert res.gold_rank == 1
+    vectors = {"gold": q, "other": _unit([0.0, 1.0])}
+    assert _gold_rank(vectors, q, "gold") == 1
+    pool = Pool(vectors)
     assert pool.ids[pool.rank(q)[0][0]] == "gold"
 
 
 def test_rank_pool_tie_breaks_by_id():
     v = _unit([1.0, 1.0])
-    pool = Pool({"c": v.copy(), "a": v.copy(), "b": v.copy()})
-    res = rank_pool(pool.rank(v)[1], pool, "b")
+    vectors = {"c": v.copy(), "a": v.copy(), "b": v.copy()}
+    pool = Pool(vectors)
     assert [pool.ids[i] for i in pool.rank(v)[0]] == ["a", "b", "c"]
-    assert res.gold_rank == 2
+    assert _gold_rank(vectors, v, "b") == 2
 
 
 @pytest.mark.parametrize("dim", [17, 512])
@@ -82,23 +102,21 @@ def test_equal_vectors_tie_by_id_at_every_pool_size(dim):
         pool = Pool(vectors)
         order, scores = pool.rank(q)
         assert len(set(scores[:n].tolist())) == 1
-        res = rank_pool(scores, pool, "id00")
         assert [pool.ids[i] for i in order if pool.ids[i] != "other"] == sorted(vectors)[:n]
-        assert res.gold_rank == 1 + (scores[n] > scores[0])
+        assert _gold_rank(vectors, q, "id00") == 1 + (scores[n] > scores[0])
 
 
 def test_rank_pool_hand_order():
     q = _unit([1.0, 0.0])
-    pool = Pool({"a": _unit([0.9, np.sqrt(1 - 0.81)]), "b": _unit([0.5, np.sqrt(0.75)])})
-    res = rank_pool(pool.rank(q)[1], pool, "b")
-    assert res.gold_rank == 2
+    vectors = {"a": _unit([0.9, np.sqrt(1 - 0.81)]), "b": _unit([0.5, np.sqrt(0.75)])}
+    assert _gold_rank(vectors, q, "b") == 2
 
 
 def test_rank_pool_missing_gold():
-    pool = Pool({"a": _unit([1.0, 0.0])})
+    vectors = {"a": _unit([1.0, 0.0])}
     for gold in ("zzz", "0", "aa"):
         with pytest.raises(CoverageError):
-            rank_pool(pool.rank(_unit([1.0, 0.0]))[1], pool, gold)
+            _gold_rank(vectors, _unit([1.0, 0.0]), gold)
 
 
 def test_pool_rejects_empty_map_and_wrong_query_dim():
@@ -115,7 +133,7 @@ def test_pool_rejects_empty_map_and_wrong_query_dim():
 
 
 def test_rank_pool_counts_the_stable_sort_position_among_duplicates_and_zeros():
-    # many exact ties: rank_pool's count must give the gold's place in
+    # many exact ties: the counted rank must be the gold's place in
     # Pool.rank's stable ascending-id order, for every gold
     rng = np.random.default_rng(6)
     for dim in (3, 17, 512):
@@ -124,8 +142,8 @@ def test_rank_pool_counts_the_stable_sort_position_among_duplicates_and_zeros():
         pool = Pool(vectors)
         for q in (_unit(rng.standard_normal(dim)), base[0], np.zeros(dim)):
             order = pool.rank(q)[0].tolist()
-            for gold in vectors:
-                assert rank_pool(pool.rank(q)[1], pool, gold).gold_rank == 1 + order.index(pool.ids.index(gold))
+            ranks = _recorded_ranks(vectors, {gold: q for gold in vectors})[1]
+            assert ranks == [(gold, 1 + order.index(pool.ids.index(gold))) for gold in sorted(vectors)]
 
 
 def test_rank_pool_refuses_a_nan_gold_score_and_ranks_nan_rows_last():
@@ -134,9 +152,9 @@ def test_rank_pool_refuses_a_nan_gold_score_and_ranks_nan_rows_last():
     pool, q = Pool(v), _unit([1.0, 0.0])
     order = pool.rank(q)[0].tolist()
     assert [pool.ids[i] for i in order] == ["a", "d", "c", "b"]
-    assert [rank_pool(pool.rank(q)[1], pool, g).gold_rank for g in "acd"] == [1, 3, 2]
+    assert _recorded_ranks(v, {g: q for g in "acd"})[1] == [("a", 1), ("c", 3), ("d", 2)]
     with pytest.raises(NumericError, match="'b' scores NaN"):
-        rank_pool(pool.rank(q)[1], pool, "b")
+        _gold_rank(v, q, "b")
 
 
 def test_rank_pool_matches_brute_force_oracle():
@@ -147,9 +165,8 @@ def test_rank_pool_matches_brute_force_oracle():
         pool = [(f"id{i:03d}", _unit(rng.standard_normal(d))) for i in range(n)]
         q = _unit(rng.standard_normal(d))
         gold = f"id{int(rng.integers(n)):03d}"
+        assert _gold_rank(dict(pool), q, gold) == brute_force_rank(q, pool, gold)
         ranked = Pool(dict(pool))
-        res = rank_pool(ranked.rank(q)[1], ranked, gold)
-        assert res.gold_rank == brute_force_rank(q, pool, gold)
         assert sorted(ranked.ids[i] for i in ranked.rank(q)[0]) == sorted(p[0] for p in pool)
 
 
@@ -243,38 +260,16 @@ def test_eval_retrieval_direction_validation():
         eval_retrieval({}, {}, "imu2audio")
 
 
-def test_eval_retrieval_repeat_calls_match_brute_force(monkeypatch):
+def test_eval_retrieval_repeat_calls_match_brute_force():
     rng = np.random.default_rng(5)
     text = {f"w{i}": _unit(rng.standard_normal(8)) for i in range(40)}
     imu = {k: _unit(v + 0.3 * rng.standard_normal(8)) for k, v in text.items()}
-    gold_ranks = []
-
-    def recording(scores, pool, gold_id):
-        result = rank_pool(scores, pool, gold_id)
-        gold_ranks.append((gold_id, result.gold_rank))
-        return result
-
-    monkeypatch.setattr(evaluate, "rank_pool", recording)
-    first = eval_retrieval(imu, text, "text2imu")
-    second = eval_retrieval(imu, text, "text2imu")
+    first, gold_ranks = _recorded_ranks(imu, text)
+    second, again = _recorded_ranks(imu, text)
     assert first == second
     expected = [(qid, brute_force_rank(q, list(imu.items()), qid))
                 for qid, q in sorted(text.items())]
-    assert gold_ranks == expected + expected
-
-
-def _recorded_ranks(pool_map, queries, ks=(1, 10, 50)):
-    """`eval_retrieval(..., "text2imu")` and the gold ranks it passed through `rank_pool`."""
-    gold_ranks = []
-
-    def recording(scores, pool, gold_id):
-        result = rank_pool(scores, pool, gold_id)
-        gold_ranks.append((gold_id, result.gold_rank))
-        return result
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluate, "rank_pool", recording)
-        return eval_retrieval(pool_map, queries, "text2imu", ks), gold_ranks
+    assert gold_ranks == again == expected
 
 
 def _kernel_rank(pool, query, gold_id):
@@ -288,14 +283,14 @@ def _kernel_rank(pool, query, gold_id):
 def _tie_heavy_retrieval(draw):
     """A pool full of exact and near ties (duplicate rows, rows one
     nextafter apart, zero rows) with NaN rows and rows scaled by 1e+-150,
-    and a query for every id whose row is not NaN; sometimes more than one
-    query block."""
+    and a query for every id whose row is not NaN; at least 8 rows, so that
+    with the test's tiles every case spans several on both axes."""
     dim = draw(st.sampled_from([1, 2, 3, 17, 64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = rng.standard_normal((draw(st.integers(1, 4)), dim))
     kinds = sorted(draw(st.sets(st.sampled_from(["dup", "nextafter", "zero", "fresh"]), min_size=1)))
     scales = sorted(draw(st.sets(st.sampled_from([1e-150, 1.0, 1e150]), min_size=1)))
-    n = draw(st.integers(1, 40) | st.just(evaluate._QUERY_BLOCK + 44))
+    n = draw(st.integers(8, 40))
     pool, queries = {}, {}
     for i in range(n):
         kind = kinds[rng.integers(len(kinds))]
@@ -316,7 +311,11 @@ def _tie_heavy_retrieval(draw):
 @given(case=_tie_heavy_retrieval())
 def test_eval_retrieval_ranks_equal_the_per_query_kernel_count(case):
     queries, pool_map = case
-    out, gold_ranks = _recorded_ranks(pool_map, queries, ks=(1, 2, 10))
+    with pytest.MonkeyPatch.context() as mp:  # co-prime tiles, and re-scoring chunks that cut tiles
+        mp.setattr(evaluate, "_POOL_BLOCK", 7)
+        mp.setattr(evaluate, "_QUERY_BLOCK", 3)
+        mp.setattr(evaluate, "_RESCORE_PAIRS", 5)
+        out, gold_ranks = _recorded_ranks(pool_map, queries, ks=(1, 2, 10))
     pool = Pool(pool_map)
     expected = [(qid, _kernel_rank(pool, queries[qid], qid)) for qid in sorted(queries)]
     assert gold_ranks == expected
@@ -341,6 +340,35 @@ def test_eval_retrieval_ranks_equal_the_kernel_count_where_dots_overflow():
     with np.errstate(over="ignore", invalid="ignore"):
         expected = [(qid, _kernel_rank(ranked, queries[qid], qid)) for qid in sorted(queries)]
         assert _recorded_ranks(pool, queries)[1] == expected
+
+
+def _traced_peak(f):
+    """`f()` and the peak bytes Python and numpy allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_retrieval_rescores_a_pool_of_duplicates_in_bounded_memory():
+    # every (query, row) pair ties with the gold, so every pair is re-scored
+    v = _unit(np.random.default_rng(9).standard_normal(64))
+    pool = {f"id{i:04d}": v.copy() for i in range(2000)}
+    queries = {f"id{i:04d}": v for i in range(0, 2000, 40)}
+    (_, gold_ranks), peak = _traced_peak(lambda: _recorded_ranks(pool, queries))
+    assert gold_ranks == [(f"id{i:04d}", i + 1) for i in range(0, 2000, 40)]
+    assert peak < 16 * 2**20
+
+
+def test_eval_retrieval_never_holds_the_pool_matrix():
+    rng = np.random.default_rng(10)
+    matrix = rng.standard_normal((20_000, 64))
+    pool = {f"id{i:05d}": row for i, row in enumerate(matrix)}
+    queries = {f"id{i:05d}": pool[f"id{i:05d}"] for i in range(0, 20_000, 2_000)}
+    out, peak = _traced_peak(lambda: eval_retrieval(pool, queries, "text2imu"))
+    assert out["n_queries"] == 10 and out["pool_size"] == 20_000
+    assert peak < matrix.nbytes / 4
 
 
 def test_eval_retrieval_refuses_misshapen_queries_and_a_nan_gold():
