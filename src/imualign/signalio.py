@@ -79,12 +79,34 @@ class ImuWindow:
         self.signal = np.asarray(self.signal, dtype=np.float64)
         if self.signal.ndim != 2 or self.signal.shape[0] != 6:
             raise DataError(f"window {self.window_id}: expected (6, T) signal, got {self.signal.shape}")
-        if not np.isfinite(self.signal).all():
-            raise DataError(f"window {self.window_id}: non-finite signal values")
+        _refuse_non_finite(self.signal[None], [self.window_id])
 
     @property
     def n_samples(self) -> int:
         return int(self.signal.shape[1])
+
+
+def _refuse_non_finite(signals: np.ndarray, window_ids) -> None:
+    """Refuse (n, 6, T) signals holding a NaN or an inf, naming the first such window in row order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = signals.sum()  # finite only if every value is; allocates nothing
+    if not math.isfinite(total):  # a NaN, an inf, or a sum of finite values that overflowed
+        finite = np.isfinite(signals).all(axis=(1, 2))
+        if not finite.all():
+            raise DataError(f"window {window_ids[int(np.argmin(finite))]}: non-finite signal values")
+
+
+def _windows(signals: np.ndarray, ids, sources, starts, durations) -> list[ImuWindow]:
+    """An `ImuWindow` per row of float64 (n, 6, T) `signals`, its fields as given: the
+    array is checked once here, so no window runs `__post_init__`'s checks."""
+    _refuse_non_finite(signals, ids)
+    windows = []
+    for wid, source, start, duration, signal in zip(ids, sources, starts, durations, signals):
+        w = object.__new__(ImuWindow)
+        w.__dict__ = {"window_id": wid, "source_id": source, "start_s": start,
+                      "duration_s": duration, "signal": signal}
+        windows.append(w)
+    return windows
 
 
 @dataclass
@@ -245,20 +267,14 @@ def make_windows(stream: ImuStream, window_s: float, stride_s: float) -> list[Im
     t_stride = max(1, int(round(stride_s * hz)))
     if t_win < 1:
         raise DataError(f"make_windows: window of {window_s}s at {hz}Hz has no samples")
-    windows = []
-    n = stream.n_samples
-    for start in range(0, n - t_win + 1, t_stride):
-        sig = stream.values[start : start + t_win].T
-        windows.append(
-            ImuWindow(
-                window_id=f"{stream.source_id}:{start}",
-                source_id=stream.source_id,
-                start_s=float(stream.timestamps[start]),
-                duration_s=t_win / hz,
-                signal=sig,
-            )
-        )
-    return windows
+    starts = range(0, stream.n_samples - t_win + 1, t_stride)
+    if not starts:
+        return []
+    # window k is the view values[start : start + t_win].T, so only its own samples are checked
+    signals = np.lib.stride_tricks.sliding_window_view(stream.values, t_win, axis=0, writeable=True)[::t_stride]
+    src = stream.source_id
+    return _windows(signals, [f"{src}:{s}" for s in starts], [src] * len(starts),
+                    stream.timestamps[starts].tolist(), [t_win / hz] * len(starts))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +520,8 @@ def save_window_cache(cache: WindowCache, path) -> None:
         "content_hash": cache.content_hash,
         "windows": meta,
     }
-    signals = np.stack([w.signal for w in cache.windows]) if cache.windows else np.zeros((0, 6, 0))
+    # np.array, unlike np.stack of transposed views, stacks in C order: written with no second copy
+    signals = np.array([w.signal for w in cache.windows]) if cache.windows else np.zeros((0, 6, 0))
     write_container(path, CACHE_MAGIC, CACHE_VERSION, header, [("signals", signals)])
 
 
@@ -523,10 +540,8 @@ def load_window_cache(path) -> WindowCache:
         raise FormatError(f"{path}: malformed windows metadata in header")
     if len(metas) != len(signals):
         raise FormatError(f"{path}: {len(metas)} windows in the header for {len(signals)} signal rows")
-    windows = [
-        ImuWindow(m["window_id"], m["source_id"], m["start_s"], m["duration_s"], signals[i])
-        for i, m in enumerate(metas)
-    ]
+    fields = ([m[key] for m in metas] for key in ("window_id", "source_id", "start_s", "duration_s"))
+    windows = _windows(signals, *fields)
     _refuse_repeated_ids(windows, path, FormatError)
     sizes = [header_field(path, header, key, float) for key in ("sample_rate_hz", "window_s", "stride_s")]
     return WindowCache(windows, *sizes, header_field(path, header, "content_hash", str))

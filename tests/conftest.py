@@ -5,13 +5,19 @@ failure message. Training speed rests on how glibc's allocator hands out
 and returns pages, so the header also names the allocator settings in the
 environment: a run with pinned thresholds shows as such. The header also
 gives the line count of the package source, `wc -l src/imualign/*.py`,
-the size figure the ROADMAP tracks."""
+the size figure the ROADMAP tracks. Hypothesis keeps its example database
+and constants in the repo's own ignored `.hypothesis/`, whatever the
+working directory of the run."""
 
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
+
+_REPO = Path(__file__).resolve().parent.parent
+set_hypothesis_home_dir(_REPO / ".hypothesis")
 
 
 def _blas() -> str:
@@ -26,7 +32,7 @@ def _allocator_settings() -> str:
 
 
 def _source_lines() -> int:
-    package = Path(__file__).resolve().parent.parent / "src" / "imualign"
+    package = _REPO / "src" / "imualign"
     return sum(p.read_bytes().count(b"\n") for p in package.glob("*.py"))
 
 

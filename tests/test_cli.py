@@ -308,6 +308,29 @@ def test_commands_refuse_a_cache_with_repeated_ids(command, repeated_id_cache, r
     assert "repeated window ids" in err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("command", ["train", "eval-retrieval", "retrieve"])
+def test_commands_refuse_a_cache_with_non_finite_signals(command, bad, cache_path, run_dir, corpus,
+                                                         tmp_path, capsys):
+    header, arrays = read_container(cache_path, CACHE_MAGIC, CACHE_VERSION)
+    signals = arrays["signals"]
+    signals[2, 4, -1] = signals[5, 0, 0] = bad
+    cache = tmp_path / "windows.bin"
+    write_container(cache, CACHE_MAGIC, CACHE_VERSION, header, [("signals", signals)])
+    ckpt, video = str(run_dir / "ckpt-30.bin"), str(corpus / "anchors_video.jsonl")
+    argv = {
+        "train": ["--cache", str(cache), "--video-anchors", video, "--epochs", "1",
+                  *TRAIN_FLAGS, "--run-dir", str(tmp_path / "r")],
+        "eval-retrieval": ["--ckpt", ckpt, "--cache", str(cache), "--anchors", video,
+                           "--direction", "imu2video"],
+        "retrieve": ["--ckpt", ckpt, "--pool", str(cache), "--query-anchor", video],
+    }[command]
+    code, payload, err = run_cli(capsys, command, *argv)
+    assert (code, payload) == (2, None)
+    assert err == f"error: window {header['windows'][2]['window_id']}: non-finite signal values\n"
+    assert not (tmp_path / "r").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 

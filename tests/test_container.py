@@ -10,10 +10,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from imualign.container import read_container
+from imualign.container import read_container, write_container
 from imualign.encoder import EncoderConfig, init_params
 from imualign.errors import FormatError
-from imualign.signalio import ImuWindow, WindowCache, load_window_cache, save_window_cache
+from imualign.signalio import (
+    CACHE_MAGIC,
+    CACHE_VERSION,
+    ImuStream,
+    ImuWindow,
+    WindowCache,
+    load_window_cache,
+    make_windows,
+    save_window_cache,
+)
 from imualign.train import AdagradState, TrainConfig, load_checkpoint, save_checkpoint
 
 TINY_ENC = EncoderConfig(conv_channels=(2,), conv_kernels=(3,), conv_strides=(1,), gru_hidden=2, embed_dim=2)
@@ -88,6 +97,21 @@ def test_a_cache_load_holds_its_payload_about_once(tmp_path):
     payload = 850 * 6 * 200 * 8
     peak = _peak_while(lambda: load_window_cache(p))
     assert peak < 1.25 * payload, f"peak {peak} bytes for a {payload}-byte payload"
+
+
+def test_a_cache_save_of_made_windows_holds_its_payload_about_once(tmp_path):
+    rng = np.random.default_rng(0)
+    stream = ImuStream("s", 200.0, np.arange(60_000) / 200.0, rng.standard_normal((60_000, 6)))
+    windows = make_windows(stream, 1.0, 1.0)  # transposed (6, 200) views of the stream
+    p = tmp_path / "c.bin"
+    peak = _peak_while(lambda: save_window_cache(WindowCache(windows, 200.0, 1.0, 1.0, "h"), p))
+    payload = 300 * 6 * 200 * 8
+    assert peak < 1.25 * payload, f"peak {peak} bytes for a {payload}-byte payload"
+    header, arrays = read_container(p, CACHE_MAGIC, CACHE_VERSION)
+    expected = tmp_path / "expected.bin"
+    write_container(expected, CACHE_MAGIC, CACHE_VERSION, header,
+                    [("signals", np.array([stream.values[i : i + 200].T for i in range(0, 60_000, 200)]))])
+    assert p.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("header_len, header", [

@@ -345,6 +345,36 @@ def test_make_windows_signal_content():
     np.testing.assert_array_equal(wins[1].signal, stream.values[10:20].T)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_make_windows_refuses_a_non_finite_sample_naming_its_first_window(bad):
+    stream = _stream(100, hz=10.0)  # windows src:0 .. src:90
+    stream.values[35, 2] = stream.values[72, 0] = bad
+    with pytest.raises(DataError, match=r"^window src:30: non-finite signal values$"):
+        make_windows(stream, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("n, stride_s, bad_index", [(105, 1.0, 101), (100, 2.0, 15), (9, 1.0, 4)],
+                         ids=["dropped-tail", "gap-between-windows", "shorter-than-a-window"])
+def test_make_windows_accepts_a_nan_outside_every_window(n, stride_s, bad_index):
+    stream = _stream(n, hz=10.0)
+    stream.values[bad_index] = math.nan
+    wins = make_windows(stream, 1.0, stride_s)
+    assert [w.window_id for w in wins] == [f"src:{s}" for s in range(0, n - 9, int(stride_s * 10))]
+
+
+def test_make_windows_signals_are_writable_views_of_the_stream():
+    stream = _stream(50, hz=10.0)
+    wins = make_windows(stream, 1.0, 0.5)
+    for w in wins:
+        start = int(w.window_id.split(":")[1])
+        assert w.signal.strides == (8, 48) and w.signal.flags.writeable
+        assert np.shares_memory(w.signal, stream.values)
+        np.testing.assert_array_equal(w.signal, stream.values[start : start + 10].T)
+        assert type(w.start_s) is float and w.start_s == stream.timestamps[start] and w.duration_s == 1.0
+    wins[1].signal[0, 0] = 7.0  # window src:5 starts at sample 5
+    assert stream.values[5, 0] == 7.0 and wins[0].signal[0, 5] == 7.0
+
+
 # ---------------------------------------------------------------------------
 # anchors
 
@@ -651,6 +681,43 @@ def test_cache_round_trip(tmp_path):
 _CACHE_WINDOW = {"window_id": "w0", "source_id": "s", "start_s": 0.0, "duration_s": 1.0}
 _CACHE_HEADER = {"kind": "window-cache", "sample_rate_hz": 50.0, "window_s": 1.0, "stride_s": 1.0,
                  "content_hash": "", "windows": [_CACHE_WINDOW]}
+
+
+def test_a_loaded_window_equals_one_built_by_imu_window(tmp_path):
+    metas = [{"window_id": "b", "source_id": "s", "start_s": 3, "duration_s": 0.5, "extra": [1]},
+             {"window_id": "a", "source_id": "", "start_s": 1.25, "duration_s": 2}]
+    signals = np.arange(2 * 6 * 4, dtype=np.float64).reshape(2, 6, 4)
+    p = tmp_path / "c.bin"
+    write_container(p, CACHE_MAGIC, CACHE_VERSION, {**_CACHE_HEADER, "windows": metas}, [("signals", signals)])
+    loaded = load_window_cache(p).windows
+    payload = loaded[0].signal.base
+    assert payload.shape == (2, 6, 4)
+    for i, (w, m) in enumerate(zip(loaded, metas)):
+        built = ImuWindow(m["window_id"], m["source_id"], m["start_s"], m["duration_s"], signals[i])
+        assert vars(w).keys() == vars(built).keys()
+        for key in ("window_id", "source_id", "start_s", "duration_s"):
+            assert type(getattr(w, key)) is type(m[key]) and getattr(w, key) == getattr(built, key)
+        np.testing.assert_array_equal(w.signal, built.signal)
+        assert w.signal.flags.writeable and np.shares_memory(w.signal, payload[i])
+    assert not hasattr(loaded[0], "extra")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cache_refuses_non_finite_signals_naming_the_first_window_in_header_order(tmp_path, bad):
+    metas = [{**_CACHE_WINDOW, "window_id": wid} for wid in ("w2", "w0", "w1")]
+    signals = np.zeros((3, 6, 50))
+    signals[0, 5, 49] = signals[1, 0, 0] = bad
+    p = tmp_path / "c.bin"
+    write_container(p, CACHE_MAGIC, CACHE_VERSION, {**_CACHE_HEADER, "windows": metas}, [("signals", signals)])
+    with pytest.raises(DataError, match=r"^window w2: non-finite signal values$"):
+        load_window_cache(p)
+
+
+def test_cache_loads_finite_signals_whose_sum_overflows(tmp_path):
+    p = tmp_path / "c.bin"
+    write_container(p, CACHE_MAGIC, CACHE_VERSION, _CACHE_HEADER, [("signals", np.full((1, 6, 50), 1e308))])
+    assert load_window_cache(p).windows[0].signal.max() == 1e308
+    assert ImuWindow("w", "s", 0.0, 1.0, np.full((6, 2), -1e308)).n_samples == 2
 
 
 def test_cache_rejects_repeated_window_ids(tmp_path):
