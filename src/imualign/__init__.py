@@ -48,6 +48,7 @@ from .signalio import (
     ImuStream,
     ImuWindow,
     ParallelDataset,
+    WindowSet,
     assemble_dataset,
     load_anchor_embeddings,
     load_imu_stream,

@@ -43,6 +43,7 @@ from .signalio import (
     ImuStream,
     ParallelDataset,
     WindowCache,
+    WindowSet,
     assemble_dataset,
     content_hash,
     load_anchor_embeddings,
@@ -96,7 +97,7 @@ def cmd_ingest(args) -> int:
     for p in paths:
         if not p.exists():
             raise DataError(f"input file {p} does not exist")
-    windows, duration, source_of = [], 0.0, {}
+    parts, duration, source_of = [], 0.0, {}
 
     def parsed_streams():
         """Each file's samples as parsed, for `content_hash`; each is windowed once
@@ -107,22 +108,23 @@ def cmd_ingest(args) -> int:
             yield raw
             stream = resample(raw, args.rate_hz)
             duration += stream.duration_s
-            for w in make_windows(stream, args.window_s, args.stride_s):
-                if w.window_id in source_of:
-                    raise DataError(f"window id {w.window_id!r} comes from both "
-                                    f"{source_of[w.window_id]} and {path}")
-                source_of[w.window_id] = path
-                windows.append(w)
+            part = make_windows(stream, args.window_s, args.stride_s)
+            if not source_of.keys().isdisjoint(part.ids):
+                wid = next(wid for wid in part.ids if wid in source_of)
+                raise DataError(f"window id {wid!r} comes from both {source_of[wid]} and {path}")
+            source_of.update(dict.fromkeys(part.ids, path))
+            parts.append(part)
 
     digest = content_hash(parsed_streams(), {"window_s": args.window_s, "stride_s": args.stride_s,
                                              "rate_hz": args.rate_hz})
+    windows = WindowSet.concat(parts, "ingest")  # the one copy of the windows' samples
     if not windows:
         raise DataError(f"no stream is at least one window ({args.window_s}s) long")
     cache = WindowCache(windows, args.rate_hz, args.window_s, args.stride_s, digest)
     save_window_cache(cache, args.out)
     _emit({
         "n_windows": len(windows),
-        "window_samples": windows[0].n_samples,
+        "window_samples": windows.n_samples,
         "duration_s": round(duration, 6),
         "n_sources": len(paths),
         "content_hash": digest,
@@ -159,14 +161,13 @@ def cmd_train(args) -> int:
 
 def _embeddings_from(ckpt_path, windows) -> dict[str, np.ndarray]:
     ckpt = load_checkpoint(ckpt_path)
-    matrix = encode_batch(windows, ckpt.params, ckpt.encoder_config)
-    return {w.window_id: row for w, row in zip(windows, matrix)}
+    return dict(zip(windows.ids, encode_batch(windows, ckpt.params, ckpt.encoder_config)))
 
 
 def cmd_eval_retrieval(args) -> int:
     anchors = load_anchor_embeddings(args.anchors, "text" if "text" in args.direction else "video")
     cache = load_window_cache(args.cache)
-    windows = [w for w in cache.windows if w.window_id in anchors]
+    windows = cache.windows.having(anchors)
     if not windows:
         raise DataError("no anchor ids overlap the cache windows")
     embeddings = _embeddings_from(args.ckpt, windows)
@@ -181,7 +182,7 @@ def cmd_eval_classify(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     cache = load_window_cache(args.cache)
     labels, class_names = load_labels(args.labels)
-    windows = [w for w in cache.windows if w.window_id in labels]
+    windows = cache.windows.having(labels)
     if not windows:
         raise DataError("no cached window has a label")
     dataset = ParallelDataset(windows, {}, None, labels, class_names)
@@ -208,7 +209,7 @@ def cmd_eval_classify(args) -> int:
         if args.run_dir:
             _write_classify_run(args, probe_cfg, head, ckpt, params)
 
-    metrics = classification_metrics(preds, [labels[w.window_id] for w in windows], class_names)
+    metrics = classification_metrics(preds, [labels[wid] for wid in windows.ids], class_names)
     metrics.update(task="classification", protocol=args.protocol,
                    unlabeled_windows=len(cache.windows) - len(windows),
                    labels_without_window=len(labels) - len(windows))

@@ -121,11 +121,16 @@ def _parse(path: Path, fh, size: int, magic: bytes, version: int) -> tuple[dict,
 _JSON_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 
 
+def _python_types(kind) -> set:
+    """The Python types of parsed JSON that count as a `kind`."""
+    return {float, int} if kind is float else {kind}
+
+
 def json_is(value, kind) -> bool:
     """Whether parsed JSON is a `kind` or ``list[kind]``; a bool is never a number, an int is a float."""
     if type(kind) is type:
-        return type(value) is kind or (kind is float and type(value) is int)
-    return type(value) is list and all(json_is(v, kind.__args__[0]) for v in value)
+        return type(value) in _python_types(kind)
+    return type(value) is list and set(map(type, value)) <= _python_types(kind.__args__[0])  # one C pass
 
 
 def header_field(path, header: dict, key: str, kind):

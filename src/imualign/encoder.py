@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import DataError, NumericError, ShapeMismatchError
-from .signalio import ImuWindow
+from .signalio import ImuWindow, WindowSet
 
 
 _GROUPNORM_EPS = 1e-8  # both GroupNorms' variance floor
@@ -147,15 +147,18 @@ _CHUNK = 64  # windows per encode_batch tape: bounds the memory one call holds
 
 
 def encode_batch_on_tape(
-    tape: Tape, signals: list[np.ndarray], params: EncoderParams, config: EncoderConfig
+    tape: Tape, signals, params: EncoderParams, config: EncoderConfig
 ) -> Tensor:
-    """Run the full pipeline on equal-length (6, T) signals; returns the
-    (B, D) unit-norm embeddings as a tensor on the tape.
+    """Run the full pipeline on a (B, 6, T) array, or B equal (6, T)
+    signals; returns the (B, D) unit-norm embeddings as a tensor on the tape.
     """
-    shapes = sorted({np.shape(s) for s in signals})
-    if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != 6:
+    try:
+        x = np.ascontiguousarray(signals, dtype=np.float64)  # no copy of a slice of a window set
+    except ValueError:  # signals of unequal shapes
+        x = None
+    if x is None or x.ndim != 3 or x.shape[1] != 6 or not len(x):
+        shapes = sorted({np.shape(s) for s in signals})
         raise ShapeMismatchError(f"encode: expected equal (6, T) signals, got shapes {shapes}")
-    x = np.stack(signals).astype(np.float64, copy=False)
     pipeline_time_lengths(config, x.shape[2])  # fail early, naming the layer
     x = ad.group_norm(
         tape, Tensor(x), 2, params["input_gn.gamma"], params["input_gn.beta"], _GROUPNORM_EPS
@@ -171,27 +174,23 @@ def encode_batch_on_tape(
 
 
 def encode_batch(
-    windows: list[ImuWindow], params: EncoderParams, config: EncoderConfig
+    windows: WindowSet, params: EncoderParams, config: EncoderConfig
 ) -> np.ndarray:
-    """Row i embeds windows[i]; windows must share one length. Each row is
-    the same, bit for bit, in any batch (see `autodiff`). Refuses a window
-    whose embedding is not finite.
+    """Row i embeds windows[i]. Each row is the same, bit for bit, in any
+    batch (see `autodiff`). Refuses a window whose embedding is not finite.
     """
     if not windows:
         raise DataError("encode_batch: empty batch")
-    lens = {w.n_samples for w in windows}
-    if len(lens) > 1:
-        raise ShapeMismatchError(f"encode_batch: mixed window lengths {sorted(lens)}")
     out = np.empty((len(windows), config.embed_dim))
     for start in range(0, len(windows), _CHUNK):
-        chunk = [w.signal for w in windows[start : start + _CHUNK]]
+        chunk = windows.signals[start : start + _CHUNK]
         out[start : start + len(chunk)] = encode_batch_on_tape(Tape(), chunk, params, config).data
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
-        raise NumericError(f"encode_batch: window {windows[bad[0]].window_id!r} embeds to non-finite values")
+        raise NumericError(f"encode_batch: window {windows.ids[bad[0]]!r} embeds to non-finite values")
     return out
 
 
 def encode(window: ImuWindow, params: EncoderParams, config: EncoderConfig) -> np.ndarray:
     """Embed one window; pure function of (window, params, config)."""
-    return encode_batch([window], params, config)[0]
+    return encode_batch(WindowSet.of([window]), params, config)[0]

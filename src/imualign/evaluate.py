@@ -17,7 +17,7 @@ from .container import checked_arrays, header_field, read_container, write_conta
 from .contrastive import softmax_cross_entropy
 from .encoder import EncoderConfig, EncoderParams, encode_batch, encode_batch_on_tape
 from .errors import CoverageError, DataError, NumericError, ShapeMismatchError
-from .signalio import ImuWindow, ParallelDataset
+from .signalio import ParallelDataset, WindowSet
 from .train import AdagradState, adagrad_step, gradients, make_batches
 
 HEAD_MAGIC = b"IMUH"
@@ -280,15 +280,15 @@ def zeroshot_classify(
     return class_anchors[int(np.argmax(scores))][0]
 
 
-def label_indices(dataset: ParallelDataset, windows: list[ImuWindow]) -> np.ndarray:
+def label_indices(dataset: ParallelDataset, windows: WindowSet) -> np.ndarray:
     index = {name: i for i, name in enumerate(dataset.class_names)}
-    return np.asarray([index[dataset.labels[w.window_id]] for w in windows], dtype=np.int64)
+    return np.asarray([index[dataset.labels[wid]] for wid in windows.ids], dtype=np.int64)
 
 
-def _labeled_windows(dataset: ParallelDataset) -> list[ImuWindow]:
+def _labeled_windows(dataset: ParallelDataset) -> WindowSet:
     if not dataset.labels or not dataset.class_names:
         raise DataError("dataset has no labels")
-    windows = [w for w in dataset.windows if w.window_id in dataset.labels]
+    windows = dataset.windows.having(dataset.labels)
     if not windows:
         raise DataError("dataset has no labeled windows")
     return windows
@@ -377,7 +377,7 @@ def fine_tune(
                          dataset.class_names, config.seed)
 
     def features(tape, batch):
-        return encode_batch_on_tape(tape, [windows[i].signal for i in batch], params, encoder_config)
+        return encode_batch_on_tape(tape, windows.signals[batch], params, encoder_config)
 
     head = _fit_head(head, features, label_indices(dataset, windows), config, params.named())
     params.assert_finite()

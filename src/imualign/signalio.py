@@ -8,7 +8,9 @@ File formats:
   * Anchor JSONL: ``{"window_id": str, "modality": "video"|"text", "vector": [...]}``.
   * Labels JSONL: header record ``{"classes": [...]}`` then
     ``{"window_id": str, "label": str}`` lines.
-  * Window cache: versioned binary (magic ``IMUC``), refuses other versions.
+  * Window cache: versioned binary (magic ``IMUC``, version 2): one (n, 6, T)
+    float64 ``signals`` array and the header columns ``ids``, ``source_ids``,
+    ``start_s`` and ``duration_s``; refuses other versions.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .container import checked_arrays, header_field, json_is, read_container, write_container
+from .container import checked_arrays, header_field, read_container, write_container
 from .errors import CoverageError, DataError, FormatError
 
 CSV_HEADER = "t,ax,ay,az,gx,gy,gz"
 CACHE_MAGIC = b"IMUC"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 # activity-name palette for synthetic corpora; extended on demand
 _ACTIVITY_NAMES = (
@@ -96,17 +98,102 @@ def _refuse_non_finite(signals: np.ndarray, window_ids) -> None:
             raise DataError(f"window {window_ids[int(np.argmin(finite))]}: non-finite signal values")
 
 
-def _windows(signals: np.ndarray, ids, sources, starts, durations) -> list[ImuWindow]:
-    """An `ImuWindow` per row of float64 (n, 6, T) `signals`, its fields as given: the
-    array is checked once here, so no window runs `__post_init__`'s checks."""
-    _refuse_non_finite(signals, ids)
-    windows = []
-    for wid, source, start, duration, signal in zip(ids, sources, starts, durations, signals):
-        w = object.__new__(ImuWindow)
-        w.__dict__ = {"window_id": wid, "source_id": source, "start_s": start,
-                      "duration_s": duration, "signal": signal}
-        windows.append(w)
-    return windows
+def _refuse_repeated_ids(ids: list[str], where, error=DataError) -> None:
+    if len(set(ids)) < len(ids):
+        repeated = [wid for wid, n in Counter(ids).items() if n > 1]
+        raise error(f"{where}: repeated window ids: {', '.join(repeated[:20])}")
+
+
+def _window(window_id, source_id, start_s, duration_s, signal) -> ImuWindow:
+    """An `ImuWindow` of fields as given: its set checked them, so it skips `__post_init__`."""
+    w = object.__new__(ImuWindow)
+    w.__dict__ = {"window_id": window_id, "source_id": source_id, "start_s": start_s,
+                  "duration_s": duration_s, "signal": signal}
+    return w
+
+
+class WindowSet:
+    """IMU windows as columns: the lists `ids`, `source_ids`, `start_s` and
+    `duration_s`, one entry per row of the float64 (n, 6, T) array `signals`.
+
+    Indexing by int gives an `ImuWindow` whose `signal` is a view of its row,
+    and so does iteration; a slice is again a set whose `signals` is a view.
+    The constructor takes its columns as given. `make_windows`,
+    `load_window_cache`, `of`, `concat` and `take` refuse repeated ids, and
+    the first two non-finite signals (an `ImuWindow` checks its own when
+    built), so a slice needs no check.
+    """
+
+    __slots__ = ("ids", "source_ids", "start_s", "duration_s", "signals")
+
+    def __init__(self, ids: list[str], source_ids: list[str], start_s: list[float],
+                 duration_s: list[float], signals: np.ndarray):
+        self.ids, self.source_ids, self.start_s, self.duration_s = ids, source_ids, start_s, duration_s
+        self.signals = signals
+
+    @classmethod
+    def of(cls, windows, where="windows") -> "WindowSet":
+        """`windows` if it is a set; else a set of the `ImuWindow`s it yields,
+        in order (see `concat`). Each `ImuWindow` checked its own signal when
+        it was built."""
+        if isinstance(windows, WindowSet):
+            return windows
+        return cls.concat([cls([w.window_id], [w.source_id], [w.start_s], [w.duration_s], w.signal[None])
+                           for w in windows], where)
+
+    @classmethod
+    def concat(cls, sets: list["WindowSet"], where="windows") -> "WindowSet":
+        """The windows of `sets` in order, their signals copied into one
+        C-order array; refuses repeated ids and mixed lengths (DataError
+        naming `where`)."""
+        sets = [s for s in sets if len(s)]  # an empty set's length is no constraint
+        ids = [wid for s in sets for wid in s.ids]
+        _refuse_repeated_ids(ids, where)
+        lens = {s.n_samples for s in sets}
+        if len(lens) > 1:
+            raise DataError(f"{where}: mixed window lengths {sorted(lens)}")
+        # np.concatenate alone keeps the layout of transposed views; C order is written with no second copy
+        signals = np.empty((len(ids), 6, lens.pop() if lens else 0))
+        if sets:
+            np.concatenate([s.signals for s in sets], out=signals)
+        return cls(ids, [x for s in sets for x in s.source_ids], [x for s in sets for x in s.start_s],
+                   [x for s in sets for x in s.duration_s], signals)
+
+    @property
+    def n_samples(self) -> int:
+        """T, the length every window shares."""
+        return int(self.signals.shape[2])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return WindowSet(self.ids[key], self.source_ids[key], self.start_s[key], self.duration_s[key],
+                             self.signals[key])
+        i = range(len(self.ids))[key]  # an int, from either end; IndexError past both
+        return _window(self.ids[i], self.source_ids[i], self.start_s[i], self.duration_s[i], self.signals[i])
+
+    def __iter__(self):
+        return map(_window, self.ids, self.source_ids, self.start_s, self.duration_s, self.signals)
+
+    def __repr__(self) -> str:
+        return f"WindowSet({len(self)} windows of {self.n_samples} samples)"
+
+    def take(self, rows) -> "WindowSet":
+        """The windows at `rows`, in that order, their signals copied; a take
+        of every row in order is the set itself. Refuses a row taken twice."""
+        rows = list(rows)
+        if rows == list(range(len(self))):
+            return self
+        ids = [self.ids[i] for i in rows]
+        _refuse_repeated_ids(ids, "WindowSet.take")
+        return WindowSet(ids, [self.source_ids[i] for i in rows], [self.start_s[i] for i in rows],
+                         [self.duration_s[i] for i in rows], self.signals[rows])
+
+    def having(self, ids) -> "WindowSet":
+        """The windows whose id is in `ids` (a set or a dict), in this set's order."""
+        return self.take([i for i, wid in enumerate(self.ids) if wid in ids])
 
 
 @dataclass
@@ -125,11 +212,14 @@ class AnchorEmbedding:
 class ParallelDataset:
     """Aligned (IMU window, video anchor, optional text anchor, optional label) triples."""
 
-    windows: list[ImuWindow]
+    windows: WindowSet  # or ImuWindows, which `WindowSet.of` makes one set
     video_anchors: dict[str, AnchorEmbedding]
     text_anchors: dict[str, AnchorEmbedding] | None = None
     labels: dict[str, str] | None = None
     class_names: list[str] | None = None
+
+    def __post_init__(self):
+        self.windows = WindowSet.of(self.windows, "ParallelDataset")
 
     def __len__(self) -> int:
         return len(self.windows)
@@ -252,11 +342,11 @@ def resample(stream: ImuStream, target_hz: float) -> ImuStream:
     return ImuStream(stream.source_id, float(target_hz), grid, values)
 
 
-def make_windows(stream: ImuStream, window_s: float, stride_s: float) -> list[ImuWindow]:
+def make_windows(stream: ImuStream, window_s: float, stride_s: float) -> WindowSet:
     """Slice a uniform-rate stream into equal-sized windows.
 
     The trailing partial window is dropped; a stream shorter than one window
-    yields an empty list. Window ids are ``source_id:<start sample index>``.
+    yields an empty set. Window ids are ``source_id:<start sample index>``.
     """
     if not (0 < window_s < math.inf and 0 < stride_s < math.inf):
         raise DataError(f"make_windows: window_s/stride_s must be finite and > 0, got {window_s}/{stride_s}")
@@ -269,20 +359,18 @@ def make_windows(stream: ImuStream, window_s: float, stride_s: float) -> list[Im
         raise DataError(f"make_windows: window of {window_s}s at {hz}Hz has no samples")
     starts = range(0, stream.n_samples - t_win + 1, t_stride)
     if not starts:
-        return []
+        return WindowSet.of([])
     # window k is the view values[start : start + t_win].T, so only its own samples are checked
     signals = np.lib.stride_tricks.sliding_window_view(stream.values, t_win, axis=0, writeable=True)[::t_stride]
     src = stream.source_id
-    return _windows(signals, [f"{src}:{s}" for s in starts], [src] * len(starts),
-                    stream.timestamps[starts].tolist(), [t_win / hz] * len(starts))
+    ids = [f"{src}:{s}" for s in starts]
+    _refuse_non_finite(signals, ids)
+    return WindowSet(ids, [src] * len(starts), stream.timestamps[starts].tolist(), [t_win / hz] * len(starts),
+                     signals)
 
 
 # ---------------------------------------------------------------------------
 # anchors and labels
-
-
-def _is_window_id(x) -> bool:
-    return isinstance(x, str) and x != ""
 
 
 def _jsonl_records(path):
@@ -327,7 +415,7 @@ def _unit_vector(value, where: str) -> np.ndarray:
 
 def _check_record_id(wid, seen, where: str) -> None:
     """A JSONL record's window_id: a non-empty string not seen before in its file."""
-    if not _is_window_id(wid):
+    if not isinstance(wid, str) or wid == "":
         raise DataError(f"{where}: window_id must be a non-empty string, got {wid!r}")
     if wid in seen:
         raise DataError(f"{where}: duplicate window_id {wid!r}")
@@ -426,28 +514,15 @@ def write_labels(labels: dict[str, str], class_names: list[str], path) -> None:
             fh.write(json.dumps({"window_id": wid, "label": labels[wid]}) + "\n")
 
 
-def _refuse_repeated_ids(windows: list[ImuWindow], where, error=DataError) -> None:
-    repeated = [wid for wid, n in Counter(w.window_id for w in windows).items() if n > 1]
-    if repeated:
-        raise error(f"{where}: repeated window ids: {', '.join(repeated[:20])}")
-
-
-def _refuse_unstackable(windows: list[ImuWindow], where) -> None:
-    """Windows that cannot be one id-keyed (n, 6, T) array: repeated ids or mixed lengths."""
-    _refuse_repeated_ids(windows, where)
-    lens = {w.n_samples for w in windows}
-    if len(lens) > 1:
-        raise DataError(f"{where}: mixed window lengths {sorted(lens)}")
-
-
 def assemble_dataset(
-    windows: list[ImuWindow],
+    windows: WindowSet,
     video_anchor_path,
     text_anchor_path=None,
     labels_path=None,
     coverage_threshold: float = 1.0,
 ) -> tuple[ParallelDataset, list[str]]:
-    """Join windows with anchor/label files into a validated dataset.
+    """Join windows (a set, or `ImuWindow`s) with anchor/label files into a
+    validated dataset, its windows in id order.
 
     Returns the dataset plus the ids dropped for missing anchors. Coverage
     below `coverage_threshold` (fraction of windows with every requested
@@ -455,19 +530,19 @@ def assemble_dataset(
     """
     if not 0 <= coverage_threshold <= 1:
         raise DataError(f"assemble_dataset: coverage threshold must be in [0, 1], got {coverage_threshold}")
-    if not windows:
+    if not len(windows):
         raise DataError("assemble_dataset: no windows")
-    _refuse_unstackable(windows, "assemble_dataset")
-    windows = sorted(windows, key=lambda w: w.window_id)
+    windows = WindowSet.of(windows, "assemble_dataset")
     video = load_anchor_embeddings(video_anchor_path, "video")
     text = load_anchor_embeddings(text_anchor_path, "text") if text_anchor_path else None
 
-    missing = []
-    kept = []
-    for w in windows:
-        ok = w.window_id in video and (text is None or w.window_id in text)
-        (kept if ok else missing).append(w)
-    missing_ids = [w.window_id for w in missing]
+    kept, missing_ids = [], []
+    for i in sorted(range(len(windows)), key=windows.ids.__getitem__):
+        wid = windows.ids[i]
+        if wid in video and (text is None or wid in text):
+            kept.append(i)
+        else:
+            missing_ids.append(wid)
     coverage = len(kept) / len(windows)
     if coverage < coverage_threshold:
         raise CoverageError(
@@ -475,13 +550,14 @@ def assemble_dataset(
             f"missing ids: {', '.join(missing_ids[:20])}",
             missing_ids,
         )
+    kept = windows.take(kept)
 
     labels = class_names = None
     if labels_path is not None:
         labels, class_names = load_labels(labels_path)
-        labels = {w.window_id: labels[w.window_id] for w in kept if w.window_id in labels}
+        labels = {wid: labels[wid] for wid in kept.ids if wid in labels}
 
-    kept_ids = {w.window_id for w in kept}
+    kept_ids = set(kept.ids)
     dataset = ParallelDataset(
         windows=kept,
         video_anchors={k: v for k, v in video.items() if k in kept_ids},
@@ -498,53 +574,43 @@ def assemble_dataset(
 
 @dataclass
 class WindowCache:
-    windows: list[ImuWindow]
+    windows: WindowSet  # or ImuWindows, to save
     sample_rate_hz: float
     window_s: float
     stride_s: float
     content_hash: str = ""
 
 
+_CACHE_COLUMNS = {"ids": str, "source_ids": str, "start_s": float, "duration_s": float}
+
+
 def save_window_cache(cache: WindowCache, path) -> None:
-    _refuse_unstackable(cache.windows, path)  # before the write: `load_window_cache` would refuse it
-    meta = [
-        {"window_id": w.window_id, "source_id": w.source_id,
-         "start_s": w.start_s, "duration_s": w.duration_s}
-        for w in cache.windows
-    ]
+    windows = WindowSet.of(cache.windows, path)  # refused before the write, as `load_window_cache` would
     header = {
         "kind": "window-cache",
         "sample_rate_hz": cache.sample_rate_hz,
         "window_s": cache.window_s,
         "stride_s": cache.stride_s,
         "content_hash": cache.content_hash,
-        "windows": meta,
+        **{key: getattr(windows, key) for key in _CACHE_COLUMNS},
     }
-    # np.array, unlike np.stack of transposed views, stacks in C order: written with no second copy
-    signals = np.array([w.signal for w in cache.windows]) if cache.windows else np.zeros((0, 6, 0))
-    write_container(path, CACHE_MAGIC, CACHE_VERSION, header, [("signals", signals)])
-
-
-def _valid_window_meta(meta) -> bool:
-    """A cache `windows` entry: string ids, a numeric start and duration."""
-    return (type(meta) is dict and _is_window_id(meta.get("window_id"))
-            and type(meta.get("source_id")) is str
-            and json_is(meta.get("start_s"), float) and json_is(meta.get("duration_s"), float))
+    write_container(path, CACHE_MAGIC, CACHE_VERSION, header, [("signals", windows.signals)])
 
 
 def load_window_cache(path) -> WindowCache:
     header, arrays = read_container(path, CACHE_MAGIC, CACHE_VERSION)
     signals = checked_arrays(path, arrays, {"signals": (None, 6, None)})["signals"]
-    metas = header.get("windows")
-    if not isinstance(metas, list) or not all(map(_valid_window_meta, metas)):
-        raise FormatError(f"{path}: malformed windows metadata in header")
-    if len(metas) != len(signals):
-        raise FormatError(f"{path}: {len(metas)} windows in the header for {len(signals)} signal rows")
-    fields = ([m[key] for m in metas] for key in ("window_id", "source_id", "start_s", "duration_s"))
-    windows = _windows(signals, *fields)
-    _refuse_repeated_ids(windows, path, FormatError)
+    columns = [header_field(path, header, key, list[kind]) for key, kind in _CACHE_COLUMNS.items()]
+    for key, column in zip(_CACHE_COLUMNS, columns):
+        if len(column) != len(signals):
+            raise FormatError(f"{path}: header field {key!r} has {len(column)} entries for {len(signals)} signal rows")
+    ids = columns[0]
+    if "" in ids:
+        raise FormatError(f"{path}: header field 'ids' holds an empty window id")
+    _refuse_non_finite(signals, ids)
+    _refuse_repeated_ids(ids, path, FormatError)
     sizes = [header_field(path, header, key, float) for key in ("sample_rate_hz", "window_s", "stride_s")]
-    return WindowCache(windows, *sizes, header_field(path, header, "content_hash", str))
+    return WindowCache(WindowSet(*columns, signals), *sizes, header_field(path, header, "content_hash", str))
 
 
 # ---------------------------------------------------------------------------
@@ -618,16 +684,16 @@ def synth_dataset(
     rng = np.random.default_rng(seed)
     names = activity_names(n_classes)
 
-    windows, video, text, labels = [], {}, {}, {}
+    sources = [f"synth-{w:04d}" for w in range(n_windows)]
+    ids = [f"{source}:0" for source in sources]
+    video, text, labels = {}, {}, {}
     try:
         with np.errstate(over="ignore"):  # a noise that overflows an anchor is refused below
             centroids = _class_centroids(rng, n_classes, dim)
-            for w in range(n_windows):
+            signals = np.empty((n_windows, 6, n_samples))
+            for w, wid in enumerate(ids):
                 cls = w % n_classes
-                source = f"synth-{w:04d}"
-                wid = f"{source}:0"
-                sig = synth_window_signal(rng, cls, n_samples)
-                windows.append(ImuWindow(wid, source, 0.0, n_samples / sample_rate_hz, sig))
+                signals[w] = synth_window_signal(rng, cls, n_samples)
                 for modality, table in (("video", video), ("text", text)):
                     vec = centroids[cls] + noise * rng.standard_normal(dim)
                     norm = np.linalg.norm(vec)
@@ -638,6 +704,7 @@ def synth_dataset(
     except (MemoryError, ValueError, OverflowError) as exc:  # sizes too large for numpy
         raise DataError(f"synth_dataset: {n_windows} windows of {n_samples} samples and {dim}-d anchors "
                         f"do not fit in memory: {exc}") from exc
+    windows = WindowSet(ids, sources, [0.0] * n_windows, [n_samples / sample_rate_hz] * n_windows, signals)
     return ParallelDataset(windows, video, text, labels, names)
 
 

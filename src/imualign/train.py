@@ -130,10 +130,10 @@ def _batch_loss(
     encoder_config: EncoderConfig,
     config: TrainConfig,
 ) -> tuple[dict[str, float], Tensor]:
-    ids = [dataset.windows[i].window_id for i in batch]
-    signals = [dataset.windows[i].signal for i in batch]
+    windows = dataset.windows
+    ids = [windows.ids[i] for i in batch]
     with np.errstate(over="ignore", invalid="ignore"):  # `gradients` refuses a non-finite loss
-        emb = encode_batch_on_tape(tape, signals, params, encoder_config)
+        emb = encode_batch_on_tape(tape, windows.signals[batch], params, encoder_config)
         sims = {m: similarity_matrix(tape, emb, Tensor(dataset.anchor_matrix(ids, m)))
                 for m in MODES[config.mode]}
         return alignment_loss(tape, sims, config.temperature)
@@ -179,8 +179,7 @@ def fit(
     """
     # refuse what the first batch would refuse before anything is written
     make_batches(len(dataset), config.batch_size, config.seed, 0)
-    for n_samples in {w.n_samples for w in dataset.windows}:
-        pipeline_time_lengths(encoder_config, n_samples)
+    pipeline_time_lengths(encoder_config, dataset.windows.n_samples)
     for modality in MODES[config.mode]:
         widths = {a.vector.shape for a in dataset.anchors(modality).values()}
         if widths != {(encoder_config.embed_dim,)}:

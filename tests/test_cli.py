@@ -254,7 +254,7 @@ def test_ingest_with_no_stream_one_window_long_exit_2_and_writes_no_cache(corpus
 def test_train_on_a_container_with_malformed_arrays_metadata_exit_2(corpus, tmp_path):
     blob = json.dumps({"arrays": 5}).encode()
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(CACHE_MAGIC + bytes([1]) + len(blob).to_bytes(8, "little") + blob)
+    bad.write_bytes(CACHE_MAGIC + bytes([CACHE_VERSION]) + len(blob).to_bytes(8, "little") + blob)
     proc = run_cli_process("train", "--cache", str(bad),
                            "--video-anchors", str(corpus / "anchors_video.jsonl"),
                            "--epochs", "1", "--batch-size", "4", *TRAIN_FLAGS,
@@ -267,7 +267,7 @@ def test_train_on_a_container_with_malformed_arrays_metadata_exit_2(corpus, tmp_
 def test_train_on_a_cache_without_signals_exit_2(corpus, tmp_path):
     blob = json.dumps({"arrays": []}).encode()
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(CACHE_MAGIC + bytes([1]) + len(blob).to_bytes(8, "little") + blob)
+    bad.write_bytes(CACHE_MAGIC + bytes([CACHE_VERSION]) + len(blob).to_bytes(8, "little") + blob)
     proc = run_cli_process("train", "--cache", str(bad),
                            "--video-anchors", str(corpus / "anchors_video.jsonl"),
                            "--epochs", "1", "--batch-size", "4", *TRAIN_FLAGS,
@@ -281,7 +281,8 @@ def test_train_on_a_cache_without_signals_exit_2(corpus, tmp_path):
 def repeated_id_cache(cache_path, tmp_path_factory):
     """The corpus cache with its first window once more; `save_window_cache` refuses to write it."""
     header, arrays = read_container(cache_path, CACHE_MAGIC, CACHE_VERSION)
-    header["windows"].append(header["windows"][0])
+    for column in ("ids", "source_ids", "start_s", "duration_s"):
+        header[column].append(header[column][0])
     out = tmp_path_factory.mktemp("repeated") / "windows.bin"
     write_container(out, CACHE_MAGIC, CACHE_VERSION, header,
                     [("signals", np.concatenate([arrays["signals"], arrays["signals"][:1]]))])
@@ -327,7 +328,39 @@ def test_commands_refuse_a_cache_with_non_finite_signals(command, bad, cache_pat
     }[command]
     code, payload, err = run_cli(capsys, command, *argv)
     assert (code, payload) == (2, None)
-    assert err == f"error: window {header['windows'][2]['window_id']}: non-finite signal values\n"
+    assert err == f"error: window {header['ids'][2]}: non-finite signal values\n"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.fixture(scope="module")
+def v1_cache(cache_path, tmp_path_factory):
+    """The corpus cache in the version-1 layout: one header object per window."""
+    header, arrays = read_container(cache_path, CACHE_MAGIC, CACHE_VERSION)
+    columns = [header.pop(key) for key in ("ids", "source_ids", "start_s", "duration_s")]
+    header["windows"] = [{"window_id": w, "source_id": s, "start_s": t, "duration_s": d}
+                         for w, s, t, d in zip(*columns)]
+    out = tmp_path_factory.mktemp("v1") / "windows.bin"
+    write_container(out, CACHE_MAGIC, 1, header, list(arrays.items()))
+    return out
+
+
+@pytest.mark.parametrize("command", ["train", "eval-retrieval", "eval-classify", "retrieve"])
+def test_cache_readers_refuse_a_version_1_cache(command, v1_cache, run_dir, corpus, tmp_path, capsys):
+    cache, ckpt = str(v1_cache), str(run_dir / "ckpt-30.bin")
+    video = str(corpus / "anchors_video.jsonl")
+    argv = {
+        "train": ["--cache", cache, "--video-anchors", video, "--epochs", "1",
+                  *TRAIN_FLAGS, "--run-dir", str(tmp_path / "r")],
+        "eval-retrieval": ["--ckpt", ckpt, "--cache", cache, "--anchors", video,
+                           "--direction", "imu2video"],
+        "eval-classify": ["--ckpt", ckpt, "--cache", cache,
+                          "--labels", str(corpus / "labels.jsonl"), "--protocol", "probe"],
+        "retrieve": ["--ckpt", ckpt, "--pool", cache, "--query-anchor", video],
+    }[command]
+    code = main([command, *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {cache}: format version 1 unsupported (expected 2)\n"
     assert not (tmp_path / "r").exists()
 
 

@@ -23,7 +23,7 @@ from imualign.encoder import (
     pipeline_time_lengths,
 )
 from imualign.errors import DataError, NumericError, ShapeMismatchError
-from imualign.signalio import ImuWindow, synth_dataset
+from imualign.signalio import ImuWindow, WindowSet, synth_dataset
 
 TINY = EncoderConfig(
     conv_channels=(4,), conv_kernels=(5,), conv_strides=(1,),
@@ -34,6 +34,10 @@ TINY = EncoderConfig(
 def _window(seed=0, t=64):
     rng = np.random.default_rng(seed)
     return ImuWindow(f"w{seed}:0", f"w{seed}", 0.0, t / 200.0, rng.standard_normal((6, t)))
+
+
+def _windows(n, t=64) -> WindowSet:
+    return WindowSet.of([_window(i, t=t) for i in range(n)])
 
 
 def _params_with(params: EncoderParams, name: str, probe: Tensor) -> EncoderParams:
@@ -190,12 +194,12 @@ def test_pipeline_time_lengths_closed_form():
 
 def test_encode_batch_consistency_and_permutation():
     p = init_params(TINY, 9)
-    windows = [_window(i) for i in range(4)]
+    windows = _windows(4)
     single = encode(windows[0], p, TINY)
     batch = encode_batch(windows, p, TINY)
     np.testing.assert_array_equal(batch[0], single)
     perm = [2, 0, 3, 1]
-    batch_p = encode_batch([windows[i] for i in perm], p, TINY)
+    batch_p = encode_batch(windows.take(perm), p, TINY)
     np.testing.assert_array_equal(batch_p, batch[perm])
 
 
@@ -204,13 +208,13 @@ def test_encode_equals_batch_rows_bit_for_bit(config):
     # a window's embedding must not depend on the batch it is encoded in
     p = init_params(config, 10)
     t = 64 if config is TINY else 200
-    windows = [_window(i, t=t) for i in range(5)]
+    windows = _windows(5, t=t)
     for size in (1, 2, 5):
         batch = encode_batch(windows[:size], p, config)
         for i in range(size):
             np.testing.assert_array_equal(encode(windows[i], p, config), batch[i])
     perm = [3, 1, 4, 0, 2]
-    np.testing.assert_array_equal(encode_batch([windows[i] for i in perm], p, config),
+    np.testing.assert_array_equal(encode_batch(windows.take(perm), p, config),
                                   encode_batch(windows, p, config)[perm])
 
 
@@ -238,13 +242,13 @@ def test_encode_batch_rows_keep_their_bits_across_chunk_boundaries(config):
     # runs the zero-row pad; 129 leaves one window after two full chunks
     p = init_params(config, 12)
     t = 64 if config is TINY else 200
-    windows = [_window(i, t=t) for i in range(129)]
+    windows = _windows(129, t=t)
     single = np.stack([encode(w, p, config) for w in windows])
     perm = np.random.default_rng(13).permutation(129)
     for n in (64, 65, 129):
         np.testing.assert_array_equal(encode_batch(windows[:n], p, config), single[:n])
         order = perm[perm < n]
-        np.testing.assert_array_equal(encode_batch([windows[i] for i in order], p, config), single[order])
+        np.testing.assert_array_equal(encode_batch(windows.take(order), p, config), single[order])
 
 
 def test_encode_batch_on_tape_rejects_unequal_signals():
@@ -262,7 +266,7 @@ def test_encode_batch_memory_is_bounded_by_one_chunk():
     # large list exceeds that of a small one by the extra output rows only
     cfg = EncoderConfig()
     p = init_params(cfg, 0)
-    windows = [_window(i % 7, t=200) for i in range(512)]
+    windows = _windows(512, t=200)
 
     def peak(n):
         tracemalloc.start()
@@ -278,16 +282,16 @@ def test_encode_batch_memory_is_bounded_by_one_chunk():
 
 def test_encode_batch_refuses_a_non_finite_embedding_naming_its_window():
     p = init_params(TINY, 9)
-    windows = [_window(i) for i in range(3)]
-    windows[1].signal[0, 0] = np.nan  # past the check `ImuWindow` makes when built
+    windows = _windows(3)
+    windows.signals[1, 0, 0] = np.nan  # past the check the set's builder makes
     with pytest.raises(NumericError, match="window 'w1:0' embeds to non-finite values"):
         encode_batch(windows, p, TINY)
 
 
-def test_encode_batch_mixed_lengths_error():
-    p = init_params(TINY, 9)
-    with pytest.raises(ShapeMismatchError, match="mixed window lengths"):
-        encode_batch([_window(0, t=64), _window(1, t=32)], p, TINY)
+def test_windows_of_mixed_lengths_never_reach_encode_batch():
+    # encode_batch takes a WindowSet, whose signals are one (n, 6, T) array
+    with pytest.raises(DataError, match=r"^windows: mixed window lengths \[32, 64\]$"):
+        WindowSet.of([_window(0, t=64), _window(1, t=32)])
 
 
 def test_encode_batch_default_config_timing():

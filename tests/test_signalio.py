@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from imualign import cli
 from imualign.container import write_container
 from imualign.errors import CoverageError, DataError, FormatError, ImuAlignError
 from imualign.signalio import (
@@ -19,6 +20,7 @@ from imualign.signalio import (
     ImuStream,
     ImuWindow,
     WindowCache,
+    WindowSet,
     assemble_dataset,
     load_anchor_embeddings,
     load_imu_stream,
@@ -327,7 +329,7 @@ def test_make_windows_overlapping():
 
 def test_make_windows_short_stream_empty():
     stream = _stream(400, hz=100.0)  # 4 s
-    assert make_windows(stream, 5.0, 5.0) == []
+    assert len(make_windows(stream, 5.0, 5.0)) == 0
 
 
 @pytest.mark.parametrize("window_s, stride_s", [
@@ -373,6 +375,58 @@ def test_make_windows_signals_are_writable_views_of_the_stream():
         assert type(w.start_s) is float and w.start_s == stream.timestamps[start] and w.duration_s == 1.0
     wins[1].signal[0, 0] = 7.0  # window src:5 starts at sample 5
     assert stream.values[5, 0] == 7.0 and wins[0].signal[0, 5] == 7.0
+
+
+def _same_window(a: ImuWindow, b: ImuWindow) -> None:
+    assert (a.window_id, a.source_id, a.start_s, a.duration_s) == (b.window_id, b.source_id, b.start_s, b.duration_s)
+    assert type(a.start_s) is type(b.start_s) and type(a.duration_s) is type(b.duration_s)
+    np.testing.assert_array_equal(a.signal, b.signal)
+
+
+_index = st.none() | st.integers(-12, 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_samples=st.integers(2, 70), stride_s=st.sampled_from([0.3, 0.5, 1.0, 2.5]), made=st.booleans(),
+       key=st.builds(slice, _index, _index, st.none() | st.integers(-3, 3).filter(bool)))
+def test_a_window_set_agrees_with_the_list_of_windows_it_replaces(n_samples, stride_s, made, key):
+    stream = _stream(n_samples, hz=10.0)
+    stride = max(1, round(stride_s * 10))
+    expected = [ImuWindow(f"src:{s}", "src", float(stream.timestamps[s]), 1.0, stream.values[s : s + 10].T)
+                for s in range(0, n_samples - 9, stride)]
+    # made windows view the stream; the set built from a list holds one (n, 6, T) copy
+    windows = make_windows(stream, 1.0, stride_s) if made else WindowSet.of(expected)
+    base = stream.values if made else windows.signals
+    n = len(expected)
+    assert len(windows) == n and windows.ids == [w.window_id for w in expected]
+    for i in range(-n - 2, n + 2):
+        if -n <= i < n:
+            _same_window(windows[i], expected[i])
+            assert np.shares_memory(windows[i].signal, windows.signals) and windows[i].signal.flags.writeable
+            if made:
+                assert windows[i].signal.strides == (8, 48) and np.shares_memory(windows[i].signal, stream.values)
+        else:
+            with pytest.raises(IndexError):
+                expected[i]
+            with pytest.raises(IndexError):
+                windows[i]
+    part = windows[key]
+    assert isinstance(part, WindowSet) and len(part) == len(expected[key])
+    assert part.signals.shape[1:] == windows.signals.shape[1:]
+    for a, b in zip(part, expected[key], strict=True):
+        _same_window(a, b)
+        assert np.shares_memory(a.signal, base)
+    assert len(list(windows)) == n
+    for a, b in zip(windows, expected, strict=True):
+        _same_window(a, b)
+        assert np.shares_memory(a.signal, base)
+    rows = list(range(n))[key]
+    taken = windows.take(rows)
+    for a, b in zip(taken, expected[key], strict=True):
+        _same_window(a, b)
+    if rows:
+        with pytest.raises(DataError, match=f"^WindowSet.take: repeated window ids: {expected[rows[0]].window_id}$"):
+            windows.take(rows + rows[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +701,7 @@ def test_assemble_rejects_repeated_window_ids(tmp_path):
     _, vp, tp, lp = _synth_files(tmp_path, n=4, classes=2, t=64)
     windows = synth_dataset(1, 4, 2, 8, 64, 0.05).windows
     with pytest.raises(DataError, match=r"^assemble_dataset: repeated window ids: synth-0000:0$"):
-        assemble_dataset(windows + windows[:1], vp, tp, lp)
+        assemble_dataset([*windows, windows[0]], vp, tp, lp)
 
 
 def test_assemble_order_insensitive(tmp_path):
@@ -678,25 +732,33 @@ def test_cache_round_trip(tmp_path):
     assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "c2.bin").read_bytes()
 
 
-_CACHE_WINDOW = {"window_id": "w0", "source_id": "s", "start_s": 0.0, "duration_s": 1.0}
+def _columns(ids, source_id="s", start_s=0.0, duration_s=1.0) -> dict:
+    """v2 cache header columns for `ids`, every other field the same."""
+    n = len(ids)
+    return {"ids": list(ids), "source_ids": [source_id] * n, "start_s": [start_s] * n, "duration_s": [duration_s] * n}
+
+
 _CACHE_HEADER = {"kind": "window-cache", "sample_rate_hz": 50.0, "window_s": 1.0, "stride_s": 1.0,
-                 "content_hash": "", "windows": [_CACHE_WINDOW]}
+                 "content_hash": "", **_columns(["w0"])}
 
 
 def test_a_loaded_window_equals_one_built_by_imu_window(tmp_path):
-    metas = [{"window_id": "b", "source_id": "s", "start_s": 3, "duration_s": 0.5, "extra": [1]},
-             {"window_id": "a", "source_id": "", "start_s": 1.25, "duration_s": 2}]
+    columns = {"ids": ["b", "a"], "source_ids": ["s", ""], "start_s": [3, 1.25], "duration_s": [0.5, 2],
+               "extra": [1]}
     signals = np.arange(2 * 6 * 4, dtype=np.float64).reshape(2, 6, 4)
     p = tmp_path / "c.bin"
-    write_container(p, CACHE_MAGIC, CACHE_VERSION, {**_CACHE_HEADER, "windows": metas}, [("signals", signals)])
+    write_container(p, CACHE_MAGIC, CACHE_VERSION, {**_CACHE_HEADER, **columns}, [("signals", signals)])
     loaded = load_window_cache(p).windows
-    payload = loaded[0].signal.base
+    payload = loaded.signals
     assert payload.shape == (2, 6, 4)
-    for i, (w, m) in enumerate(zip(loaded, metas)):
-        built = ImuWindow(m["window_id"], m["source_id"], m["start_s"], m["duration_s"], signals[i])
+    for i, w in enumerate(loaded):
+        fields = {key: columns[column][i] for key, column in
+                  (("window_id", "ids"), ("source_id", "source_ids"), ("start_s", "start_s"),
+                   ("duration_s", "duration_s"))}
+        built = ImuWindow(**fields, signal=signals[i])
         assert vars(w).keys() == vars(built).keys()
-        for key in ("window_id", "source_id", "start_s", "duration_s"):
-            assert type(getattr(w, key)) is type(m[key]) and getattr(w, key) == getattr(built, key)
+        for key, value in fields.items():
+            assert type(getattr(w, key)) is type(value) and getattr(w, key) == getattr(built, key)
         np.testing.assert_array_equal(w.signal, built.signal)
         assert w.signal.flags.writeable and np.shares_memory(w.signal, payload[i])
     assert not hasattr(loaded[0], "extra")
@@ -704,11 +766,11 @@ def test_a_loaded_window_equals_one_built_by_imu_window(tmp_path):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_cache_refuses_non_finite_signals_naming_the_first_window_in_header_order(tmp_path, bad):
-    metas = [{**_CACHE_WINDOW, "window_id": wid} for wid in ("w2", "w0", "w1")]
     signals = np.zeros((3, 6, 50))
     signals[0, 5, 49] = signals[1, 0, 0] = bad
     p = tmp_path / "c.bin"
-    write_container(p, CACHE_MAGIC, CACHE_VERSION, {**_CACHE_HEADER, "windows": metas}, [("signals", signals)])
+    write_container(p, CACHE_MAGIC, CACHE_VERSION, {**_CACHE_HEADER, **_columns(["w2", "w0", "w1"])},
+                    [("signals", signals)])
     with pytest.raises(DataError, match=r"^window w2: non-finite signal values$"):
         load_window_cache(p)
 
@@ -722,7 +784,7 @@ def test_cache_loads_finite_signals_whose_sum_overflows(tmp_path):
 
 def test_cache_rejects_repeated_window_ids(tmp_path):
     p = tmp_path / "c.bin"
-    write_container(p, CACHE_MAGIC, CACHE_VERSION, {**_CACHE_HEADER, "windows": [_CACHE_WINDOW] * 2},
+    write_container(p, CACHE_MAGIC, CACHE_VERSION, {**_CACHE_HEADER, **_columns(["w0", "w0"])},
                     [("signals", np.zeros((2, 6, 50)))])
     with pytest.raises(FormatError, match=f"{p}: repeated window ids: w0$"):
         load_window_cache(p)
@@ -733,7 +795,7 @@ def test_cache_rejects_repeated_window_ids(tmp_path):
     ("w1", 40, "mixed window lengths [40, 50]"),
 ], ids=["repeated-id", "mixed-lengths"])
 def test_save_window_cache_refuses_what_the_loader_would_before_writing(tmp_path, extra_id, n_samples, message):
-    wins = make_windows(_stream(100, hz=50.0), 1.0, 1.0)[:1]  # one 50-sample window, id src:0
+    wins = list(make_windows(_stream(100, hz=50.0), 1.0, 1.0)[:1])  # one 50-sample window, id src:0
     wins.append(ImuWindow(extra_id, "src", 1.0, 1.0, np.zeros((6, n_samples))))
     p = tmp_path / "c.bin"
     with pytest.raises(DataError, match=re.escape(f"{p}: {message}") + "$"):
@@ -741,38 +803,72 @@ def test_save_window_cache_refuses_what_the_loader_would_before_writing(tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("header, arrays, message", [
-    ({"windows": [_CACHE_WINDOW]}, [], "missing arrays ['signals'], unexpected arrays []"),
-    ({}, [("signals", np.zeros((6, 50)))], "array 'signals' has shape (6, 50), expected (None, 6, None)"),
-    ({"windows": None}, None, "malformed windows metadata"),
-    ({"windows": 7}, None, "malformed windows metadata"),
-    ({"windows": ["w0"]}, None, "malformed windows metadata"),
-    ({"windows": [{**_CACHE_WINDOW, "window_id": 7}]}, None, "malformed windows metadata"),
-    ({"windows": [{**_CACHE_WINDOW, "window_id": ""}]}, None, "malformed windows metadata"),
-    ({"windows": [{**_CACHE_WINDOW, "source_id": None}]}, None, "malformed windows metadata"),
-    ({"windows": [{**_CACHE_WINDOW, "start_s": "0"}]}, None, "malformed windows metadata"),
-    ({"windows": [_CACHE_WINDOW, {**_CACHE_WINDOW, "window_id": "w1"}]}, None,
-     "2 windows in the header for 1 signal rows"),
-    ({}, [("signals", np.zeros((2, 6, 50)))], "1 windows in the header for 2 signal rows"),
-    ({"sample_rate_hz": None}, None, "header field 'sample_rate_hz' is missing or not a number"),
-    ({"window_s": "1.0"}, None, "header field 'window_s' is missing or not a number"),
-    ({"stride_s": True}, None, "header field 'stride_s' is missing or not a number"),
-    ({"windows": [{**_CACHE_WINDOW, "duration_s": False}]}, None, "malformed windows metadata"),
-    ({"content_hash": 7}, None, "header field 'content_hash' is missing or not a string"),
-    ({}, [("signals", np.zeros((1, 3, 50)))], "array 'signals' has shape (1, 3, 50)"),
-    ({}, [("signals", np.zeros((1, 6, 50))), ("extra", np.zeros(1))],
-     "missing arrays [], unexpected arrays ['extra']"),
-], ids=["no-signals", "signals-2d", "no-windows", "windows-number", "window-entry-string",
-        "number-window-id", "empty-window-id", "null-source-id", "string-start",
-        "more-windows-than-rows", "fewer-windows-than-rows", "no-rate", "string-window-s",
-        "bool-stride-s", "bool-duration", "number-content-hash", "three-channels", "extra-array"])
-def test_cache_refuses_a_malformed_header_naming_the_path(tmp_path, header, arrays, message):
-    header = {k: v for k, v in {**_CACHE_HEADER, **header}.items() if v is not None}
-    p = tmp_path / "c.bin"
-    write_container(p, CACHE_MAGIC, CACHE_VERSION, header,
+# each header field: (header edit, arrays or None for one (1, 6, 50) row, message after the path);
+# a None field is deleted
+_MALFORMED_CACHE_HEADERS = {
+    "no-signals": ({}, [], "missing arrays ['signals'], unexpected arrays []"),
+    "signals-2d": ({}, [("signals", np.zeros((6, 50)))], "array 'signals' has shape (6, 50), expected (None, 6, None)"),
+    "no-windows": ({"ids": None}, None, "header field 'ids' is missing or not a list of strings"),
+    "windows-number": ({"ids": 7}, None, "header field 'ids' is missing or not a list of strings"),
+    "window-entry-string": ({"duration_s": ["1.0"]}, None,
+                            "header field 'duration_s' is missing or not a list of numbers"),
+    "number-window-id": ({"ids": [7]}, None, "header field 'ids' is missing or not a list of strings"),
+    "empty-window-id": ({"ids": [""]}, None, "header field 'ids' holds an empty window id"),
+    "null-source-id": ({"source_ids": [None]}, None, "header field 'source_ids' is missing or not a list of strings"),
+    "string-start": ({"start_s": ["0"]}, None, "header field 'start_s' is missing or not a list of numbers"),
+    "more-windows-than-rows": (_columns(["w0", "w1"]), None, "header field 'ids' has 2 entries for 1 signal rows"),
+    "fewer-windows-than-rows": ({}, [("signals", np.zeros((2, 6, 50)))],
+                                "header field 'ids' has 1 entries for 2 signal rows"),
+    "no-rate": ({"sample_rate_hz": None}, None, "header field 'sample_rate_hz' is missing or not a number"),
+    "string-window-s": ({"window_s": "1.0"}, None, "header field 'window_s' is missing or not a number"),
+    "bool-stride-s": ({"stride_s": True}, None, "header field 'stride_s' is missing or not a number"),
+    "bool-duration": ({"duration_s": [False]}, None, "header field 'duration_s' is missing or not a list of numbers"),
+    "number-content-hash": ({"content_hash": 7}, None, "header field 'content_hash' is missing or not a string"),
+    "three-channels": ({}, [("signals", np.zeros((1, 3, 50)))],
+                       "array 'signals' has shape (1, 3, 50), expected (None, 6, None)"),
+    "extra-array": ({}, [("signals", np.zeros((1, 6, 50))), ("extra", np.zeros(1))],
+                    "missing arrays [], unexpected arrays ['extra']"),
+    "bool-id": ({"ids": [True]}, None, "header field 'ids' is missing or not a list of strings"),
+    "null-id": ({"ids": [None]}, None, "header field 'ids' is missing or not a list of strings"),
+    "start-column-number": ({"start_s": 0.0}, None, "header field 'start_s' is missing or not a list of numbers"),
+    "source-column-string": ({"source_ids": "s"}, None,
+                             "header field 'source_ids' is missing or not a list of strings"),
+    "no-durations": ({"duration_s": None}, None, "header field 'duration_s' is missing or not a list of numbers"),
+    "short-source-column": ({**_columns(["w0", "w1"]), "source_ids": ["s"]}, [("signals", np.zeros((2, 6, 50)))],
+                            "header field 'source_ids' has 1 entries for 2 signal rows"),
+    "long-start-column": ({"start_s": [0.0, 1.0]}, None, "header field 'start_s' has 2 entries for 1 signal rows"),
+    "repeated-id": (_columns(["w0", "w1", "w0", "w1"]), [("signals", np.zeros((4, 6, 50)))],
+                    "repeated window ids: w0, w1"),
+}
+
+
+def _malformed_cache(path, case) -> str:
+    """Write the `_MALFORMED_CACHE_HEADERS` case to `path`; returns its expected message."""
+    edit, arrays, message = _MALFORMED_CACHE_HEADERS[case]
+    header = {k: v for k, v in {**_CACHE_HEADER, **edit}.items() if v is not None}
+    write_container(path, CACHE_MAGIC, CACHE_VERSION, header,
                     [("signals", np.zeros((1, 6, 50)))] if arrays is None else arrays)
-    with pytest.raises(FormatError, match=re.escape(f"{p}: {message}")):
-        load_window_cache(p)
+    return f"{path}: {message}"
+
+
+@pytest.mark.parametrize("case", _MALFORMED_CACHE_HEADERS)
+def test_cache_refuses_a_malformed_header_naming_the_path(tmp_path, case):
+    message = _malformed_cache(tmp_path / "c.bin", case)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_window_cache(tmp_path / "c.bin")
+
+
+@pytest.mark.parametrize("command", ["train", "retrieve"])
+@pytest.mark.parametrize("case", _MALFORMED_CACHE_HEADERS)
+def test_cache_readers_exit_2_on_a_malformed_header(tmp_path, capsys, case, command):
+    p = tmp_path / "c.bin"
+    message = _malformed_cache(p, case)
+    argv = {"train": ["--cache", str(p), "--video-anchors", str(tmp_path / "v.jsonl"), "--epochs", "1",
+                      "--run-dir", str(tmp_path / "r")],
+            "retrieve": ["--ckpt", str(tmp_path / "ck.bin"), "--pool", str(p), "--query-anchor", '{"vector": [1]}']}
+    assert cli.main([command, *argv[command]]) == 2  # an exception other than a refusal escapes main
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_cache_of_the_malformed_header_cases_loads_when_well_formed(tmp_path):

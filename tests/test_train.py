@@ -530,25 +530,26 @@ def _json_paths(node, prefix=()):
 
 
 _CONTAINER_KINDS = {
-    "checkpoint": (b"IMUK", _save_small_checkpoint, load_checkpoint),
-    "head": (evaluate.HEAD_MAGIC, lambda p: evaluate.save_head(
+    "checkpoint": (b"IMUK", train.CKPT_VERSION, _save_small_checkpoint, load_checkpoint),
+    "head": (evaluate.HEAD_MAGIC, evaluate.HEAD_VERSION, lambda p: evaluate.save_head(
         p, evaluate.ClassifierHead(np.zeros((2, 3)), np.zeros(2), ["a", "b"])), evaluate.load_head),
-    "cache": (signalio.CACHE_MAGIC, lambda p: signalio.save_window_cache(signalio.WindowCache(
-        [signalio.ImuWindow(f"w{i}", "s", i * 1.0, 1.0, np.zeros((6, 4))) for i in range(2)],
-        4.0, 1.0, 1.0, "h"), p), signalio.load_window_cache),
+    "cache": (signalio.CACHE_MAGIC, signalio.CACHE_VERSION, lambda p: signalio.save_window_cache(
+        signalio.WindowCache([signalio.ImuWindow(f"w{i}", "s", i * 1.0, 1.0, np.zeros((6, 4))) for i in range(2)],
+                             4.0, 1.0, 1.0, "h"), p), signalio.load_window_cache),
 }
 _DELETE = object()
-_hostile_json = st.sampled_from([True, 1.9, 8.7, -1, 0, 10**12, 10**30, math.nan, math.inf, "w0",
-                                 [8.7], [10**12, 8, 8], ["conv0.w"], [True], {}])
+_hostile_json = st.sampled_from([True, 1.9, 8.7, -1, 0, 10**12, 10**30, math.nan, math.inf, "w0", "", None,
+                                 [8.7], [10**12, 8, 8], ["conv0.w"], [True], [None], [""], ["w0", "w0"],
+                                 ["w0", "0"], [0.0, "0"], {}])
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kind=st.sampled_from(sorted(_CONTAINER_KINDS)), data=st.data())
 def test_loaders_let_only_format_error_escape_a_mutated_container(tmp_path, kind, data):
-    magic, save, load = _CONTAINER_KINDS[kind]
+    magic, version, save, load = _CONTAINER_KINDS[kind]
     p = tmp_path / "f.bin"
     save(p)
-    header, arrays = read_container(p, magic, 1)
+    header, arrays = read_container(p, magic, version)
     del header["arrays"]  # write_container derives it from the arrays
     for _ in range(data.draw(st.integers(1, 3))):
         paths = sorted(_json_paths(header), key=repr)
@@ -571,7 +572,7 @@ def test_loaders_let_only_format_error_escape_a_mutated_container(tmp_path, kind
             arrays.pop(name, None)
         else:
             arrays[name] = np.zeros(shape)
-    write_container(p, magic, 1, header, list(arrays.items()))
+    write_container(p, magic, version, header, list(arrays.items()))
     try:
         load(p)  # any exception but FormatError fails the test
     except FormatError:
