@@ -63,8 +63,15 @@ from .signalio import (
 from .train import MODES, TrainConfig, fit, load_checkpoint, save_checkpoint, write_manifest
 
 
+_HASH_CHUNK = 1 << 20  # bytes of a manifest input read at a time
+
+
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _emit(obj) -> None:

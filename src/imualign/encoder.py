@@ -193,4 +193,6 @@ def encode_batch(
 
 def encode(window: ImuWindow, params: EncoderParams, config: EncoderConfig) -> np.ndarray:
     """Embed one window; pure function of (window, params, config)."""
-    return encode_batch(WindowSet.of([window]), params, config)[0]
+    one = WindowSet([window.window_id], [window.source_id], [window.start_s], [window.duration_s],
+                    window.signal[None])
+    return encode_batch(one, params, config)[0]

@@ -232,7 +232,7 @@ def eval_retrieval(
 # classification protocols
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassifierHead:
     weight: np.ndarray  # (classes, D)
     bias: np.ndarray  # (classes,)

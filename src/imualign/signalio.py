@@ -39,7 +39,7 @@ _ACTIVITY_NAMES = (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class ImuStream:
     """A time-ordered 6-channel sensor recording."""
 
@@ -67,7 +67,7 @@ class ImuStream:
         return float(self.timestamps[-1] - self.timestamps[0])
 
 
-@dataclass
+@dataclass(eq=False)
 class ImuWindow:
     """A fixed-duration slice of a stream; channel order ax ay az gx gy gz."""
 
@@ -98,12 +98,6 @@ def _refuse_non_finite(signals: np.ndarray, window_ids) -> None:
             raise DataError(f"window {window_ids[int(np.argmin(finite))]}: non-finite signal values")
 
 
-def _refuse_repeated_ids(ids: list[str], where, error=DataError) -> None:
-    if len(set(ids)) < len(ids):
-        repeated = [wid for wid, n in Counter(ids).items() if n > 1]
-        raise error(f"{where}: repeated window ids: {', '.join(repeated[:20])}")
-
-
 def _window(window_id, source_id, start_s, duration_s, signal) -> ImuWindow:
     """An `ImuWindow` of fields as given: its set checked them, so it skips `__post_init__`."""
     w = object.__new__(ImuWindow)
@@ -112,52 +106,45 @@ def _window(window_id, source_id, start_s, duration_s, signal) -> ImuWindow:
     return w
 
 
+_COLUMNS = {"ids": str, "source_ids": str, "start_s": float, "duration_s": float}  # and their cache header types
+
+
 class WindowSet:
     """IMU windows as columns: the lists `ids`, `source_ids`, `start_s` and
     `duration_s`, one entry per row of the float64 (n, 6, T) array `signals`.
 
     Indexing by int gives an `ImuWindow` whose `signal` is a view of its row,
     and so does iteration; a slice is again a set whose `signals` is a view.
-    The constructor takes its columns as given. `make_windows`,
-    `load_window_cache`, `of`, `concat` and `take` refuse repeated ids, and
-    the first two non-finite signals (an `ImuWindow` checks its own when
-    built), so a slice needs no check.
+    The constructor takes its columns as given, then refuses a non-finite
+    signal value (DataError naming the first such window) and a repeated id
+    (`error`, naming `where`), so no set holds either, however it was built.
     """
 
-    __slots__ = ("ids", "source_ids", "start_s", "duration_s", "signals")
+    __slots__ = (*_COLUMNS, "signals")
 
     def __init__(self, ids: list[str], source_ids: list[str], start_s: list[float],
-                 duration_s: list[float], signals: np.ndarray):
+                 duration_s: list[float], signals: np.ndarray, where="WindowSet", error=DataError):
+        _refuse_non_finite(signals, ids)
+        if len(set(ids)) < len(ids):
+            repeated = [wid for wid, n in Counter(ids).items() if n > 1]
+            raise error(f"{where}: repeated window ids: {', '.join(repeated[:20])}")
         self.ids, self.source_ids, self.start_s, self.duration_s = ids, source_ids, start_s, duration_s
         self.signals = signals
 
     @classmethod
-    def of(cls, windows, where="windows") -> "WindowSet":
-        """`windows` if it is a set; else a set of the `ImuWindow`s it yields,
-        in order (see `concat`). Each `ImuWindow` checked its own signal when
-        it was built."""
-        if isinstance(windows, WindowSet):
-            return windows
-        return cls.concat([cls([w.window_id], [w.source_id], [w.start_s], [w.duration_s], w.signal[None])
-                           for w in windows], where)
-
-    @classmethod
     def concat(cls, sets: list["WindowSet"], where="windows") -> "WindowSet":
         """The windows of `sets` in order, their signals copied into one
-        C-order array; refuses repeated ids and mixed lengths (DataError
+        C-order array; refuses mixed lengths and repeated ids (DataError
         naming `where`)."""
         sets = [s for s in sets if len(s)]  # an empty set's length is no constraint
-        ids = [wid for s in sets for wid in s.ids]
-        _refuse_repeated_ids(ids, where)
         lens = {s.n_samples for s in sets}
         if len(lens) > 1:
             raise DataError(f"{where}: mixed window lengths {sorted(lens)}")
         # np.concatenate alone keeps the layout of transposed views; C order is written with no second copy
-        signals = np.empty((len(ids), 6, lens.pop() if lens else 0))
+        signals = np.empty((sum(map(len, sets)), 6, lens.pop() if lens else 0))
         if sets:
             np.concatenate([s.signals for s in sets], out=signals)
-        return cls(ids, [x for s in sets for x in s.source_ids], [x for s in sets for x in s.start_s],
-                   [x for s in sets for x in s.duration_s], signals)
+        return cls(*([x for s in sets for x in getattr(s, key)] for key in _COLUMNS), signals, where)
 
     @property
     def n_samples(self) -> int:
@@ -169,8 +156,7 @@ class WindowSet:
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return WindowSet(self.ids[key], self.source_ids[key], self.start_s[key], self.duration_s[key],
-                             self.signals[key])
+            return WindowSet(*(getattr(self, k)[key] for k in _COLUMNS), self.signals[key])
         i = range(len(self.ids))[key]  # an int, from either end; IndexError past both
         return _window(self.ids[i], self.source_ids[i], self.start_s[i], self.duration_s[i], self.signals[i])
 
@@ -186,17 +172,15 @@ class WindowSet:
         rows = list(rows)
         if rows == list(range(len(self))):
             return self
-        ids = [self.ids[i] for i in rows]
-        _refuse_repeated_ids(ids, "WindowSet.take")
-        return WindowSet(ids, [self.source_ids[i] for i in rows], [self.start_s[i] for i in rows],
-                         [self.duration_s[i] for i in rows], self.signals[rows])
+        return WindowSet(*([getattr(self, key)[i] for i in rows] for key in _COLUMNS),
+                         self.signals[rows], "WindowSet.take")
 
     def having(self, ids) -> "WindowSet":
         """The windows whose id is in `ids` (a set or a dict), in this set's order."""
         return self.take([i for i, wid in enumerate(self.ids) if wid in ids])
 
 
-@dataclass
+@dataclass(eq=False)
 class AnchorEmbedding:
     """A frozen unit-norm vector in the joint space, tagged with modality."""
 
@@ -210,16 +194,14 @@ class AnchorEmbedding:
 
 @dataclass
 class ParallelDataset:
-    """Aligned (IMU window, video anchor, optional text anchor, optional label) triples."""
+    """Aligned (IMU window, video anchor, optional text anchor, optional label)
+    triples; `windows` is a `WindowSet`, so its ids are unique."""
 
-    windows: WindowSet  # or ImuWindows, which `WindowSet.of` makes one set
+    windows: WindowSet
     video_anchors: dict[str, AnchorEmbedding]
     text_anchors: dict[str, AnchorEmbedding] | None = None
     labels: dict[str, str] | None = None
     class_names: list[str] | None = None
-
-    def __post_init__(self):
-        self.windows = WindowSet.of(self.windows, "ParallelDataset")
 
     def __len__(self) -> int:
         return len(self.windows)
@@ -359,14 +341,12 @@ def make_windows(stream: ImuStream, window_s: float, stride_s: float) -> WindowS
         raise DataError(f"make_windows: window of {window_s}s at {hz}Hz has no samples")
     starts = range(0, stream.n_samples - t_win + 1, t_stride)
     if not starts:
-        return WindowSet.of([])
+        return WindowSet([], [], [], [], np.empty((0, 6, 0)))
     # window k is the view values[start : start + t_win].T, so only its own samples are checked
     signals = np.lib.stride_tricks.sliding_window_view(stream.values, t_win, axis=0, writeable=True)[::t_stride]
     src = stream.source_id
-    ids = [f"{src}:{s}" for s in starts]
-    _refuse_non_finite(signals, ids)
-    return WindowSet(ids, [src] * len(starts), stream.timestamps[starts].tolist(), [t_win / hz] * len(starts),
-                     signals)
+    return WindowSet([f"{src}:{s}" for s in starts], [src] * len(starts), stream.timestamps[starts].tolist(),
+                     [t_win / hz] * len(starts), signals)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +501,8 @@ def assemble_dataset(
     labels_path=None,
     coverage_threshold: float = 1.0,
 ) -> tuple[ParallelDataset, list[str]]:
-    """Join windows (a set, or `ImuWindow`s) with anchor/label files into a
-    validated dataset, its windows in id order.
+    """Join a window set with anchor/label files into a validated dataset,
+    its windows in id order.
 
     Returns the dataset plus the ids dropped for missing anchors. Coverage
     below `coverage_threshold` (fraction of windows with every requested
@@ -532,7 +512,6 @@ def assemble_dataset(
         raise DataError(f"assemble_dataset: coverage threshold must be in [0, 1], got {coverage_threshold}")
     if not len(windows):
         raise DataError("assemble_dataset: no windows")
-    windows = WindowSet.of(windows, "assemble_dataset")
     video = load_anchor_embeddings(video_anchor_path, "video")
     text = load_anchor_embeddings(text_anchor_path, "text") if text_anchor_path else None
 
@@ -574,43 +553,40 @@ def assemble_dataset(
 
 @dataclass
 class WindowCache:
-    windows: WindowSet  # or ImuWindows, to save
+    """A window set and the sizes it was cut with; `load_window_cache` reads
+    what `save_window_cache` writes."""
+
+    windows: WindowSet
     sample_rate_hz: float
     window_s: float
     stride_s: float
     content_hash: str = ""
 
 
-_CACHE_COLUMNS = {"ids": str, "source_ids": str, "start_s": float, "duration_s": float}
-
-
 def save_window_cache(cache: WindowCache, path) -> None:
-    windows = WindowSet.of(cache.windows, path)  # refused before the write, as `load_window_cache` would
     header = {
         "kind": "window-cache",
         "sample_rate_hz": cache.sample_rate_hz,
         "window_s": cache.window_s,
         "stride_s": cache.stride_s,
         "content_hash": cache.content_hash,
-        **{key: getattr(windows, key) for key in _CACHE_COLUMNS},
+        **{key: getattr(cache.windows, key) for key in _COLUMNS},
     }
-    write_container(path, CACHE_MAGIC, CACHE_VERSION, header, [("signals", windows.signals)])
+    write_container(path, CACHE_MAGIC, CACHE_VERSION, header, [("signals", cache.windows.signals)])
 
 
 def load_window_cache(path) -> WindowCache:
     header, arrays = read_container(path, CACHE_MAGIC, CACHE_VERSION)
     signals = checked_arrays(path, arrays, {"signals": (None, 6, None)})["signals"]
-    columns = [header_field(path, header, key, list[kind]) for key, kind in _CACHE_COLUMNS.items()]
-    for key, column in zip(_CACHE_COLUMNS, columns):
+    columns = [header_field(path, header, key, list[kind]) for key, kind in _COLUMNS.items()]
+    for key, column in zip(_COLUMNS, columns):
         if len(column) != len(signals):
             raise FormatError(f"{path}: header field {key!r} has {len(column)} entries for {len(signals)} signal rows")
-    ids = columns[0]
-    if "" in ids:
+    if "" in columns[0]:
         raise FormatError(f"{path}: header field 'ids' holds an empty window id")
-    _refuse_non_finite(signals, ids)
-    _refuse_repeated_ids(ids, path, FormatError)
+    windows = WindowSet(*columns, signals, where=path, error=FormatError)
     sizes = [header_field(path, header, key, float) for key in ("sample_rate_hz", "window_s", "stride_s")]
-    return WindowCache(WindowSet(*columns, signals), *sizes, header_field(path, header, "content_hash", str))
+    return WindowCache(windows, *sizes, header_field(path, header, "content_hash", str))
 
 
 # ---------------------------------------------------------------------------

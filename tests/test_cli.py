@@ -1,10 +1,12 @@
 """End-to-end CLI coverage: every subcommand, exit codes, JSON outputs."""
 
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from imualign.signalio import (
     CACHE_VERSION,
     ParallelDataset,
     WindowCache,
+    WindowSet,
     load_labels,
     load_window_cache,
     save_window_cache,
@@ -380,6 +383,20 @@ def test_train_run_dir_contents(run_dir):
     assert len(manifest["input_hashes"]) == 2
     lines = (run_dir / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 30
+
+
+def test_manifest_hashes_an_input_in_chunks_to_the_digest_of_its_bytes(tmp_path):
+    data = np.random.default_rng(0).bytes(6 * cli._HASH_CHUNK + 3)
+    p = tmp_path / "anchors.jsonl"
+    p.write_bytes(data)
+    tracemalloc.start()
+    digest = cli._sha256(p)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert peak < 3 * cli._HASH_CHUNK, peak  # a chunk or two held at a time, not the whole file
+    (tmp_path / "empty").write_bytes(b"")
+    assert cli._sha256(tmp_path / "empty") == hashlib.sha256(b"").hexdigest()
 
 
 def test_train_flag_defaults(capsys):
@@ -756,7 +773,7 @@ def test_eval_classify_probe_head_is_train_probes_head(run_dir, cache_path, corp
     assert code == 0
     ckpt = load_checkpoint(run_dir / "ckpt-30.bin")
     labels, class_names = load_labels(partial_labels)
-    windows = [w for w in load_window_cache(cache_path).windows if w.window_id in labels]
+    windows = load_window_cache(cache_path).windows.having(labels)
     head = train_probe(ParallelDataset(windows, {}, None, labels, class_names), ckpt.params,
                        ckpt.encoder_config, ProbeConfig(epochs=20, batch_size=2, seed=3))
     save_head(tmp_path / "expected.bin", head)
@@ -876,7 +893,7 @@ def test_retrieve_cache_pool_without_ckpt_exit_2(cache_path, corpus, capsys):
 
 def test_retrieve_cache_pool_without_windows_exit_2(run_dir, corpus, tmp_path, capsys):
     pool = tmp_path / "empty.bin"
-    save_window_cache(WindowCache([], 200.0, 0.32, 0.32, "none"), pool)
+    save_window_cache(WindowCache(WindowSet([], [], [], [], np.empty((0, 6, 0))), 200.0, 0.32, 0.32, "none"), pool)
     line = (corpus / "anchors_video.jsonl").read_text().splitlines()[0]
     code, payload, err = run_cli(capsys, "retrieve", "--ckpt", str(run_dir / "ckpt-30.bin"),
                                  "--pool", str(pool), "--query-anchor", line)

@@ -17,8 +17,8 @@ from imualign.signalio import (
     CACHE_MAGIC,
     CACHE_VERSION,
     ImuStream,
-    ImuWindow,
     WindowCache,
+    WindowSet,
     load_window_cache,
     make_windows,
     save_window_cache,
@@ -30,8 +30,9 @@ TINY_ENC = EncoderConfig(conv_channels=(2,), conv_kernels=(3,), conv_strides=(1,
 
 def _cache(n_windows: int, n_samples: int) -> WindowCache:
     rng = np.random.default_rng(0)
-    windows = [ImuWindow(f"w{i:04d}", "s", float(i), 1.0, rng.standard_normal((6, n_samples)))
-               for i in range(n_windows)]
+    windows = WindowSet([f"w{i:04d}" for i in range(n_windows)], ["s"] * n_windows,
+                        [float(i) for i in range(n_windows)], [1.0] * n_windows,
+                        rng.standard_normal((n_windows, 6, n_samples)))
     return WindowCache(windows, float(n_samples), 1.0, 1.0, "h")
 
 

@@ -37,7 +37,9 @@ def _window(seed=0, t=64):
 
 
 def _windows(n, t=64) -> WindowSet:
-    return WindowSet.of([_window(i, t=t) for i in range(n)])
+    """The set of `_window(i, t)` for i < n."""
+    return WindowSet([f"w{i}:0" for i in range(n)], [f"w{i}" for i in range(n)], [0.0] * n, [t / 200.0] * n,
+                     np.stack([_window(i, t=t).signal for i in range(n)]))
 
 
 def _params_with(params: EncoderParams, name: str, probe: Tensor) -> EncoderParams:
@@ -291,7 +293,7 @@ def test_encode_batch_refuses_a_non_finite_embedding_naming_its_window():
 def test_windows_of_mixed_lengths_never_reach_encode_batch():
     # encode_batch takes a WindowSet, whose signals are one (n, 6, T) array
     with pytest.raises(DataError, match=r"^windows: mixed window lengths \[32, 64\]$"):
-        WindowSet.of([_window(0, t=64), _window(1, t=32)])
+        WindowSet.concat([_windows(1, t=64), _windows(2, t=32)[1:]])
 
 
 def test_encode_batch_default_config_timing():

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from imualign import cli
+from imualign import cli, signalio
 from imualign.container import write_container
 from imualign.errors import CoverageError, DataError, FormatError, ImuAlignError
+from imualign.evaluate import ClassifierHead
 from imualign.signalio import (
     CACHE_MAGIC,
     CACHE_VERSION,
     CSV_HEADER,
+    AnchorEmbedding,
     ImuStream,
     ImuWindow,
     WindowCache,
@@ -383,6 +385,13 @@ def _same_window(a: ImuWindow, b: ImuWindow) -> None:
     np.testing.assert_array_equal(a.signal, b.signal)
 
 
+def _set_of(windows: list[ImuWindow]) -> WindowSet:
+    """The windows of a list as one set, their signals stacked."""
+    signals = np.stack([w.signal for w in windows]) if windows else np.empty((0, 6, 0))
+    return WindowSet([w.window_id for w in windows], [w.source_id for w in windows],
+                     [w.start_s for w in windows], [w.duration_s for w in windows], signals)
+
+
 _index = st.none() | st.integers(-12, 12)
 
 
@@ -395,7 +404,7 @@ def test_a_window_set_agrees_with_the_list_of_windows_it_replaces(n_samples, str
     expected = [ImuWindow(f"src:{s}", "src", float(stream.timestamps[s]), 1.0, stream.values[s : s + 10].T)
                 for s in range(0, n_samples - 9, stride)]
     # made windows view the stream; the set built from a list holds one (n, 6, T) copy
-    windows = make_windows(stream, 1.0, stride_s) if made else WindowSet.of(expected)
+    windows = make_windows(stream, 1.0, stride_s) if made else _set_of(expected)
     base = stream.values if made else windows.signals
     n = len(expected)
     assert len(windows) == n and windows.ids == [w.window_id for w in expected]
@@ -427,6 +436,60 @@ def test_a_window_set_agrees_with_the_list_of_windows_it_replaces(n_samples, str
     if rows:
         with pytest.raises(DataError, match=f"^WindowSet.take: repeated window ids: {expected[rows[0]].window_id}$"):
             windows.take(rows + rows[:1])
+
+
+def _three_windows() -> WindowSet:
+    return WindowSet(["w0", "w1", "w2"], ["s"] * 3, [0.0, 1.0, 2.0], [1.0] * 3, np.zeros((3, 6, 4)))
+
+
+_BUILDS = {  # name: (a new set of the windows of `s`, the repeated-id message's label)
+    "constructor": (lambda s: WindowSet(s.ids, s.source_ids, s.start_s, s.duration_s, s.signals), "WindowSet"),
+    "slice": (lambda s: s[1:], "WindowSet"),
+    "take": (lambda s: s.take([1, 2]), "WindowSet.take"),
+    "having": (lambda s: s.having({"w1"}), "WindowSet.take"),
+    "concat": (lambda s: WindowSet.concat([s[:0], s], "ingest"), "ingest"),
+}
+
+
+@pytest.mark.parametrize("build", sorted(_BUILDS))
+def test_every_set_built_refuses_a_repeated_id(build):
+    make, where = _BUILDS[build]
+    windows = _three_windows()
+    windows.ids[2] = "w1"  # written after the set was built: a set does not watch its columns
+    with pytest.raises(DataError, match=f"^{re.escape(where)}: repeated window ids: w1$"):
+        make(windows)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", sorted(_BUILDS))
+def test_every_set_built_refuses_a_non_finite_signal_value(build, bad):
+    windows = _three_windows()
+    windows.signals[1, 5, 3] = bad  # written after the set was built: a set does not watch its columns
+    with pytest.raises(DataError, match=r"^window w1: non-finite signal values$"):
+        _BUILDS[build][0](windows)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_made_and_synthesized_sets_refuse_a_non_finite_signal_value(monkeypatch, bad):
+    stream = _stream(30, hz=10.0)
+    stream.values[15, 2] = bad
+    with pytest.raises(DataError, match=r"^window src:10: non-finite signal values$"):
+        make_windows(stream, 1.0, 1.0)
+    monkeypatch.setattr(signalio, "synth_window_signal", lambda rng, cls, n: np.full((6, n), bad))
+    with pytest.raises(DataError, match=r"^window synth-0000:0: non-finite signal values$"):
+        synth_dataset(0, 2, 2, 4, 8, 0.1)
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    # dataclass `==` would compare the array fields and raise for any array of more than one value
+    windows = list(make_windows(_stream(30, hz=10.0), 1.0, 1.0))
+    twin = ImuWindow(windows[0].window_id, "src", windows[0].start_s, 1.0, windows[0].signal.copy())
+    anchors = [AnchorEmbedding("w", "video", np.ones(3)) for _ in range(2)]
+    streams = [_stream(5) for _ in range(2)]
+    heads = [ClassifierHead(np.zeros((2, 3)), np.zeros(2), ["a", "b"]) for _ in range(2)]
+    for a, b in ((windows[0], twin), anchors, streams, heads):
+        assert a == a and a != b and not (a == b)
+        assert a in [b, a] and a not in [b]
 
 
 # ---------------------------------------------------------------------------
@@ -698,16 +761,17 @@ def test_assemble_refuses_a_coverage_threshold_outside_0_1(tmp_path, threshold):
 
 
 def test_assemble_rejects_repeated_window_ids(tmp_path):
+    # a set cannot hold a repeated id, so assemble_dataset never receives one
     _, vp, tp, lp = _synth_files(tmp_path, n=4, classes=2, t=64)
     windows = synth_dataset(1, 4, 2, 8, 64, 0.05).windows
-    with pytest.raises(DataError, match=r"^assemble_dataset: repeated window ids: synth-0000:0$"):
-        assemble_dataset([*windows, windows[0]], vp, tp, lp)
+    with pytest.raises(DataError, match=r"^windows: repeated window ids: synth-0000:0$"):
+        assemble_dataset(WindowSet.concat([windows, windows[:1]]), vp, tp, lp)
 
 
 def test_assemble_order_insensitive(tmp_path):
     ds, vp, tp, lp = _synth_files(tmp_path, n=5, classes=5)
     a, _ = assemble_dataset(ds.windows, vp, tp, lp)
-    b, _ = assemble_dataset(list(reversed(ds.windows)), vp, tp, lp)
+    b, _ = assemble_dataset(ds.windows[::-1], vp, tp, lp)
     assert [w.window_id for w in a.windows] == [w.window_id for w in b.windows]
     for w1, w2 in zip(a.windows, b.windows):
         np.testing.assert_array_equal(w1.signal, w2.signal)
@@ -795,12 +859,24 @@ def test_cache_rejects_repeated_window_ids(tmp_path):
     ("w1", 40, "mixed window lengths [40, 50]"),
 ], ids=["repeated-id", "mixed-lengths"])
 def test_save_window_cache_refuses_what_the_loader_would_before_writing(tmp_path, extra_id, n_samples, message):
-    wins = list(make_windows(_stream(100, hz=50.0), 1.0, 1.0)[:1])  # one 50-sample window, id src:0
-    wins.append(ImuWindow(extra_id, "src", 1.0, 1.0, np.zeros((6, n_samples))))
+    # such a set cannot be built, so nothing is written
+    wins = make_windows(_stream(100, hz=50.0), 1.0, 1.0)[:1]  # one 50-sample window, id src:0
+    extra = WindowSet([extra_id], ["src"], [1.0], [1.0], np.zeros((1, 6, n_samples)))
     p = tmp_path / "c.bin"
-    with pytest.raises(DataError, match=re.escape(f"{p}: {message}") + "$"):
-        save_window_cache(WindowCache(wins, 50.0, 1.0, 1.0), p)
+    with pytest.raises(DataError, match=re.escape(f"windows: {message}") + "$"):
+        save_window_cache(WindowCache(WindowSet.concat([wins, extra]), 50.0, 1.0, 1.0), p)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("ids, bad", [(["a", "a"], 0.0), (["a", "b"], math.nan), (["a", "b"], -math.inf)],
+                         ids=["repeated-id", "nan", "-inf"])
+def test_save_window_cache_never_writes_a_cache_its_loader_refuses(tmp_path, ids, bad):
+    signals = np.zeros((2, 6, 4))
+    signals[1, 0, 0] = bad
+    p = tmp_path / "c.bin"
+    with pytest.raises(DataError, match="repeated window ids: a$|^window b: non-finite signal values$"):
+        save_window_cache(WindowCache(WindowSet(ids, ["s", "s"], [0.0, 1.0], [1.0, 1.0], signals), 4.0, 1.0, 1.0), p)
+    assert not p.exists()
 
 
 # each header field: (header edit, arrays or None for one (1, 6, 50) row, message after the path);

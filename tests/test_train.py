@@ -534,8 +534,9 @@ _CONTAINER_KINDS = {
     "head": (evaluate.HEAD_MAGIC, evaluate.HEAD_VERSION, lambda p: evaluate.save_head(
         p, evaluate.ClassifierHead(np.zeros((2, 3)), np.zeros(2), ["a", "b"])), evaluate.load_head),
     "cache": (signalio.CACHE_MAGIC, signalio.CACHE_VERSION, lambda p: signalio.save_window_cache(
-        signalio.WindowCache([signalio.ImuWindow(f"w{i}", "s", i * 1.0, 1.0, np.zeros((6, 4))) for i in range(2)],
-                             4.0, 1.0, 1.0, "h"), p), signalio.load_window_cache),
+        signalio.WindowCache(signalio.WindowSet(["w0", "w1"], ["s", "s"], [0.0, 1.0], [1.0, 1.0],
+                                                np.zeros((2, 6, 4))), 4.0, 1.0, 1.0, "h"), p),
+                  signalio.load_window_cache),
 }
 _DELETE = object()
 _hostile_json = st.sampled_from([True, 1.9, 8.7, -1, 0, 10**12, 10**30, math.nan, math.inf, "w0", "", None,
@@ -589,6 +590,16 @@ def test_checkpoint_non_object_header_is_format_error(tmp_path):
 
 # ---------------------------------------------------------------------------
 # fit / run directory
+
+
+def test_a_repeated_window_id_reaches_neither_assemble_dataset_nor_fit(tmp_path):
+    ds = _dataset(n=2)
+    vp = tmp_path / "v.jsonl"
+    signalio.write_anchor_embeddings({"a": signalio.AnchorEmbedding("a", "video", np.ones(16))}, vp)
+    with pytest.raises(DataError, match=r"^WindowSet: repeated window ids: a$"):
+        windows = signalio.WindowSet(["a", "a"], ["s", "s"], [0.0, 1.0], [1.0, 1.0], ds.windows.signals)
+        dataset, _ = signalio.assemble_dataset(windows, vp)
+        fit(dataset, SMALL_ENC, TrainConfig(batch_size=2, epochs=1, seed=0, mode="iv"))
 
 
 def test_fit_writes_run_directory(tmp_path):
