@@ -192,7 +192,8 @@ def encode_batch(
 
 
 def encode(window: ImuWindow, params: EncoderParams, config: EncoderConfig) -> np.ndarray:
-    """Embed one window; pure function of (window, params, config)."""
+    """Embed one window; pure function of (window, params, config). The window
+    is checked as a one-row `WindowSet`, which refuses what any set refuses."""
     one = WindowSet([window.window_id], [window.source_id], [window.start_s], [window.duration_s],
                     window.signal[None])
     return encode_batch(one, params, config)[0]

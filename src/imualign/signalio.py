@@ -7,10 +7,12 @@ File formats:
     and errors name ``path:line``.
   * Anchor JSONL: ``{"window_id": str, "modality": "video"|"text", "vector": [...]}``.
   * Labels JSONL: header record ``{"classes": [...]}`` then
-    ``{"window_id": str, "label": str}`` lines.
+    ``{"window_id": str, "label": str}`` lines. Both JSONL writers refuse
+    what their loaders refuse before they open the file.
   * Window cache: versioned binary (magic ``IMUC``, version 2): one (n, 6, T)
     float64 ``signals`` array and the header columns ``ids``, ``source_ids``,
-    ``start_s`` and ``duration_s``; refuses other versions.
+    ``start_s`` and ``duration_s``; refuses other versions. The loader hands
+    the columns to the `WindowSet` constructor, which checks every set.
 """
 
 from __future__ import annotations
@@ -69,19 +71,13 @@ class ImuStream:
 
 @dataclass(eq=False)
 class ImuWindow:
-    """A fixed-duration slice of a stream; channel order ax ay az gx gy gz."""
+    """A plain record of one window, channel order ax ay az gx gy gz; a `WindowSet` checks its rows."""
 
     window_id: str
     source_id: str
     start_s: float
     duration_s: float
     signal: np.ndarray  # (6, T)
-
-    def __post_init__(self):
-        self.signal = np.asarray(self.signal, dtype=np.float64)
-        if self.signal.ndim != 2 or self.signal.shape[0] != 6:
-            raise DataError(f"window {self.window_id}: expected (6, T) signal, got {self.signal.shape}")
-        _refuse_non_finite(self.signal[None], [self.window_id])
 
     @property
     def n_samples(self) -> int:
@@ -98,15 +94,9 @@ def _refuse_non_finite(signals: np.ndarray, window_ids) -> None:
             raise DataError(f"window {window_ids[int(np.argmin(finite))]}: non-finite signal values")
 
 
-def _window(window_id, source_id, start_s, duration_s, signal) -> ImuWindow:
-    """An `ImuWindow` of fields as given: its set checked them, so it skips `__post_init__`."""
-    w = object.__new__(ImuWindow)
-    w.__dict__ = {"window_id": window_id, "source_id": source_id, "start_s": start_s,
-                  "duration_s": duration_s, "signal": signal}
-    return w
-
-
-_COLUMNS = {"ids": str, "source_ids": str, "start_s": float, "duration_s": float}  # and their cache header types
+# each column and its entries; a number is an int or float instance but never a bool, as the cache header keeps it
+_COLUMNS = {"ids": "strings", "source_ids": "strings", "start_s": "numbers", "duration_s": "numbers"}
+_KINDS = {"strings": str, "numbers": (int, float)}
 
 
 class WindowSet:
@@ -115,15 +105,33 @@ class WindowSet:
 
     Indexing by int gives an `ImuWindow` whose `signal` is a view of its row,
     and so does iteration; a slice is again a set whose `signals` is a view.
-    The constructor takes its columns as given, then refuses a non-finite
-    signal value (DataError naming the first such window) and a repeated id
-    (`error`, naming `where`), so no set holds either, however it was built.
+    The constructor is the one place that checks a set. It refuses (`error`,
+    naming `where`), in this order: `signals` that are not a float64 (n, 6, T)
+    array; an id column that is not a list of strings, or a time column that
+    is not a list of numbers; a column of other than n entries; an empty id;
+    a non-finite signal value (DataError naming the first such window); and
+    a repeated id. So no set holds any of these, however it was built.
     """
 
     __slots__ = (*_COLUMNS, "signals")
 
     def __init__(self, ids: list[str], source_ids: list[str], start_s: list[float],
                  duration_s: list[float], signals: np.ndarray, where="WindowSet", error=DataError):
+        if not (isinstance(signals, np.ndarray) and signals.dtype == np.float64 and signals.ndim == 3
+                and signals.shape[1] == 6):
+            got = f"{signals.dtype} {signals.shape}" if isinstance(signals, np.ndarray) else type(signals).__name__
+            raise error(f"{where}: signals must be a float64 (n, 6, T) array, got {got}")
+        columns = dict(zip(_COLUMNS, (ids, source_ids, start_s, duration_s)))
+        for key, column in columns.items():
+            kinds = _KINDS[_COLUMNS[key]]
+            if not isinstance(column, list) or any(t is bool or not issubclass(t, kinds)
+                                                   for t in set(map(type, column))):  # one C-level pass
+                raise error(f"{where}: column {key!r} is not a list of {_COLUMNS[key]}")
+        for key, column in columns.items():
+            if len(column) != len(signals):
+                raise error(f"{where}: column {key!r} has {len(column)} entries for {len(signals)} signal rows")
+        if "" in ids:
+            raise error(f"{where}: column 'ids' holds an empty window id")
         _refuse_non_finite(signals, ids)
         if len(set(ids)) < len(ids):
             repeated = [wid for wid, n in Counter(ids).items() if n > 1]
@@ -158,10 +166,10 @@ class WindowSet:
         if isinstance(key, slice):
             return WindowSet(*(getattr(self, k)[key] for k in _COLUMNS), self.signals[key])
         i = range(len(self.ids))[key]  # an int, from either end; IndexError past both
-        return _window(self.ids[i], self.source_ids[i], self.start_s[i], self.duration_s[i], self.signals[i])
+        return ImuWindow(self.ids[i], self.source_ids[i], self.start_s[i], self.duration_s[i], self.signals[i])
 
     def __iter__(self):
-        return map(_window, self.ids, self.source_ids, self.start_s, self.duration_s, self.signals)
+        return map(ImuWindow, self.ids, self.source_ids, self.start_s, self.duration_s, self.signals)
 
     def __repr__(self) -> str:
         return f"WindowSet({len(self)} windows of {self.n_samples} samples)"
@@ -401,13 +409,12 @@ def _check_record_id(wid, seen, where: str) -> None:
         raise DataError(f"{where}: duplicate window_id {wid!r}")
 
 
-def load_anchor_embeddings(path, modality: str | None = None) -> dict[str, AnchorEmbedding]:
-    """Load a JSONL anchor file; vectors are re-normalized to unit length.
-    Given a `modality`, a record of any other modality is refused."""
-    path = Path(path)
+def _checked_anchors(records, modality: str | None = None) -> dict[str, AnchorEmbedding]:
+    """The anchors of ("where", record) pairs by id, each vector made unit; refuses
+    a record that an anchor file may not hold, or not of `modality` if given."""
     out: dict[str, AnchorEmbedding] = {}
     dim = None
-    for where, rec in _jsonl_records(path):
+    for where, rec in records:
         try:
             wid, kind, value = rec["window_id"], rec["modality"], rec["vector"]
         except KeyError as exc:
@@ -423,6 +430,14 @@ def load_anchor_embeddings(path, modality: str | None = None) -> dict[str, Ancho
         elif vec.shape[0] != dim:
             raise DataError(f"{where}: vector dim {vec.shape[0]} != file dim {dim}")
         out[wid] = AnchorEmbedding(wid, kind, vec)
+    return out
+
+
+def load_anchor_embeddings(path, modality: str | None = None) -> dict[str, AnchorEmbedding]:
+    """Load a JSONL anchor file; vectors are re-normalized to unit length.
+    Given a `modality`, a record of any other modality is refused."""
+    path = Path(path)
+    out = _checked_anchors(_jsonl_records(path), modality)
     if not out:
         raise DataError(f"{path}: no anchor records")
     return out
@@ -448,20 +463,24 @@ def load_query_vector(value: str) -> np.ndarray:
 
 
 def write_anchor_embeddings(anchors: dict[str, AnchorEmbedding], path) -> None:
+    """Write `anchors` in key order; refuses (before the file is opened) what
+    `load_anchor_embeddings` would refuse, naming the line it would be on."""
+    kept = [anchors[wid] for wid in sorted(anchors)]
+    # an anchor's fields are its record's keys
+    _checked_anchors((f"{path}:{line}", vars(a)) for line, a in enumerate(kept, start=1))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for wid in sorted(anchors):
-            a = anchors[wid]
+        for a in kept:
             fh.write(json.dumps(
                 {"window_id": a.window_id, "modality": a.modality, "vector": [float(v) for v in a.vector]}
             ) + "\n")
 
 
-def load_labels(path) -> tuple[dict[str, str], list[str]]:
-    """Read a labels JSONL: a header ``{"classes": [...]}`` plus id/label rows."""
-    path = Path(path)
+def _checked_labels(records, path) -> tuple[dict[str, str], list[str]]:
+    """The labels and classes of ("where", record) pairs; refuses a record that
+    the labels file `path` may not hold."""
     labels: dict[str, str] = {}
     class_names: list[str] | None = None
-    for where, rec in _jsonl_records(path):
+    for where, rec in records:
         if "classes" in rec:
             if class_names is not None:
                 raise DataError(f"{where}: duplicate classes header")
@@ -487,11 +506,18 @@ def load_labels(path) -> tuple[dict[str, str], list[str]]:
     return labels, class_names
 
 
+def load_labels(path) -> tuple[dict[str, str], list[str]]:
+    """Read a labels JSONL: a header ``{"classes": [...]}`` plus id/label rows."""
+    return _checked_labels(_jsonl_records(path), path)
+
+
 def write_labels(labels: dict[str, str], class_names: list[str], path) -> None:
+    """Write the classes header, then `labels` in id order; refuses (before the
+    file is opened) what `load_labels` would refuse, naming the line it would be on."""
+    records = [{"classes": list(class_names)}, *({"window_id": wid, "label": labels[wid]} for wid in sorted(labels))]
+    _checked_labels(((f"{path}:{line}", rec) for line, rec in enumerate(records, start=1)), path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps({"classes": list(class_names)}) + "\n")
-        for wid in sorted(labels):
-            fh.write(json.dumps({"window_id": wid, "label": labels[wid]}) + "\n")
+        fh.writelines(json.dumps(rec) + "\n" for rec in records)
 
 
 def assemble_dataset(
@@ -578,13 +604,7 @@ def save_window_cache(cache: WindowCache, path) -> None:
 def load_window_cache(path) -> WindowCache:
     header, arrays = read_container(path, CACHE_MAGIC, CACHE_VERSION)
     signals = checked_arrays(path, arrays, {"signals": (None, 6, None)})["signals"]
-    columns = [header_field(path, header, key, list[kind]) for key, kind in _COLUMNS.items()]
-    for key, column in zip(_COLUMNS, columns):
-        if len(column) != len(signals):
-            raise FormatError(f"{path}: header field {key!r} has {len(column)} entries for {len(signals)} signal rows")
-    if "" in columns[0]:
-        raise FormatError(f"{path}: header field 'ids' holds an empty window id")
-    windows = WindowSet(*columns, signals, where=path, error=FormatError)
+    windows = WindowSet(*(header.get(key) for key in _COLUMNS), signals, where=path, error=FormatError)
     sizes = [header_field(path, header, key, float) for key in ("sample_rate_hz", "window_s", "stride_s")]
     return WindowCache(windows, *sizes, header_field(path, header, "content_hash", str))
 

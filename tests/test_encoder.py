@@ -1,6 +1,7 @@
 """Encoder pipeline: init, shapes, invariances, full-pipeline gradient check."""
 
 import json
+import re
 import time
 import tracemalloc
 from dataclasses import asdict
@@ -138,6 +139,22 @@ def test_encode_too_short_names_layer():
                         conv_strides=(3,), gru_hidden=8, embed_dim=8)
     with pytest.raises(ShapeMismatchError, match="pooling kernel"):
         encode(_window(t=14), init_params(cfg, 1), cfg)  # conv leaves 4 < pool kernel 5
+
+
+@pytest.mark.parametrize("window, message", [
+    (ImuWindow("w:0", "w", 0.0, 0.32, np.full((6, 64), np.nan)), "window w:0: non-finite signal values"),
+    (ImuWindow("", "w", 0.0, 0.32, np.zeros((6, 64))), "WindowSet: column 'ids' holds an empty window id"),
+    (ImuWindow(7, "w", 0.0, 0.32, np.zeros((6, 64))), "WindowSet: column 'ids' is not a list of strings"),
+    (ImuWindow("w:0", "w", True, 0.32, np.zeros((6, 64))), "WindowSet: column 'start_s' is not a list of numbers"),
+    (ImuWindow("w:0", "w", 0.0, 0.32, np.zeros((3, 64))),
+     "WindowSet: signals must be a float64 (n, 6, T) array, got float64 (1, 3, 64)"),
+    (ImuWindow("w:0", "w", 0.0, 0.32, np.zeros((6, 64), dtype=np.float32)),
+     "WindowSet: signals must be a float64 (n, 6, T) array, got float32 (1, 6, 64)"),
+], ids=["nan", "empty-id", "int-id", "bool-start", "three-channels", "float32"])
+def test_encode_refuses_a_window_its_one_row_set_refuses(window, message):
+    # an ImuWindow is a plain record: encode's one-row WindowSet checks it
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        encode(window, init_params(TINY, 1), TINY)
 
 
 def test_accel_scaling_absorbed_by_input_groupnorm():

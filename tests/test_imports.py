@@ -1,7 +1,8 @@
 """Module boundaries: no imualign module reaches into another's private names
-or imports a name it never uses."""
+or imports a name it never uses, and the package exports exactly its public names."""
 
 import ast
+import types
 from pathlib import Path
 
 import imualign
@@ -74,3 +75,25 @@ def test_the_guard_sees_unused_imports(tmp_path):
                    "def f(x: np.ndarray) -> dict:\n"
                    "    return {m: json.dumps(x) for m in MODES}\n")
     assert _unused_imports(src) == ["m.py:2: os", "m.py:3: osp", "m.py:5: Checkpoint"]
+
+
+PUBLIC = [
+    "AdagradState", "AnchorEmbedding", "ClassifierHead", "CoverageError", "DataError", "EncoderConfig",
+    "EncoderParams", "FormatError", "GraphError", "ImuAlignError", "ImuStream", "ImuWindow", "NumericError",
+    "ParallelDataset", "Pool", "ProbeConfig", "RetrievalResult", "ShapeMismatchError", "Tape", "Tensor",
+    "TrainConfig", "WindowSet", "adagrad_step", "alignment_loss", "assemble_dataset", "backward",
+    "classification_metrics", "encode", "encode_batch", "eval_retrieval", "fine_tune", "finite_difference_check",
+    "fit", "info_nce", "init_params", "load_anchor_embeddings", "load_checkpoint", "load_imu_stream", "lr_at",
+    "make_batches", "make_windows", "mrr", "rank_pool", "recall_at_k", "resample", "retrieval_distribution",
+    "save_checkpoint", "similarity_matrix", "symmetric_loss", "synth_dataset", "train_epoch", "train_probe",
+    "zeroshot_classify",
+]
+
+
+def test_the_package_exports_its_public_names_and_no_module():
+    assert imualign.__all__ == PUBLIC
+    modules = [name for name in PUBLIC if isinstance(getattr(imualign, name), types.ModuleType)]
+    assert modules == []
+    star: dict = {}
+    exec("from imualign import *", star)
+    assert sorted(k for k in star if k != "__builtins__") == PUBLIC

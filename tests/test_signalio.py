@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from imualign import cli, signalio
 from imualign.container import write_container
@@ -565,6 +566,31 @@ def test_anchor_round_trip(tmp_path):
         np.testing.assert_allclose(loaded[k].vector, ds.video_anchors[k].vector, atol=1e-12)
 
 
+def _vec(*values):
+    return np.array(values, dtype=np.float64)
+
+
+@pytest.mark.parametrize("anchors, line, message", [
+    ({"a": AnchorEmbedding("a", "video", _vec(1, 0)), "b": AnchorEmbedding("b", "video", _vec(math.nan, 1))},
+     2, "non-finite vector component"),
+    ({"a": AnchorEmbedding("a", "text", _vec(math.inf, 1))}, 1, "non-finite vector component"),
+    ({"a": AnchorEmbedding("a", "video", _vec(0, 0))}, 1, "vector of norm 0.0 cannot be scaled to unit length"),
+    ({"": AnchorEmbedding("", "video", _vec(1))}, 1, "window_id must be a non-empty string, got ''"),
+    ({"a": AnchorEmbedding(7, "video", _vec(1))}, 1, "window_id must be a non-empty string, got 7"),
+    ({"a": AnchorEmbedding("a", "video", _vec(1)), "b": AnchorEmbedding("a", "video", _vec(1))},
+     2, "duplicate window_id 'a'"),
+    ({"a": AnchorEmbedding("a", "audio", _vec(1))}, 1, "unknown modality 'audio'"),
+    ({"a": AnchorEmbedding("a", "video", _vec(1, 0)), "b": AnchorEmbedding("b", "video", _vec(1))},
+     2, "vector dim 1 != file dim 2"),
+    ({"a": AnchorEmbedding("a", "video", [[1.0, 0.0]])}, 1, "vector must be 1-D"),
+], ids=["nan", "inf", "zero", "empty-id", "int-id", "repeated-id", "unknown-modality", "mixed-dims", "2-d"])
+def test_write_anchor_embeddings_refuses_what_its_loader_would_writing_nothing(tmp_path, anchors, line, message):
+    p = tmp_path / "a.jsonl"
+    with pytest.raises(DataError, match=f"^{re.escape(f'{p}:{line}: {message}')}$"):
+        write_anchor_embeddings(anchors, p)
+    assert not p.exists()
+
+
 # ---------------------------------------------------------------------------
 # labels
 
@@ -581,6 +607,20 @@ def test_labels_round_trip_and_unknown_class(tmp_path):
                    + json.dumps({"window_id": "w1", "label": "flying"}) + "\n")
     with pytest.raises(DataError, match="not in declared classes"):
         load_labels(bad)
+
+
+@pytest.mark.parametrize("labels, classes, line, message", [
+    ({"w1": "a", "w2": "flying"}, ["a", "b"], 3, "label 'flying' not in declared classes"),
+    ({"w1": "a"}, ["a", "b", "a"], 1, "class 'a' declared twice"),
+    ({"w1": "a"}, ["a", 1], 1, "classes must be a list of strings"),
+    ({"": "a"}, ["a"], 2, "window_id must be a non-empty string, got ''"),
+    ({7: "a"}, ["a"], 2, "window_id must be a non-empty string, got 7"),
+], ids=["unknown-label", "repeated-class", "non-string-class", "empty-id", "int-id"])
+def test_write_labels_refuses_what_its_loader_would_writing_nothing(tmp_path, labels, classes, line, message):
+    p = tmp_path / "l.jsonl"
+    with pytest.raises(DataError, match=f"^{re.escape(f'{p}:{line}: {message}')}$"):
+        write_labels(labels, classes, p)
+    assert not p.exists()
 
 
 @pytest.mark.parametrize("line", ["[1, 2]", "7", '"classes"'])
@@ -879,42 +919,107 @@ def test_save_window_cache_never_writes_a_cache_its_loader_refuses(tmp_path, ids
     assert not p.exists()
 
 
+@pytest.mark.parametrize("edit, rows, message", [
+    ({"ids": [""]}, 1, "column 'ids' holds an empty window id"),
+    ({"ids": [7]}, 1, "column 'ids' is not a list of strings"),
+    ({"start_s": ["0"]}, 1, "column 'start_s' is not a list of numbers"),
+    ({**_columns(["a", "b"]), "source_ids": ["s"]}, 2, "column 'source_ids' has 1 entries for 2 signal rows"),
+], ids=["empty-id", "int-id", "string-start", "short-source-column"])
+def test_a_set_its_cache_loader_would_refuse_cannot_be_built(edit, rows, message):
+    # so save_window_cache is never handed one
+    with pytest.raises(DataError, match=f"^WindowSet: {re.escape(message)}$"):
+        WindowSet(**{**_columns(["w0"]), **edit}, signals=np.zeros((rows, 6, 4)))
+
+
+_column_entries = st.one_of(
+    st.text(max_size=3), st.just(""), st.integers(), st.floats(), st.booleans(), st.none(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.text(max_size=3).map(np.str_),
+)
+
+
+@st.composite
+def _set_inputs(draw):
+    """WindowSet arguments in which at most two parts are arbitrary: a column
+    of any value, or signals of another dtype, rank or channel count."""
+    n = draw(st.integers(0, 3))
+    numbers = st.integers() | st.floats() | st.floats().map(np.float64)
+    parts = {"ids": st.lists(st.text(min_size=1, max_size=3), min_size=n, max_size=n, unique=True),
+             "source_ids": st.lists(st.text(max_size=3) | st.text(max_size=3).map(np.str_), min_size=n, max_size=n),
+             "start_s": st.lists(numbers, min_size=n, max_size=n),
+             "duration_s": st.lists(numbers, min_size=n, max_size=n),
+             "signals": arrays(np.float64, st.sampled_from([(n, 6, 4), (n, 6, 1), (n, 6, 0)]))}
+    for part in draw(st.sets(st.sampled_from(sorted(parts)), max_size=2)):
+        parts[part] = (arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+                              st.sampled_from([(n, 5, 4), (6, 4), (n, 6, 4, 1), (n + 1, 6, 4)]))
+                       if part == "signals" else st.lists(_column_entries, max_size=4) | _column_entries)
+    return {key: draw(strategy) for key, strategy in parts.items()}
+
+
+def _same_entry(got, given) -> bool:
+    """A cache column entry as loaded equals the one given, NaN included, and
+    has the JSON type the given one is an instance of."""
+    kind = str if isinstance(given, str) else int if isinstance(given, int) else float
+    return type(got) is kind and (got == given or (got != got and given != given))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_set_inputs())
+def test_a_set_is_refused_when_built_or_its_cache_round_trips(tmp_path, inputs):
+    signals = inputs.pop("signals")
+    try:
+        windows = WindowSet(**inputs, signals=signals)
+    except DataError:
+        return  # any other exception fails the test
+    p = tmp_path / "c.bin"
+    save_window_cache(WindowCache(windows, 50.0, 1.0, 1.0, "h"), p)
+    loaded = load_window_cache(p).windows
+    for key, column in inputs.items():
+        got = getattr(loaded, key)
+        assert len(got) == len(column) and all(map(_same_entry, got, column)), key
+    assert loaded.signals.shape == signals.shape and loaded.signals.tobytes() == signals.tobytes()
+
+
 # each header field: (header edit, arrays or None for one (1, 6, 50) row, message after the path);
 # a None field is deleted
 _MALFORMED_CACHE_HEADERS = {
     "no-signals": ({}, [], "missing arrays ['signals'], unexpected arrays []"),
     "signals-2d": ({}, [("signals", np.zeros((6, 50)))], "array 'signals' has shape (6, 50), expected (None, 6, None)"),
-    "no-windows": ({"ids": None}, None, "header field 'ids' is missing or not a list of strings"),
-    "windows-number": ({"ids": 7}, None, "header field 'ids' is missing or not a list of strings"),
+    "no-windows": ({"ids": None}, None, "column 'ids' is not a list of strings"),
+    "windows-number": ({"ids": 7}, None, "column 'ids' is not a list of strings"),
     "window-entry-string": ({"duration_s": ["1.0"]}, None,
-                            "header field 'duration_s' is missing or not a list of numbers"),
-    "number-window-id": ({"ids": [7]}, None, "header field 'ids' is missing or not a list of strings"),
-    "empty-window-id": ({"ids": [""]}, None, "header field 'ids' holds an empty window id"),
-    "null-source-id": ({"source_ids": [None]}, None, "header field 'source_ids' is missing or not a list of strings"),
-    "string-start": ({"start_s": ["0"]}, None, "header field 'start_s' is missing or not a list of numbers"),
-    "more-windows-than-rows": (_columns(["w0", "w1"]), None, "header field 'ids' has 2 entries for 1 signal rows"),
+                            "column 'duration_s' is not a list of numbers"),
+    "number-window-id": ({"ids": [7]}, None, "column 'ids' is not a list of strings"),
+    "empty-window-id": ({"ids": [""]}, None, "column 'ids' holds an empty window id"),
+    "null-source-id": ({"source_ids": [None]}, None, "column 'source_ids' is not a list of strings"),
+    "string-start": ({"start_s": ["0"]}, None, "column 'start_s' is not a list of numbers"),
+    "more-windows-than-rows": (_columns(["w0", "w1"]), None, "column 'ids' has 2 entries for 1 signal rows"),
     "fewer-windows-than-rows": ({}, [("signals", np.zeros((2, 6, 50)))],
-                                "header field 'ids' has 1 entries for 2 signal rows"),
+                                "column 'ids' has 1 entries for 2 signal rows"),
     "no-rate": ({"sample_rate_hz": None}, None, "header field 'sample_rate_hz' is missing or not a number"),
     "string-window-s": ({"window_s": "1.0"}, None, "header field 'window_s' is missing or not a number"),
     "bool-stride-s": ({"stride_s": True}, None, "header field 'stride_s' is missing or not a number"),
-    "bool-duration": ({"duration_s": [False]}, None, "header field 'duration_s' is missing or not a list of numbers"),
+    "bool-duration": ({"duration_s": [False]}, None, "column 'duration_s' is not a list of numbers"),
     "number-content-hash": ({"content_hash": 7}, None, "header field 'content_hash' is missing or not a string"),
     "three-channels": ({}, [("signals", np.zeros((1, 3, 50)))],
                        "array 'signals' has shape (1, 3, 50), expected (None, 6, None)"),
     "extra-array": ({}, [("signals", np.zeros((1, 6, 50))), ("extra", np.zeros(1))],
                     "missing arrays [], unexpected arrays ['extra']"),
-    "bool-id": ({"ids": [True]}, None, "header field 'ids' is missing or not a list of strings"),
-    "null-id": ({"ids": [None]}, None, "header field 'ids' is missing or not a list of strings"),
-    "start-column-number": ({"start_s": 0.0}, None, "header field 'start_s' is missing or not a list of numbers"),
+    "bool-id": ({"ids": [True]}, None, "column 'ids' is not a list of strings"),
+    "null-id": ({"ids": [None]}, None, "column 'ids' is not a list of strings"),
+    "start-column-number": ({"start_s": 0.0}, None, "column 'start_s' is not a list of numbers"),
     "source-column-string": ({"source_ids": "s"}, None,
-                             "header field 'source_ids' is missing or not a list of strings"),
-    "no-durations": ({"duration_s": None}, None, "header field 'duration_s' is missing or not a list of numbers"),
+                             "column 'source_ids' is not a list of strings"),
+    "no-durations": ({"duration_s": None}, None, "column 'duration_s' is not a list of numbers"),
     "short-source-column": ({**_columns(["w0", "w1"]), "source_ids": ["s"]}, [("signals", np.zeros((2, 6, 50)))],
-                            "header field 'source_ids' has 1 entries for 2 signal rows"),
-    "long-start-column": ({"start_s": [0.0, 1.0]}, None, "header field 'start_s' has 2 entries for 1 signal rows"),
+                            "column 'source_ids' has 1 entries for 2 signal rows"),
+    "long-start-column": ({"start_s": [0.0, 1.0]}, None, "column 'start_s' has 2 entries for 1 signal rows"),
     "repeated-id": (_columns(["w0", "w1", "w0", "w1"]), [("signals", np.zeros((4, 6, 50)))],
                     "repeated window ids: w0, w1"),
+    "long-ids-and-string-start": ({"ids": ["w0", "w1"], "start_s": ["0"]}, None,  # types before lengths
+                                  "column 'start_s' is not a list of numbers"),
+    "short-source-column-and-empty-id": ({"ids": [""], "source_ids": []}, None,  # lengths before empty ids
+                                         "column 'source_ids' has 0 entries for 1 signal rows"),
 }
 
 
