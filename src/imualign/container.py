@@ -11,7 +11,8 @@ size before it is allocated and read from the file straight into its own
 buffer. The file is never held whole, so each payload byte is copied once.
 A pipe has no size to check against and is read whole first. Each loader
 then declares its arrays (`checked_arrays`) and its header fields' JSON
-types (`header_field`, `header_config`).
+types (`header_field`, `header_config`) by `json_is`, the one rule for a
+stored value, which window sets and configs also apply where it is made.
 """
 
 from __future__ import annotations
@@ -118,37 +119,48 @@ def _parse(path: Path, fh, size: int, magic: bytes, version: int) -> tuple[dict,
     return header, arrays
 
 
-_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
-
-
-def _python_types(kind) -> set:
-    """The Python types of parsed JSON that count as a `kind`."""
-    return {float, int} if kind is float else {kind}
+JSON_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object",
+              list[int]: "a list of integers", list[float]: "a list of numbers", list[str]: "a list of strings"}
 
 
 def json_is(value, kind) -> bool:
-    """Whether parsed JSON is a `kind` or ``list[kind]``; a bool is never a number, an int is a float."""
-    if type(kind) is type:
-        return type(value) in _python_types(kind)
-    return type(value) is list and set(map(type, value)) <= _python_types(kind.__args__[0])  # one C pass
+    """Whether `value` may be stored as a JSON `kind` or ``list[kind]``: instances of `kind`, but
+    a bool is never a number, an int counts as a float and every number is finite as a float. So
+    `np.float64` and `np.str_` pass; `np.float32`, `np.int64`, NaN and ints past float's range do not."""
+    entries, kind = ([value], kind) if type(kind) is type else (value, kind.__args__[0])
+    kinds = (int, float) if kind is float else kind
+    typed = isinstance(entries, list) and all(issubclass(t, kinds) and t is not bool for t in set(map(type, entries)))
+    if not typed or kind not in (int, float):  # one C pass over the types; only numbers are summed
+        return typed
+    try:  # one C-level sum, and entry by entry only when that sum is not finite
+        with np.errstate(over="ignore", invalid="ignore"):  # float64 entries warn where floats give inf
+            return math.isfinite(sum(entries, 0.0)) or all(map(math.isfinite, entries))
+    except OverflowError:  # an int past float's range
+        return False
 
 
-def header_field(path, header: dict, key: str, kind):
-    """``header[key]``, refused with `FormatError` unless it is a JSON `kind`."""
+def header_field(path, header: dict, key: str, kind, error=FormatError):
+    """``header[key]``, refused with `error` unless `json_is` takes it as a `kind`."""
     if not json_is(header.get(key), kind):
-        name = _JSON_NAMES.get(kind) or f"a list of {_JSON_NAMES[kind.__args__[0]].split()[1]}s"
-        raise FormatError(f"{path}: header field {key!r} is missing or not {name}")
+        raise error(f"{path}: header field {key!r} is missing or not {JSON_NAMES[kind]}")
     return header[key]
 
 
+def check_config(config, where: str) -> None:
+    """Refuse (DataError naming `where`) a field of dataclass `config` not of its default's JSON kind."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        kind = list[type(f.default[0])] if isinstance(f.default, tuple) else type(f.default)
+        if not json_is(list(value) if isinstance(value, tuple) else value, kind):  # a tuple counts as a list
+            raise DataError(f"{where}: {f.name} is not {JSON_NAMES[kind]}, got {value!r}")
+
+
 def header_config(path, header: dict, key: str, cls):
-    """``header[key]`` as dataclass `cls`: exactly its fields, each of its default's JSON type."""
-    record, fields = header_field(path, header, key, dict), dataclasses.fields(cls)
-    if record.keys() != {f.name for f in fields}:
-        raise FormatError(f"{path}: {key} has fields {sorted(record)}, expected {sorted(f.name for f in fields)}")
-    for f in fields:
-        header_field(f"{path}: {key}", record, f.name,
-                     list[type(f.default[0])] if isinstance(f.default, tuple) else type(f.default))
+    """``header[key]`` as dataclass `cls`: exactly its fields, which `cls` checks."""
+    record = header_field(path, header, key, dict)
+    names = {f.name for f in dataclasses.fields(cls)}
+    if record.keys() != names:
+        raise FormatError(f"{path}: {key} has fields {sorted(record)}, expected {sorted(names)}")
     try:
         return cls(**record)
     except DataError as exc:

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
+from .container import check_config
 from .errors import DataError, NumericError, ShapeMismatchError
 from .signalio import ImuWindow, WindowSet
 
@@ -35,11 +36,12 @@ class EncoderConfig:
     embed_dim: int = 512
 
     def __post_init__(self):
+        check_config(self, "encoder config")
         n = len(self.conv_channels)
         if n < 1:
             raise DataError("encoder config: conv_channels must name at least one layer")
         for name in ("conv_channels", "conv_kernels", "conv_strides"):
-            seq = tuple(int(v) for v in getattr(self, name))
+            seq = tuple(getattr(self, name))
             setattr(self, name, seq)
             if len(seq) != n:
                 raise DataError(f"encoder config: {name} has {len(seq)} entries for {n} layers")

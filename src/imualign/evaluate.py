@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .container import checked_arrays, header_field, read_container, write_container
+from .container import check_config, checked_arrays, header_field, read_container, write_container
 from .contrastive import softmax_cross_entropy
 from .encoder import EncoderConfig, EncoderParams, encode_batch, encode_batch_on_tape
 from .errors import CoverageError, DataError, NumericError, ShapeMismatchError
@@ -263,9 +263,9 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.seed) < 0 or not 0 <= self.learning_rate < np.inf:
-            raise DataError(f"probe config: epochs, batch_size, seed and learning_rate must be finite "
-                            f"and >= 0; got {self}")
+        check_config(self, "probe config")
+        if min(self.epochs, self.batch_size, self.seed, self.learning_rate) < 0:
+            raise DataError(f"probe config: epochs, batch_size, seed and learning_rate must be >= 0; got {self}")
 
 
 def zeroshot_classify(

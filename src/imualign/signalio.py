@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .container import checked_arrays, header_field, read_container, write_container
+from .container import JSON_NAMES, checked_arrays, header_field, json_is, read_container, write_container
 from .errors import CoverageError, DataError, FormatError
 
 CSV_HEADER = "t,ax,ay,az,gx,gy,gz"
@@ -94,9 +94,9 @@ def _refuse_non_finite(signals: np.ndarray, window_ids) -> None:
             raise DataError(f"window {window_ids[int(np.argmin(finite))]}: non-finite signal values")
 
 
-# each column and its entries; a number is an int or float instance but never a bool, as the cache header keeps it
-_COLUMNS = {"ids": "strings", "source_ids": "strings", "start_s": "numbers", "duration_s": "numbers"}
-_KINDS = {"strings": str, "numbers": (int, float)}
+# the window cache header's columns and its other fields, each with the JSON kind `json_is` holds it to
+_COLUMNS = {"ids": list[str], "source_ids": list[str], "start_s": list[float], "duration_s": list[float]}
+_CACHE_FIELDS = {"sample_rate_hz": float, "window_s": float, "stride_s": float, "content_hash": str}
 
 
 class WindowSet:
@@ -107,8 +107,8 @@ class WindowSet:
     and so does iteration; a slice is again a set whose `signals` is a view.
     The constructor is the one place that checks a set. It refuses (`error`,
     naming `where`), in this order: `signals` that are not a float64 (n, 6, T)
-    array; an id column that is not a list of strings, or a time column that
-    is not a list of numbers; a column of other than n entries; an empty id;
+    array; a column `container.json_is` does not take as a list of strings
+    (ids) or numbers (times); a column of other than n entries; an empty id;
     a non-finite signal value (DataError naming the first such window); and
     a repeated id. So no set holds any of these, however it was built.
     """
@@ -123,10 +123,8 @@ class WindowSet:
             raise error(f"{where}: signals must be a float64 (n, 6, T) array, got {got}")
         columns = dict(zip(_COLUMNS, (ids, source_ids, start_s, duration_s)))
         for key, column in columns.items():
-            kinds = _KINDS[_COLUMNS[key]]
-            if not isinstance(column, list) or any(t is bool or not issubclass(t, kinds)
-                                                   for t in set(map(type, column))):  # one C-level pass
-                raise error(f"{where}: column {key!r} is not a list of {_COLUMNS[key]}")
+            if not json_is(column, _COLUMNS[key]):
+                raise error(f"{where}: column {key!r} is not {JSON_NAMES[_COLUMNS[key]]}")
         for key, column in columns.items():
             if len(column) != len(signals):
                 raise error(f"{where}: column {key!r} has {len(column)} entries for {len(signals)} signal rows")
@@ -485,7 +483,7 @@ def _checked_labels(records, path) -> tuple[dict[str, str], list[str]]:
             if class_names is not None:
                 raise DataError(f"{where}: duplicate classes header")
             class_names = rec["classes"]
-            if not isinstance(class_names, list) or not all(isinstance(c, str) for c in class_names):
+            if not json_is(class_names, list[str]):
                 raise DataError(f"{where}: classes must be a list of strings")
             repeated = [c for c, n in Counter(class_names).items() if n > 1]
             if repeated:
@@ -590,14 +588,11 @@ class WindowCache:
 
 
 def save_window_cache(cache: WindowCache, path) -> None:
-    header = {
-        "kind": "window-cache",
-        "sample_rate_hz": cache.sample_rate_hz,
-        "window_s": cache.window_s,
-        "stride_s": cache.stride_s,
-        "content_hash": cache.content_hash,
-        **{key: getattr(cache.windows, key) for key in _COLUMNS},
-    }
+    """Write `cache`, refusing first (DataError) a size that `load_window_cache` would refuse."""
+    header = {"kind": "window-cache", **{key: getattr(cache, key) for key in _CACHE_FIELDS},
+              **{key: getattr(cache.windows, key) for key in _COLUMNS}}
+    for key, kind in _CACHE_FIELDS.items():
+        header_field(path, header, key, kind, DataError)
     write_container(path, CACHE_MAGIC, CACHE_VERSION, header, [("signals", cache.windows.signals)])
 
 
@@ -605,8 +600,7 @@ def load_window_cache(path) -> WindowCache:
     header, arrays = read_container(path, CACHE_MAGIC, CACHE_VERSION)
     signals = checked_arrays(path, arrays, {"signals": (None, 6, None)})["signals"]
     windows = WindowSet(*(header.get(key) for key in _COLUMNS), signals, where=path, error=FormatError)
-    sizes = [header_field(path, header, key, float) for key in ("sample_rate_hz", "window_s", "stride_s")]
-    return WindowCache(windows, *sizes, header_field(path, header, "content_hash", str))
+    return WindowCache(windows, *(header_field(path, header, key, kind) for key, kind in _CACHE_FIELDS.items()))
 
 
 # ---------------------------------------------------------------------------

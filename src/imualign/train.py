@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .container import checked_arrays, header_config, header_field, read_container, write_container
+from .container import check_config, checked_arrays, header_config, header_field, read_container, write_container
 from .contrastive import alignment_loss, similarity_matrix
 from .encoder import (EncoderConfig, EncoderParams, encode_batch_on_tape, init_params, param_shapes,
                       pipeline_time_lengths)
@@ -44,12 +44,13 @@ class TrainConfig:
     temperature: float = 0.1
 
     def __post_init__(self):
+        check_config(self, "train config")
         if self.batch_size < 2:
             raise DataError(f"batch_size must be >= 2 for in-batch negatives, got {self.batch_size}")
-        if (min(self.epochs, self.seed) < 0 or not 0 <= self.decay < np.inf
-                or not all(0 < v < np.inf for v in (self.learning_rate, self.adagrad_eps, self.temperature))):
-            raise DataError(f"epochs and seed must be >= 0, decay finite and >= 0, and learning_rate, "
-                            f"adagrad_eps and temperature finite and > 0; got {self}")
+        if (min(self.epochs, self.seed, self.decay) < 0
+                or min(self.learning_rate, self.adagrad_eps, self.temperature) <= 0):
+            raise DataError(f"epochs, seed and decay must be >= 0, and learning_rate, adagrad_eps and "
+                            f"temperature > 0; got {self}")
         if self.mode not in MODES:
             raise DataError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
 
@@ -150,8 +151,6 @@ def train_epoch(
     """One pass over the shuffled dataset; returns the mean of each per-batch
     loss, keyed as `alignment_loss` reports them.
     """
-    for modality in MODES[config.mode]:
-        dataset.anchors(modality)
     lr = lr_at(epoch, config.learning_rate, config.decay)
     batches = make_batches(len(dataset), config.batch_size, config.seed, epoch)
     sums: dict[str, float] = {}

@@ -1,6 +1,6 @@
 """`tools/ab.py`'s statistics on made-up samples: medians and quartiles,
 wins with ties counting for neither side, the no-regression bound in each
-metric's direction, and the claim rule."""
+metric's direction, whether the runs' spread resolves it, and the claim rule."""
 
 import importlib.util
 from pathlib import Path
@@ -45,6 +45,20 @@ def test_the_bound_holds_in_the_metrics_direction(better, parent, change, within
     spec = [{"name": "m", "unit": "u", "better": better, "bound": 0.25}]
     report = ab.compare(_runs(m=parent), _runs(m=change), spec)
     assert report["metrics"]["m"]["within_bound"] is within
+
+
+@pytest.mark.parametrize("better, parent, change, resolved", [
+    ("higher", [90, 100, 110], [95, 100, 105], True),    # parent IQR 10 is within 0.1 x 100
+    ("higher", [80, 100, 120], [100, 100, 100], False),  # parent IQR 20 is wider
+    ("higher", [100, 100, 100], [80, 100, 120], False),  # so is the change's
+    ("higher", [80, 100, 120], [121, 130, 140], True),   # but every change run beats every parent run
+    ("higher", [80, 100, 120], [120, 130, 140], False),  # a tie is no win
+    ("lower", [80, 100, 120], [60, 70, 79], True),
+    ("lower", [80, 100, 120], [70, 75, 130], False),
+])
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_the_runs_separate(better, parent, change, resolved):
+    spec = [{"name": "m", "unit": "u", "better": better, "bound": 0.1}]
+    assert ab.compare(_runs(m=parent), _runs(m=change), spec)["metrics"]["m"]["resolved"] is resolved
 
 
 @pytest.mark.parametrize("change, wins_enough, beyond_iqr", [

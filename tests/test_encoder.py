@@ -101,6 +101,12 @@ def test_config_list_length_mismatch():
         EncoderConfig(conv_channels=(8, 8), conv_kernels=(5,), conv_strides=(1, 1))
     with pytest.raises(DataError, match="at least one layer"):
         EncoderConfig(conv_channels=(), conv_kernels=(), conv_strides=())
+    # a size is an int, never truncated to one
+    with pytest.raises(DataError, match=re.escape("encoder config: gru_hidden is not an integer, got 1.5")):
+        EncoderConfig(gru_hidden=1.5)
+    with pytest.raises(DataError, match=re.escape("conv_channels is not a list of integers, got (32.7, 64, 128)")):
+        EncoderConfig(conv_channels=(32.7, 64, 128))
+    assert EncoderConfig(conv_channels=[32, 64, 128]) == EncoderConfig()  # a list becomes a tuple
 
 
 def test_config_round_trips_via_dict():

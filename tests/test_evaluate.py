@@ -516,7 +516,7 @@ def test_fine_tune_beats_or_matches_probe_on_fixture():
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", -1), ("batch_size", -3), ("seed", -1), ("learning_rate", -0.1),
-    ("learning_rate", math.nan), ("learning_rate", math.inf),
+    ("learning_rate", math.nan), ("learning_rate", math.inf), ("epochs", 1.5),
 ])
 def test_probe_config_refuses_a_value_it_cannot_use(field, value):
     with pytest.raises(DataError, match="probe config"):

@@ -924,7 +924,9 @@ def test_save_window_cache_never_writes_a_cache_its_loader_refuses(tmp_path, ids
     ({"ids": [7]}, 1, "column 'ids' is not a list of strings"),
     ({"start_s": ["0"]}, 1, "column 'start_s' is not a list of numbers"),
     ({**_columns(["a", "b"]), "source_ids": ["s"]}, 2, "column 'source_ids' has 1 entries for 2 signal rows"),
-], ids=["empty-id", "int-id", "string-start", "short-source-column"])
+    ({"start_s": [math.nan]}, 1, "column 'start_s' is not a list of numbers"),
+    ({"duration_s": [10**5000]}, 1, "column 'duration_s' is not a list of numbers"),
+], ids=["empty-id", "int-id", "string-start", "short-source-column", "nan-start", "huge-int-duration"])
 def test_a_set_its_cache_loader_would_refuse_cannot_be_built(edit, rows, message):
     # so save_window_cache is never handed one
     with pytest.raises(DataError, match=f"^WindowSet: {re.escape(message)}$"):
@@ -941,9 +943,12 @@ _column_entries = st.one_of(
 @st.composite
 def _set_inputs(draw):
     """WindowSet arguments in which at most two parts are arbitrary: a column
-    of any value, or signals of another dtype, rank or channel count."""
+    of any value, or signals of another dtype, rank or channel count; and the
+    three sizes of a `WindowCache`. A number may be NaN, an inf, or an int
+    past float's range."""
     n = draw(st.integers(0, 3))
-    numbers = st.integers() | st.floats() | st.floats().map(np.float64)
+    numbers = (st.integers() | st.floats() | st.floats().map(np.float64)
+               | st.sampled_from([2**1024, -2**1024, 10**5000]))
     parts = {"ids": st.lists(st.text(min_size=1, max_size=3), min_size=n, max_size=n, unique=True),
              "source_ids": st.lists(st.text(max_size=3) | st.text(max_size=3).map(np.str_), min_size=n, max_size=n),
              "start_s": st.lists(numbers, min_size=n, max_size=n),
@@ -953,27 +958,31 @@ def _set_inputs(draw):
         parts[part] = (arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
                               st.sampled_from([(n, 5, 4), (6, 4), (n, 6, 4, 1), (n + 1, 6, 4)]))
                        if part == "signals" else st.lists(_column_entries, max_size=4) | _column_entries)
+    parts["sizes"] = st.lists(numbers, min_size=3, max_size=3)
     return {key: draw(strategy) for key, strategy in parts.items()}
 
 
 def _same_entry(got, given) -> bool:
-    """A cache column entry as loaded equals the one given, NaN included, and
-    has the JSON type the given one is an instance of."""
+    """A cache entry as loaded equals the one given and has the JSON type the
+    given one is an instance of."""
     kind = str if isinstance(given, str) else int if isinstance(given, int) else float
-    return type(got) is kind and (got == given or (got != got and given != given))
+    return type(got) is kind and got == given
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(inputs=_set_inputs())
 def test_a_set_is_refused_when_built_or_its_cache_round_trips(tmp_path, inputs):
-    signals = inputs.pop("signals")
-    try:
-        windows = WindowSet(**inputs, signals=signals)
-    except DataError:
-        return  # any other exception fails the test
+    signals, sizes = inputs.pop("signals"), inputs.pop("sizes")
     p = tmp_path / "c.bin"
-    save_window_cache(WindowCache(windows, 50.0, 1.0, 1.0, "h"), p)
-    loaded = load_window_cache(p).windows
+    p.unlink(missing_ok=True)  # tmp_path is shared by every example
+    try:
+        save_window_cache(WindowCache(WindowSet(**inputs, signals=signals), *sizes, "h"), p)
+    except DataError:
+        assert not p.exists()
+        return  # any other exception fails the test
+    cache = load_window_cache(p)
+    assert all(map(_same_entry, [cache.sample_rate_hz, cache.window_s, cache.stride_s], sizes))
+    loaded = cache.windows
     for key, column in inputs.items():
         got = getattr(loaded, key)
         assert len(got) == len(column) and all(map(_same_entry, got, column)), key
@@ -1020,6 +1029,12 @@ _MALFORMED_CACHE_HEADERS = {
                                   "column 'start_s' is not a list of numbers"),
     "short-source-column-and-empty-id": ({"ids": [""], "source_ids": []}, None,  # lengths before empty ids
                                          "column 'source_ids' has 0 entries for 1 signal rows"),
+    # written as the JSON tokens NaN, -Infinity and Infinity, and an int past float's range
+    "nan-start": ({"start_s": [math.nan]}, None, "column 'start_s' is not a list of numbers"),
+    "inf-duration": ({"duration_s": [-math.inf]}, None, "column 'duration_s' is not a list of numbers"),
+    "nan-rate": ({"sample_rate_hz": math.nan}, None, "header field 'sample_rate_hz' is missing or not a number"),
+    "inf-rate": ({"sample_rate_hz": math.inf}, None, "header field 'sample_rate_hz' is missing or not a number"),
+    "huge-int-stride-s": ({"stride_s": 10**400}, None, "header field 'stride_s' is missing or not a number"),
 }
 
 

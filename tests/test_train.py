@@ -207,11 +207,15 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
     for field in ("learning_rate", "temperature", "adagrad_eps", "decay"):
         for bad in (math.nan, math.inf):
-            with pytest.raises(DataError, match="finite"):
+            with pytest.raises(DataError, match=f"^train config: {field} is not a number, got {bad}$"):
                 TrainConfig(**{field: bad})
     for field in ("epochs", "seed"):
         with pytest.raises(DataError, match="must be >= 0"):
             TrainConfig(**{field: -1})
+    # each would reach a checkpoint its loader refuses, json.dumps or range()
+    for field, bad in [("seed", True), ("seed", np.int64(1)), ("epochs", 1.5)]:
+        with pytest.raises(DataError, match=re.escape(f"train config: {field} is not an integer, got {bad!r}") + "$"):
+            TrainConfig(**{field: bad})
     assert TrainConfig(epochs=0, decay=0.0).epochs == 0
 
 
@@ -265,8 +269,11 @@ def test_mode_it_requires_text_anchors():
     ds = _dataset(n=8)
     ds.text_anchors = None
     cfg = TrainConfig(batch_size=4, epochs=1, mode="it")
-    with pytest.raises(DataError, match="text anchors"):
-        train_epoch(ds, init_params(SMALL_ENC, 0), AdagradState(), cfg, SMALL_ENC, 0)
+    params, state = init_params(SMALL_ENC, 0), AdagradState()
+    before = params.checksum()
+    with pytest.raises(DataError, match="^dataset has no text anchors$"):
+        train_epoch(ds, params, state, cfg, SMALL_ENC, 0)
+    assert params.checksum() == before and (state.step, state.accumulators) == (0, {})
 
 
 def test_initial_loss_near_log_b():
@@ -376,12 +383,15 @@ def _save_small_checkpoint(path):
     (lambda h, a: h["opt"].update(step=True), "opt: header field 'step'"),
     (lambda h, a: h["encoder_config"].update(conv_channels=[8.7]), "not a list of integers"),
     (lambda h, a: h["train_config"].pop("seed"), "train_config has fields"),
-    (lambda h, a: h["train_config"].update(learning_rate=math.nan), "finite and > 0"),
+    (lambda h, a: h["train_config"].update(learning_rate=math.nan), "learning_rate is not a number, got nan"),
+    (lambda h, a: h["train_config"].update(seed=True), "seed is not an integer, got True"),
+    (lambda h, a: h["train_config"].update(temperature=math.inf), "temperature is not a number, got inf"),
+    (lambda h, a: h["encoder_config"].update(conv_channels=[-math.inf]), "not a list of integers, got [-inf]"),
     (lambda h, a: h["opt"].update(names=["conv9.w"]), "names parameters the encoder does not have"),
 ], ids=["encoder_config-key", "old-n_conv_layers", "old-groupnorm_eps", "train_config-key",
         "no-param_names", "no-step", "huge-channels", "extra-array", "accumulator-shape",
         "float-step", "bool-step", "bool-opt-step", "float-channels", "missing-config-field",
-        "nan-learning-rate", "unknown-accumulator"])
+        "nan-learning-rate", "bool-seed", "inf-temperature", "inf-channels", "unknown-accumulator"])
 def test_checkpoint_malformed_header_is_format_error(tmp_path, edit, message):
     p = tmp_path / "ck.bin"
     _save_small_checkpoint(p)

@@ -14,9 +14,12 @@ The tool prints one JSON object. For every end-to-end metric of the working
 tree's BENCHMARK.json it gives each side's median and quartiles, the change's
 wins out of N pairs (ties count for neither side), and whether the change's
 median stays within the metric's `bound` of the parent's in its `better`
-direction. With --claim METRIC it also says whether the change won at least 9
-of every 10 pairs and whether its median is better than the parent's by more
-than the parent's interquartile range. A run that exits non-zero or reports
+direction. A metric is not `resolved`, so its bound shows nothing, when
+either side's interquartile range is wider than `bound` times the parent's
+median, unless every change run reads better than every parent run. With
+--claim METRIC it also says whether the change won at least 9 of every 10
+pairs and whether its median is better than the parent's by more than the
+parent's interquartile range. A run that exits non-zero or reports
 failed operations stops the tool with exit 1.
 """
 
@@ -48,10 +51,13 @@ def compare(parent: list[dict], change: list[dict], spec: list[dict], claim: str
         a, b = [run[name] for run in parent], [run[name] for run in change]
         p, c = _summary(a), _summary(b)
         limit = p["median"] * (1 - sign * m["bound"])  # the worst median the bound allows
+        spread = max(p["q3"] - p["q1"], c["q3"] - c["q1"])
+        separated = min(sign * y for y in b) > max(sign * x for x in a)  # every change run reads better
         out["metrics"][name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"], "parent": p, "change": c,
             "change_wins": sum(sign * (y - x) > 0 for x, y in zip(a, b)),
             "within_bound": sign * (c["median"] - limit) >= 0,
+            "resolved": spread <= m["bound"] * abs(p["median"]) or separated,
         }
     if claim is not None:
         m = out["metrics"][claim]
