@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+import orjson
 
 from .container import JSON_NAMES, checked_arrays, header_field, json_is, read_container, write_container
 from .errors import CoverageError, DataError, FormatError
@@ -359,6 +360,42 @@ def make_windows(stream: ImuStream, window_s: float, stride_s: float) -> WindowS
 # anchors and labels
 
 
+# orjson parses a line to what json.loads parses it to, but for three kinds of line, which go to
+# json.loads: lines orjson refuses (NaN, ±Infinity, numbers past float's range, ints past 4,300
+# digits, lone surrogates, a BOM, raw control characters), lines with more than 256 `[` and `{`
+# (orjson has no depth limit and overflows the C stack; json.loads refuses past ~990 levels) and
+# lines holding an int outside [-2**63, 2**64), which orjson reads as a float.
+_ORJSON_MAX_BRACKETS = 256
+
+
+def _json_value(text: str, where: str):
+    """`json.loads(text)`, parsed by orjson where the two agree; bad JSON is a DataError naming `where`."""
+    try:
+        if text.count("[") + text.count("{") <= _ORJSON_MAX_BRACKETS:
+            value = orjson.loads(text)
+            if not _holds_big_float(value):
+                return value
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, >4300-digit ints, deep nesting
+        raise DataError(f"{where}: bad JSON: {exc}") from exc
+
+
+def _holds_big_float(value) -> bool:
+    """Whether `value` may hold a float orjson read from an int that json.loads keeps exact: one of
+    magnitude 2**63 or more, where a list of numbers is judged by its norm, at least its largest entry."""
+    if type(value) is dict:
+        value = [*value.values()]
+    if type(value) is not list:
+        return type(value) is float and not -2.0**63 < value < 2.0**63
+    try:
+        return not math.hypot(*value) < 2.0**63  # a list of numbers, in one C pass
+    except TypeError:  # an entry that is not a number
+        return any(map(_holds_big_float, value))
+
+
 def _jsonl_records(path):
     """Yield ("path:line", record) for each non-blank line; each record is a JSON object."""
     # bytes that are not UTF-8 decode to lone surrogates, so the line that holds them can be named
@@ -373,10 +410,7 @@ def _jsonl_records(path):
                     line.encode("utf-8")
                 except UnicodeEncodeError as exc:
                     raise DataError(f"{where}: bytes that are not UTF-8") from exc
-            try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # bad syntax, >4300-digit ints, deep nesting
-                raise DataError(f"{where}: bad JSON: {exc}") from exc
+            rec = _json_value(line, where)
             if not isinstance(rec, dict):
                 raise DataError(f"{where}: expected a JSON object, got {type(rec).__name__}")
             yield where, rec
@@ -447,10 +481,7 @@ def load_query_vector(value: str) -> np.ndarray:
     """
     if value.strip().startswith("{"):
         source = "--query-anchor"
-        try:
-            rec = json.loads(value)
-        except (ValueError, RecursionError) as exc:
-            raise DataError(f"{source}: bad JSON: {exc}") from exc
+        rec = _json_value(value, source)
     else:
         source, rec = next(_jsonl_records(value), (value, None))
         if rec is None:

@@ -250,11 +250,12 @@ def save_checkpoint(
     train_config: TrainConfig | None,
     step: int,
 ) -> None:
-    """Write a versioned binary checkpoint; round-trips bit-exactly."""
+    """Write a versioned binary checkpoint; round-trips bit-exactly. Refuses first (DataError)
+    a step that `load_checkpoint` would refuse."""
     named = params.named()
     header = {
         "kind": "checkpoint",
-        "step": int(step),
+        "step": step,
         "encoder_config": asdict(encoder_config),
         "train_config": None if train_config is None else asdict(train_config),
         "param_names": list(named.keys()),
@@ -263,6 +264,9 @@ def save_checkpoint(
             "names": sorted(opt_state.accumulators.keys()),
         },
     }
+    header_field(path, header, "step", int, DataError)
+    if opt_state is not None:
+        header_field(f"{path}: opt", header["opt"], "step", int, DataError)
     arrays = [(f"param.{name}", t.data) for name, t in named.items()]
     if opt_state is not None:
         arrays += [(f"acc.{name}", opt_state.accumulators[name])

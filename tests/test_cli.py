@@ -920,6 +920,19 @@ def test_retrieve_malformed_inline_query_exit_2(corpus, capsys, query):
     assert "--query-anchor" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("role", ["pool", "query-file"])
+def test_a_million_deep_record_exit_2_in_a_child_process(corpus, tmp_path, role):
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text('{"window_id": "w0", "modality": "video", "vector": ' + "[" * 10**6 + "]" * 10**6 + "}\n")
+    query = (corpus / "anchors_video.jsonl").read_text().splitlines()[0]
+    argv = {"pool": ["--pool", str(deep), "--query-anchor", query],
+            "query-file": ["--pool", str(corpus / "anchors_video.jsonl"), "--query-anchor", str(deep)]}[role]
+    proc = run_cli_process("retrieve", *argv)  # a parser without a depth limit would crash the child
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {deep}:1: bad JSON: maximum recursion depth exceeded")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("line", ["[1, 2]", "{not json", '{"window_id": "q"}'])
 def test_retrieve_malformed_query_file_exit_2(corpus, tmp_path, capsys, line):
     q = tmp_path / "q.jsonl"

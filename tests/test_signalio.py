@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -752,6 +753,147 @@ def test_query_file_arbitrary_bytes_raise_only_imu_align_errors(tmp_path, lines)
     vec = _unit_or_refused(load_query_vector, str(p))
     if vec is not None:
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# JSONL parsing: the orjson reader gives what the json.loads reader gives
+
+
+def _stdlib_records(path):
+    """The reference: the JSONL reader that parsed every line with json.loads."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise DataError(f"{where}: bytes that are not UTF-8") from exc
+            try:
+                rec = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise DataError(f"{where}: bad JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise DataError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+            yield where, rec
+
+
+def _stdlib_query(value: str):
+    """The reference for an inline ``--query-anchor`` record, parsed with json.loads."""
+    try:
+        rec = json.loads(value)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"--query-anchor: bad JSON: {exc}") from exc
+    if not isinstance(rec, dict) or "vector" not in rec:
+        raise DataError('--query-anchor: the query must be a JSON object with a "vector" field')
+    return signalio._unit_vector(rec["vector"], "--query-anchor")
+
+
+def _outcome(results) -> list:
+    """What `results` yields, item by item, then the class and text of the error that ends it, if one does."""
+    out = []
+    try:
+        for item in results:
+            out.append(item)
+    except Exception as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def _same(a, b) -> bool:
+    """Equal values of the same types, floats and arrays compared bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if type(a) is np.ndarray:
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if type(a) in (list, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _nested(depth: int) -> bytes:
+    return b'{"window_id": "w0", "modality": "video", "vector": ' + b"[" * depth + b"]" * depth + b"}"
+
+
+# the lines where orjson and json.loads are known to disagree, and line ends the reader splits on
+_NAMED_LINES = {
+    "nan": b'{"window_id": "w0", "modality": "video", "vector": [NaN, 1.0]}',
+    "infinity": b'{"window_id": "w0", "modality": "video", "vector": [1.0, Infinity]}',
+    "minus-infinity": b'{"window_id": -Infinity, "label": "a"}',
+    "1e400": b'{"window_id": "w0", "modality": "video", "vector": [1e400]}',
+    "2**64": b'{"window_id": 18446744073709551616, "label": "a"}',
+    "2**64-in-vector": b'{"window_id": "w0", "modality": "video", "vector": [18446744073709551617, 0.5]}',
+    "-2**63-1": b'{"window_id": "w0", "label": [-9223372036854775809]}',
+    "5000-digit-int": b'{"window_id": "w0", "modality": "video", "vector": [' + b"7" * 5000 + b"]}",
+    "lone-surrogate": b'{"window_id": "\\ud800", "label": "a"}',
+    "bom": b'\xef\xbb\xbf{"window_id": "w0", "modality": "video", "vector": [1.0]}',
+    "raw-tab": b'{"window_id": "w\t0", "label": "a"}',
+    "crlf": b'{"classes": ["a"]}\r\n{"window_id": "w0", "label": "a"}\r\n',
+    "lone-cr": b'{"classes": ["a"]}\r{"window_id": "w0", "label": "a"}\r',
+    "whitespace-only": b" \t \x0b\x0c\x1c ",
+    "300-deep": _nested(300),
+    "990-deep": _nested(990),
+}
+
+
+@pytest.mark.parametrize("line", _NAMED_LINES.values(), ids=_NAMED_LINES.keys())
+def test_jsonl_reader_matches_the_json_loads_reader_on_named_lines(tmp_path, line):
+    p = tmp_path / "r.jsonl"
+    p.write_bytes(b'{"classes": ["a"]}\n' + line + b'\n{"window_id": "w9", "label": "a"}\n')
+    assert _same(_outcome(signalio._jsonl_records(p)), _outcome(_stdlib_records(p)))
+
+
+def _any_line():
+    return st.one_of(_lines(_anchor_records), _lines(_label_records), _lines(_query_records),
+                     _json.map(lambda v: json.dumps(v, ensure_ascii=False).encode("utf-8", "surrogatepass")),
+                     st.sampled_from(list(_NAMED_LINES.values())))
+
+
+@_fuzz
+@given(lines=st.lists(_any_line(), max_size=5), end=st.sampled_from([b"\n", b"\r\n", b"\r"]))
+def test_jsonl_reader_matches_the_json_loads_reader(tmp_path, lines, end):
+    p = tmp_path / "r.jsonl"
+    p.write_bytes(end.join(lines))
+    assert _same(_outcome(signalio._jsonl_records(p)), _outcome(_stdlib_records(p)))
+
+
+def _call(load, arg) -> list:
+    """The `_outcome` of one call: its result, or the class and text of its error."""
+    return _outcome(load(arg) for _ in range(1))
+
+
+@_fuzz
+@given(record=st.one_of(_query_records.map(json.dumps), _json.map(json.dumps), _hostile,
+                        st.text(max_size=20).map(lambda t: "{" + t),
+                        st.sampled_from([line.decode("utf-8", "surrogateescape") for line in _NAMED_LINES.values()])
+                        ).filter(lambda t: t.strip().startswith("{")))  # anything else names a query file
+def test_inline_query_matches_the_json_loads_reader(record):
+    assert _same(_call(load_query_vector, record), _call(_stdlib_query, record))
+
+
+def test_a_written_file_loads_without_json_loads(tmp_path, monkeypatch):
+    ds = synth_dataset(3, 6, 2, 512, 16, 0.1)
+    vp, lp = tmp_path / "v.jsonl", tmp_path / "l.jsonl"
+    write_anchor_embeddings(ds.video_anchors, vp)
+    write_labels(ds.labels, ds.class_names, lp)
+    query = vp.read_text().splitlines()[0]
+    expected = [signalio._checked_anchors(_stdlib_records(vp)), signalio._checked_labels(_stdlib_records(lp), lp),
+                _stdlib_query(query)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads was called")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    anchors, labels, vector = load_anchor_embeddings(vp), load_labels(lp), load_query_vector(query)
+    assert _same([{k: a.vector for k, a in anchors.items()}, labels, vector],
+                 [{k: a.vector for k, a in expected[0].items()}, *expected[1:]])
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,21 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
     assert ck.params.checksum() == params_full.checksum()
 
 
+@pytest.mark.parametrize("step, opt_step, message", [
+    (1.9, 0, "header field 'step' is missing or not an integer"),
+    (10**400, 0, "header field 'step' is missing or not an integer"),
+    (True, 0, "header field 'step' is missing or not an integer"),
+    (1, True, "opt: header field 'step' is missing or not an integer"),
+    (1, 1.9, "opt: header field 'step' is missing or not an integer"),
+], ids=["float-step", "huge-int-step", "bool-step", "bool-opt-step", "float-opt-step"])
+def test_save_checkpoint_refuses_a_step_its_loader_would_refuse(tmp_path, step, opt_step, message):
+    p = tmp_path / "ck.bin"
+    state = AdagradState({"conv0.w": np.ones((8, 6, 7))}, step=opt_step)
+    with pytest.raises(DataError, match=re.escape(f"{p}") + ".*" + re.escape(message)):
+        save_checkpoint(p, init_params(SMALL_ENC, 0), state, SMALL_ENC, TrainConfig(), step=step)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_corrupted_magic(tmp_path):
     p = tmp_path / "ck.bin"
     save_checkpoint(p, init_params(SMALL_ENC, 0), None, SMALL_ENC, None, 0)

@@ -37,8 +37,9 @@ CKPT = f"run-ivt/ckpt-{EPOCHS}.bin"
 VOLATILE = {"wall_s", "started_at", "finished_at"}
 
 
-def _steps() -> list[tuple[str, list[str]]]:
-    """(name, argv) of every command, in order; each reads only what an earlier one wrote."""
+def _steps():
+    """(name, argv) of every command, in order; each reads only what an earlier one wrote, and
+    the last one, whose query is the first text anchor record inline, is made after they ran."""
     anchors = {"video": f"{CORPUS}/anchors_video.jsonl", "text": f"{CORPUS}/anchors_text.jsonl"}
     steps = [("synth", ["synth", "--seed", "5", "--n", "12", "--classes", "3", "--dim", "16",
                         "--noise", "0.05", "--window-s", "0.32", "--rate-hz", "200", "--out-dir", CORPUS])]
@@ -63,7 +64,10 @@ def _steps() -> list[tuple[str, list[str]]]:
     for pool, name in ((CACHE, "cache"), (anchors["video"], "jsonl")):
         steps.append((f"retrieve-{name}", ["retrieve", "--ckpt", CKPT, "--pool", pool,
                                            "--query-anchor", anchors["text"], "--top-k", "5"]))
-    return steps
+    yield from steps
+    with open(anchors["text"], encoding="utf-8") as fh:  # written by the synth step
+        record = fh.readline().strip()
+    yield "retrieve-inline", ["retrieve", "--ckpt", CKPT, "--pool", CACHE, "--query-anchor", record, "--top-k", "5"]
 
 
 def _json_digest(text: str) -> str:
