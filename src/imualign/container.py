@@ -140,9 +140,9 @@ def json_is(value, kind) -> bool:
 
 
 def header_field(path, header: dict, key: str, kind, error=FormatError):
-    """``header[key]``, refused with `error` unless `json_is` takes it as a `kind`."""
+    """``header[key]``, refused with `error` unless `json_is` takes it as a `kind`; also a JSONL record's."""
     if not json_is(header.get(key), kind):
-        raise error(f"{path}: header field {key!r} is missing or not {JSON_NAMES[kind]}")
+        raise error(f"{path}: field {key!r} is missing or not {JSON_NAMES[kind]}")
     return header[key]
 
 

@@ -5,10 +5,11 @@ File formats:
     are ASCII decimals (no ``1_0``, no non-ASCII digits), parsed in one numpy
     pass; ``inf``/``nan`` are refused as non-finite, blank lines are skipped
     and errors name ``path:line``.
-  * Anchor JSONL: ``{"window_id": str, "modality": "video"|"text", "vector": [...]}``.
-  * Labels JSONL: header record ``{"classes": [...]}`` then
-    ``{"window_id": str, "label": str}`` lines. Both JSONL writers refuse
-    what their loaders refuse before they open the file.
+  * Anchor JSONL: ``{"window_id": str, "modality": "video"|"text", "vector": [number, ...]}``.
+  * Labels JSONL: header record ``{"classes": [str, ...]}`` then
+    ``{"window_id": str, "label": str}`` lines. Record fields are read by their
+    JSON kind (`container.header_field`), vectors made unit a block at a time.
+    Both JSONL writers refuse what their loaders refuse before they open the file.
   * Window cache: versioned binary (magic ``IMUC``, version 2): one (n, 6, T)
     float64 ``signals`` array and the header columns ``ids``, ``source_ids``,
     ``start_s`` and ``duration_s``; refuses other versions. The loader hands
@@ -22,6 +23,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -360,40 +362,26 @@ def make_windows(stream: ImuStream, window_s: float, stride_s: float) -> WindowS
 # anchors and labels
 
 
-# orjson parses a line to what json.loads parses it to, but for three kinds of line, which go to
-# json.loads: lines orjson refuses (NaN, ±Infinity, numbers past float's range, ints past 4,300
-# digits, lone surrogates, a BOM, raw control characters), lines with more than 256 `[` and `{`
-# (orjson has no depth limit and overflows the C stack; json.loads refuses past ~990 levels) and
-# lines holding an int outside [-2**63, 2**64), which orjson reads as a float.
+# Two kinds of line go to json.loads: lines orjson refuses (NaN, ±Infinity, numbers past float's
+# range, ints past 4,300 digits, lone surrogates, a BOM, raw control characters) and lines with more
+# than 256 `[` and `{` (orjson has no depth limit and overflows the C stack). orjson reads an int
+# outside [-2**63, 2**64) as float(int), json.loads as the int; no loader result tells them apart,
+# as a number field takes both and no refusal quotes a number.
 _ORJSON_MAX_BRACKETS = 256
 
 
 def _json_value(text: str, where: str):
-    """`json.loads(text)`, parsed by orjson where the two agree; bad JSON is a DataError naming `where`."""
+    """`text` parsed by orjson, or by json.loads where the two differ by more than an int's type;
+    bad JSON is a DataError naming `where`."""
     try:
         if text.count("[") + text.count("{") <= _ORJSON_MAX_BRACKETS:
-            value = orjson.loads(text)
-            if not _holds_big_float(value):
-                return value
+            return orjson.loads(text)
     except orjson.JSONDecodeError:
         pass
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad syntax, >4300-digit ints, deep nesting
         raise DataError(f"{where}: bad JSON: {exc}") from exc
-
-
-def _holds_big_float(value) -> bool:
-    """Whether `value` may hold a float orjson read from an int that json.loads keeps exact: one of
-    magnitude 2**63 or more, where a list of numbers is judged by its norm, at least its largest entry."""
-    if type(value) is dict:
-        value = [*value.values()]
-    if type(value) is not list:
-        return type(value) is float and not -2.0**63 < value < 2.0**63
-    try:
-        return not math.hypot(*value) < 2.0**63  # a list of numbers, in one C pass
-    except TypeError:  # an entry that is not a number
-        return any(map(_holds_big_float, value))
 
 
 def _jsonl_records(path):
@@ -412,56 +400,75 @@ def _jsonl_records(path):
                     raise DataError(f"{where}: bytes that are not UTF-8") from exc
             rec = _json_value(line, where)
             if not isinstance(rec, dict):
-                raise DataError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+                raise DataError(f"{where}: expected a JSON object")
             yield where, rec
 
 
-def _unit_vector(value, where: str) -> np.ndarray:
-    """A record's vector: finite, 1-D float64, divided by its norm."""
-    try:
-        vec = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{where}: vector is not numeric: {exc}") from exc
-    if vec.ndim != 1:
-        raise DataError(f"{where}: vector must be 1-D")
-    if not np.all(np.isfinite(vec)):
-        raise DataError(f"{where}: non-finite vector component")
-    peak = float(np.max(np.abs(vec), initial=0.0))
-    if peak == 0.0:
-        raise DataError(f"{where}: vector of norm 0.0 cannot be scaled to unit length")
-    vec = vec / peak  # the squared norm of components near 1e308 or 1e-162 would overflow or underflow
-    return vec / np.linalg.norm(vec)
+# each JSONL record kind's fields, in the order they are checked, and the JSON kind `json_is` holds each to
+_ANCHOR_FIELDS = {"window_id": str, "modality": str, "vector": list[float]}
+_LABEL_FIELDS = {"window_id": str, "label": str}
+_CLASSES_FIELDS = {"classes": list[str]}
+_QUERY_FIELDS = {"vector": list[float]}
+_UNIT_BLOCK = 16  # the most checked vectors made unit at once; each is a list of Python floats until then
 
 
-def _check_record_id(wid, seen, where: str) -> None:
-    """A JSONL record's window_id: a non-empty string not seen before in its file."""
-    if not isinstance(wid, str) or wid == "":
-        raise DataError(f"{where}: window_id must be a non-empty string, got {wid!r}")
+def _fields(rec: dict, kinds: dict, where: str) -> list:
+    """The values of `rec`'s fields `kinds`, each refused (DataError naming `where`) unless of its kind."""
+    return [header_field(where, rec, key, kind, DataError) for key, kind in kinds.items()]
+
+
+def _check_record_id(wid: str, seen, where: str) -> None:
+    """A JSONL record's window_id string: non-empty and not seen before in its file."""
+    if wid == "":
+        raise DataError(f"{where}: window_id must be a non-empty string, got ''")
     if wid in seen:
         raise DataError(f"{where}: duplicate window_id {wid!r}")
 
 
-def _checked_anchors(records, modality: str | None = None) -> dict[str, AnchorEmbedding]:
-    """The anchors of ("where", record) pairs by id, each vector made unit; refuses
-    a record that an anchor file may not hold, or not of `modality` if given."""
-    out: dict[str, AnchorEmbedding] = {}
-    dim = None
+def _nonzero(vector: list, where: str) -> list:
+    """A record's vector, refused if every entry is 0, as no norm scales it to unit length."""
+    if not any(vector):
+        raise DataError(f"{where}: vector of norm 0.0 cannot be scaled to unit length")
+    return vector
+
+
+def _unit_rows(vectors: list[list]) -> np.ndarray:
+    """The float64 rows of `vectors` (lists of one length of finite numbers, not all 0), each made
+    unit. A row has the bits of ``v / max|v|`` divided by `np.linalg.norm` of that: the peak keeps
+    squares near 1e308 or 1e-162 from overflowing or underflowing, the divisions are entry by
+    entry, and a 1-D `np.linalg.norm` is ``sqrt(v.dot(v))``, while `np.vecdot` calls the same dot
+    kernel on each row (BLAS ddot, as each row is contiguous), so each sums its squares alike."""
+    rows = np.array(vectors, dtype=np.float64)
+    rows /= np.max(np.abs(rows), axis=1, keepdims=True)
+    rows /= np.sqrt(np.vecdot(rows, rows))[:, None]
+    return rows
+
+
+def _anchor_fields(records, modality: str | None):
+    """(window_id, modality, vector) of each ("where", record) pair; refuses what an anchor file
+    may not hold, or a record not of `modality` if given."""
+    seen, dim = set(), None
     for where, rec in records:
-        try:
-            wid, kind, value = rec["window_id"], rec["modality"], rec["vector"]
-        except KeyError as exc:
-            raise DataError(f"{where}: malformed anchor record: missing {exc}") from exc
-        _check_record_id(wid, out, where)
+        wid, kind, vector = _fields(rec, _ANCHOR_FIELDS, where)
+        _check_record_id(wid, seen, where)
+        seen.add(wid)
         if kind not in ("video", "text"):
             raise DataError(f"{where}: unknown modality {kind!r}")
         if modality is not None and kind != modality:
             raise DataError(f"{where}: expected a {modality} anchor, got modality {kind!r}")
-        vec = _unit_vector(value, where)
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise DataError(f"{where}: vector dim {vec.shape[0]} != file dim {dim}")
-        out[wid] = AnchorEmbedding(wid, kind, vec)
+        _nonzero(vector, where)
+        dim = dim or len(vector)  # the first record's length, never 0
+        if len(vector) != dim:
+            raise DataError(f"{where}: vector dim {len(vector)} != file dim {dim}")
+        yield wid, kind, vector
+
+
+def _checked_anchors(records, modality: str | None = None) -> dict[str, AnchorEmbedding]:
+    """The anchors of ("where", record) pairs by id, their vectors made unit a block at a time."""
+    checked, out = _anchor_fields(records, modality), {}
+    while block := list(islice(checked, _UNIT_BLOCK)):
+        rows = _unit_rows([vector for _, _, vector in block])
+        out.update((wid, AnchorEmbedding(wid, kind, row)) for (wid, kind, _), row in zip(block, rows))
     return out
 
 
@@ -476,32 +483,29 @@ def load_anchor_embeddings(path, modality: str | None = None) -> dict[str, Ancho
 
 
 def load_query_vector(value: str) -> np.ndarray:
-    """Accept either an inline JSON anchor record or a path to a JSONL file
-    whose first record is the query.
-    """
-    if value.strip().startswith("{"):
-        source = "--query-anchor"
-        rec = _json_value(value, source)
+    """The unit vector of an inline JSON anchor record, or of the first record
+    of the JSONL file at path `value`."""
+    if value.strip().startswith("{"):  # so a record that parses is an object
+        source, rec = "--query-anchor", _json_value(value, "--query-anchor")
     else:
         source, rec = next(_jsonl_records(value), (value, None))
         if rec is None:
             raise DataError(f"{value}: empty query file")
-    if not isinstance(rec, dict) or "vector" not in rec:
-        raise DataError(f'{source}: the query must be a JSON object with a "vector" field')
-    return _unit_vector(rec["vector"], source)
+    (vector,) = _fields(rec, _QUERY_FIELDS, source)
+    return _unit_rows([_nonzero(vector, source)])[0]
 
 
 def write_anchor_embeddings(anchors: dict[str, AnchorEmbedding], path) -> None:
     """Write `anchors` in key order; refuses (before the file is opened) what
     `load_anchor_embeddings` would refuse, naming the line it would be on."""
     kept = [anchors[wid] for wid in sorted(anchors)]
-    # an anchor's fields are its record's keys
-    _checked_anchors((f"{path}:{line}", vars(a)) for line, a in enumerate(kept, start=1))
+
+    def records():  # made once to check and once to write, so no file's lists are held whole
+        return ({"window_id": a.window_id, "modality": a.modality, "vector": a.vector.tolist()} for a in kept)
+
+    _checked_anchors((f"{path}:{line}", rec) for line, rec in enumerate(records(), start=1))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for a in kept:
-            fh.write(json.dumps(
-                {"window_id": a.window_id, "modality": a.modality, "vector": [float(v) for v in a.vector]}
-            ) + "\n")
+        fh.writelines(json.dumps(rec) + "\n" for rec in records())
 
 
 def _checked_labels(records, path) -> tuple[dict[str, str], list[str]]:
@@ -513,19 +517,14 @@ def _checked_labels(records, path) -> tuple[dict[str, str], list[str]]:
         if "classes" in rec:
             if class_names is not None:
                 raise DataError(f"{where}: duplicate classes header")
-            class_names = rec["classes"]
-            if not json_is(class_names, list[str]):
-                raise DataError(f"{where}: classes must be a list of strings")
+            (class_names,) = _fields(rec, _CLASSES_FIELDS, where)
             repeated = [c for c, n in Counter(class_names).items() if n > 1]
             if repeated:
                 raise DataError(f"{where}: class {repeated[0]!r} declared twice")
             continue
         if class_names is None:
             raise DataError(f"{where}: label record before classes header")
-        try:
-            wid, label = rec["window_id"], rec["label"]
-        except KeyError as exc:
-            raise DataError(f"{where}: malformed label record: {exc}") from exc
+        wid, label = _fields(rec, _LABEL_FIELDS, where)
         _check_record_id(wid, labels, where)
         if label not in class_names:
             raise DataError(f"{where}: label {label!r} not in declared classes")

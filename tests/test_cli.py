@@ -920,6 +920,13 @@ def test_retrieve_malformed_inline_query_exit_2(corpus, capsys, query):
     assert "--query-anchor" in err and "Traceback" not in err
 
 
+def test_retrieve_refuses_a_query_vector_of_strings_and_bools(corpus, capsys):
+    code, payload, err = run_cli(capsys, "retrieve", "--pool", str(corpus / "anchors_video.jsonl"),
+                                 "--query-anchor", '{"vector": ["1", true]}')
+    assert code == 2 and payload is None
+    assert err == "error: --query-anchor: field 'vector' is missing or not a list of numbers\n"
+
+
 @pytest.mark.parametrize("role", ["pool", "query-file"])
 def test_a_million_deep_record_exit_2_in_a_child_process(corpus, tmp_path, role):
     deep = tmp_path / "deep.jsonl"

@@ -41,10 +41,10 @@ def test_no_module_imports_another_modules_private_names():
 def test_the_guard_sees_private_imports(tmp_path):
     src = tmp_path / "m.py"
     src.write_text("from . import __version__, signalio as s\n"
-                   "from .signalio import load_labels, _unit_vector\n"
+                   "from .signalio import load_labels, _unit_rows\n"
                    "from imualign.cli import _emit\n"
                    "s._jsonl_records(s.CACHE_MAGIC)\n")
-    assert _private_imports(src) == ["m.py:2: _unit_vector", "m.py:3: _emit", "m.py:4: s._jsonl_records"]
+    assert _private_imports(src) == ["m.py:2: _unit_rows", "m.py:3: _emit", "m.py:4: s._jsonl_records"]
 
 
 def _unused_imports(path: Path) -> list[str]:

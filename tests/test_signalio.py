@@ -5,8 +5,10 @@ import math
 import re
 import struct
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -535,14 +537,20 @@ def test_load_anchors_duplicate_id(tmp_path):
         load_anchor_embeddings(p)
 
 
-@pytest.mark.parametrize("wid", [["w1"], 7, "", None], ids=["list", "number", "empty", "null"])
-def test_load_anchors_window_id_must_be_a_non_empty_string(tmp_path, wid):
+_NOT_A_STRING_ID = "field 'window_id' is missing or not a string"
+
+
+@pytest.mark.parametrize("wid, message", [
+    (["w1"], _NOT_A_STRING_ID), (7, _NOT_A_STRING_ID), ("", "window_id must be a non-empty string, got ''"),
+    (None, _NOT_A_STRING_ID),
+], ids=["list", "number", "empty", "null"])
+def test_load_anchors_window_id_must_be_a_non_empty_string(tmp_path, wid, message):
     p = tmp_path / "a.jsonl"
     _write_jsonl(p, [
         {"window_id": "w0", "modality": "video", "vector": [1.0, 0.0]},
         {"window_id": wid, "modality": "video", "vector": [0.0, 1.0]},
     ])
-    with pytest.raises(DataError, match=re.escape(f"{p}:2: window_id must be a non-empty string")):
+    with pytest.raises(DataError, match=f"^{re.escape(f'{p}:2: {message}')}$"):
         load_anchor_embeddings(p)
 
 
@@ -573,18 +581,21 @@ def _vec(*values):
 
 @pytest.mark.parametrize("anchors, line, message", [
     ({"a": AnchorEmbedding("a", "video", _vec(1, 0)), "b": AnchorEmbedding("b", "video", _vec(math.nan, 1))},
-     2, "non-finite vector component"),
-    ({"a": AnchorEmbedding("a", "text", _vec(math.inf, 1))}, 1, "non-finite vector component"),
+     2, "field 'vector' is missing or not a list of numbers"),
+    ({"a": AnchorEmbedding("a", "text", _vec(math.inf, 1))}, 1, "field 'vector' is missing or not a list of numbers"),
     ({"a": AnchorEmbedding("a", "video", _vec(0, 0))}, 1, "vector of norm 0.0 cannot be scaled to unit length"),
+    ({"a": AnchorEmbedding("a", "video", _vec(1, 0)), "b": AnchorEmbedding("b", "video", _vec(0, -0.0))},
+     2, "vector of norm 0.0 cannot be scaled to unit length"),
     ({"": AnchorEmbedding("", "video", _vec(1))}, 1, "window_id must be a non-empty string, got ''"),
-    ({"a": AnchorEmbedding(7, "video", _vec(1))}, 1, "window_id must be a non-empty string, got 7"),
+    ({"a": AnchorEmbedding(7, "video", _vec(1))}, 1, _NOT_A_STRING_ID),
     ({"a": AnchorEmbedding("a", "video", _vec(1)), "b": AnchorEmbedding("a", "video", _vec(1))},
      2, "duplicate window_id 'a'"),
     ({"a": AnchorEmbedding("a", "audio", _vec(1))}, 1, "unknown modality 'audio'"),
     ({"a": AnchorEmbedding("a", "video", _vec(1, 0)), "b": AnchorEmbedding("b", "video", _vec(1))},
      2, "vector dim 1 != file dim 2"),
-    ({"a": AnchorEmbedding("a", "video", [[1.0, 0.0]])}, 1, "vector must be 1-D"),
-], ids=["nan", "inf", "zero", "empty-id", "int-id", "repeated-id", "unknown-modality", "mixed-dims", "2-d"])
+    ({"a": AnchorEmbedding("a", "video", [[1.0, 0.0]])}, 1, "field 'vector' is missing or not a list of numbers"),
+], ids=["nan", "inf", "zero", "zero-after-the-first", "empty-id", "int-id", "repeated-id", "unknown-modality",
+        "mixed-dims", "2-d"])
 def test_write_anchor_embeddings_refuses_what_its_loader_would_writing_nothing(tmp_path, anchors, line, message):
     p = tmp_path / "a.jsonl"
     with pytest.raises(DataError, match=f"^{re.escape(f'{p}:{line}: {message}')}$"):
@@ -613,9 +624,9 @@ def test_labels_round_trip_and_unknown_class(tmp_path):
 @pytest.mark.parametrize("labels, classes, line, message", [
     ({"w1": "a", "w2": "flying"}, ["a", "b"], 3, "label 'flying' not in declared classes"),
     ({"w1": "a"}, ["a", "b", "a"], 1, "class 'a' declared twice"),
-    ({"w1": "a"}, ["a", 1], 1, "classes must be a list of strings"),
+    ({"w1": "a"}, ["a", 1], 1, "field 'classes' is missing or not a list of strings"),
     ({"": "a"}, ["a"], 2, "window_id must be a non-empty string, got ''"),
-    ({7: "a"}, ["a"], 2, "window_id must be a non-empty string, got 7"),
+    ({7: "a"}, ["a"], 2, _NOT_A_STRING_ID),
 ], ids=["unknown-label", "repeated-class", "non-string-class", "empty-id", "int-id"])
 def test_write_labels_refuses_what_its_loader_would_writing_nothing(tmp_path, labels, classes, line, message):
     p = tmp_path / "l.jsonl"
@@ -628,14 +639,14 @@ def test_write_labels_refuses_what_its_loader_would_writing_nothing(tmp_path, la
 def test_labels_non_object_line_names_path_and_line(tmp_path, line):
     p = tmp_path / "l.jsonl"
     p.write_text(json.dumps({"classes": ["walking"]}) + "\n" + line + "\n")
-    with pytest.raises(DataError, match=f"{p}:2: expected a JSON object"):
+    with pytest.raises(DataError, match=f"^{re.escape(f'{p}:2: expected a JSON object')}$"):
         load_labels(p)
 
 
 def test_labels_classes_header_must_be_a_list(tmp_path):
     p = tmp_path / "l.jsonl"
     p.write_text(json.dumps({"classes": 7}) + "\n")
-    with pytest.raises(DataError, match=f"{p}:1: classes must be a list"):
+    with pytest.raises(DataError, match=re.escape(f"{p}:1: field 'classes' is missing or not a list of strings")):
         load_labels(p)
 
 
@@ -643,10 +654,10 @@ def test_labels_classes_header_must_be_a_list(tmp_path):
     ([{"classes": ["a", "b"]}, {"window_id": "w1", "label": "a"}, {"window_id": "w1", "label": "b"}],
      3, "duplicate window_id 'w1'"),
     ([{"classes": ["a", "b", "a"]}], 1, "class 'a' declared twice"),
-    ([{"classes": ["a", 1]}], 1, "classes must be a list of strings"),
-    ([{"classes": ["a"]}, {"window_id": ["w1"], "label": "a"}], 2, "window_id must be a non-empty string"),
+    ([{"classes": ["a", 1]}], 1, "field 'classes' is missing or not a list of strings"),
+    ([{"classes": ["a"]}, {"window_id": ["w1"], "label": "a"}], 2, _NOT_A_STRING_ID),
     ([{"classes": ["a"]}, {"window_id": "", "label": "a"}], 2, "window_id must be a non-empty string"),
-    ([{"classes": ["a"]}, {"window_id": 7, "label": "a"}], 2, "window_id must be a non-empty string"),
+    ([{"classes": ["a"]}, {"window_id": 7, "label": "a"}], 2, _NOT_A_STRING_ID),
 ], ids=["repeated-window-id", "repeated-class", "non-string-class", "list-window-id",
         "empty-window-id", "number-window-id"])
 def test_labels_refuse_repeated_or_malformed_ids_naming_the_line(tmp_path, records, line, message):
@@ -756,7 +767,15 @@ def test_query_file_arbitrary_bytes_raise_only_imu_align_errors(tmp_path, lines)
 
 
 # ---------------------------------------------------------------------------
-# JSONL parsing: the orjson reader gives what the json.loads reader gives
+# JSONL parsing: the loaders give with orjson what they give with json.loads alone
+
+
+def _stdlib_json_value(text: str, where: str):
+    """The reference parse of one line or inline record: json.loads alone, with the reader's error text."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{where}: bad JSON: {exc}") from exc
 
 
 def _stdlib_records(path):
@@ -772,24 +791,10 @@ def _stdlib_records(path):
                     line.encode("utf-8")
                 except UnicodeEncodeError as exc:
                     raise DataError(f"{where}: bytes that are not UTF-8") from exc
-            try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise DataError(f"{where}: bad JSON: {exc}") from exc
+            rec = _stdlib_json_value(line, where)
             if not isinstance(rec, dict):
-                raise DataError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+                raise DataError(f"{where}: expected a JSON object")
             yield where, rec
-
-
-def _stdlib_query(value: str):
-    """The reference for an inline ``--query-anchor`` record, parsed with json.loads."""
-    try:
-        rec = json.loads(value)
-    except (ValueError, RecursionError) as exc:
-        raise DataError(f"--query-anchor: bad JSON: {exc}") from exc
-    if not isinstance(rec, dict) or "vector" not in rec:
-        raise DataError('--query-anchor: the query must be a JSON object with a "vector" field')
-    return signalio._unit_vector(rec["vector"], "--query-anchor")
 
 
 def _outcome(results) -> list:
@@ -801,6 +806,16 @@ def _outcome(results) -> list:
     except Exception as exc:
         out.append((type(exc), str(exc)))
     return out
+
+
+def _call(load, arg) -> list:
+    """The `_outcome` of one call: its result, or the class and text of its error."""
+    return _outcome(load(arg) for _ in range(1))
+
+
+def _anchors_loaded(path) -> dict:
+    """`load_anchor_embeddings(path)`, each anchor as the tuple of its fields."""
+    return {k: (a.window_id, a.modality, a.vector) for k, a in load_anchor_embeddings(path).items()}
 
 
 def _same(a, b) -> bool:
@@ -818,6 +833,24 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _stdlib_parse():
+    """The loaders' JSONL reader and inline-query parse replaced by the json.loads references."""
+    return mock.patch.multiple(signalio, _jsonl_records=_stdlib_records, _json_value=_stdlib_json_value)
+
+
+def _parsers_agree(results) -> bool:
+    """Whether `results()` gives the same with the loaders' parse as with json.loads alone. The
+    records themselves may differ, an int read as a float, but what the loaders make of them may not."""
+    with _stdlib_parse():
+        reference = results()
+    return _same(results(), reference)
+
+
+def _loader_outcomes(anchors: Path, labels: Path, query: Path):
+    """A call of the three loaders on their files, giving what each returns or raises."""
+    return lambda: [_call(_anchors_loaded, anchors), _call(load_labels, labels), _call(load_query_vector, str(query))]
+
+
 def _nested(depth: int) -> bytes:
     return b'{"window_id": "w0", "modality": "video", "vector": ' + b"[" * depth + b"]" * depth + b"}"
 
@@ -829,6 +862,7 @@ _NAMED_LINES = {
     "minus-infinity": b'{"window_id": -Infinity, "label": "a"}',
     "1e400": b'{"window_id": "w0", "modality": "video", "vector": [1e400]}',
     "2**64": b'{"window_id": 18446744073709551616, "label": "a"}',
+    "2**64-alone": b"18446744073709551616",
     "2**64-in-vector": b'{"window_id": "w0", "modality": "video", "vector": [18446744073709551617, 0.5]}',
     "-2**63-1": b'{"window_id": "w0", "label": [-9223372036854775809]}',
     "5000-digit-int": b'{"window_id": "w0", "modality": "video", "vector": [' + b"7" * 5000 + b"]}",
@@ -845,9 +879,21 @@ _NAMED_LINES = {
 
 @pytest.mark.parametrize("line", _NAMED_LINES.values(), ids=_NAMED_LINES.keys())
 def test_jsonl_reader_matches_the_json_loads_reader_on_named_lines(tmp_path, line):
-    p = tmp_path / "r.jsonl"
-    p.write_bytes(b'{"classes": ["a"]}\n' + line + b'\n{"window_id": "w9", "label": "a"}\n')
-    assert _same(_outcome(signalio._jsonl_records(p)), _outcome(_stdlib_records(p)))
+    anchors, labels, query = tmp_path / "a.jsonl", tmp_path / "l.jsonl", tmp_path / "q.jsonl"
+    anchors.write_bytes(line + b'\n{"window_id": "w9", "modality": "video", "vector": [0.5, 2]}\n')
+    labels.write_bytes(b'{"classes": ["a"]}\n' + line + b'\n{"window_id": "w9", "label": "a"}\n')
+    query.write_bytes(line + b"\n")
+    assert _parsers_agree(_loader_outcomes(anchors, labels, query))
+
+
+def test_a_big_int_is_a_float_to_orjson_and_loads_alike(tmp_path):
+    line = _NAMED_LINES["2**64-in-vector"]
+    assert type(signalio._json_value(line.decode(), "w")["vector"][0]) is float
+    assert type(_stdlib_json_value(line.decode(), "w")["vector"][0]) is int
+    p = tmp_path / "a.jsonl"
+    p.write_bytes(line + b"\n")
+    assert _parsers_agree(lambda: _call(_anchors_loaded, p))
+    assert load_anchor_embeddings(p)["w0"].vector.tolist() == [1.0, 0.5 / 18446744073709551617]
 
 
 def _any_line():
@@ -861,12 +907,7 @@ def _any_line():
 def test_jsonl_reader_matches_the_json_loads_reader(tmp_path, lines, end):
     p = tmp_path / "r.jsonl"
     p.write_bytes(end.join(lines))
-    assert _same(_outcome(signalio._jsonl_records(p)), _outcome(_stdlib_records(p)))
-
-
-def _call(load, arg) -> list:
-    """The `_outcome` of one call: its result, or the class and text of its error."""
-    return _outcome(load(arg) for _ in range(1))
+    assert _parsers_agree(_loader_outcomes(p, p, p))
 
 
 @_fuzz
@@ -875,7 +916,7 @@ def _call(load, arg) -> list:
                         st.sampled_from([line.decode("utf-8", "surrogateescape") for line in _NAMED_LINES.values()])
                         ).filter(lambda t: t.strip().startswith("{")))  # anything else names a query file
 def test_inline_query_matches_the_json_loads_reader(record):
-    assert _same(_call(load_query_vector, record), _call(_stdlib_query, record))
+    assert _parsers_agree(lambda: _call(load_query_vector, record))
 
 
 def test_a_written_file_loads_without_json_loads(tmp_path, monkeypatch):
@@ -884,16 +925,147 @@ def test_a_written_file_loads_without_json_loads(tmp_path, monkeypatch):
     write_anchor_embeddings(ds.video_anchors, vp)
     write_labels(ds.labels, ds.class_names, lp)
     query = vp.read_text().splitlines()[0]
-    expected = [signalio._checked_anchors(_stdlib_records(vp)), signalio._checked_labels(_stdlib_records(lp), lp),
-                _stdlib_query(query)]
+
+    def load_all():
+        return [_anchors_loaded(vp), load_labels(lp), load_query_vector(query)]
+
+    with _stdlib_parse():
+        expected = load_all()
 
     def refuse(*args, **kwargs):
         raise AssertionError("json.loads was called")
 
     monkeypatch.setattr(json, "loads", refuse)
-    anchors, labels, vector = load_anchor_embeddings(vp), load_labels(lp), load_query_vector(query)
-    assert _same([{k: a.vector for k, a in anchors.items()}, labels, vector],
-                 [{k: a.vector for k, a in expected[0].items()}, *expected[1:]])
+    assert _same(load_all(), expected)
+
+
+# ---------------------------------------------------------------------------
+# what replaced the big-int guard and the per-record unit vector
+
+
+@st.composite
+def _big_ints(draw) -> int:
+    """An int outside [-2**63, 2**64) that float() takes: a float's significand in a binade from
+    2**63 to 2**1023, plus an offset below one ulp, often the halfway point or one either side of it."""
+    e = draw(st.integers(63, 1023))
+    ulp = 1 << (e - 52)
+    n = draw(st.integers(2**52, 2**53 - 1)) * ulp + draw(
+        st.sampled_from([0, ulp // 2 - 1, ulp // 2, ulp // 2 + 1, ulp - 1]) | st.integers(0, ulp - 1))
+    return draw(st.sampled_from([n, -n]))
+
+
+def _orjson_reads_as_float_of(n: int) -> bool:
+    """Whether orjson reads `n`'s literal, alone and in a list, as the float float() makes of it."""
+    values = [orjson.loads(str(n)), orjson.loads(f"[{n}, 0.5]")[0]]
+    return all(type(v) is float and struct.pack("<d", v) == struct.pack("<d", float(n)) for v in values)
+
+
+def _in_float_range(n: int) -> bool:
+    try:
+        return not -2**63 <= n < 2**64 and bool(float(n))
+    except OverflowError:
+        return False
+
+
+@settings(max_examples=1000, deadline=None)
+@given(n=_big_ints().filter(_in_float_range))
+def test_orjson_reads_an_int_outside_its_range_as_float_of_the_int(n):
+    assert _orjson_reads_as_float_of(n)
+
+
+def test_orjson_rounds_halfway_ints_to_even_at_each_binade():
+    for e in range(63, 1024):
+        ulp = 1 << (e - 52)
+        for significand in (2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1):  # even and odd, each end of the binade
+            for offset in (ulp // 2 - 1, ulp // 2, ulp // 2 + 1):
+                for n in (significand * ulp + offset, -(significand * ulp + offset)):
+                    if _in_float_range(n):
+                        assert _orjson_reads_as_float_of(n), n
+
+
+def _per_record_unit_vector(values) -> np.ndarray:
+    """A vector made unit as the loader once did it, one record at a time."""
+    vec = np.asarray(values, dtype=np.float64)
+    vec = vec / float(np.max(np.abs(vec)))
+    return vec / np.linalg.norm(vec)
+
+
+@st.composite
+def _vector_blocks(draw) -> list[list]:
+    """Lists of one length (1 to 1024) of floats, scaled by up to 1e±300, or of ints, none all 0."""
+    dim, n = draw(st.integers(1, 1024)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["float", "tiny", "huge", "int", "big-int"]))
+        if kind == "int":
+            row = rng.integers(-9, 10, dim).tolist()
+        elif kind == "big-int":
+            row = [int(v) * 2**70 for v in rng.integers(-9, 10, dim)]
+        else:
+            row = (rng.standard_normal(dim) * {"float": 1.0, "tiny": 1e-300, "huge": 1e300}[kind]).tolist()
+        rows.append(row if any(row) else [1, *row[1:]])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors=_vector_blocks())
+def test_unit_rows_have_the_bits_of_the_per_record_path(vectors):
+    rows = signalio._unit_rows(vectors)
+    assert rows.shape == (len(vectors), len(vectors[0]))
+    for row, values in zip(rows, vectors):
+        assert row.tobytes() == _per_record_unit_vector(values).tobytes()
+
+
+def test_vecdot_sums_a_row_as_a_1d_norm_does():
+    """What `_unit_rows`' bits rest on: np.vecdot's float64 loop and a 1-D `dot` reach one dot
+    kernel, BLAS ddot for contiguous rows and numpy's own loop for strided ones. The two kernels
+    sum in different orders, so matching both shows that they are shared. np.linalg.norm of a
+    1-D vector is the square root of its contiguous copy's `dot`, so it takes ddot."""
+    rng = np.random.default_rng(0)
+    kernels_differ = False
+    for dim in [*range(1, 80), 127, 128, 129, 255, 256, 511, 512, 513, 1000, 1024]:
+        strided = (rng.standard_normal((4, 2 * dim)) * 10.0 ** rng.integers(-100, 100, (4, 1)))[:, ::2]
+        contiguous = np.ascontiguousarray(strided)
+        for rows in (contiguous, strided):
+            assert np.vecdot(rows, rows).tobytes() == np.array([row.dot(row) for row in rows]).tobytes()
+        norms = [np.linalg.norm(row) for row in strided]  # each row copied contiguous first
+        assert np.sqrt(np.vecdot(contiguous, contiguous)).tobytes() == np.array(norms).tobytes()
+        kernels_differ |= np.vecdot(contiguous, contiguous).tobytes() != np.vecdot(strided, strided).tobytes()
+    assert kernels_differ
+
+
+@pytest.mark.parametrize("n", [signalio._UNIT_BLOCK + d for d in (-1, 0, 1)] + [255, 256, 257])
+def test_a_file_loads_a_block_at_a_time_to_the_per_record_bits(tmp_path, n):
+    rng = np.random.default_rng(n)
+    vectors = (rng.standard_normal((n, 9)) * 10.0 ** rng.integers(-300, 300, (n, 1))).tolist()
+    p = tmp_path / "a.jsonl"
+    _write_jsonl(p, [{"window_id": f"w{i}", "modality": "text", "vector": v} for i, v in enumerate(vectors)])
+    anchors = load_anchor_embeddings(p)
+    assert list(anchors) == [f"w{i}" for i in range(n)]
+    for i, values in enumerate(vectors):
+        assert anchors[f"w{i}"].vector.tobytes() == _per_record_unit_vector(values).tobytes()
+    with p.open("a") as fh:  # a refusal after the blocks still names its own line
+        fh.write(json.dumps({"window_id": "w0", "modality": "text", "vector": vectors[0]}) + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(f'{p}:{n + 1}: duplicate window_id')}"):
+        load_anchor_embeddings(p)
+
+
+_NOT_NUMBERS = {"string": '"1"', "bool": "true", "nested": "[1.0]", "null": "null"}
+
+
+@pytest.mark.parametrize("entry", _NOT_NUMBERS.values(), ids=_NOT_NUMBERS.keys())
+def test_a_vector_entry_that_is_not_a_number_is_refused_naming_its_line(tmp_path, entry):
+    record = f'{{"window_id": "w1", "modality": "video", "vector": [{entry}, 2.5]}}'
+    anchors, query = tmp_path / "a.jsonl", tmp_path / "q.jsonl"
+    anchors.write_text('{"window_id": "w0", "modality": "video", "vector": [1.0, 2.5]}\n' + record + "\n")
+    query.write_text("\n" + record + "\n")
+    message = "field 'vector' is missing or not a list of numbers"
+    for load, arg, where in ((load_anchor_embeddings, anchors, f"{anchors}:2"),
+                             (load_query_vector, str(query), f"{query}:2"),
+                             (load_query_vector, record, "--query-anchor")):
+        with pytest.raises(DataError, match=f"^{re.escape(f'{where}: {message}')}$"):
+            load(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -1147,11 +1319,11 @@ _MALFORMED_CACHE_HEADERS = {
     "more-windows-than-rows": (_columns(["w0", "w1"]), None, "column 'ids' has 2 entries for 1 signal rows"),
     "fewer-windows-than-rows": ({}, [("signals", np.zeros((2, 6, 50)))],
                                 "column 'ids' has 1 entries for 2 signal rows"),
-    "no-rate": ({"sample_rate_hz": None}, None, "header field 'sample_rate_hz' is missing or not a number"),
-    "string-window-s": ({"window_s": "1.0"}, None, "header field 'window_s' is missing or not a number"),
-    "bool-stride-s": ({"stride_s": True}, None, "header field 'stride_s' is missing or not a number"),
+    "no-rate": ({"sample_rate_hz": None}, None, "field 'sample_rate_hz' is missing or not a number"),
+    "string-window-s": ({"window_s": "1.0"}, None, "field 'window_s' is missing or not a number"),
+    "bool-stride-s": ({"stride_s": True}, None, "field 'stride_s' is missing or not a number"),
     "bool-duration": ({"duration_s": [False]}, None, "column 'duration_s' is not a list of numbers"),
-    "number-content-hash": ({"content_hash": 7}, None, "header field 'content_hash' is missing or not a string"),
+    "number-content-hash": ({"content_hash": 7}, None, "field 'content_hash' is missing or not a string"),
     "three-channels": ({}, [("signals", np.zeros((1, 3, 50)))],
                        "array 'signals' has shape (1, 3, 50), expected (None, 6, None)"),
     "extra-array": ({}, [("signals", np.zeros((1, 6, 50))), ("extra", np.zeros(1))],
@@ -1174,9 +1346,9 @@ _MALFORMED_CACHE_HEADERS = {
     # written as the JSON tokens NaN, -Infinity and Infinity, and an int past float's range
     "nan-start": ({"start_s": [math.nan]}, None, "column 'start_s' is not a list of numbers"),
     "inf-duration": ({"duration_s": [-math.inf]}, None, "column 'duration_s' is not a list of numbers"),
-    "nan-rate": ({"sample_rate_hz": math.nan}, None, "header field 'sample_rate_hz' is missing or not a number"),
-    "inf-rate": ({"sample_rate_hz": math.inf}, None, "header field 'sample_rate_hz' is missing or not a number"),
-    "huge-int-stride-s": ({"stride_s": 10**400}, None, "header field 'stride_s' is missing or not a number"),
+    "nan-rate": ({"sample_rate_hz": math.nan}, None, "field 'sample_rate_hz' is missing or not a number"),
+    "inf-rate": ({"sample_rate_hz": math.inf}, None, "field 'sample_rate_hz' is missing or not a number"),
+    "huge-int-stride-s": ({"stride_s": 10**400}, None, "field 'stride_s' is missing or not a number"),
 }
 
 

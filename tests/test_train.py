@@ -347,11 +347,11 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
 
 
 @pytest.mark.parametrize("step, opt_step, message", [
-    (1.9, 0, "header field 'step' is missing or not an integer"),
-    (10**400, 0, "header field 'step' is missing or not an integer"),
-    (True, 0, "header field 'step' is missing or not an integer"),
-    (1, True, "opt: header field 'step' is missing or not an integer"),
-    (1, 1.9, "opt: header field 'step' is missing or not an integer"),
+    (1.9, 0, "field 'step' is missing or not an integer"),
+    (10**400, 0, "field 'step' is missing or not an integer"),
+    (True, 0, "field 'step' is missing or not an integer"),
+    (1, True, "opt: field 'step' is missing or not an integer"),
+    (1, 1.9, "opt: field 'step' is missing or not an integer"),
 ], ids=["float-step", "huge-int-step", "bool-step", "bool-opt-step", "float-opt-step"])
 def test_save_checkpoint_refuses_a_step_its_loader_would_refuse(tmp_path, step, opt_step, message):
     p = tmp_path / "ck.bin"
@@ -395,7 +395,7 @@ def _save_small_checkpoint(path):
     (lambda h, a: a.update({"acc.conv0.w": np.zeros(3)}), "array 'acc.conv0.w' has shape (3,)"),
     (lambda h, a: h.update(step=1.9), "'step' is missing or not an integer"),
     (lambda h, a: h.update(step=True), "'step' is missing or not an integer"),
-    (lambda h, a: h["opt"].update(step=True), "opt: header field 'step'"),
+    (lambda h, a: h["opt"].update(step=True), "opt: field 'step'"),
     (lambda h, a: h["encoder_config"].update(conv_channels=[8.7]), "not a list of integers"),
     (lambda h, a: h["train_config"].pop("seed"), "train_config has fields"),
     (lambda h, a: h["train_config"].update(learning_rate=math.nan), "learning_rate is not a number, got nan"),
