@@ -45,7 +45,6 @@ from .signalio import (
     WindowCache,
     WindowSet,
     assemble_dataset,
-    content_hash,
     load_anchor_embeddings,
     load_imu_stream,
     load_labels,
@@ -104,37 +103,35 @@ def cmd_ingest(args) -> int:
     for p in paths:
         if not p.exists():
             raise DataError(f"input file {p} does not exist")
-    parts, duration, source_of = [], 0.0, {}
-
-    def parsed_streams():
-        """Each file's samples as parsed, for `content_hash`; each is windowed once
-        hashed, so the raw samples of only one file are held at a time."""
-        nonlocal duration
-        for path in paths:
-            raw = load_imu_stream(path)
-            yield raw
-            stream = resample(raw, args.rate_hz)
-            duration += stream.duration_s
-            part = make_windows(stream, args.window_s, args.stride_s)
-            if not source_of.keys().isdisjoint(part.ids):
-                wid = next(wid for wid in part.ids if wid in source_of)
-                raise DataError(f"window id {wid!r} comes from both {source_of[wid]} and {path}")
-            source_of.update(dict.fromkeys(part.ids, path))
-            parts.append(part)
-
-    digest = content_hash(parsed_streams(), {"window_s": args.window_s, "stride_s": args.stride_s,
-                                             "rate_hz": args.rate_hz})
+    # the content hash (README): per raw stream its source id, '<f8' timestamps and values; then params
+    digest, parts, duration, source_of = hashlib.sha256(), [], 0.0, {}
+    for path in paths:  # the raw samples of only one file are held at a time
+        raw = load_imu_stream(path)
+        digest.update(raw.source_id.encode())
+        digest.update(np.ascontiguousarray(raw.timestamps, dtype="<f8"))
+        digest.update(np.ascontiguousarray(raw.values, dtype="<f8"))
+        stream = resample(raw, args.rate_hz)
+        duration += stream.duration_s
+        part = make_windows(stream, args.window_s, args.stride_s)
+        if not source_of.keys().isdisjoint(part.ids):
+            wid = next(wid for wid in part.ids if wid in source_of)
+            raise DataError(f"window id {wid!r} comes from both {source_of[wid]} and {path}")
+        source_of.update(dict.fromkeys(part.ids, path))
+        parts.append(part)
+    del raw, stream  # so the last file's raw samples and grid are not held while the windows are copied
+    params = {"window_s": args.window_s, "stride_s": args.stride_s, "rate_hz": args.rate_hz}
+    digest.update(json.dumps(params, sort_keys=True).encode())
     windows = WindowSet.concat(parts, "ingest")  # the one copy of the windows' samples
     if not windows:
         raise DataError(f"no stream is at least one window ({args.window_s}s) long")
-    cache = WindowCache(windows, args.rate_hz, args.window_s, args.stride_s, digest)
+    cache = WindowCache(windows, args.rate_hz, args.window_s, args.stride_s, digest.hexdigest())
     save_window_cache(cache, args.out)
     _emit({
         "n_windows": len(windows),
         "window_samples": windows.n_samples,
         "duration_s": round(duration, 6),
         "n_sources": len(paths),
-        "content_hash": digest,
+        "content_hash": cache.content_hash,
         "out": str(args.out),
     })
     return 0

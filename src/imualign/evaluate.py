@@ -13,10 +13,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .container import check_config, checked_arrays, header_field, read_container, write_container
+from .container import JSON_NAMES, check_config, checked_arrays, header_field, json_is, read_container, write_container
 from .contrastive import softmax_cross_entropy
 from .encoder import EncoderConfig, EncoderParams, encode_batch, encode_batch_on_tape
-from .errors import CoverageError, DataError, NumericError, ShapeMismatchError
+from .errors import CoverageError, DataError, FormatError, NumericError, ShapeMismatchError
 from .signalio import ParallelDataset, WindowSet
 from .train import AdagradState, adagrad_step, gradients, make_batches
 
@@ -239,6 +239,10 @@ class ClassifierHead:
     class_names: list[str]
 
     def __post_init__(self):
+        if not json_is(self.class_names, list[str]):
+            raise DataError(f"classifier head: class names are not {JSON_NAMES[list[str]]}: {self.class_names!r}")
+        if repeated := [c for c, n in Counter(self.class_names).items() if n > 1]:
+            raise DataError(f"classifier head: class {repeated[0]!r} declared twice")
         self.weight = np.asarray(self.weight, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
         if self.weight.shape[0] != len(self.class_names) or self.bias.shape != (self.weight.shape[0],):
@@ -420,4 +424,7 @@ def load_head(path) -> ClassifierHead:
     header, arrays = read_container(path, HEAD_MAGIC, HEAD_VERSION)
     names = header_field(path, header, "class_names", list[str])
     checked_arrays(path, arrays, {"weight": (len(names), None), "bias": (len(names),)})
-    return ClassifierHead(arrays["weight"], arrays["bias"], names)
+    try:
+        return ClassifierHead(arrays["weight"], arrays["bias"], names)
+    except DataError as exc:  # a repeated class name
+        raise FormatError(f"{path}: {exc}") from exc

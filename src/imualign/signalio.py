@@ -4,7 +4,9 @@ File formats:
   * IMU CSV: header ``t,ax,ay,az,gx,gy,gz``; seconds, m/s^2, rad/s. Fields
     are ASCII decimals (no ``1_0``, no non-ASCII digits), parsed in one numpy
     pass; ``inf``/``nan`` are refused as non-finite, blank lines are skipped
-    and errors name ``path:line``.
+    and errors name ``path:line``. The `ImuStream` constructor then refuses,
+    naming the path, a file with no samples, timestamps that do not strictly
+    increase and a span that is no finite duration, as it does any stream.
   * Anchor JSONL: ``{"window_id": str, "modality": "video"|"text", "vector": [number, ...]}``.
   * Labels JSONL: header record ``{"classes": [str, ...]}`` then
     ``{"window_id": str, "label": str}`` lines. Record fields are read by their
@@ -25,7 +27,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 import orjson
@@ -44,22 +45,37 @@ _ACTIVITY_NAMES = (
 )
 
 
-@dataclass(eq=False)
 class ImuStream:
-    """A time-ordered 6-channel sensor recording."""
+    """A recording: float64 `timestamps` (n,) in seconds and `values` (n, 6), ax ay az gx gy gz.
 
-    source_id: str
-    sample_rate_hz: float
-    timestamps: np.ndarray  # (n,)
-    values: np.ndarray  # (n, 6): ax ay az gx gy gz
+    The constructor is the one place a stream is checked. It refuses (DataError naming `where`, by
+    default ``stream <source_id>``), in this order: values not (n, 6) with n >= 1, timestamps not
+    (n,), a NaN or an inf, timestamps that do not strictly increase and a span no finite duration.
+    """
 
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] != 6:
-            raise DataError(f"stream {self.source_id}: expected (n, 6) values, got {self.values.shape}")
-        if self.timestamps.shape[0] != self.values.shape[0]:
-            raise DataError(f"stream {self.source_id}: {self.timestamps.shape[0]} timestamps vs {self.values.shape[0]} rows")
+    def __init__(self, source_id: str, sample_rate_hz: float, timestamps, values, where=None):
+        where = where or f"stream {source_id}"
+        self.source_id, self.sample_rate_hz = source_id, sample_rate_hz
+        self.timestamps = timestamps = np.asarray(timestamps, dtype=np.float64)
+        self.values = values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] != 6:
+            raise DataError(f"{where}: expected (n, 6) values, got {values.shape}")
+        if not len(values):
+            raise DataError(f"{where}: no samples")
+        if timestamps.shape != values.shape[:1]:
+            raise DataError(f"{where}: expected ({len(values)},) timestamps, got {timestamps.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = timestamps.sum() + values.sum()  # finite only if every entry is; allocates nothing
+        if not math.isfinite(total):  # a NaN, an inf, or a sum of finite entries that overflowed
+            finite = np.isfinite(timestamps) & np.isfinite(values).all(axis=1)
+            if not finite.all():
+                raise DataError(f"{where}: non-finite value at sample index {int(np.argmin(finite))}")
+        bad = np.nonzero(timestamps[1:] <= timestamps[:-1])[0]  # compared, not subtracted: no overflow
+        if bad.size:
+            raise DataError(f"{where}: timestamps not strictly increasing at sample index {int(bad[0]) + 1}")
+        first, last = float(timestamps[0]), float(timestamps[-1])
+        if not math.isfinite(last - first):  # Python floats: an overflow gives inf, not a warning
+            raise DataError(f"{where}: timestamps from {first!r} to {last!r} span no finite duration")
 
     @property
     def n_samples(self) -> int:
@@ -67,8 +83,6 @@ class ImuStream:
 
     @property
     def duration_s(self) -> float:
-        if self.n_samples < 2:
-            return 0.0
         return float(self.timestamps[-1] - self.timestamps[0])
 
 
@@ -267,8 +281,8 @@ def _first_bad_field(line: str) -> tuple[int, str]:
 
 
 def load_imu_stream(path) -> ImuStream:
-    """Parse and validate one IMU CSV in one numpy pass; a bad or NaN/Inf row is
-    then found line by line and named, and timestamps must strictly increase."""
+    """Parse one IMU CSV in one numpy pass, naming the first bad or NaN/Inf line; the `ImuStream`
+    constructor checks the rest, naming the path. The rate is the mean rate (0.0 for one sample)."""
     path = Path(path)
     # bytes that are not UTF-8 become U+FFFD, which no field parses
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -276,10 +290,8 @@ def load_imu_stream(path) -> ImuStream:
         if header != CSV_HEADER:
             raise DataError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
         kept = [(lineno, s) for lineno, line in enumerate(fh, start=2) if (s := line.strip())]
-    if not kept:
-        raise DataError(f"{path}: no samples")
     try:
-        data = _parse_rows([s for _, s in kept])
+        data = _parse_rows([s for _, s in kept]) if kept else np.empty((0, 7))
         ok = data.shape[1] == 7 and np.isfinite(data).all()
     except ValueError:
         ok = False
@@ -293,20 +305,14 @@ def load_imu_stream(path) -> ImuStream:
             raise DataError(f"{path}:{lineno}: unparseable value: field {k} is {field!r}") from exc
         if not np.isfinite(row).all():
             raise DataError(f"{path}:{lineno}: non-finite value")
-    ts = data[:, 0]
-    bad = np.nonzero(ts[1:] <= ts[:-1])[0]  # compared, not subtracted: no overflow
-    if bad.size:
-        raise DataError(f"{path}: timestamps not strictly increasing at sample index {int(bad[0]) + 1}")
-    first, last = float(ts[0]), float(ts[-1])
-    span = last - first  # Python floats: an overflow gives inf, not a warning
-    if not math.isfinite(span):
-        raise DataError(f"{path}: timestamps from {first!r} to {last!r} span no finite duration")
-    rate = (len(ts) - 1) / span if len(ts) > 1 else 0.0
-    return ImuStream(source_id=path.stem, sample_rate_hz=float(rate), timestamps=ts, values=data[:, 1:])
+    stream = ImuStream(path.stem, 0.0, data[:, 0], data[:, 1:], where=path)
+    if stream.n_samples > 1:  # a checked stream's duration is finite and > 0
+        stream.sample_rate_hz = (stream.n_samples - 1) / stream.duration_s
+    return stream
 
 
 def write_imu_stream(stream: ImuStream, path) -> None:
-    """Inverse of load_imu_stream; float repr keeps the round trip exact."""
+    """Inverse of load_imu_stream: float repr loads every stream back to the same bits."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for t, row in zip(stream.timestamps, stream.values):
@@ -314,23 +320,23 @@ def write_imu_stream(stream: ImuStream, path) -> None:
 
 
 def resample(stream: ImuStream, target_hz: float) -> ImuStream:
-    """Linear interpolation onto a uniform grid spanning the stream."""
+    """Linear interpolation onto a uniform grid spanning the stream; a grid whose times repeat is refused."""
     if not 0 < target_hz < math.inf:
         raise DataError(f"resample: target_hz must be > 0 and finite, got {target_hz}")
     if stream.n_samples < 2:
         raise DataError(f"resample: stream {stream.source_id} has {stream.n_samples} sample(s), need >= 2")
-    t0, t1 = float(stream.timestamps[0]), float(stream.timestamps[-1])
-    intervals = (t1 - t0) * target_hz
+    intervals = stream.duration_s * target_hz
     try:
         n = int(math.floor(intervals + 1e-9)) + 1
-        grid = t0 + np.arange(n) / target_hz
-    except (OverflowError, ValueError, MemoryError) as exc:  # inf or nan, or too many for numpy
+        grid = stream.timestamps[0] + np.arange(n) / target_hz
+    except (OverflowError, ValueError, MemoryError) as exc:  # inf, or too many for numpy
         raise DataError(f"resample: stream {stream.source_id} needs {intervals + 1:.6g} samples at "
                         f"{target_hz} Hz, more than numpy can allocate") from exc
     values = np.column_stack(
         [np.interp(grid, stream.timestamps, stream.values[:, c]) for c in range(6)]
     )
-    return ImuStream(stream.source_id, float(target_hz), grid, values)
+    return ImuStream(stream.source_id, float(target_hz), grid, values,
+                     where=f"resample: stream {stream.source_id} at {target_hz} Hz")
 
 
 def make_windows(stream: ImuStream, window_s: float, stride_s: float) -> WindowSet:
@@ -727,17 +733,3 @@ def synth_dataset(
     windows = WindowSet(ids, sources, [0.0] * n_windows, [n_samples / sample_rate_hz] * n_windows, signals)
     return ParallelDataset(windows, video, text, labels, names)
 
-
-def content_hash(streams: Iterable[ImuStream], params: dict) -> str:
-    """sha256 over each stream's source id, timestamps and values (little-endian
-    float64), then the windowing parameters. It identifies the parsed samples,
-    not the files' bytes: two CSVs that spell the same numbers differently hash
-    alike. `streams` is read once, in order.
-    """
-    digest = hashlib.sha256()
-    for stream in streams:
-        digest.update(stream.source_id.encode())
-        digest.update(np.asarray(stream.timestamps, dtype="<f8").tobytes())
-        digest.update(np.asarray(stream.values, dtype="<f8").tobytes())
-    digest.update(json.dumps(params, sort_keys=True).encode())
-    return digest.hexdigest()

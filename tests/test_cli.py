@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -168,6 +169,22 @@ def test_ingest_hash_identifies_samples_not_file_bytes(corpus, tmp_path, capsys)
     assert hashes[0] == hashes[1] != hashes[2]
 
 
+def test_ingest_hash_is_the_readme_definition(corpus, tmp_path, capsys):
+    csvs = sorted(corpus.glob("synth-*.csv"))[:2]
+    code, payload, _ = run_cli(capsys, "ingest", "--imu", str(csvs[0]), "--imu", str(csvs[1]), "--window-s", "0.16",
+                               "--stride-s", "0.08", "--rate-hz", "100", "--out", str(tmp_path / "c.bin"))
+    assert code == 0
+    digest = hashlib.sha256()
+    for csv in csvs:  # per raw stream: the source id, then '<f8' timestamps, then '<f8' values row by row
+        rows = [[float(v) for v in line.split(",")] for line in csv.read_text().splitlines()[1:]]
+        digest.update(csv.stem.encode())
+        digest.update(b"".join(struct.pack("<d", row[0]) for row in rows))
+        digest.update(b"".join(struct.pack("<6d", *row[1:]) for row in rows))
+    digest.update(json.dumps({"window_s": 0.16, "stride_s": 0.08, "rate_hz": 100.0}, sort_keys=True).encode())
+    assert payload["content_hash"] == digest.hexdigest()
+    assert load_window_cache(tmp_path / "c.bin").content_hash == digest.hexdigest()
+
+
 def test_ingest_window_ids_match_anchor_ids(cache_path, corpus):
     cache = load_window_cache(cache_path)
     ids = {w.window_id for w in cache.windows}
@@ -232,7 +249,10 @@ def test_ingest_bad_line_exit_2_without_traceback(corpus, tmp_path):
 @pytest.mark.parametrize("t0, t1, message", [
     ("-1e308", "1e308", "span no finite duration"),
     ("0", "1e12", "needs 2e+14 samples"),
-], ids=["span-overflows", "grid-too-large"])
+    # float64 steps by 2 from 2**53 on, so the 200 Hz grid repeats its times
+    (str(2**53), str(2**53 + 2), "resample: stream long at 200.0 Hz: timestamps not strictly increasing at "
+                                 "sample index 1\n"),
+], ids=["span-overflows", "grid-too-large", "grid-times-repeat"])
 def test_ingest_time_span_too_long_exit_2(tmp_path, t0, t1, message):
     csv = tmp_path / "long.csv"
     csv.write_text(f"t,ax,ay,az,gx,gy,gz\n{t0},0,0,0,0,0,0\n{t1},0,0,0,0,0,0\n")
@@ -951,6 +971,46 @@ def test_retrieve_malformed_query_file_exit_2(corpus, tmp_path, capsys, line):
 
 # ---------------------------------------------------------------------------
 # dispatcher contracts
+
+
+def _refusal_argv(case, run_dir, cache_path, corpus, inputs):
+    """The argv of one refused command, with the inputs it needs written under `inputs`, and its error."""
+    ckpt, labels = str(run_dir / "ckpt-30.bin"), str(corpus / "labels.jsonl")
+    classify = ["eval-classify", "--ckpt", ckpt, "--cache", str(cache_path), "--run-dir", str(inputs.parent / "run")]
+    if case == "eval-retrieval-no-overlap":
+        anchors = inputs / "anchors.jsonl"
+        anchors.write_text(json.dumps({"window_id": "elsewhere:0", "modality": "video", "vector": [1.0] * 16}) + "\n")
+        return (["eval-retrieval", "--ckpt", ckpt, "--cache", str(cache_path), "--anchors", str(anchors),
+                 "--direction", "imu2video"], "no anchor ids overlap the cache windows")
+    if case == "eval-classify-no-label":
+        unlabeled = inputs / "labels.jsonl"
+        unlabeled.write_text('{"classes": ["a", "b"]}\n{"window_id": "elsewhere:0", "label": "a"}\n')
+        return [*classify, "--labels", str(unlabeled), "--protocol", "probe"], "no cached window has a label"
+    if case == "eval-classify-zeroshot-missing-class":
+        first = (corpus / "class_anchors.jsonl").read_text().splitlines()[0]
+        partial = inputs / "class_anchors.jsonl"
+        partial.write_text(first + "\n")
+        _, classes = load_labels(labels)
+        missing = ", ".join(c for c in classes if c != json.loads(first)["window_id"])
+        return ([*classify, "--labels", labels, "--protocol", "zeroshot", "--class-anchors", str(partial)],
+                f"class anchors missing for: {missing}")
+    empty = inputs / "query.jsonl"
+    empty.write_text("\n")
+    return (["retrieve", "--pool", str(corpus / "anchors_video.jsonl"), "--query-anchor", str(empty)],
+            f"{empty}: empty query file")
+
+
+@pytest.mark.parametrize("case", ["eval-retrieval-no-overlap", "eval-classify-no-label",
+                                  "eval-classify-zeroshot-missing-class", "retrieve-empty-query-file"])
+def test_refused_commands_print_nothing_and_write_no_run_dir(case, run_dir, cache_path, corpus, tmp_path, capsys):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv, message = _refusal_argv(case, run_dir, cache_path, corpus, inputs)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == f"error: {message}"
+    assert list(tmp_path.iterdir()) == [inputs]
 
 
 def test_numeric_failure_exits_3(monkeypatch, cache_path, corpus, tmp_path, capsys):

@@ -636,10 +636,23 @@ _HEAD = [("weight", np.zeros((2, 3))), ("bias", np.zeros(2))]
     ({"class_names": ["a", "b"]}, [_HEAD[0], ("bias", np.zeros(3))], "array 'bias' has shape (3,), expected (2,)"),
     ({"class_names": ["a", "b"]}, [*_HEAD, ("extra", np.zeros(1))], "unexpected arrays ['extra']"),
     ({"class_names": ["a"]}, _HEAD, "array 'weight' has shape (2, 3), expected (1, None)"),
+    ({"class_names": ["a", "a"]}, _HEAD, "classifier head: class 'a' declared twice"),
 ], ids=["no-names", "string-names", "number-name", "no-weight", "1d-weight", "no-bias", "bias-length",
-        "extra-array", "weight-rows"])
+        "extra-array", "weight-rows", "repeated-name"])
 def test_load_head_refuses_a_malformed_head(tmp_path, header, arrays, message):
     p = tmp_path / "head.bin"
     write_container(p, evaluate.HEAD_MAGIC, evaluate.HEAD_VERSION, header, arrays)
     with pytest.raises(FormatError, match=re.escape(f"{p}: ") + ".*" + re.escape(message)):
         load_head(p)
+
+
+@pytest.mark.parametrize("names, message", [
+    ([1, 2], "classifier head: class names are not a list of strings: [1, 2]"),
+    (("a", "b"), "classifier head: class names are not a list of strings: ('a', 'b')"),
+    (["a", "b", "a"], "classifier head: class 'a' declared twice"),
+], ids=["numbers", "tuple", "repeated"])
+def test_a_head_its_loader_would_refuse_cannot_be_built_so_none_is_saved(tmp_path, names, message):
+    p = tmp_path / "head.bin"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        save_head(p, ClassifierHead(np.zeros((len(names), 3)), np.zeros(len(names)), names))
+    assert not p.exists()

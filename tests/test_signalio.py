@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import orjson
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -271,6 +271,66 @@ def test_load_arbitrary_text_raises_only_data_error(tmp_path, header, lines, end
     assert got == expected
     if expected is None:
         _assert_loads_like_reference(p)
+
+
+@st.composite
+def _streams(draw):
+    """Timestamps and values of a stream the constructor accepts: strictly
+    increasing finite times whose span is finite, and finite values."""
+    ts = sorted(draw(st.lists(_finite, min_size=1, max_size=40, unique=True)))
+    assume(math.isfinite(ts[-1] - ts[0]))
+    return np.array(ts), draw(arrays(np.float64, (len(ts), 6), elements=_finite))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stream=_streams())
+def test_every_stream_built_is_written_and_loaded_back_to_the_same_bits(tmp_path, stream):
+    timestamps, values = stream
+    p = tmp_path / "s.csv"
+    write_imu_stream(ImuStream("s", 1.0, timestamps, values), p)
+    loaded = load_imu_stream(p)
+    assert loaded.timestamps.tobytes() == timestamps.tobytes()
+    assert loaded.values.tobytes() == values.tobytes()
+    _assert_loads_like_reference(p)
+
+
+def _with(array, index, bad):
+    array = np.array(array, dtype=np.float64)
+    array[index] = bad
+    return array
+
+
+_REFUSED_STREAMS = {  # name: (timestamps, values, the constructor's refusal after "stream u: ")
+    "unsorted": ([0.0, 2.0, 1.0, 3.0], np.zeros((4, 6)), "timestamps not strictly increasing at sample index 2"),
+    "repeated": ([0.0, 1.0, 1.0], np.zeros((3, 6)), "timestamps not strictly increasing at sample index 2"),
+    "empty": ([], np.zeros((0, 6)), "no samples"),
+    "2d-timestamps": ([[0.0, 1.0]], np.zeros((2, 6)), "expected (2,) timestamps, got (1, 2)"),
+    "5-channels": ([0.0, 1.0], np.zeros((2, 5)), "expected (n, 6) values, got (2, 5)"),
+    "span-overflows": ([-1e308, 1e308], np.zeros((2, 6)),
+                       "timestamps from -1e+308 to 1e+308 span no finite duration"),
+    **{f"{bad}-value": ([0.0, 1.0, 2.0], _with(np.zeros((3, 6)), (1, 3), bad), "non-finite value at sample index 1")
+       for bad in (math.nan, math.inf, -math.inf)},
+    **{f"{bad}-timestamp": (_with([0.0, 1.0, 2.0], 2, bad), np.zeros((3, 6)), "non-finite value at sample index 2")
+       for bad in (math.nan, math.inf, -math.inf)},
+}
+
+
+@pytest.mark.parametrize("case", _REFUSED_STREAMS)
+def test_a_stream_is_refused_when_built_and_its_csv_when_loaded(tmp_path, case):
+    timestamps, values, message = _REFUSED_STREAMS[case]
+    with pytest.raises(DataError, match=f"^stream u: {re.escape(message)}$"):
+        ImuStream("u", 1.0, timestamps, values)
+    if np.ndim(timestamps) != 1 or np.shape(values)[1] != 6:
+        return  # no CSV holds it
+    p = tmp_path / "u.csv"
+    _write_csv(p, [[repr(float(v)) for v in (t, *row)] for t, row in zip(timestamps, values)])
+    with pytest.raises(DataError) as expected:
+        _reference_load(p)
+    with pytest.raises(DataError) as got:
+        load_imu_stream(p)
+    assert str(got.value) == str(expected.value)
+    if "non-finite" not in message:  # the loader names a non-finite value's line instead
+        assert str(got.value) == f"{p}: {message}"
 
 
 # ---------------------------------------------------------------------------
