@@ -7,6 +7,11 @@ signals and (B, F) rows; the GRU reads a (B, F, T) feature map and returns
 its final (B, H) states. backward() replays the tape in reverse and returns
 the gradients of the tensors it is asked for; finite_difference_check()
 compares them against central differences.
+
+The package holds only the ops its pipeline runs. A new op is one function
+that computes its output and hands Tape.record a vjp, which maps the
+output's adjoint to one adjoint per input; `sum_squares` below is the
+scalarizer this tour adds that way, to turn a layer's output into a loss.
 """
 
 import numpy as np
@@ -14,10 +19,18 @@ import numpy as np
 from imualign import autodiff as ad
 from imualign.autodiff import Tape, Tensor, backward, finite_difference_check
 
+
+def sum_squares(tape: Tape, x: Tensor) -> Tensor:
+    """||x||^2 as a scalar tensor; its vjp is g * 2x."""
+    out = Tensor(np.sum(x.data * x.data))
+    tape.record(out, (x,), lambda g: (2.0 * float(g) * x.data,))
+    return out
+
+
 # --- forward + backward through a tiny expression ------------------------
 tape = Tape()
 x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-loss = ad.sum_all(tape, ad.mul(tape, x, x))  # ||x||^2
+loss = sum_squares(tape, x)
 (dx,) = backward(tape, loss, [x])
 print("loss      :", loss.item())
 print("d loss/dx :", dx, "(expected 2*x)")
@@ -33,15 +46,17 @@ signal = Tensor([[[1.0, 2.0, 3.0, 4.0]], [[4.0, 3.0, 2.0, 1.0]]], requires_grad=
 kernel = Tensor([[[1.0, 0.0, -1.0]]], requires_grad=True)
 out = ad.conv1d(tape, signal, kernel, Tensor([0.0]), stride=1)
 print("\nconv1d([[1,2,3,4]], [[4,3,2,1]]; taps [1,0,-1]) =", out.data.tolist())
-(dkernel,) = backward(tape, ad.sum_all(tape, out), [kernel])
-print("d sum/d taps (summed over the batch):", dkernel.tolist())
+(dkernel,) = backward(tape, sum_squares(tape, out), [kernel])
+print("d ||out||^2/d taps (summed over the batch):", dkernel.tolist())
 
 # --- gradient checking -----------------------------------------------------
+rng = np.random.default_rng(0)
+w, b = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal(3))
 err = finite_difference_check(
-    lambda t, p: ad.sum_all(t, ad.tanh(t, p)),
-    Tensor(np.random.default_rng(0).standard_normal(10)),
+    lambda t, p: sum_squares(t, ad.linear(t, p, w, b)),
+    Tensor(rng.standard_normal((2, 4))),
 )
-print("\nsum(tanh(x)) gradient check, max relative error:", err)
+print("\n||x W^T + b||^2 gradient check, max relative error:", err)
 
 # the GRU has the largest hand-written backward rule; check it too
 rng = np.random.default_rng(1)
@@ -54,7 +69,7 @@ weights = {
     "b_hh": Tensor(0.5 * rng.standard_normal(3 * h)),
 }
 err = finite_difference_check(
-    lambda t, p: ad.sum_all(t, ad.gru_forward(
+    lambda t, p: sum_squares(t, ad.gru_forward(
         t, Tensor(seq), p, weights["w_hh"], weights["b_ih"], weights["b_hh"])),
     weights["w_ih"],
 )

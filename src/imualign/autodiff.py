@@ -1,13 +1,13 @@
 """Dense float64 kernels with tape-based reverse-mode differentiation.
 
-The op set is intentionally small: exactly the layers the IMU encoder and
-its losses need (1-D convolution, group normalization, max pooling, a GRU,
-affine maps, L2 normalization), the few ops the losses compose (`add`,
-`divide`, `transpose`, `matmul_nt`, `add_rowvec`), and three that no loss
-uses: `mul`, `sum_all` and `tanh` are the scalarizers that reduce a layer's
-output to the scalar the gradient checks, the tests and demo 01
-differentiate. There is no broadcasting engine; every op takes exact shapes
-and raises ShapeMismatchError otherwise.
+The op set is exactly what the pipeline runs: the layers of the IMU
+encoder (1-D convolution, group normalization, max pooling, a GRU, affine
+maps, L2 normalization) and the few ops its losses and the classifier head
+compose (`add`, `divide`, `transpose`, `matmul_nt`, `add_rowvec`). Every op
+takes `Tensor`s and no other input form. A new op is one function that
+computes its output and hands `Tape.record` its vjp. There is no
+broadcasting engine; every op takes exact shapes and raises
+ShapeMismatchError otherwise.
 
 Shape contract: the encoder layers take a leading batch axis B, one entry
 per window. `group_norm`, `conv1d`, `relu` and `max_pool1d` work on (B, C, T)
@@ -122,7 +122,7 @@ def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor]) -> list[Array]:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and reduction ops
+# elementwise ops
 
 
 def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
@@ -133,32 +133,11 @@ def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"mul: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data * b.data)
-    tape.record(out, (a, b), lambda g: (g * b.data, g * a.data))
-    return out
-
-
 def divide(tape: Tape, x: Tensor, c: float) -> Tensor:
     """x / c for a constant c."""
     c = float(c)
     out = Tensor(x.data / c)
     tape.record(out, (x,), lambda g: (g / c,))
-    return out
-
-
-def sum_all(tape: Tape, x: Tensor) -> Tensor:
-    out = Tensor(np.sum(x.data))
-    tape.record(out, (x,), lambda g: (np.full_like(x.data, float(g)),))
-    return out
-
-
-def tanh(tape: Tape, x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    out = Tensor(y)
-    tape.record(out, (x,), lambda g: (g * (1.0 - y * y),))
     return out
 
 

@@ -267,13 +267,10 @@ def cmd_synth(args) -> int:
                             args.noise, args.rate_hz)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_paths = []
-    for w in dataset.windows:
-        ts = np.arange(w.n_samples) / args.rate_hz
-        stream = ImuStream(w.source_id, args.rate_hz, ts, w.signal.T)
-        path = out / f"{w.source_id}.csv"
-        write_imu_stream(stream, path)
-        csv_paths.append(str(path))
+    windows = dataset.windows
+    ts = np.arange(windows.n_samples) / args.rate_hz
+    for source_id, signal in zip(windows.source_ids, windows.signals):
+        write_imu_stream(ImuStream(source_id, args.rate_hz, ts, signal.T), out / f"{source_id}.csv")
     write_anchor_embeddings(dataset.video_anchors, out / "anchors_video.jsonl")
     write_anchor_embeddings(dataset.text_anchors, out / "anchors_text.jsonl")
     write_labels(dataset.labels, dataset.class_names, out / "labels.jsonl")
@@ -291,7 +288,7 @@ def cmd_synth(args) -> int:
         "window_s": args.window_s,
         "rate_hz": args.rate_hz,
         "files": {
-            "imu_csv": len(csv_paths),
+            "imu_csv": len(windows),
             "video_anchors": "anchors_video.jsonl",
             "text_anchors": "anchors_text.jsonl",
             "labels": "labels.jsonl",

@@ -155,25 +155,26 @@ def check_config(config, where: str) -> None:
             raise DataError(f"{where}: {f.name} is not {JSON_NAMES[kind]}, got {value!r}")
 
 
-def header_config(path, header: dict, key: str, cls):
-    """``header[key]`` as dataclass `cls`: exactly its fields, which `cls` checks."""
-    record = header_field(path, header, key, dict)
+def header_config(path, header: dict, key: str, cls, error=FormatError):
+    """``header[key]`` as dataclass `cls`: exactly its fields, which `cls` checks; refused with `error`."""
+    record = header_field(path, header, key, dict, error)
     names = {f.name for f in dataclasses.fields(cls)}
     if record.keys() != names:
-        raise FormatError(f"{path}: {key} has fields {sorted(record)}, expected {sorted(names)}")
+        raise error(f"{path}: {key} has fields {sorted(record)}, expected {sorted(names)}")
     try:
         return cls(**record)
     except DataError as exc:
-        raise FormatError(f"{path}: {key}: {exc}") from exc
+        raise error(f"{path}: {key}: {exc}") from exc
 
 
-def checked_arrays(path, arrays: dict[str, np.ndarray], shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-    """`arrays`, unless they are not exactly `shapes`' names, ranks and sizes (``None``: any)."""
+def checked_arrays(path, arrays: dict[str, np.ndarray], shapes: dict[str, tuple],
+                   error=FormatError) -> dict[str, np.ndarray]:
+    """`arrays`, refused with `error` unless they are exactly `shapes`' names, ranks and sizes (``None``: any)."""
     missing, extra = sorted(shapes.keys() - arrays.keys()), sorted(arrays.keys() - shapes.keys())
     if missing or extra:
-        raise FormatError(f"{path}: missing arrays {missing}, unexpected arrays {extra}")
+        raise error(f"{path}: missing arrays {missing}, unexpected arrays {extra}")
     for name, shape in shapes.items():
         got = arrays[name].shape
         if len(got) != len(shape) or any(d is not None and g != d for g, d in zip(got, shape)):
-            raise FormatError(f"{path}: array {name!r} has shape {got}, expected {shape}")
+            raise error(f"{path}: array {name!r} has shape {got}, expected {shape}")
     return arrays

@@ -1,6 +1,6 @@
-"""Similarities, temperature-scaled retrieval distributions, symmetric
-InfoNCE losses over in-batch negatives, and the softmax cross-entropy they
-share with the classifier heads.
+"""Similarities, symmetric InfoNCE losses over in-batch negatives, and the
+softmax cross-entropy they share with the classifier heads. The
+differentiable functions take `Tensor`s, as every `autodiff` op does.
 
 A batch pairs row i with column i as its positive. The forward loss is
 InfoNCE: the softmax cross-entropy of the similarities divided by the
@@ -27,29 +27,24 @@ from .autodiff import Tape, Tensor, add, divide, matmul_nt, transpose
 from .errors import DataError, ShapeMismatchError
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
-def similarity_matrix(tape: Tape, rows, cols) -> Tensor:
+def similarity_matrix(tape: Tape, rows: Tensor, cols: Tensor) -> Tensor:
     """Pairwise inner products of unit-norm row sets: S[i][j] = <rows_i, cols_j>."""
-    rows_t, cols_t = _as_tensor(rows), _as_tensor(cols)
-    if rows_t.data.ndim != 2 or cols_t.data.ndim != 2:
+    if rows.data.ndim != 2 or cols.data.ndim != 2:
         raise ShapeMismatchError(
-            f"similarity_matrix: expected (B, D) inputs, got {rows_t.shape}, {cols_t.shape}"
+            f"similarity_matrix: expected (B, D) inputs, got {rows.shape}, {cols.shape}"
         )
-    if rows_t.shape[1] != cols_t.shape[1]:
+    if rows.shape[1] != cols.shape[1]:
         raise ShapeMismatchError(
-            f"similarity_matrix: embedding dims differ: {rows_t.shape} vs {cols_t.shape}"
+            f"similarity_matrix: embedding dims differ: {rows.shape} vs {cols.shape}"
         )
-    for name, t in (("rows", rows_t), ("cols", cols_t)):
+    for name, t in (("rows", rows), ("cols", cols)):
         norms = np.linalg.norm(t.data, axis=1)
         worst = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
         if worst > 1e-4:
             raise DataError(
                 f"similarity_matrix: {name} not unit-norm (max deviation {worst:.2e})"
             )
-    return matmul_nt(tape, rows_t, cols_t)
+    return matmul_nt(tape, rows, cols)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
@@ -88,43 +83,29 @@ def softmax_cross_entropy(tape: Tape, logits: Tensor, label_indices: np.ndarray)
     return out
 
 
-def _check_temperature(temperature: float) -> None:
-    if not temperature > 0:  # NaN too
-        raise DataError(f"temperature must be > 0, got {temperature}")
-
-
-def retrieval_distribution(sims, temperature: float) -> np.ndarray:
-    """Row-stochastic retrieval matrix: row i is the softmax over columns
-    given row item i. Pass `sims.T` for the other direction.
-    """
-    _check_temperature(temperature)
-    return np.exp(log_softmax(_as_tensor(sims).data / temperature))
-
-
-def info_nce(tape: Tape, sims, temperature: float) -> Tensor:
+def info_nce(tape: Tape, sims: Tensor, temperature: float) -> Tensor:
     """Mean cross-entropy of the diagonal positives against in-batch
     negatives: the classifier loss of `sims / temperature` with labels
     arange(B); differentiable w.r.t. the similarity matrix.
     """
-    values = _as_tensor(sims)
-    if values.data.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ShapeMismatchError(f"info_nce: similarity matrix must be square, got {values.shape}")
-    _check_temperature(temperature)
-    return softmax_cross_entropy(tape, divide(tape, values, temperature), np.arange(values.shape[0]))
+    if sims.data.ndim != 2 or sims.shape[0] != sims.shape[1]:
+        raise ShapeMismatchError(f"info_nce: similarity matrix must be square, got {sims.shape}")
+    if not temperature > 0:  # NaN too
+        raise DataError(f"temperature must be > 0, got {temperature}")
+    return softmax_cross_entropy(tape, divide(tape, sims, temperature), np.arange(sims.shape[0]))
 
 
-def symmetric_loss(tape: Tape, sims, temperature: float) -> tuple[Tensor, Tensor, Tensor]:
+def symmetric_loss(tape: Tape, sims: Tensor, temperature: float) -> tuple[Tensor, Tensor, Tensor]:
     """(forward, backward, symmetric) losses; the backward loss is InfoNCE
     of the transposed matrix, the symmetric loss their mean.
     """
-    values = _as_tensor(sims)
-    l_fwd = info_nce(tape, values, temperature)
-    l_bwd = info_nce(tape, transpose(tape, values), temperature)
+    l_fwd = info_nce(tape, sims, temperature)
+    l_bwd = info_nce(tape, transpose(tape, sims), temperature)
     l_sym = divide(tape, add(tape, l_fwd, l_bwd), 2.0)
     return l_fwd, l_bwd, l_sym
 
 
-def alignment_loss(tape: Tape, sims: dict, temperature: float) -> tuple[dict[str, float], Tensor]:
+def alignment_loss(tape: Tape, sims: dict[str, Tensor], temperature: float) -> tuple[dict[str, float], Tensor]:
     """Sum of one symmetric loss per modality, in the order of `sims`
     (e.g. {"video": S_iv, "text": S_it}). Reports every component, keyed
     l_i2{m}, l_{m}2i and l_sym_i{m} for each modality m in that order
@@ -132,12 +113,11 @@ def alignment_loss(tape: Tape, sims: dict, temperature: float) -> tuple[dict[str
     """
     if not sims or not set(sims) <= {"video", "text"}:
         raise DataError(f"alignment_loss: modalities must be video and/or text, got {list(sims)}")
-    tensors = {m: _as_tensor(s) for m, s in sims.items()}
-    shapes = sorted({t.shape for t in tensors.values()})
+    shapes = sorted({t.shape for t in sims.values()})
     if len(shapes) > 1:
         raise ShapeMismatchError(f"alignment_loss: batch sizes differ: {shapes}")
     report, total = {}, None
-    for modality, values in tensors.items():
+    for modality, values in sims.items():
         m = modality[0]
         fwd, bwd, sym = symmetric_loss(tape, values, temperature)
         report |= {f"l_i2{m}": fwd.item(), f"l_{m}2i": bwd.item(), f"l_sym_i{m}": sym.item()}

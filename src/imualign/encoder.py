@@ -4,7 +4,9 @@ Pipeline: GroupNorm over the accelerometer and gyroscope channel groups,
 a stack of strided 1-D convolutions with ReLU, max pooling, a second
 GroupNorm over all feature channels, a unidirectional GRU whose final
 hidden state summarizes the window, and a linear projection followed by
-L2 normalization onto the unit sphere.
+L2 normalization onto the unit sphere. The pipeline takes one input form,
+a float64 (B, 6, T) array of windows (`encode_batch_on_tape`); `encode_batch`
+runs it over a `WindowSet`'s `signals`.
 """
 
 from __future__ import annotations
@@ -149,21 +151,17 @@ _CHUNK = 64  # windows per encode_batch tape: bounds the memory one call holds
 
 
 def encode_batch_on_tape(
-    tape: Tape, signals, params: EncoderParams, config: EncoderConfig
+    tape: Tape, signals: np.ndarray, params: EncoderParams, config: EncoderConfig
 ) -> Tensor:
-    """Run the full pipeline on a (B, 6, T) array, or B equal (6, T)
-    signals; returns the (B, D) unit-norm embeddings as a tensor on the tape.
+    """Run the full pipeline on a float64 (B, 6, T) array, such as a window
+    set's `signals` or rows of it; returns the (B, D) unit-norm embeddings
+    as a tensor on the tape.
     """
-    try:
-        x = np.ascontiguousarray(signals, dtype=np.float64)  # no copy of a slice of a window set
-    except ValueError:  # signals of unequal shapes
-        x = None
-    if x is None or x.ndim != 3 or x.shape[1] != 6 or not len(x):
-        shapes = sorted({np.shape(s) for s in signals})
-        raise ShapeMismatchError(f"encode: expected equal (6, T) signals, got shapes {shapes}")
-    pipeline_time_lengths(config, x.shape[2])  # fail early, naming the layer
+    if signals.ndim != 3 or signals.shape[1] != 6 or not len(signals):
+        raise ShapeMismatchError(f"encode: expected a (B, 6, T) array with B >= 1, got shape {signals.shape}")
+    pipeline_time_lengths(config, signals.shape[2])  # fail early, naming the layer
     x = ad.group_norm(
-        tape, Tensor(x), 2, params["input_gn.gamma"], params["input_gn.beta"], _GROUPNORM_EPS
+        tape, Tensor(signals), 2, params["input_gn.gamma"], params["input_gn.beta"], _GROUPNORM_EPS
     )
     for i, stride in enumerate(config.conv_strides):
         x = ad.conv1d(tape, x, params[f"conv{i}.w"], params[f"conv{i}.b"], stride)

@@ -251,12 +251,15 @@ class ClassifierHead:
                 f"do not match {len(self.class_names)} classes"
             )
 
-    def logits(self, embeddings: np.ndarray) -> np.ndarray:
-        return embeddings @ self.weight.T + self.bias
-
     def predict(self, embeddings: np.ndarray) -> list[str]:
-        idx = np.argmax(self.logits(np.atleast_2d(embeddings)), axis=1)
-        return [self.class_names[i] for i in idx]
+        """The class of each row's largest logit; refuses (NumericError) a row
+        with a NaN or ±inf logit, as argmax would pick the first NaN."""
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            logits = np.atleast_2d(embeddings) @ self.weight.T + self.bias
+        bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+        if bad.size:
+            raise NumericError(f"classifier head: row {bad[0]} has a non-finite logit")
+        return [self.class_names[i] for i in np.argmax(logits, axis=1)]
 
 
 @dataclass
@@ -295,6 +298,9 @@ def _labeled_windows(dataset: ParallelDataset) -> WindowSet:
     windows = dataset.windows.having(dataset.labels)
     if not windows:
         raise DataError("dataset has no labeled windows")
+    for wid in windows.ids:
+        if dataset.labels[wid] not in dataset.class_names:
+            raise DataError(f"window {wid!r}: label {dataset.labels[wid]!r} is not a declared class")
     return windows
 
 

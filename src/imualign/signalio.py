@@ -50,7 +50,8 @@ class ImuStream:
 
     The constructor is the one place a stream is checked. It refuses (DataError naming `where`, by
     default ``stream <source_id>``), in this order: values not (n, 6) with n >= 1, timestamps not
-    (n,), a NaN or an inf, timestamps that do not strictly increase and a span no finite duration.
+    (n,), a NaN or an inf, timestamps that do not strictly increase, a span no finite duration, a
+    mean rate (n - 1) / span no finite number, and a `sample_rate_hz` that is not a finite number >= 0.
     """
 
     def __init__(self, source_id: str, sample_rate_hz: float, timestamps, values, where=None):
@@ -76,6 +77,10 @@ class ImuStream:
         first, last = float(timestamps[0]), float(timestamps[-1])
         if not math.isfinite(last - first):  # Python floats: an overflow gives inf, not a warning
             raise DataError(f"{where}: timestamps from {first!r} to {last!r} span no finite duration")
+        if len(values) > 1 and not math.isfinite((len(values) - 1) / (last - first)):  # a CSV's loaded rate
+            raise DataError(f"{where}: {len(values)} timestamps from {first!r} to {last!r} give no finite mean rate")
+        if not (json_is(sample_rate_hz, float) and sample_rate_hz >= 0):
+            raise DataError(f"{where}: sample rate must be a finite number >= 0, got {sample_rate_hz!r}")
 
     @property
     def n_samples(self) -> int:
@@ -95,10 +100,6 @@ class ImuWindow:
     start_s: float
     duration_s: float
     signal: np.ndarray  # (6, T)
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.signal.shape[1])
 
 
 def _refuse_non_finite(signals: np.ndarray, window_ids) -> None:
@@ -305,10 +306,10 @@ def load_imu_stream(path) -> ImuStream:
             raise DataError(f"{path}:{lineno}: unparseable value: field {k} is {field!r}") from exc
         if not np.isfinite(row).all():
             raise DataError(f"{path}:{lineno}: non-finite value")
-    stream = ImuStream(path.stem, 0.0, data[:, 0], data[:, 1:], where=path)
-    if stream.n_samples > 1:  # a checked stream's duration is finite and > 0
-        stream.sample_rate_hz = (stream.n_samples - 1) / stream.duration_s
-    return stream
+    times = data[:, 0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the constructor refuses bad times first
+        rate = (len(times) - 1) / (times[-1] - times[0]) if len(times) > 1 else 0.0
+    return ImuStream(path.stem, float(rate), times, data[:, 1:], where=path)
 
 
 def write_imu_stream(stream: ImuStream, path) -> None:

@@ -180,7 +180,10 @@ def fit(
     make_batches(len(dataset), config.batch_size, config.seed, 0)
     pipeline_time_lengths(encoder_config, dataset.windows.n_samples)
     for modality in MODES[config.mode]:
-        widths = {a.vector.shape for a in dataset.anchors(modality).values()}
+        table = dataset.anchors(modality)
+        if missing := [wid for wid in dataset.windows.ids if wid not in table]:
+            raise DataError(f"window {missing[0]!r} has no {modality} anchor")
+        widths = {a.vector.shape for a in table.values()}
         if widths != {(encoder_config.embed_dim,)}:
             raise DataError(f"{modality} anchors of shape {sorted(widths)} do not match embed_dim "
                             f"{encoder_config.embed_dim}")
@@ -242,6 +245,28 @@ class Checkpoint:
     step: int
 
 
+def _checkpoint(path, header: dict, arrays: dict[str, np.ndarray], error) -> tuple:
+    """The encoder config, train config and optimizer record of a checkpoint's `header`, refused
+    (`error` naming `path`) unless they and `arrays` are what `load_checkpoint` takes."""
+    encoder_config = header_config(path, header, "encoder_config", EncoderConfig, error)
+    train_config = (None if header.get("train_config") is None
+                    else header_config(path, header, "train_config", TrainConfig, error))
+    shapes = param_shapes(encoder_config)
+    if header_field(path, header, "param_names", list[str], error) != list(shapes):
+        raise error(f"{path}: parameter names do not match the encoder config")
+    expected = {f"param.{name}": shape for name, shape in shapes.items()}
+    opt = header.get("opt")
+    if opt is not None:
+        opt = header_field(path, header, "opt", dict, error)
+        header_field(f"{path}: opt", opt, "step", int, error)
+        if not set(header_field(f"{path}: opt", opt, "names", list[str], error)) <= shapes.keys():
+            raise error(f"{path}: optimizer state names parameters the encoder does not have")
+        expected.update({f"acc.{name}": shapes[name] for name in opt["names"]})
+    checked_arrays(path, arrays, expected, error)
+    header_field(path, header, "step", int, error)
+    return encoder_config, train_config, opt
+
+
 def save_checkpoint(
     path,
     params: EncoderParams,
@@ -250,8 +275,8 @@ def save_checkpoint(
     train_config: TrainConfig | None,
     step: int,
 ) -> None:
-    """Write a versioned binary checkpoint; round-trips bit-exactly. Refuses first (DataError)
-    a step that `load_checkpoint` would refuse."""
+    """Write a versioned binary checkpoint; round-trips bit-exactly. Refuses first (DataError),
+    before the file is opened, what `load_checkpoint` would refuse."""
     named = params.named()
     header = {
         "kind": "checkpoint",
@@ -264,35 +289,18 @@ def save_checkpoint(
             "names": sorted(opt_state.accumulators.keys()),
         },
     }
-    header_field(path, header, "step", int, DataError)
+    arrays = {f"param.{name}": t.data for name, t in named.items()}
     if opt_state is not None:
-        header_field(f"{path}: opt", header["opt"], "step", int, DataError)
-    arrays = [(f"param.{name}", t.data) for name, t in named.items()]
-    if opt_state is not None:
-        arrays += [(f"acc.{name}", opt_state.accumulators[name])
-                   for name in sorted(opt_state.accumulators.keys())]
-    write_container(path, CKPT_MAGIC, CKPT_VERSION, header, arrays)
+        arrays |= {f"acc.{name}": opt_state.accumulators[name] for name in header["opt"]["names"]}
+    _checkpoint(path, header, arrays, DataError)
+    write_container(path, CKPT_MAGIC, CKPT_VERSION, header, list(arrays.items()))
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Refuses what `save_checkpoint` would not write; allocates nothing from header sizes."""
     header, arrays = read_container(path, CKPT_MAGIC, CKPT_VERSION)
-    encoder_config = header_config(path, header, "encoder_config", EncoderConfig)
-    train_config = (None if header.get("train_config") is None
-                    else header_config(path, header, "train_config", TrainConfig))
-    shapes = param_shapes(encoder_config)
-    if header_field(path, header, "param_names", list[str]) != list(shapes):
-        raise FormatError(f"{path}: parameter names do not match the encoder config")
-    expected = {f"param.{name}": shape for name, shape in shapes.items()}
-    opt = header.get("opt")
-    if opt is not None:
-        opt = header_field(path, header, "opt", dict)
-        header_field(f"{path}: opt", opt, "step", int)
-        if not set(header_field(f"{path}: opt", opt, "names", list[str])) <= shapes.keys():
-            raise FormatError(f"{path}: optimizer state names parameters the encoder does not have")
-        expected.update({f"acc.{name}": shapes[name] for name in opt["names"]})
-    checked_arrays(path, arrays, expected)
-    params = EncoderParams({name: Tensor(arrays[f"param.{name}"], requires_grad=True) for name in shapes})
+    encoder_config, train_config, opt = _checkpoint(path, header, arrays, FormatError)
+    params = EncoderParams({n: Tensor(arrays[f"param.{n}"], requires_grad=True) for n in header["param_names"]})
     opt_state = None if opt is None else AdagradState(
         {name: arrays[f"acc.{name}"] for name in opt["names"]}, step=opt["step"])
-    return Checkpoint(params, opt_state, encoder_config, train_config, header_field(path, header, "step", int))
+    return Checkpoint(params, opt_state, encoder_config, train_config, header["step"])

@@ -9,6 +9,8 @@ from imualign import autodiff as ad
 from imualign.autodiff import Tape, Tensor, backward, finite_difference_check
 from imualign.errors import GraphError, NumericError, ShapeMismatchError
 
+from helpers import mul, sum_all, tanh
+
 
 # ---------------------------------------------------------------------------
 # independent oracles (naive loop implementations, no shared code with the kernels)
@@ -206,7 +208,7 @@ def test_max_pool_tie_routes_gradient_to_first_max():
     tape = Tape()
     x = Tensor([[[2.0, 5.0, 5.0, 1.0]]], requires_grad=True)
     out = ad.max_pool1d(tape, x, 4, 4)
-    (dx,) = backward(tape, ad.sum_all(tape, out), [x])
+    (dx,) = backward(tape, sum_all(tape, out), [x])
     np.testing.assert_allclose(dx, [[[0.0, 1.0, 0.0, 0.0]]])
 
 
@@ -226,7 +228,7 @@ def test_max_pool_equals_the_argmax_formula_on_ties_nan_and_signed_zeros():
         np.testing.assert_array_equal(np.signbit(out.data), np.signbit(expected))
         assert np.array_equal(np.isnan(out.data), np.isnan(windows).any(axis=3))
         g = rng.standard_normal(out.shape)
-        (dx,) = backward(tape, ad.sum_all(tape, ad.mul(tape, out, Tensor(g))), [probe])
+        (dx,) = backward(tape, sum_all(tape, mul(tape, out, Tensor(g))), [probe])
         want = np.zeros_like(x)
         for (b, c, o), k in zip(np.ndindex(out.shape), first):
             want[b, c, o * stride + k] += g[b, c, o]
@@ -274,7 +276,7 @@ def _adjoints(op, inputs, g):
     tape = Tape()
     probes = [Tensor(a, requires_grad=True) for a in inputs]
     out = op(tape, *probes)
-    return backward(tape, ad.sum_all(tape, ad.mul(tape, out, Tensor(g))), probes)
+    return backward(tape, sum_all(tape, mul(tape, out, Tensor(g))), probes)
 
 
 _VALUES = [-1.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0]  # repeats make ties
@@ -441,11 +443,11 @@ def test_gru_and_linear_on_a_lone_row_match_their_oracles():
         def f(t, p, which=which):
             args = [Tensor(a) for a in parts]
             args[which] = p
-            return ad.sum_all(t, ad.gru_forward(t, *args))
+            return sum_all(t, ad.gru_forward(t, *args))
 
         assert finite_difference_check(f, Tensor(parts[which])) < 1e-4
     lin_fd = finite_difference_check(
-        lambda t, p: ad.sum_all(t, ad.tanh(t, ad.linear(t, p, Tensor(lw), Tensor(lb)))), Tensor(row))
+        lambda t, p: sum_all(t, tanh(t, ad.linear(t, p, Tensor(lw), Tensor(lb)))), Tensor(row))
     assert lin_fd < 1e-4
 
 
@@ -468,21 +470,21 @@ def test_batched_kernels_reject_unbatched_inputs():
 def test_backward_sum_gives_ones():
     tape = Tape()
     x = Tensor(np.random.default_rng(9).standard_normal((3, 4)), requires_grad=True)
-    (dx,) = backward(tape, ad.sum_all(tape, x), [x])
+    (dx,) = backward(tape, sum_all(tape, x), [x])
     np.testing.assert_allclose(dx, np.ones((3, 4)))
 
 
 def test_backward_squared_norm():
     tape = Tape()
     x = Tensor([1.0, 2.0], requires_grad=True)
-    (dx,) = backward(tape, ad.sum_all(tape, ad.mul(tape, x, x)), [x])
+    (dx,) = backward(tape, sum_all(tape, mul(tape, x, x)), [x])
     np.testing.assert_allclose(dx, [2.0, 4.0])
 
 
 def test_backward_twice_on_one_tape_returns_equal_arrays():
     tape = Tape()
     x = Tensor([1.0, -2.0, 0.5], requires_grad=True)
-    loss = ad.sum_all(tape, ad.tanh(tape, x))
+    loss = sum_all(tape, tanh(tape, x))
     (first,) = backward(tape, loss, [x])
     (second,) = backward(tape, loss, [x])
     np.testing.assert_array_equal(second, first)
@@ -493,8 +495,8 @@ def test_backward_gives_zeros_where_the_loss_does_not_reach():
     tape = Tape()
     x = Tensor([1.0, 2.0], requires_grad=True)
     unused = Tensor(np.ones((2, 3)), requires_grad=True)
-    ad.tanh(tape, unused)  # on the tape, but not upstream of the loss
-    dx, dunused = backward(tape, ad.sum_all(tape, ad.mul(tape, x, x)), [x, unused])
+    tanh(tape, unused)  # on the tape, but not upstream of the loss
+    dx, dunused = backward(tape, sum_all(tape, mul(tape, x, x)), [x, unused])
     np.testing.assert_allclose(dx, [2.0, 4.0])
     np.testing.assert_array_equal(dunused, np.zeros((2, 3)))
 
@@ -504,9 +506,9 @@ def test_backward_keeps_a_requested_intermediate_adjoint():
     # for y keeps it, and asking changes nothing else
     tape = Tape()
     x = Tensor([0.3, -1.2, 0.7], requires_grad=True)
-    y = ad.tanh(tape, x)
-    z = ad.mul(tape, y, y)
-    loss = ad.sum_all(tape, ad.mul(tape, z, x))
+    y = tanh(tape, x)
+    z = mul(tape, y, y)
+    loss = sum_all(tape, mul(tape, z, x))
     dz, dy, dx = backward(tape, loss, [z, y, x])
     np.testing.assert_allclose(dz, x.data)
     np.testing.assert_allclose(dy, 2.0 * y.data * x.data)
@@ -525,7 +527,7 @@ def test_backward_rejects_off_tape_loss():
 def test_backward_rejects_non_scalar():
     tape = Tape()
     x = Tensor([1.0, 2.0], requires_grad=True)
-    y = ad.mul(tape, x, x)
+    y = mul(tape, x, x)
     with pytest.raises(ShapeMismatchError):
         backward(tape, y, [x])
 
@@ -534,7 +536,7 @@ def test_constants_receive_no_gradient():
     tape = Tape()
     x = Tensor([1.0, 2.0], requires_grad=True)
     c = Tensor([3.0, 4.0])  # constant
-    dx, dc = backward(tape, ad.sum_all(tape, ad.mul(tape, x, c)), [x, c])
+    dx, dc = backward(tape, sum_all(tape, mul(tape, x, c)), [x, c])
     np.testing.assert_allclose(dx, [3.0, 4.0])
     np.testing.assert_array_equal(dc, [0.0, 0.0])
 
@@ -544,18 +546,18 @@ def test_constants_receive_no_gradient():
 
 
 def test_fd_check_square():
-    err = finite_difference_check(lambda t, x: ad.sum_all(t, ad.mul(t, x, x)), Tensor([3.0]))
+    err = finite_difference_check(lambda t, x: sum_all(t, mul(t, x, x)), Tensor([3.0]))
     assert err < 1e-8
 
 
 def test_fd_check_linear_is_exact():
-    err = finite_difference_check(lambda t, x: ad.sum_all(t, ad.divide(t, x, 0.4)), Tensor([1.0, -2.0]))
+    err = finite_difference_check(lambda t, x: sum_all(t, ad.divide(t, x, 0.4)), Tensor([1.0, -2.0]))
     assert err < 1e-9
 
 
 def test_fd_check_tanh():
     point = Tensor(np.random.default_rng(10).standard_normal(10))
-    err = finite_difference_check(lambda t, x: ad.sum_all(t, ad.tanh(t, x)), point)
+    err = finite_difference_check(lambda t, x: sum_all(t, tanh(t, x)), point)
     assert err < 1e-6
 
 
@@ -585,10 +587,10 @@ def test_fd_conv1d_inputs_and_weights():
         b = rng.standard_normal(3)
         which = rng.integers(3)
         if which == 0:
-            return (lambda t, p: ad.sum_all(t, ad.tanh(t, ad.conv1d(t, p, Tensor(w), Tensor(b), 2)))), Tensor(x)
+            return (lambda t, p: sum_all(t, tanh(t, ad.conv1d(t, p, Tensor(w), Tensor(b), 2)))), Tensor(x)
         if which == 1:
-            return (lambda t, p: ad.sum_all(t, ad.tanh(t, ad.conv1d(t, Tensor(x), p, Tensor(b), 2)))), Tensor(w)
-        return (lambda t, p: ad.sum_all(t, ad.tanh(t, ad.conv1d(t, Tensor(x), Tensor(w), p, 2)))), Tensor(b)
+            return (lambda t, p: sum_all(t, tanh(t, ad.conv1d(t, Tensor(x), p, Tensor(b), 2)))), Tensor(w)
+        return (lambda t, p: sum_all(t, tanh(t, ad.conv1d(t, Tensor(x), Tensor(w), p, 2)))), Tensor(b)
 
     _fd_sweep(case, 30, seed=11)
 
@@ -600,10 +602,10 @@ def test_fd_group_norm_all_inputs():
         beta = rng.standard_normal(4)
         which = rng.integers(3)
         if which == 0:
-            return (lambda t, p: ad.sum_all(t, ad.group_norm(t, p, 2, Tensor(gamma), Tensor(beta), 1e-5))), Tensor(x)
+            return (lambda t, p: sum_all(t, ad.group_norm(t, p, 2, Tensor(gamma), Tensor(beta), 1e-5))), Tensor(x)
         if which == 1:
-            return (lambda t, p: ad.sum_all(t, ad.tanh(t, ad.group_norm(t, Tensor(x), 2, p, Tensor(beta), 1e-5)))), Tensor(gamma)
-        return (lambda t, p: ad.sum_all(t, ad.tanh(t, ad.group_norm(t, Tensor(x), 2, Tensor(gamma), p, 1e-5)))), Tensor(beta)
+            return (lambda t, p: sum_all(t, tanh(t, ad.group_norm(t, Tensor(x), 2, p, Tensor(beta), 1e-5)))), Tensor(gamma)
+        return (lambda t, p: sum_all(t, tanh(t, ad.group_norm(t, Tensor(x), 2, Tensor(gamma), p, 1e-5)))), Tensor(beta)
 
     _fd_sweep(case, 30, seed=12)
 
@@ -622,7 +624,7 @@ def test_fd_gru_all_inputs():
         def f_probe(t, p, which=which):
             args = [Tensor(a) for a in parts]
             args[which] = p
-            return ad.sum_all(t, ad.gru_forward(t, *args))
+            return sum_all(t, ad.gru_forward(t, *args))
 
         return f_probe, Tensor(parts[which])
 
@@ -633,7 +635,7 @@ def test_fd_max_pool_away_from_ties():
     def case(rng):
         # keep entries separated so +-h perturbations cannot flip an argmax
         x = rng.permutation(np.linspace(-2.0, 2.0, 36)).reshape(3, 2, 6)
-        return (lambda t, p: ad.sum_all(t, ad.max_pool1d(t, p, 3, 2))), Tensor(x)
+        return (lambda t, p: sum_all(t, ad.max_pool1d(t, p, 3, 2))), Tensor(x)
 
     _fd_sweep(case, 30, seed=14)
 
@@ -642,16 +644,16 @@ def test_fd_l2_normalize_and_linear_and_matmul():
     def case(rng):
         which = rng.integers(4)
         if which == 0:
-            return (lambda t, p: ad.sum_all(t, ad.l2_normalize(t, p))), Tensor(1.0 + rng.uniform(size=(3, 5)))
+            return (lambda t, p: sum_all(t, ad.l2_normalize(t, p))), Tensor(1.0 + rng.uniform(size=(3, 5)))
         if which == 1:
             w = rng.standard_normal((3, 4))
             b = rng.standard_normal(3)
-            return (lambda t, p: ad.sum_all(t, ad.tanh(t, ad.linear(t, p, Tensor(w), Tensor(b))))), Tensor(rng.standard_normal((3, 4)))
+            return (lambda t, p: sum_all(t, tanh(t, ad.linear(t, p, Tensor(w), Tensor(b))))), Tensor(rng.standard_normal((3, 4)))
         if which == 2:
             a = rng.standard_normal((3, 4))
-            return (lambda t, p: ad.sum_all(t, ad.tanh(t, ad.matmul_nt(t, Tensor(a), p)))), Tensor(rng.standard_normal((2, 4)))
+            return (lambda t, p: sum_all(t, tanh(t, ad.matmul_nt(t, Tensor(a), p)))), Tensor(rng.standard_normal((2, 4)))
         v = rng.standard_normal(3)
-        return (lambda t, p: ad.sum_all(t, ad.tanh(t, ad.add_rowvec(t, p, Tensor(v))))), Tensor(rng.standard_normal((4, 3)))
+        return (lambda t, p: sum_all(t, tanh(t, ad.add_rowvec(t, p, Tensor(v))))), Tensor(rng.standard_normal((4, 3)))
 
     _fd_sweep(case, 40, seed=15)
 

@@ -1057,6 +1057,23 @@ def test_non_finite_embeddings_exit_3(command, nan_ckpt, cache_path, corpus, cap
     assert err.startswith("numerical failure: ") and "Traceback" not in err
 
 
+def test_a_probe_whose_logits_overflow_exits_3_without_a_warning(tmp_path):
+    corpus, cache, run = tmp_path / "corpus", tmp_path / "windows.bin", tmp_path / "run"
+    assert main(["synth", "--seed", "1", "--n", "24", "--classes", "3", "--dim", "16", "--window-s", "0.32",
+                 "--out-dir", str(corpus)]) == 0
+    assert main(["ingest", *(a for c in sorted(corpus.glob("synth-*.csv")) for a in ("--imu", str(c))),
+                 "--window-s", "0.32", "--out", str(cache)]) == 0
+    assert main(["train", "--cache", str(cache), "--video-anchors", str(corpus / "anchors_video.jsonl"),
+                 "--epochs", "1", "--batch-size", "4", *TRAIN_FLAGS, "--run-dir", str(run)]) == 0
+    # a child process with the default warning filters, so a leaked RuntimeWarning would reach stderr
+    proc = run_cli_process("eval-classify", "--ckpt", str(run / "ckpt-1.bin"), "--cache", str(cache),
+                           "--labels", str(corpus / "labels.jsonl"), "--protocol", "probe", "--lr", "1e308",
+                           "--epochs", "1", "--run-dir", str(tmp_path / "probe"))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["numerical failure: classifier head: row 1 has a non-finite logit"]
+    assert not (tmp_path / "probe").exists()
+
+
 @pytest.mark.parametrize("case", ["retrieve-query-is-a-dir", "retrieve-pool-is-a-dir",
                                   "eval-retrieval-cache-is-a-dir", "train-run-dir-is-a-file"])
 def test_os_errors_exit_2(case, run_dir, cache_path, corpus, tmp_path, capsys):

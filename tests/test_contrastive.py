@@ -1,4 +1,5 @@
-"""Similarities, retrieval distributions, InfoNCE losses and their gradients."""
+"""Similarities, retrieval distributions (through the loss's log-softmax kernel),
+InfoNCE losses and their gradients."""
 
 import math
 
@@ -12,13 +13,14 @@ from imualign.autodiff import Tape, Tensor, backward
 from imualign.contrastive import (
     alignment_loss,
     info_nce,
-    retrieval_distribution,
     similarity_matrix,
     softmax_cross_entropy,
     symmetric_loss,
 )
 from imualign.errors import DataError, ShapeMismatchError
 from imualign.train import TrainConfig
+
+from helpers import retrieval_distribution
 
 
 def _unit_rows(rng, b, d):
@@ -32,37 +34,37 @@ def _unit_rows(rng, b, d):
 
 def test_similarity_orthonormal_identity():
     basis = np.eye(4)[:3]
-    sims = similarity_matrix(Tape(), basis, basis)
+    sims = similarity_matrix(Tape(), Tensor(basis), Tensor(basis))
     np.testing.assert_allclose(sims.data, np.eye(3))
 
 
 def test_similarity_diagonal_of_self_is_one():
     rows = _unit_rows(np.random.default_rng(0), 5, 8)
-    sims = similarity_matrix(Tape(), rows, rows)
+    sims = similarity_matrix(Tape(), Tensor(rows), Tensor(rows))
     np.testing.assert_allclose(np.diag(sims.data), 1.0, atol=1e-12)
 
 
 def test_similarity_hand_value():
-    sims = similarity_matrix(Tape(), np.array([[1.0, 0.0]]), np.array([[0.6, 0.8]]))
+    sims = similarity_matrix(Tape(), Tensor(np.array([[1.0, 0.0]])), Tensor(np.array([[0.6, 0.8]])))
     np.testing.assert_allclose(sims.data, [[0.6]])
 
 
 def test_similarity_rejects_dim_mismatch_and_non_unit():
     with pytest.raises(ShapeMismatchError, match="dims differ"):
-        similarity_matrix(Tape(), np.eye(2), np.eye(3))
+        similarity_matrix(Tape(), Tensor(np.eye(2)), Tensor(np.eye(3)))
     with pytest.raises(DataError, match="unit-norm"):
-        similarity_matrix(Tape(), 2.0 * np.eye(2), np.eye(2))
+        similarity_matrix(Tape(), Tensor(2.0 * np.eye(2)), Tensor(np.eye(2)))
 
 
 def test_similarity_bounds_cauchy_schwarz():
     rng = np.random.default_rng(1)
-    sims = similarity_matrix(Tape(), _unit_rows(rng, 6, 5), _unit_rows(rng, 6, 5))
+    sims = similarity_matrix(Tape(), Tensor(_unit_rows(rng, 6, 5)), Tensor(_unit_rows(rng, 6, 5)))
     assert np.all(sims.data <= 1.0 + 1e-12)
     assert np.all(sims.data >= -1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# retrieval_distribution
+# retrieval distributions: exp(log_softmax(S / T)), the kernel the loss uses
 
 
 def test_distribution_uniform_for_equal_sims():
@@ -128,9 +130,7 @@ def test_distribution_row_shift_invariance():
 def test_distribution_rejects_bad_temperature():
     for temperature in (0.0, -1.0, math.nan):
         with pytest.raises(DataError, match="temperature"):
-            retrieval_distribution(np.eye(2), temperature)
-        with pytest.raises(DataError, match="temperature"):
-            info_nce(Tape(), np.eye(2), temperature)
+            info_nce(Tape(), Tensor(np.eye(2)), temperature)
     with pytest.raises(DataError):
         TrainConfig(temperature=-1.0)
 
@@ -140,33 +140,33 @@ def test_distribution_rejects_bad_temperature():
 
 
 def test_info_nce_identity_b2():
-    loss = info_nce(Tape(), np.eye(2), 1.0)
+    loss = info_nce(Tape(), Tensor(np.eye(2)), 1.0)
     assert abs(loss.item() - 0.31326) < 1e-5
     assert abs(loss.item() - math.log(1.0 + math.exp(-1.0))) < 1e-12
 
 
 def test_info_nce_uniform_sims_is_log_b():
     for b in (2, 3, 8, 16):
-        loss = info_nce(Tape(), np.full((b, b), 0.25), 1.0)
+        loss = info_nce(Tape(), Tensor(np.full((b, b), 0.25)), 1.0)
         assert abs(loss.item() - math.log(b)) < 1e-9
 
 
 def test_info_nce_single_candidate_is_zero():
-    assert info_nce(Tape(), np.array([[0.37]]), 0.1).item() == 0.0
+    assert info_nce(Tape(), Tensor(np.array([[0.37]])), 0.1).item() == 0.0
 
 
 def test_info_nce_non_square_error():
     with pytest.raises(ShapeMismatchError, match="square"):
-        info_nce(Tape(), np.zeros((2, 3)), 1.0)
+        info_nce(Tape(), Tensor(np.zeros((2, 3))), 1.0)
 
 
 def test_info_nce_nonnegative_and_decreases_with_margin():
     rng = np.random.default_rng(4)
     for _ in range(50):
         sims = rng.uniform(-1, 1, size=(5, 5))
-        assert info_nce(Tape(), sims, 0.5).item() >= 0.0
+        assert info_nce(Tape(), Tensor(sims), 0.5).item() >= 0.0
     base = np.eye(4) * 0.9 + rng.uniform(-0.05, 0.05, size=(4, 4))
-    losses = [info_nce(Tape(), base, temperature).item() for temperature in (1.0, 0.3, 0.1, 0.02)]
+    losses = [info_nce(Tape(), Tensor(base), temperature).item() for temperature in (1.0, 0.3, 0.1, 0.02)]
     assert losses == sorted(losses, reverse=True)
     assert losses[-1] < 1e-6
 
@@ -240,41 +240,41 @@ def test_symmetric_loss_equal_directions_on_symmetric_matrix():
     rng = np.random.default_rng(6)
     m = rng.uniform(-0.5, 0.5, size=(4, 4))
     sym = (m + m.T) / 2
-    f, b, s = symmetric_loss(Tape(), sym, 0.5)
+    f, b, s = symmetric_loss(Tape(), Tensor(sym), 0.5)
     assert f.item() == b.item()
     assert s.item() == (f.item() + b.item()) / 2
 
 
 def test_symmetric_loss_identity_value():
-    _, _, s = symmetric_loss(Tape(), np.eye(2), 1.0)
+    _, _, s = symmetric_loss(Tape(), Tensor(np.eye(2)), 1.0)
     assert abs(s.item() - 0.31326) < 1e-5
 
 
 def test_symmetric_loss_transpose_swaps_directions():
     rng = np.random.default_rng(7)
     m = rng.uniform(-0.5, 0.5, size=(5, 5))
-    f1, b1, s1 = symmetric_loss(Tape(), m, 0.3)
-    f2, b2, s2 = symmetric_loss(Tape(), m.T, 0.3)
+    f1, b1, s1 = symmetric_loss(Tape(), Tensor(m), 0.3)
+    f2, b2, s2 = symmetric_loss(Tape(), Tensor(m.T), 0.3)
     assert abs(f1.item() - b2.item()) < 1e-12
     assert abs(b1.item() - f2.item()) < 1e-12
     assert abs(s1.item() - s2.item()) < 1e-12
 
 
 def test_trimodal_identity_total():
-    report, total = alignment_loss(Tape(), {"video": np.eye(2), "text": np.eye(2)}, 1.0)
+    report, total = alignment_loss(Tape(), {"video": Tensor(np.eye(2)), "text": Tensor(np.eye(2))}, 1.0)
     assert abs(total.item() - 0.62652) < 1e-4
     assert abs(report["l_total"] - (report["l_sym_iv"] + report["l_sym_it"])) < 1e-12
 
 
 def test_trimodal_mixed_case():
-    report, total = alignment_loss(Tape(), {"video": np.eye(2), "text": np.full((2, 2), 0.5)}, 1.0)
+    report, total = alignment_loss(Tape(), {"video": Tensor(np.eye(2)), "text": Tensor(np.full((2, 2), 0.5))}, 1.0)
     assert abs(total.item() - (0.31326 + math.log(2))) < 1e-4
 
 
 def test_trimodal_report_fields_and_bound():
     rng = np.random.default_rng(8)
-    report, total = alignment_loss(Tape(), {"video": rng.uniform(-1, 1, (3, 3)),
-                                            "text": rng.uniform(-1, 1, (3, 3))}, 0.1)
+    report, total = alignment_loss(Tape(), {"video": Tensor(rng.uniform(-1, 1, (3, 3))),
+                                            "text": Tensor(rng.uniform(-1, 1, (3, 3)))}, 0.1)
     assert report["l_sym_iv"] == (report["l_i2v"] + report["l_v2i"]) / 2
     assert report["l_sym_it"] == (report["l_i2t"] + report["l_t2i"]) / 2
     assert report["l_total"] >= max(report["l_sym_iv"], report["l_sym_it"])
@@ -282,18 +282,18 @@ def test_trimodal_report_fields_and_bound():
 
 def test_trimodal_batch_mismatch():
     with pytest.raises(ShapeMismatchError, match="batch sizes differ"):
-        alignment_loss(Tape(), {"video": np.eye(2), "text": np.eye(3)}, 1.0)
+        alignment_loss(Tape(), {"video": Tensor(np.eye(2)), "text": Tensor(np.eye(3))}, 1.0)
 
 
 def test_alignment_loss_of_one_modality_fills_only_its_fields():
     m = np.random.default_rng(10).uniform(-1, 1, (3, 3))
-    report, total = alignment_loss(Tape(), {"text": m}, 0.1)
-    _, _, sym = symmetric_loss(Tape(), m, 0.1)
+    report, total = alignment_loss(Tape(), {"text": Tensor(m)}, 0.1)
+    _, _, sym = symmetric_loss(Tape(), Tensor(m), 0.1)
     assert set(report) == {"l_i2t", "l_t2i", "l_sym_it", "l_total"}
     assert report["l_total"] == report["l_sym_it"] == total.item() == sym.item()
-    report, _ = alignment_loss(Tape(), {"video": m}, 0.1)
+    report, _ = alignment_loss(Tape(), {"video": Tensor(m)}, 0.1)
     assert set(report) == {"l_i2v", "l_v2i", "l_sym_iv", "l_total"}
-    report, _ = alignment_loss(Tape(), {"video": m, "text": m}, 0.1)
+    report, _ = alignment_loss(Tape(), {"video": Tensor(m), "text": Tensor(m)}, 0.1)
     assert list(report) == ["l_i2v", "l_v2i", "l_sym_iv", "l_i2t", "l_t2i", "l_sym_it", "l_total"]
     for sims in ({}, {"audio": m}):
         with pytest.raises(DataError, match="video and/or text"):

@@ -26,6 +26,8 @@ from imualign.encoder import (
 from imualign.errors import DataError, NumericError, ShapeMismatchError
 from imualign.signalio import ImuWindow, WindowSet, synth_dataset
 
+from helpers import mul, sum_all
+
 TINY = EncoderConfig(
     conv_channels=(4,), conv_kernels=(5,), conv_strides=(1,),
     gru_hidden=8, embed_dim=8,
@@ -277,13 +279,11 @@ def test_encode_batch_rows_keep_their_bits_across_chunk_boundaries(config):
 
 
 def test_encode_batch_on_tape_rejects_unequal_signals():
+    # signals come as one (B, 6, T) array, so they are equal by construction; the array's shape is checked
     p = init_params(TINY, 9)
-    with pytest.raises(ShapeMismatchError, match="equal"):
-        encode_batch_on_tape(Tape(), [np.zeros((6, 64)), np.zeros((6, 32))], p, TINY)
-    with pytest.raises(ShapeMismatchError, match="equal"):
-        encode_batch_on_tape(Tape(), [], p, TINY)
-    with pytest.raises(ShapeMismatchError, match="equal"):
-        encode_batch_on_tape(Tape(), [np.zeros((3, 64))], p, TINY)
+    for shape in ((6, 64), (0, 6, 64), (1, 3, 64), (1, 6, 64, 1)):
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"a (B, 6, T) array with B >= 1, got shape {shape}")):
+            encode_batch_on_tape(Tape(), np.zeros(shape), p, TINY)
 
 
 def test_encode_batch_memory_is_bounded_by_one_chunk():
@@ -330,7 +330,7 @@ def test_encode_batch_default_config_timing():
     assert out.shape == (16, 512)
     assert elapsed < 10.0, f"pathologically slow batch encode: {elapsed:.2f}s"
     tape = Tape()
-    encode_batch_on_tape(tape, [w.signal for w in ds.windows], p, cfg)
+    encode_batch_on_tape(tape, ds.windows.signals, p, cfg)
     assert len(tape) == 12  # one entry per layer kernel: GN, 3 x (conv, ReLU), pool, GN, GRU, linear, L2
 
 
@@ -343,8 +343,8 @@ def test_full_pipeline_gradient_check_every_parameter():
     signal = np.random.default_rng(42).standard_normal((6, 32))
     for name, tensor in params.named().items():
         def f(tape, probe, _name=name):
-            emb = encode_batch_on_tape(tape, [signal], _params_with(params, _name, probe), TINY)
-            return ad.sum_all(tape, emb)
+            emb = encode_batch_on_tape(tape, signal[None], _params_with(params, _name, probe), TINY)
+            return sum_all(tape, emb)
 
         err = finite_difference_check(f, tensor)
         assert err < 1e-4, f"{name}: relative error {err}"
@@ -352,12 +352,12 @@ def test_full_pipeline_gradient_check_every_parameter():
 
 def test_full_pipeline_gradient_check_on_a_batch_of_three():
     params = init_params(TINY, 4)
-    signals = list(np.random.default_rng(43).standard_normal((3, 6, 32)))
+    signals = np.random.default_rng(43).standard_normal((3, 6, 32))
     weights = Tensor(np.random.default_rng(44).standard_normal((3, TINY.embed_dim)))
     for name, tensor in params.named().items():
         def f(tape, probe, _name=name):
             emb = encode_batch_on_tape(tape, signals, _params_with(params, _name, probe), TINY)
-            return ad.sum_all(tape, ad.mul(tape, emb, weights))
+            return sum_all(tape, mul(tape, emb, weights))
 
         err = finite_difference_check(f, tensor)
         assert err < 1e-4, f"{name}: relative error {err}"

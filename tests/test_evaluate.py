@@ -495,6 +495,23 @@ def test_probe_rejects_single_class():
         train_probe(ds, init_params(SMALL_ENC, 0), SMALL_ENC, ProbeConfig(epochs=1))
 
 
+@pytest.mark.parametrize("protocol", [train_probe, lambda *a: fine_tune(a[0], a[1], None, *a[2:])],
+                         ids=["probe", "finetune"])
+def test_a_label_outside_the_declared_classes_is_refused_naming_its_window(protocol):
+    ds = synth_dataset(9, 8, 2, 16, 64, 0.05)
+    ds.labels["synth-0003:0"] = "flying"
+    with pytest.raises(DataError, match=r"^window 'synth-0003:0': label 'flying' is not a declared class$"):
+        protocol(ds, init_params(SMALL_ENC, 0), SMALL_ENC, ProbeConfig(epochs=1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+def test_predict_refuses_a_row_with_a_non_finite_logit(bad):
+    head = ClassifierHead(np.array([[1.0, 1.0], [0.0, 2.0]]), np.zeros(2), ["a", "b"])
+    assert head.predict(np.array([[0.9, 0.1], [0.1, 0.9]])) == ["a", "b"]
+    with pytest.raises(NumericError, match=r"^classifier head: row 1 has a non-finite logit$"):
+        head.predict(np.array([[0.9, 0.1], [bad, 1e308]]))  # 1e308 + 1e308 overflows
+
+
 # ---------------------------------------------------------------------------
 # fine-tune
 

@@ -78,15 +78,12 @@ def test_the_guard_sees_unused_imports(tmp_path):
 
 
 PUBLIC = [
-    "AdagradState", "AnchorEmbedding", "ClassifierHead", "CoverageError", "DataError", "EncoderConfig",
-    "EncoderParams", "FormatError", "GraphError", "ImuAlignError", "ImuStream", "ImuWindow", "NumericError",
-    "ParallelDataset", "Pool", "ProbeConfig", "RetrievalResult", "ShapeMismatchError", "Tape", "Tensor",
-    "TrainConfig", "WindowSet", "adagrad_step", "alignment_loss", "assemble_dataset", "backward",
-    "classification_metrics", "encode", "encode_batch", "eval_retrieval", "fine_tune", "finite_difference_check",
-    "fit", "info_nce", "init_params", "load_anchor_embeddings", "load_checkpoint", "load_imu_stream", "lr_at",
-    "make_batches", "make_windows", "mrr", "rank_pool", "recall_at_k", "resample", "retrieval_distribution",
-    "save_checkpoint", "similarity_matrix", "symmetric_loss", "synth_dataset", "train_epoch", "train_probe",
-    "zeroshot_classify",
+    "AnchorEmbedding", "ClassifierHead", "CoverageError", "DataError", "EncoderConfig", "EncoderParams",
+    "FormatError", "GraphError", "ImuAlignError", "ImuStream", "NumericError", "ParallelDataset", "Pool",
+    "ProbeConfig", "ShapeMismatchError", "TrainConfig", "WindowSet", "assemble_dataset", "classification_metrics",
+    "encode_batch", "eval_retrieval", "fine_tune", "fit", "init_params", "load_anchor_embeddings",
+    "load_checkpoint", "load_imu_stream", "make_windows", "resample", "save_checkpoint", "synth_dataset",
+    "train_probe", "zeroshot_classify",
 ]
 
 

@@ -10,7 +10,9 @@ _SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
 
 
 def _parity(out: Path) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, str(_SCRIPT), str(out)], capture_output=True, text=True, timeout=300)
+    # the warning rule pyproject.toml sets for the tests, so a CLI path that leaks a RuntimeWarning fails
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(_SCRIPT), str(out)],
+                          capture_output=True, text=True, timeout=300)
 
 
 def test_two_parity_runs_give_the_same_digests(tmp_path):

@@ -131,6 +131,8 @@ def _reference_load(path):
     first, last = float(data[0, 0]), float(data[-1, 0])
     if not math.isfinite(last - first):
         raise DataError(f"{path}: timestamps from {first!r} to {last!r} span no finite duration")
+    if len(rows) > 1 and not math.isfinite((len(rows) - 1) / (last - first)):
+        raise DataError(f"{path}: {len(rows)} timestamps from {first!r} to {last!r} give no finite mean rate")
     return data[:, 0], data[:, 1:]
 
 
@@ -276,9 +278,10 @@ def test_load_arbitrary_text_raises_only_data_error(tmp_path, header, lines, end
 @st.composite
 def _streams(draw):
     """Timestamps and values of a stream the constructor accepts: strictly
-    increasing finite times whose span is finite, and finite values."""
+    increasing finite times whose span and mean rate are finite, and finite values."""
     ts = sorted(draw(st.lists(_finite, min_size=1, max_size=40, unique=True)))
     assume(math.isfinite(ts[-1] - ts[0]))
+    assume(len(ts) == 1 or math.isfinite((len(ts) - 1) / (ts[-1] - ts[0])))
     return np.array(ts), draw(arrays(np.float64, (len(ts), 6), elements=_finite))
 
 
@@ -308,6 +311,7 @@ _REFUSED_STREAMS = {  # name: (timestamps, values, the constructor's refusal aft
     "5-channels": ([0.0, 1.0], np.zeros((2, 5)), "expected (n, 6) values, got (2, 5)"),
     "span-overflows": ([-1e308, 1e308], np.zeros((2, 6)),
                        "timestamps from -1e+308 to 1e+308 span no finite duration"),
+    "rate-overflows": ([0.0, 5e-324], np.zeros((2, 6)), "2 timestamps from 0.0 to 5e-324 give no finite mean rate"),
     **{f"{bad}-value": ([0.0, 1.0, 2.0], _with(np.zeros((3, 6)), (1, 3), bad), "non-finite value at sample index 1")
        for bad in (math.nan, math.inf, -math.inf)},
     **{f"{bad}-timestamp": (_with([0.0, 1.0, 2.0], 2, bad), np.zeros((3, 6)), "non-finite value at sample index 2")
@@ -331,6 +335,16 @@ def test_a_stream_is_refused_when_built_and_its_csv_when_loaded(tmp_path, case):
     assert str(got.value) == str(expected.value)
     if "non-finite" not in message:  # the loader names a non-finite value's line instead
         assert str(got.value) == f"{p}: {message}"
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0, True, "200", None])
+def test_a_stream_refuses_a_rate_that_is_not_a_finite_number_at_least_0_checked_last(rate):
+    message = f"stream u: sample rate must be a finite number >= 0, got {rate!r}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        ImuStream("u", rate, [0.0, 1.0], np.zeros((2, 6)))
+    with pytest.raises(DataError, match=r"^stream u: timestamps not strictly increasing at sample index 1$"):
+        ImuStream("u", rate, [1.0, 0.0], np.zeros((2, 6)))
+    assert ImuStream("u", 0, [0.0], np.zeros((1, 6))).sample_rate_hz == 0
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +396,7 @@ def test_make_windows_exact_tiling():
     stream = _stream(1000, hz=100.0)  # 10 s
     wins = make_windows(stream, 5.0, 5.0)
     assert len(wins) == 2
-    assert all(w.n_samples == 500 for w in wins)
+    assert wins.n_samples == 500
     assert wins[0].window_id == "src:0"
     assert wins[1].window_id == "src:500"
 
@@ -1257,7 +1271,7 @@ def test_cache_loads_finite_signals_whose_sum_overflows(tmp_path):
     p = tmp_path / "c.bin"
     write_container(p, CACHE_MAGIC, CACHE_VERSION, _CACHE_HEADER, [("signals", np.full((1, 6, 50), 1e308))])
     assert load_window_cache(p).windows[0].signal.max() == 1e308
-    assert ImuWindow("w", "s", 0.0, 1.0, np.full((6, 2), -1e308)).n_samples == 2
+    assert WindowSet(["w"], ["s"], [0.0], [1.0], np.full((1, 6, 2), -1e308)).n_samples == 2
 
 
 def test_cache_rejects_repeated_window_ids(tmp_path):
@@ -1514,4 +1528,4 @@ def test_synth_class_anchors_match_generator_centroids():
 
 def test_dataset_window_lengths_equal():
     ds = synth_dataset(1, 10, 2, 8, 24, 0.1)
-    assert {w.n_samples for w in ds.windows} == {24}
+    assert ds.windows.signals.shape[1:] == (6, 24)

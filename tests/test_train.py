@@ -361,6 +361,21 @@ def test_save_checkpoint_refuses_a_step_its_loader_would_refuse(tmp_path, step, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("enc, state, message", [
+    (EncoderConfig(conv_channels=(8,), conv_kernels=(7,), conv_strides=(2,), gru_hidden=12, embed_dim=8), None,
+     "array 'param.proj.w' has shape (8, 12), expected (16, 12)"),
+    (SMALL_ENC, AdagradState({"conv9.w": np.ones((8, 6, 7))}),
+     "optimizer state names parameters the encoder does not have"),
+    (SMALL_ENC, AdagradState({"conv0.w": np.ones(3)}), "array 'acc.conv0.w' has shape (3,), expected (8, 6, 7)"),
+], ids=["params-of-another-config", "unknown-accumulator", "accumulator-shape"])
+def test_save_checkpoint_refuses_what_its_loader_would_refuse(tmp_path, enc, state, message):
+    # the saver runs the loader's checks (train._checkpoint), so it refuses with the loader's text
+    p = tmp_path / "ck.bin"
+    with pytest.raises(DataError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        save_checkpoint(p, init_params(enc, 0), state, SMALL_ENC, TrainConfig(), step=1)
+    assert list(tmp_path.iterdir()) == []  # neither the file nor its temp file
+
+
 def test_checkpoint_corrupted_magic(tmp_path):
     p = tmp_path / "ck.bin"
     save_checkpoint(p, init_params(SMALL_ENC, 0), None, SMALL_ENC, None, 0)
@@ -625,6 +640,15 @@ def test_a_repeated_window_id_reaches_neither_assemble_dataset_nor_fit(tmp_path)
         windows = signalio.WindowSet(["a", "a"], ["s", "s"], [0.0, 1.0], [1.0, 1.0], ds.windows.signals)
         dataset, _ = signalio.assemble_dataset(windows, vp)
         fit(dataset, SMALL_ENC, TrainConfig(batch_size=2, epochs=1, seed=0, mode="iv"))
+
+
+@pytest.mark.parametrize("mode, modality", [("iv", "video"), ("ivt", "text")])
+def test_fit_refuses_a_window_with_no_anchor_before_it_writes(tmp_path, mode, modality):
+    ds = _dataset(n=8)
+    del ds.anchors(modality)["synth-0003:0"]
+    with pytest.raises(DataError, match=f"^window 'synth-0003:0' has no {modality} anchor$"):
+        fit(ds, SMALL_ENC, TrainConfig(batch_size=4, epochs=1, mode=mode), run_dir=tmp_path / "run")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fit_writes_run_directory(tmp_path):
