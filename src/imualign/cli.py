@@ -205,11 +205,11 @@ def cmd_eval_classify(args) -> int:
         params, head = fine_tune(dataset, params, None, ckpt.encoder_config, probe_cfg)
     emb = encode_batch(windows, params, ckpt.encoder_config)
     if args.protocol == "zeroshot":
-        preds = [zeroshot_classify(e, pairs) for e in emb]
+        preds = [zeroshot_classify(e, pairs, wid) for wid, e in zip(windows.ids, emb)]
     else:
         if args.protocol == "probe":
             head = fit_linear_head(emb, label_indices(dataset, windows), class_names, probe_cfg)
-        preds = head.predict(emb)
+        preds = head.predict(emb, windows.ids)
         if args.run_dir:
             _write_classify_run(args, probe_cfg, head, ckpt, params)
 

@@ -251,14 +251,15 @@ class ClassifierHead:
                 f"do not match {len(self.class_names)} classes"
             )
 
-    def predict(self, embeddings: np.ndarray) -> list[str]:
-        """The class of each row's largest logit; refuses (NumericError) a row
-        with a NaN or ±inf logit, as argmax would pick the first NaN."""
+    def predict(self, embeddings: np.ndarray, ids: list[str] | None = None) -> list[str]:
+        """The class of each row's largest logit; refuses (NumericError naming the row's window
+        id in `ids`, else its index) a row with a NaN or ±inf logit, as argmax would pick the first NaN."""
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             logits = np.atleast_2d(embeddings) @ self.weight.T + self.bias
         bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
         if bad.size:
-            raise NumericError(f"classifier head: row {bad[0]} has a non-finite logit")
+            row = f"row {bad[0]}" if ids is None else f"window {ids[bad[0]]!r}"
+            raise NumericError(f"classifier head: {row} has a non-finite logit")
         return [self.class_names[i] for i in np.argmax(logits, axis=1)]
 
 
@@ -276,14 +277,16 @@ class ProbeConfig:
 
 
 def zeroshot_classify(
-    imu_embedding: np.ndarray, class_anchors: list[tuple[str, np.ndarray]]
+    imu_embedding: np.ndarray, class_anchors: list[tuple[str, np.ndarray]], window_id: str | None = None
 ) -> str:
-    """Nearest class anchor by inner product; ties keep the first declared class."""
+    """Nearest class anchor by inner product; ties keep the first declared class. A NaN score is
+    refused (NumericError naming `window_id` if given)."""
     if not class_anchors:
         raise DataError("zeroshot_classify: no class anchors")
     scores = _inner_products(np.stack([vec for _, vec in class_anchors]), imu_embedding)
     if np.isnan(scores).any():  # argmax would pick the first NaN
-        raise NumericError("zeroshot_classify: an inner product with a class anchor is NaN")
+        of = "" if window_id is None else f" of window {window_id!r}"
+        raise NumericError(f"zeroshot_classify: an inner product{of} with a class anchor is NaN")
     return class_anchors[int(np.argmax(scores))][0]
 
 

@@ -2,9 +2,10 @@
 
 File formats:
   * IMU CSV: header ``t,ax,ay,az,gx,gy,gz``; seconds, m/s^2, rad/s. Fields
-    are ASCII decimals (no ``1_0``, no non-ASCII digits), parsed in one numpy
-    pass; ``inf``/``nan`` are refused as non-finite, blank lines are skipped
-    and errors name ``path:line``. The `ImuStream` constructor then refuses,
+    are ASCII decimals (no ``1_0``, no non-ASCII digits), parsed in one orjson
+    pass where `_orjson_rows` takes the file, else in one numpy pass, to the
+    same bits; ``inf``/``nan`` are refused as non-finite, blank lines are
+    skipped and errors name ``path:line``. The `ImuStream` constructor then refuses,
     naming the path, a file with no samples, timestamps that do not strictly
     increase and a span that is no finite duration, as it does any stream.
   * Anchor JSONL: ``{"window_id": str, "modality": "video"|"text", "vector": [number, ...]}``.
@@ -21,6 +22,7 @@ File formats:
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from collections import Counter
@@ -259,9 +261,38 @@ class ParallelDataset:
 # IMU CSV
 
 
+# The bytes a CSV body may hold for orjson to parse it. Within them orjson reads only JSON numbers
+# (no literal, bracket or quote), each to the bits numpy's parse gives, save the int ``-0``: orjson
+# reads int 0, so +0.0, where numpy reads -0.0. A body holding that token goes to numpy.
+_ORJSON_CSV_BYTES = b"0123456789.-+eE,\n"
+
+
+def _orjson_rows(raw: bytes) -> np.ndarray | None:
+    """The (n, 7) float64 rows of a CSV file's bytes in one orjson parse, or None unless the file
+    is exactly the header line then lines of 7 comma-separated JSON numbers in `_ORJSON_CSV_BYTES`
+    (blank lines dropped, as `str.strip` drops them) and no int ``-0``. What it returns,
+    `_parse_rows` gives bit for bit."""
+    head = CSV_HEADER.encode() + b"\n"
+    body = raw[len(head):]
+    if not raw.startswith(head) or body.translate(None, _ORJSON_CSV_BYTES):
+        return None
+    lines = body.split()
+    if {line.count(b",") for line in lines} != {6}:
+        return None
+    numbers = b"[" + b",".join(lines) + b"]"
+    del body, lines  # the parse holds only the file and one copy of its numbers
+    try:  # orjson refuses an empty field, so each line gives 7 values in order
+        rows = np.array(orjson.loads(numbers), dtype=np.float64).reshape(-1, 7)
+    except orjson.JSONDecodeError:  # not JSON numbers: ``,,``, ``1.``, ``+1``, ``1e400``
+        return None
+    if not rows.all() and (b"-0," in numbers or b"-0]" in numbers):
+        return None  # an int -0 reads as +0.0, so it is sought only in a file that holds a zero
+    return rows
+
+
 def _parse_rows(lines: list[str]) -> np.ndarray:
-    """The float64 rows of comma-separated lines in one C-level parse; ValueError
-    for a field that is not an ASCII decimal, ``inf`` or ``nan``."""
+    """The float64 rows of comma-separated lines in one numpy parse, the reference that
+    `_orjson_rows` matches; ValueError for a field that is not an ASCII decimal, ``inf`` or ``nan``."""
     text = "\n".join(lines)
     if any(c in text for c in "\x1c\x1d\x1e\x1f"):  # float() refuses them, numpy skips them
         raise ValueError("control character U+001C..U+001F in a field")
@@ -282,20 +313,26 @@ def _first_bad_field(line: str) -> tuple[int, str]:
 
 
 def load_imu_stream(path) -> ImuStream:
-    """Parse one IMU CSV in one numpy pass, naming the first bad or NaN/Inf line; the `ImuStream`
-    constructor checks the rest, naming the path. The rate is the mean rate (0.0 for one sample)."""
+    """Parse one IMU CSV from its bytes, read once: in one orjson pass where `_orjson_rows` takes
+    the file, else in one numpy pass naming the first bad or NaN/Inf line. Both load the same bits
+    and refusals. The `ImuStream` constructor checks the rest, naming the path. The rate is the
+    mean rate (0.0 for one sample)."""
     path = Path(path)
-    # bytes that are not UTF-8 become U+FFFD, which no field parses
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise DataError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
-        kept = [(lineno, s) for lineno, line in enumerate(fh, start=2) if (s := line.strip())]
-    try:
-        data = _parse_rows([s for _, s in kept]) if kept else np.empty((0, 7))
-        ok = data.shape[1] == 7 and np.isfinite(data).all()
-    except ValueError:
-        ok = False
+    raw = path.read_bytes()
+    data = _orjson_rows(raw)
+    ok = data is not None
+    if not ok:
+        # bytes that are not UTF-8 become U+FFFD, which no field parses
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace") as fh:
+            header = fh.readline().strip()
+            if header != CSV_HEADER:
+                raise DataError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
+            kept = [(lineno, s) for lineno, line in enumerate(fh, start=2) if (s := line.strip())]
+        try:
+            data = _parse_rows([s for _, s in kept]) if kept else np.empty((0, 7))
+            ok = data.shape[1] == 7 and np.isfinite(data).all()
+        except ValueError:
+            pass
     for lineno, line in [] if ok else kept:  # name the first bad line
         if line.count(",") != 6:
             raise DataError(f"{path}:{lineno}: expected 7 fields, got {line.count(',') + 1}")
@@ -369,11 +406,12 @@ def make_windows(stream: ImuStream, window_s: float, stride_s: float) -> WindowS
 # anchors and labels
 
 
-# Two kinds of line go to json.loads: lines orjson refuses (NaN, ±Infinity, numbers past float's
-# range, ints past 4,300 digits, lone surrogates, a BOM, raw control characters) and lines with more
-# than 256 `[` and `{` (orjson has no depth limit and overflows the C stack). orjson reads an int
-# outside [-2**63, 2**64) as float(int), json.loads as the int; no loader result tells them apart,
-# as a number field takes both and no refusal quotes a number.
+# Two kinds of JSONL line go to json.loads: lines orjson refuses (NaN, ±Infinity, numbers past
+# float's range, ints past 4,300 digits, lone surrogates, a BOM, raw control characters) and lines
+# with more than 256 `[` and `{` (orjson has no depth limit and overflows the C stack). orjson reads
+# an int outside [-2**63, 2**64) as float(int), json.loads as the int; no loader result tells them
+# apart, as a number field takes both and no refusal quotes a number. IMU CSVs hold no brackets;
+# their guard against numpy's parse is `_ORJSON_CSV_BYTES` and `_orjson_rows`.
 _ORJSON_MAX_BRACKETS = 256
 
 

@@ -5,7 +5,9 @@ failure message. Training speed rests on how glibc's allocator hands out
 and returns pages, so the header also names the allocator settings in the
 environment: a run with pinned thresholds shows as such. The header also
 gives the line count of the package source, `wc -l src/imualign/*.py`,
-the size figure the ROADMAP tracks. Hypothesis keeps its example database
+the size figure the ROADMAP tracks, and the orjson version, as the IMU CSV
+and JSONL loaders' bits rest on its number parser matching numpy's and
+`json.loads`'. Hypothesis keeps its example database
 and constants in the repo's own ignored `.hypothesis/`, whatever the
 working directory of the run."""
 
@@ -13,6 +15,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -37,7 +40,8 @@ def _source_lines() -> int:
 
 
 def pytest_report_header(config):
-    return [f"numpy {np.__version__}, BLAS {_blas()}, allocator settings: {_allocator_settings()}",
+    return [f"numpy {np.__version__}, orjson {orjson.__version__}, BLAS {_blas()}, "
+            f"allocator settings: {_allocator_settings()}",
             f"src/imualign/*.py: {_source_lines()} lines"]
 
 

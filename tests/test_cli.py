@@ -1070,8 +1070,28 @@ def test_a_probe_whose_logits_overflow_exits_3_without_a_warning(tmp_path):
                            "--labels", str(corpus / "labels.jsonl"), "--protocol", "probe", "--lr", "1e308",
                            "--epochs", "1", "--run-dir", str(tmp_path / "probe"))
     assert proc.returncode == 3 and proc.stdout == ""
-    assert proc.stderr.splitlines() == ["numerical failure: classifier head: row 1 has a non-finite logit"]
+    assert proc.stderr.splitlines() == [
+        "numerical failure: classifier head: window 'synth-0001:0' has a non-finite logit"]
     assert not (tmp_path / "probe").exists()
+
+
+def test_a_nan_zeroshot_score_exits_3_naming_its_window(run_dir, cache_path, corpus, monkeypatch, capsys):
+    encode_batch = cli.encode_batch
+
+    def nan_in_row_2(windows, params, config):
+        emb = encode_batch(windows, params, config)
+        emb[2, 0] = np.nan  # past encode_batch's own check, as a scorer's NaN would be
+        return emb
+
+    monkeypatch.setattr(cli, "encode_batch", nan_in_row_2)
+    code, payload, err = run_cli(
+        capsys, "eval-classify", "--ckpt", str(run_dir / "ckpt-30.bin"), "--cache", str(cache_path),
+        "--labels", str(corpus / "labels.jsonl"), "--protocol", "zeroshot",
+        "--class-anchors", str(corpus / "class_anchors.jsonl"))
+    window = load_window_cache(cache_path).windows.ids[2]
+    assert code == 3 and payload is None
+    assert err.splitlines() == [
+        f"numerical failure: zeroshot_classify: an inner product of window {window!r} with a class anchor is NaN"]
 
 
 @pytest.mark.parametrize("case", ["retrieve-query-is-a-dir", "retrieve-pool-is-a-dir",

@@ -419,8 +419,10 @@ def test_zeroshot_empty_error():
 def test_zeroshot_refuses_a_nan_score():
     # argmax returns the first NaN, so a NaN embedding would read as the first class
     anchors = [("a", _unit([1.0, 0.0])), ("b", _unit([0.0, 1.0]))]
-    with pytest.raises(NumericError, match="NaN"):
+    with pytest.raises(NumericError, match=r"^zeroshot_classify: an inner product with a class anchor is NaN$"):
         zeroshot_classify(np.array([np.nan, 1.0]), anchors)
+    with pytest.raises(NumericError, match=r"^zeroshot_classify: an inner product of window 'w:7' with a class"):
+        zeroshot_classify(np.array([np.nan, 1.0]), anchors, "w:7")
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +512,8 @@ def test_predict_refuses_a_row_with_a_non_finite_logit(bad):
     assert head.predict(np.array([[0.9, 0.1], [0.1, 0.9]])) == ["a", "b"]
     with pytest.raises(NumericError, match=r"^classifier head: row 1 has a non-finite logit$"):
         head.predict(np.array([[0.9, 0.1], [bad, 1e308]]))  # 1e308 + 1e308 overflows
+    with pytest.raises(NumericError, match=r"^classifier head: window 'w:1' has a non-finite logit$"):
+        head.predict(np.array([[0.9, 0.1], [bad, 1e308]]), ["w:0", "w:1"])
 
 
 # ---------------------------------------------------------------------------

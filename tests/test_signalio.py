@@ -275,6 +275,109 @@ def test_load_arbitrary_text_raises_only_data_error(tmp_path, header, lines, end
         _assert_loads_like_reference(p)
 
 
+# ---------------------------------------------------------------------------
+# the orjson pass: the files it takes load to the numpy pass's bits
+
+
+@st.composite
+def _decimals(draw) -> str:
+    """A 1-40-digit mantissa with a decimal exponent in -340..310, as the JSON grammar writes it."""
+    digits = str(draw(st.integers(1, 10**40 - 1)))
+    point = draw(st.integers(1, len(digits)))
+    mantissa = digits[:point] + ("." + digits[point:] if point < len(digits) else "")
+    exponent = draw(st.integers(-340, 310))
+    return (draw(st.sampled_from(["", "-"])) + mantissa + draw(st.sampled_from(["e", "E"]))
+            + ("+" if exponent >= 0 and draw(st.booleans()) else "") + str(exponent))
+
+
+def _ints_around(*powers: int):
+    return st.builds(lambda p, d, s: str(s * (2**p + d)), st.sampled_from(powers), st.integers(-3, 3),
+                     st.sampled_from([1, -1]))
+
+
+_fast_tokens = st.one_of(
+    _finite.map(repr),  # repr writes 1e+16, 5e-324 and -0.0, all JSON numbers
+    _decimals().filter(lambda s: math.isfinite(float(s))),  # orjson refuses a number past float's range
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308).map(lambda v: f"{v:.25e}"),  # subnormals
+    _ints_around(53, 63, 64, 90, 1023),
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["-0", "-0.0", "0e0", "0", "-0e0", "2.4703282292062327e-324", "2.4703282292062328e-324",
+                     "1.7976931348623157e308", str(2**1024 - 2**970 - 1), "1e-400", "-1e-400"]),
+)
+
+
+def _int_minus_zero(lines: list[str]) -> bool:
+    return any(field == "-0" for line in lines for field in line.split(","))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(_fast_tokens, min_size=7, max_size=7).map(",".join), min_size=1, max_size=8),
+       end=st.sampled_from(["", "\n", "\n\n"]))
+def test_the_orjson_pass_gives_the_numpy_pass_bits(rows, end):
+    got = signalio._orjson_rows(f"{CSV_HEADER}\n{chr(10).join(rows)}{end}".encode())
+    assert (got is None) == _int_minus_zero(rows)  # an int -0 goes to numpy; nothing else here does
+    if got is not None:
+        assert got.tobytes() == signalio._parse_rows(rows).tobytes()
+
+
+def test_a_written_csv_loads_without_the_numpy_pass(tmp_path, monkeypatch):
+    p = tmp_path / "w.csv"
+    stream = _stream(200)
+    write_imu_stream(stream, p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt was called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    loaded = load_imu_stream(p)
+    assert loaded.values.tobytes() == stream.values.tobytes()
+    assert loaded.timestamps.tobytes() == stream.timestamps.tobytes()
+
+
+@pytest.mark.parametrize("last", ["-0\n", "-0"])
+def test_an_int_minus_zero_loads_as_minus_zero(tmp_path, last):
+    p = tmp_path / "z.csv"
+    p.write_text(f"{CSV_HEADER}\n-0,1,2,3,4,5,-0\n1,1,-0,3,4,5,{last}")
+    stream = load_imu_stream(p)
+    assert np.signbit(stream.timestamps[0]) and np.signbit(stream.values[:, 5]).all()
+    assert np.signbit(stream.values[1, 1]) and not np.signbit(stream.values[0, 1])
+
+
+# 2**1024 - 2**970 is halfway from float's max to 2**1024, so it rounds to inf
+@pytest.mark.parametrize("big", ["1e400", "1.7976931348623159e308", str(2**1024 - 2**970)])
+def test_a_float_past_the_range_is_refused_as_non_finite(tmp_path, big):
+    p = tmp_path / "big.csv"
+    p.write_text(f"{CSV_HEADER}\n{_GOOD}\n0.5,1,2,{big},4,5,6\n")
+    with pytest.raises(DataError, match=r"^.*big\.csv:3: non-finite value$"):
+        load_imu_stream(p)
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param("0.5,1,2,3,4,5,6]", id="bracket"),
+    pytest.param("0.5,true,2,3,4,5,6", id="literal"),
+    pytest.param("0.5,1,,3,4,5,6", id="empty-field"),
+    pytest.param("0.5,1,2,3,4,5,6\r", id="crlf"),
+    pytest.param(" 0.5 ,1,2,3,4,5,6\t", id="blank-padded"),
+    pytest.param("0.5,1.,+2,.3,04,5,6", id="numbers-json-refuses"),
+    pytest.param("0.5,1,2,3,4,5", id="six-fields"),
+    pytest.param("0.5,1,2,3,4,5,6,7", id="eight-fields"),
+    pytest.param("0.5,1,2,3,4,5,6,", id="trailing-comma"),
+    pytest.param("0.5,1e,2,3,4,5,6", id="no-exponent-digits"),
+])
+def test_a_file_the_orjson_pass_declines_loads_as_the_reference_does(tmp_path, line):
+    p = tmp_path / "d.csv"
+    p.write_bytes(f"{CSV_HEADER}\n{_GOOD}\n{line}\n1.0,1,2,3,4,5,6\n".encode())
+    assert signalio._orjson_rows(p.read_bytes()) is None
+    try:
+        _reference_load(p)
+    except DataError as refused:
+        with pytest.raises(DataError) as got:
+            load_imu_stream(p)
+        assert str(got.value) == str(refused)
+    else:
+        _assert_loads_like_reference(p)
+
+
 @st.composite
 def _streams(draw):
     """Timestamps and values of a stream the constructor accepts: strictly
