@@ -2,23 +2,23 @@
 
 The op set is exactly what the pipeline runs: the layers of the IMU
 encoder (1-D convolution, group normalization, max pooling, a GRU, affine
-maps, L2 normalization) and the few ops its losses and the classifier head
-compose (`add`, `divide`, `transpose`, `matmul_nt`, `add_rowvec`). Every op
-takes `Tensor`s and no other input form. A new op is one function that
-computes its output and hands `Tape.record` its vjp. There is no
-broadcasting engine; every op takes exact shapes and raises
+maps, L2 normalization), whose `linear` also trains the classifier heads,
+and the few ops its losses compose (`add`, `divide`, `transpose`,
+`matmul_nt`). Every op takes `Tensor`s and no other input form. A new op
+is one function that computes its output and hands `Tape.record` its vjp.
+There is no broadcasting engine; every op takes exact shapes and raises
 ShapeMismatchError otherwise.
 
 Shape contract: the encoder layers take a leading batch axis B, one entry
 per window. `group_norm`, `conv1d`, `relu` and `max_pool1d` work on (B, C, T)
 signals; `gru_forward` reads such a (B, F, T) feature map as a sequence and
 returns its final (B, H) state; `linear` and `l2_normalize` work on (B, F)
-rows. A window's result has the same bits in a batch of any size.
-The convolutions get this from one fixed-shape product per window. The GRU
-and `linear` multiply all their rows by a weight in one GEMM
-(`_row_stable_matmul`), whose row i does not depend on the other rows as
-long as the weight operand is a C-contiguous (K, N) array and a lone row is
-padded to two. Backward products sum over the batch.
+rows. At the tiny and default encoder configs the tests pin, a window's
+result has the same bits in a batch of any size. The convolutions get this
+from one fixed-shape product per window. The GRU and `linear` multiply all
+their rows by a weight in one GEMM (`_row_stable_matmul`), whose row i
+does not depend on the other rows at those configs' shapes, but does at
+some others. Backward products sum over the batch.
 
 Backward allocates little beyond its results: a conv vjp makes its three
 outputs, one receptive-field copy for dW's single GEMM and one (B, C, t)
@@ -162,9 +162,11 @@ def transpose(tape: Tape, x: Tensor) -> Tensor:
 
 def _row_stable_matmul(a: Array, b: Array) -> Array:
     """a @ b for a: (M, K) and b: (K, N) as one GEMM whose row i has the
-    same bits for every M. BLAS picks its kernel, and with it the summation
-    order, by the operand shapes and layouts; two facts, measured on
-    OpenBLAS and pinned by the row-stability test, keep a row's order fixed:
+    same bits for every M at the tiny and default encoder configs' shapes;
+    at some others (N of 2 or 3; K of 416-512 at most N) OpenBLAS changes
+    them with M. BLAS picks its kernel, and with it the summation order, by
+    the operand shapes and layouts; two facts, measured on OpenBLAS and
+    pinned by the row-stability test, keep a row's order fixed at those shapes:
     - b is a C-contiguous (K, N) array. A transposed view takes another
       kernel for small M, whose rows differ from the large-M ones;
     - a lone row is padded with a zero row: numpy sends a (1, K) product
@@ -205,15 +207,6 @@ def matmul_nt(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
         )
     out = Tensor(a.data @ b.data.T)
     tape.record(out, (a, b), lambda g: (g @ b.data, g.T @ a.data))
-    return out
-
-
-def add_rowvec(tape: Tape, x: Tensor, v: Tensor) -> Tensor:
-    """Add a vector to every row of a matrix."""
-    if x.data.ndim != 2 or v.data.ndim != 1 or x.shape[1] != v.shape[0]:
-        raise ShapeMismatchError(f"add_rowvec: shapes {x.shape} and {v.shape} incompatible")
-    out = Tensor(x.data + v.data)
-    tape.record(out, (x, v), lambda g: (g, g.sum(axis=0)))
     return out
 
 

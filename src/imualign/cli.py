@@ -35,7 +35,7 @@ from .evaluate import (
     fit_linear_head,
     label_indices,
     save_head,
-    zeroshot_classify,
+    zeroshot_head,
 )
 from .signalio import (
     CACHE_MAGIC,
@@ -200,18 +200,15 @@ def cmd_eval_classify(args) -> int:
         missing = [c for c in class_names if c not in anchors]
         if missing:
             raise DataError(f"class anchors missing for: {', '.join(missing)}")
-        pairs = [(c, anchors[c].vector) for c in class_names]
+        head = zeroshot_head([(c, anchors[c].vector) for c in class_names])
     elif args.protocol == "finetune":
         params, head = fine_tune(dataset, params, None, ckpt.encoder_config, probe_cfg)
     emb = encode_batch(windows, params, ckpt.encoder_config)
-    if args.protocol == "zeroshot":
-        preds = [zeroshot_classify(e, pairs, wid) for wid, e in zip(windows.ids, emb)]
-    else:
-        if args.protocol == "probe":
-            head = fit_linear_head(emb, label_indices(dataset, windows), class_names, probe_cfg)
-        preds = head.predict(emb, windows.ids)
-        if args.run_dir:
-            _write_classify_run(args, probe_cfg, head, ckpt, params)
+    if args.protocol == "probe":
+        head = fit_linear_head(emb, label_indices(dataset, windows), class_names, probe_cfg)
+    preds = head.predict(emb, windows.ids)
+    if args.run_dir and args.protocol != "zeroshot":
+        _write_classify_run(args, probe_cfg, head, ckpt, params)
 
     metrics = classification_metrics(preds, [labels[wid] for wid in windows.ids], class_names)
     metrics.update(task="classification", protocol=args.protocol,
@@ -392,10 +389,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ImuAlignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ImuAlignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,14 +39,15 @@ class RetrievalResult:
 
 
 def _inner_products(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Each row of `matrix` dotted with `query`."""
-    # vecdot, not `matrix @ query`: BLAS gemv sums rows in a different order
+    """Each row of `matrix` dotted with `query`: one (D,) vector, or each
+    row of an (n, D) array, giving (n, rows) scores."""
+    # vecdot, not a GEMM or gemv: BLAS sums rows in a different order
     # depending on where they fall in its blocks, so two equal rows can score
-    # an ulp apart and break a tie rule; vecdot runs the same dot on every row,
-    # so a (row, query) pair gets the same bits in either layout
-    if np.shape(query) != matrix.shape[1:]:
+    # an ulp apart and break a tie rule; vecdot runs the same dot on every
+    # (row, query) pair, so a pair gets the same bits in any layout or batch
+    if np.shape(query)[-1:] != matrix.shape[1:]:
         raise ShapeMismatchError(f"query dim {np.shape(query)} does not match pool dim {matrix.shape[1]}")
-    return np.vecdot(matrix, query)
+    return np.vecdot(matrix, np.asarray(query)[..., None, :])
 
 
 def _stack(vectors: list, what: str) -> np.ndarray:
@@ -252,10 +253,12 @@ class ClassifierHead:
             )
 
     def predict(self, embeddings: np.ndarray, ids: list[str] | None = None) -> list[str]:
-        """The class of each row's largest logit; refuses (NumericError naming the row's window
-        id in `ids`, else its index) a row with a NaN or ±inf logit, as argmax would pick the first NaN."""
+        """The class of each row's largest logit, ties to the first declared class; refuses
+        (NumericError naming the row's window id in `ids`, else its index) a row with a NaN or
+        ±inf logit, as argmax would pick the first NaN. Logits are `_inner_products`' exact
+        kernel plus the bias, so a row's class does not depend on the batch it is in."""
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            logits = np.atleast_2d(embeddings) @ self.weight.T + self.bias
+            logits = _inner_products(self.weight, np.atleast_2d(embeddings)) + self.bias
         bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
         if bad.size:
             row = f"row {bad[0]}" if ids is None else f"window {ids[bad[0]]!r}"
@@ -276,18 +279,23 @@ class ProbeConfig:
             raise DataError(f"probe config: epochs, batch_size, seed and learning_rate must be >= 0; got {self}")
 
 
+def zeroshot_head(class_anchors: list[tuple[str, np.ndarray]]) -> ClassifierHead:
+    """The zero-shot classifier, after CLIP: a head whose rows are the class
+    anchors in declared order and whose bias is 0."""
+    if not class_anchors:
+        raise DataError("zeroshot head: no class anchors")
+    return ClassifierHead(_stack([vec for _, vec in class_anchors], "class anchor"),
+                          np.zeros(len(class_anchors)), [name for name, _ in class_anchors])
+
+
 def zeroshot_classify(
     imu_embedding: np.ndarray, class_anchors: list[tuple[str, np.ndarray]], window_id: str | None = None
 ) -> str:
-    """Nearest class anchor by inner product; ties keep the first declared class. A NaN score is
-    refused (NumericError naming `window_id` if given)."""
-    if not class_anchors:
-        raise DataError("zeroshot_classify: no class anchors")
-    scores = _inner_products(np.stack([vec for _, vec in class_anchors]), imu_embedding)
-    if np.isnan(scores).any():  # argmax would pick the first NaN
-        of = "" if window_id is None else f" of window {window_id!r}"
-        raise NumericError(f"zeroshot_classify: an inner product{of} with a class anchor is NaN")
-    return class_anchors[int(np.argmax(scores))][0]
+    """Nearest class anchor by inner product: `zeroshot_head`'s prediction
+    for one embedding, scored with the exact kernel, so it is the class
+    that embedding gets in any batch; ties keep the first declared class
+    and a non-finite score is refused (naming `window_id` if given)."""
+    return zeroshot_head(class_anchors).predict(imu_embedding, None if window_id is None else [window_id])[0]
 
 
 def label_indices(dataset: ParallelDataset, windows: WindowSet) -> np.ndarray:
@@ -307,11 +315,11 @@ def _labeled_windows(dataset: ParallelDataset) -> WindowSet:
     return windows
 
 
-def init_head(n_classes: int, dim: int, class_names: list[str], seed: int) -> ClassifierHead:
+def init_head(class_names: list[str], dim: int, seed: int) -> ClassifierHead:
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(dim)
     return ClassifierHead(
-        rng.uniform(-bound, bound, size=(n_classes, dim)), np.zeros(n_classes), list(class_names)
+        rng.uniform(-bound, bound, size=(len(class_names), dim)), np.zeros(len(class_names)), list(class_names)
     )
 
 
@@ -340,7 +348,7 @@ def _fit_head(
         for batch in make_batches(n, batch_size, config.seed, epoch):
             tape = Tape()
             with np.errstate(over="ignore", invalid="ignore"):  # `gradients` refuses a non-finite loss
-                logits = ad.add_rowvec(tape, ad.matmul_nt(tape, features(tape, batch), w), b)
+                logits = ad.linear(tape, features(tape, batch), w, b)
                 loss = softmax_cross_entropy(tape, logits, labels[batch])
             adagrad_step(named, gradients(tape, loss, named), state, config.learning_rate, _ADAGRAD_EPS)
     return ClassifierHead(w.data, b.data, list(head.class_names))
@@ -357,7 +365,7 @@ def fit_linear_head(
     n, dim = emb.shape
     if np.shape(label_indices) != (n,):
         raise ShapeMismatchError(f"fit_linear_head: labels of shape {np.shape(label_indices)} for {n} rows")
-    head = init_head(len(class_names), dim, class_names, config.seed)
+    head = init_head(class_names, dim, config.seed)
     return _fit_head(head, lambda tape, batch: Tensor(emb[batch]), label_indices, config, {})
 
 
@@ -386,8 +394,7 @@ def fine_tune(
     windows = _labeled_windows(dataset)
     params = params.copy()
     if head is None:
-        head = init_head(len(dataset.class_names), encoder_config.embed_dim,
-                         dataset.class_names, config.seed)
+        head = init_head(dataset.class_names, encoder_config.embed_dim, config.seed)
 
     def features(tape, batch):
         return encode_batch_on_tape(tape, windows.signals[batch], params, encoder_config)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -192,7 +193,7 @@ def fit(
     opt_state = AdagradState()
 
     run_path = None
-    metrics_fh = None
+    metrics = nullcontext()
     if run_dir is not None:
         run_path = Path(run_dir)
         run_path.mkdir(parents=True, exist_ok=True)
@@ -200,10 +201,10 @@ def fit(
             json.dumps({"train": asdict(config), "encoder": asdict(encoder_config)},
                        indent=2, sort_keys=True) + "\n"
         )
-        metrics_fh = open(run_path / "metrics.jsonl", "w", encoding="utf-8")
+        metrics = open(run_path / "metrics.jsonl", "w", encoding="utf-8")
 
     history = []
-    try:
+    with metrics as metrics_fh:
         for epoch in range(config.epochs):
             losses = train_epoch(dataset, params, opt_state, config, encoder_config, epoch)
             record = {"epoch": epoch, "lr": lr_at(epoch, config.learning_rate, config.decay),
@@ -212,9 +213,6 @@ def fit(
             if metrics_fh is not None:
                 metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
                 metrics_fh.flush()
-    finally:
-        if metrics_fh is not None:
-            metrics_fh.close()
 
     if run_path is not None:
         save_checkpoint(run_path / f"ckpt-{config.epochs}.bin",

@@ -90,7 +90,6 @@ def _kernel_cases(rng):
     lv = rng.standard_normal((2, 5))
     m = rng.standard_normal((3, 4))
     m2 = rng.standard_normal((2, 4))
-    mat34 = rng.standard_normal((3, 4))
     sims = rng.uniform(-0.8, 0.8, size=(4, 4))
     labels = rng.integers(0, 3, size=4)
 
@@ -120,7 +119,6 @@ def _kernel_cases(rng):
         ("add+divide", (lambda t, p: sum_all(t, ad.divide(t, ad.add(t, p, p), 0.75))), Tensor(rng.standard_normal(6))),
         ("matmul_nt/a", enc_tanh(lambda t, p: ad.matmul_nt(t, p, Tensor(m))), Tensor(m2)),
         ("matmul_nt/b", enc_tanh(lambda t, p: ad.matmul_nt(t, Tensor(m2), p)), Tensor(m)),
-        ("add_rowvec/v", enc_tanh(lambda t, p: ad.add_rowvec(t, Tensor(mat34), p)), Tensor(rng.standard_normal(4))),
         ("info_nce/row", (lambda t, p: info_nce(t, p, 0.2)), Tensor(sims)),
         ("info_nce/col", (lambda t, p: info_nce(t, ad.transpose(t, p), 0.2)), Tensor(sims)),
         ("cross_entropy", (lambda t, p: softmax_cross_entropy(t, p, labels)), Tensor(rng.standard_normal((4, 3)))),

@@ -27,6 +27,7 @@ from imualign.signalio import (
     ParallelDataset,
     WindowCache,
     WindowSet,
+    load_anchor_embeddings,
     load_labels,
     load_window_cache,
     save_window_cache,
@@ -679,6 +680,28 @@ def test_eval_classify_zeroshot(run_dir, cache_path, corpus, capsys):
     assert payload["unlabeled_windows"] == 0 and payload["labels_without_window"] == 0
 
 
+def test_eval_classify_zeroshot_predicts_what_zeroshot_classify_does(run_dir, cache_path, corpus,
+                                                                     monkeypatch, capsys):
+    # the command scores all windows in one call to the zero-shot head;
+    # each window gets the class the one-embedding call gives it
+    seen = []
+    metrics = cli.classification_metrics
+    monkeypatch.setattr(cli, "classification_metrics", lambda preds, *a: seen.append(preds) or metrics(preds, *a))
+    code, _, _ = run_cli(
+        capsys, "eval-classify", "--ckpt", str(run_dir / "ckpt-30.bin"),
+        "--cache", str(cache_path), "--labels", str(corpus / "labels.jsonl"),
+        "--protocol", "zeroshot", "--class-anchors", str(corpus / "class_anchors.jsonl"),
+    )
+    assert code == 0
+    ckpt = load_checkpoint(run_dir / "ckpt-30.bin")
+    labels, class_names = load_labels(corpus / "labels.jsonl")
+    windows = load_window_cache(cache_path).windows.having(labels)
+    anchors = load_anchor_embeddings(corpus / "class_anchors.jsonl")
+    pairs = [(c, anchors[c].vector) for c in class_names]
+    emb = cli.encode_batch(windows, ckpt.params, ckpt.encoder_config)
+    assert seen == [[evaluate.zeroshot_classify(e, pairs) for e in emb]]
+
+
 def test_eval_classify_reports_what_it_dropped(run_dir, cache_path, corpus, tmp_path, capsys):
     header, *records = (corpus / "labels.jsonl").read_text().splitlines()
     ghosts = [json.dumps(dict(json.loads(records[0]), window_id=f"ghost:{i}")) for i in range(3)]
@@ -1090,8 +1113,7 @@ def test_a_nan_zeroshot_score_exits_3_naming_its_window(run_dir, cache_path, cor
         "--class-anchors", str(corpus / "class_anchors.jsonl"))
     window = load_window_cache(cache_path).windows.ids[2]
     assert code == 3 and payload is None
-    assert err.splitlines() == [
-        f"numerical failure: zeroshot_classify: an inner product of window {window!r} with a class anchor is NaN"]
+    assert err.splitlines() == [f"numerical failure: classifier head: window {window!r} has a non-finite logit"]
 
 
 @pytest.mark.parametrize("case", ["retrieve-query-is-a-dir", "retrieve-pool-is-a-dir",
