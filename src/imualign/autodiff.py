@@ -289,7 +289,8 @@ def group_norm(
     """Normalize each window over (channel, time) within each channel group,
     then apply the per-channel affine gamma * xhat + beta. x: (B, C, T).
 
-    Group statistics use the biased variance over all entries of the group.
+    Group statistics use the biased variance over all entries of the group;
+    a group whose variance overflows comes out as NaN.
     """
     if x.data.ndim != 3:
         raise ShapeMismatchError(f"group_norm: expected (B,C,T) input, got {x.shape}")
@@ -307,6 +308,7 @@ def group_norm(
     grouped = x.data.reshape(batch, num_groups, -1)
     mean = grouped.mean(axis=2, keepdims=True)
     var = grouped.var(axis=2, keepdims=True)
+    var[np.isinf(var)] = np.nan  # an overflowed group normalizes to NaN, which callers refuse, not to 0
     inv = 1.0 / np.sqrt(var + eps)
     xh = (grouped - mean) * inv
     xhat = xh.reshape(x.shape)

@@ -137,26 +137,31 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _anchor_paths(args) -> dict:
+    """{modality: path} of the anchor files given, video first."""
+    paths = {m: p for m, p in (("video", args.video_anchors), ("text", args.text_anchors)) if p}
+    if not paths:
+        raise DataError("give --video-anchors, --text-anchors or both")
+    return paths
+
+
 def cmd_train(args) -> int:
+    paths = _anchor_paths(args)
+    args.mode = next(mode for mode, modalities in MODES.items() if modalities == tuple(paths))
     config = _config(TrainConfig, args)
-    if "text" in MODES[config.mode] and not args.text_anchors:
-        raise DataError(f"mode {config.mode!r} requires --text-anchors")
     encoder_config = _config(EncoderConfig, args)
     cache = load_window_cache(args.cache)
     dataset, dropped = assemble_dataset(
         cache.windows, args.video_anchors, args.text_anchors, coverage_threshold=args.coverage
     )
-    if dropped:
-        print(f"dropped {len(dropped)} windows without anchors", file=sys.stderr)
-
-    inputs = [args.cache, args.video_anchors] + ([args.text_anchors] if args.text_anchors else [])
-    manifest = _manifest("train", {**asdict(config), "encoder": asdict(encoder_config)}, inputs)
+    manifest = _manifest("train", {**asdict(config), "encoder": asdict(encoder_config)}, [args.cache, *paths.values()])
     t0 = time.time()
     _, _, history = fit(dataset, encoder_config, config, run_dir=args.run_dir, manifest=manifest)
     _emit({
         "run_dir": str(args.run_dir),
         "epochs": config.epochs,
         "n_windows": len(dataset),
+        "dropped_windows": len(dropped),
         "final": history[-1] if history else None,
         "wall_s": round(time.time() - t0, 3),
     })
@@ -169,16 +174,20 @@ def _embeddings_from(ckpt_path, windows) -> dict[str, np.ndarray]:
 
 
 def cmd_eval_retrieval(args) -> int:
-    anchors = load_anchor_embeddings(args.anchors, "text" if "text" in args.direction else "video")
+    anchors = {m: load_anchor_embeddings(p, m) for m, p in _anchor_paths(args).items()}
     cache = load_window_cache(args.cache)
-    windows = cache.windows.having(anchors)
-    if not windows:
+    if any(table.keys().isdisjoint(cache.windows.ids) for table in anchors.values()):
         raise DataError("no anchor ids overlap the cache windows")
-    embeddings = _embeddings_from(args.ckpt, windows)
-    metrics = eval_retrieval(embeddings, {k: anchors[k].vector for k in embeddings}, args.direction)
-    metrics.update(task="retrieval", dropped_anchors=len(anchors) - len(windows),
-                   dropped_windows=len(cache.windows) - len(windows))
-    _emit(metrics)
+    embeddings = _embeddings_from(args.ckpt, cache.windows.having(set().union(*anchors.values())))
+    results = []
+    for direction in RETRIEVAL_DIRECTIONS:
+        table = anchors.get("text" if "text" in direction else "video")
+        if table is not None:
+            own = {k: v for k, v in embeddings.items() if k in table}
+            metrics = eval_retrieval(own, {k: table[k].vector for k in own}, direction)
+            results.append({**metrics, "dropped_anchors": len(table) - len(own),
+                            "dropped_windows": len(cache.windows) - len(own)})
+    _emit({"task": "retrieval", "results": results})
     return 0
 
 
@@ -317,9 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="contrastive pre-training of the IMU encoder")
     p.add_argument("--cache", required=True)
-    p.add_argument("--video-anchors", required=True)
-    p.add_argument("--text-anchors", default=None)
-    p.add_argument("--mode", choices=list(MODES), default=TrainConfig.mode)
+    p.add_argument("--video-anchors", default=None, help="video anchor JSONL (mode iv; ivt with both)")
+    p.add_argument("--text-anchors", default=None, help="text anchor JSONL (mode it; ivt with both)")
     p.add_argument("--epochs", type=int, required=True)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
@@ -336,11 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval-retrieval", help="R@k / MRR over the full pool")
+    p = sub.add_parser("eval-retrieval", help="R@k / MRR over the full pool, per direction the anchors allow")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--cache", required=True)
-    p.add_argument("--anchors", required=True)
-    p.add_argument("--direction", choices=RETRIEVAL_DIRECTIONS, required=True)
+    p.add_argument("--video-anchors", default=None, help="score imu2video and video2imu")
+    p.add_argument("--text-anchors", default=None, help="score text2imu and imu2text")
     p.set_defaults(func=cmd_eval_retrieval)
 
     p = sub.add_parser("eval-classify", help="zeroshot / probe / finetune activity recognition")

@@ -182,9 +182,10 @@ def encode_batch(
     if not windows:
         raise DataError("encode_batch: empty batch")
     out = np.empty((len(windows), config.embed_dim))
-    for start in range(0, len(windows), _CHUNK):
-        chunk = windows.signals[start : start + _CHUNK]
-        out[start : start + len(chunk)] = encode_batch_on_tape(Tape(), chunk, params, config).data
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is refused just below
+        for start in range(0, len(windows), _CHUNK):
+            chunk = windows.signals[start : start + _CHUNK]
+            out[start : start + len(chunk)] = encode_batch_on_tape(Tape(), chunk, params, config).data
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
         raise NumericError(f"encode_batch: window {windows.ids[bad[0]]!r} embeds to non-finite values")

@@ -220,11 +220,11 @@ class AnchorEmbedding:
 
 @dataclass
 class ParallelDataset:
-    """Aligned (IMU window, video anchor, optional text anchor, optional label)
-    triples; `windows` is a `WindowSet`, so its ids are unique."""
+    """IMU windows aligned with optional video and text anchors and labels;
+    `windows` is a `WindowSet`, so its ids are unique."""
 
     windows: WindowSet
-    video_anchors: dict[str, AnchorEmbedding]
+    video_anchors: dict[str, AnchorEmbedding] | None = None
     text_anchors: dict[str, AnchorEmbedding] | None = None
     labels: dict[str, str] | None = None
     class_names: list[str] | None = None
@@ -250,7 +250,7 @@ class ParallelDataset:
     def anchor_checksum(self) -> str:
         """Digest over every anchor vector; used to assert the frozen contract."""
         digest = hashlib.sha256()
-        for table in (self.video_anchors, self.text_anchors or {}):
+        for table in (self.video_anchors or {}, self.text_anchors or {}):
             for wid in sorted(table):
                 digest.update(wid.encode())
                 digest.update(table[wid].vector.tobytes())
@@ -595,7 +595,7 @@ def write_labels(labels: dict[str, str], class_names: list[str], path) -> None:
 
 def assemble_dataset(
     windows: WindowSet,
-    video_anchor_path,
+    video_anchor_path=None,
     text_anchor_path=None,
     labels_path=None,
     coverage_threshold: float = 1.0,
@@ -603,21 +603,22 @@ def assemble_dataset(
     """Join a window set with anchor/label files into a validated dataset,
     its windows in id order.
 
-    Returns the dataset plus the ids dropped for missing anchors. Coverage
-    below `coverage_threshold` (fraction of windows with every requested
-    anchor) raises CoverageError listing the missing ids.
+    A window is kept when it has an anchor in every file given. Returns the
+    dataset plus the ids dropped for missing anchors. Coverage below
+    `coverage_threshold` (fraction of windows kept) raises CoverageError
+    listing the missing ids.
     """
     if not 0 <= coverage_threshold <= 1:
         raise DataError(f"assemble_dataset: coverage threshold must be in [0, 1], got {coverage_threshold}")
     if not len(windows):
         raise DataError("assemble_dataset: no windows")
-    video = load_anchor_embeddings(video_anchor_path, "video")
+    video = load_anchor_embeddings(video_anchor_path, "video") if video_anchor_path else None
     text = load_anchor_embeddings(text_anchor_path, "text") if text_anchor_path else None
 
     kept, missing_ids = [], []
     for i in sorted(range(len(windows)), key=windows.ids.__getitem__):
         wid = windows.ids[i]
-        if wid in video and (text is None or wid in text):
+        if all(wid in table for table in (video, text) if table is not None):
             kept.append(i)
         else:
             missing_ids.append(wid)
@@ -638,7 +639,7 @@ def assemble_dataset(
     kept_ids = set(kept.ids)
     dataset = ParallelDataset(
         windows=kept,
-        video_anchors={k: v for k, v in video.items() if k in kept_ids},
+        video_anchors=None if video is None else {k: v for k, v in video.items() if k in kept_ids},
         text_anchors=None if text is None else {k: v for k, v in text.items() if k in kept_ids},
         labels=labels,
         class_names=class_names,

@@ -324,7 +324,7 @@ def test_criterion_09_determinism(tmp_path):
             assert cli_main([
                 "train", "--cache", str(cache),
                 "--video-anchors", str(corpus / "anchors_video.jsonl"),
-                "--mode", "iv", "--epochs", "10", "--seed", "13", "--batch-size", "4",
+                "--epochs", "10", "--seed", "13", "--batch-size", "4",
                 "--conv-channels", "8", "--conv-kernels", "7", "--conv-strides", "2",
                 "--gru-hidden", "12", "--embed-dim", "16",
                 "--run-dir", str(run),

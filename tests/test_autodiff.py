@@ -170,6 +170,30 @@ def test_group_norm_standardizes_down_to_small_variances():
             assert abs(block.var() - 1.0) < 1e-6
 
 
+def test_group_norm_gives_nan_for_a_group_whose_variance_overflows():
+    # a finite 3.4e307 squares past float64's range: its group comes out NaN, so a
+    # caller's non-finite check refuses it, not a group of zeros that looks like a signal
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((2, 4, 8))
+    x[1, 3, 5] = 3.4e307
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = ad.group_norm(Tape(), Tensor(x), 2, Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5).data
+    assert np.isnan(out[1, 2:]).all()
+    assert np.isfinite(out[0]).all() and np.isfinite(out[1, :2]).all()
+
+
+def test_group_norm_bits_for_finite_variances_are_the_plain_formula():
+    rng = np.random.default_rng(7)
+    for scale in (1e-3, 1.0, 1e150):
+        x = scale * rng.standard_normal((3, 6, 10))
+        gamma, beta = rng.standard_normal(6), rng.standard_normal(6)
+        grouped = x.reshape(3, 3, -1)
+        mean, var = grouped.mean(axis=2, keepdims=True), grouped.var(axis=2, keepdims=True)
+        xhat = ((grouped - mean) * (1.0 / np.sqrt(var + 1e-5))).reshape(x.shape)
+        out = ad.group_norm(Tape(), Tensor(x), 3, Tensor(gamma), Tensor(beta), 1e-5).data
+        assert out.tobytes() == (gamma[:, None] * xhat + beta[:, None]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # max_pool1d
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -78,7 +79,7 @@ def run_dir(corpus, cache_path, tmp_path_factory):
     code = main([
         "train", "--cache", str(cache_path),
         "--video-anchors", str(corpus / "anchors_video.jsonl"),
-        "--mode", "iv", "--epochs", "30", "--seed", "0", "--batch-size", "4",
+        "--epochs", "30", "--seed", "0", "--batch-size", "4",
         *TRAIN_FLAGS, "--run-dir", str(run),
     ])
     assert code == 0
@@ -321,8 +322,7 @@ def test_commands_refuse_a_cache_with_repeated_ids(command, repeated_id_cache, r
     argv = {
         "train": ["--cache", cache, "--video-anchors", video, "--epochs", "1",
                   *TRAIN_FLAGS, "--run-dir", str(tmp_path / "r")],
-        "eval-retrieval": ["--ckpt", ckpt, "--cache", cache, "--anchors", video,
-                           "--direction", "imu2video"],
+        "eval-retrieval": ["--ckpt", ckpt, "--cache", cache, "--video-anchors", video],
         "eval-classify": ["--ckpt", ckpt, "--cache", cache,
                           "--labels", str(corpus / "labels.jsonl"), "--protocol", "probe"],
         "retrieve": ["--ckpt", ckpt, "--pool", cache,
@@ -346,8 +346,7 @@ def test_commands_refuse_a_cache_with_non_finite_signals(command, bad, cache_pat
     argv = {
         "train": ["--cache", str(cache), "--video-anchors", video, "--epochs", "1",
                   *TRAIN_FLAGS, "--run-dir", str(tmp_path / "r")],
-        "eval-retrieval": ["--ckpt", ckpt, "--cache", str(cache), "--anchors", video,
-                           "--direction", "imu2video"],
+        "eval-retrieval": ["--ckpt", ckpt, "--cache", str(cache), "--video-anchors", video],
         "retrieve": ["--ckpt", ckpt, "--pool", str(cache), "--query-anchor", video],
     }[command]
     code, payload, err = run_cli(capsys, command, *argv)
@@ -375,8 +374,7 @@ def test_cache_readers_refuse_a_version_1_cache(command, v1_cache, run_dir, corp
     argv = {
         "train": ["--cache", cache, "--video-anchors", video, "--epochs", "1",
                   *TRAIN_FLAGS, "--run-dir", str(tmp_path / "r")],
-        "eval-retrieval": ["--ckpt", ckpt, "--cache", cache, "--anchors", video,
-                           "--direction", "imu2video"],
+        "eval-retrieval": ["--ckpt", ckpt, "--cache", cache, "--video-anchors", video],
         "eval-classify": ["--ckpt", ckpt, "--cache", cache,
                           "--labels", str(corpus / "labels.jsonl"), "--protocol", "probe"],
         "retrieve": ["--ckpt", ckpt, "--pool", cache, "--query-anchor", video],
@@ -437,7 +435,8 @@ def _json_defaults(*configs) -> dict:
 
 
 def test_train_flags_set_every_config_field(cache_path, corpus, tmp_path, capsys):
-    # a flag whose dest is not a field's name would leave that field at its default
+    # a flag whose dest is not a field's name would leave that field at its default;
+    # the mode is set by the anchor files given, here both
     values = {"batch_size": 4, "learning_rate": 0.02, "adagrad_eps": 1e-7, "decay": 0.2, "epochs": 1,
               "seed": 3, "mode": "ivt", "temperature": 0.2, "conv_channels": [8], "conv_kernels": [7],
               "conv_strides": [3], "gru_hidden": 12, "embed_dim": 16}
@@ -449,10 +448,10 @@ def test_train_flags_set_every_config_field(cache_path, corpus, tmp_path, capsys
     argv = ["train", "--cache", str(cache_path), "--video-anchors", str(corpus / "anchors_video.jsonl"),
             "--text-anchors", str(corpus / "anchors_text.jsonl"), "--run-dir", str(run),
             "--batch-size", "4", "--lr", "0.02", "--adagrad-eps", "1e-7", "--decay", "0.2",
-            "--epochs", "1", "--seed", "3", "--mode", "ivt", "--temperature", "0.2",
+            "--epochs", "1", "--seed", "3", "--temperature", "0.2",
             "--conv-channels", "8", "--conv-kernels", "7", "--conv-strides", "3",
             "--gru-hidden", "12", "--embed-dim", "16"]
-    assert values.keys() <= vars(build_parser().parse_args(argv)).keys()
+    assert values.keys() - {"mode"} <= vars(build_parser().parse_args(argv)).keys()
     assert main(argv) == 0
     config = json.loads((run / "config.json").read_text())
     manifest = json.loads((run / "manifest.json").read_text())["config"]
@@ -477,15 +476,59 @@ def test_eval_classify_flags_set_every_probe_config_field(run_dir, cache_path, c
     assert json.loads((out / "manifest.json").read_text())["config"] == values
 
 
-def test_train_mode_it_without_text_anchors_exit_2(cache_path, corpus, tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys, "train", "--cache", str(cache_path),
-        "--video-anchors", str(corpus / "anchors_video.jsonl"),
-        "--mode", "it", "--epochs", "1", *TRAIN_FLAGS,
-        "--run-dir", str(tmp_path / "r"),
-    )
-    assert code == 2
-    assert "--text-anchors" in err
+@pytest.mark.parametrize("command", ["train", "eval-retrieval"])
+def test_commands_given_no_anchor_file_exit_2(command, run_dir, cache_path, tmp_path, capsys):
+    argv = {"train": ["--epochs", "1", *TRAIN_FLAGS, "--run-dir", str(tmp_path / "r")],
+            "eval-retrieval": ["--ckpt", str(run_dir / "ckpt-30.bin")]}[command]
+    code, payload, err = run_cli(capsys, command, "--cache", str(cache_path), *argv)
+    assert (code, payload) == (2, None)
+    assert err == "error: give --video-anchors, --text-anchors or both\n"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", ["--mode", "iv"]),
+    ("eval-retrieval", ["--anchors", "a.jsonl"]),
+    ("eval-retrieval", ["--direction", "imu2video"]),
+], ids=["train-mode", "eval-retrieval-anchors", "eval-retrieval-direction"])
+def test_the_removed_modality_flags_are_usage_errors(command, flag, capsys):
+    rest = {"train": ["--epochs", "1", "--run-dir", "r"], "eval-retrieval": ["--ckpt", "k.bin"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--cache", "c.bin", "--video-anchors", "v.jsonl", *rest, *flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
+
+
+@pytest.mark.parametrize("given, mode", [
+    (["--video-anchors"], "iv"), (["--text-anchors"], "it"), (["--video-anchors", "--text-anchors"], "ivt"),
+], ids=["video", "text", "both"])
+def test_train_mode_is_that_of_the_anchor_files_given(given, mode, cache_path, corpus, tmp_path, capsys):
+    files = {"--video-anchors": corpus / "anchors_video.jsonl", "--text-anchors": corpus / "anchors_text.jsonl"}
+    run = tmp_path / "r"
+    code, payload, _ = run_cli(capsys, "train", "--cache", str(cache_path),
+                               *(a for flag in given for a in (flag, str(files[flag]))),
+                               "--epochs", "1", "--batch-size", "4", *TRAIN_FLAGS, "--run-dir", str(run))
+    assert code == 0 and payload["n_windows"] == 8
+    assert json.loads((run / "config.json").read_text())["train"]["mode"] == mode
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["input_hashes"].keys() == {str(cache_path), *(str(files[flag]) for flag in given)}
+    assert {k for k in payload["final"] if k.startswith("l_i2")} == {f"l_i2{m}" for m in mode[1:]}
+
+
+def test_train_reports_the_windows_it_dropped(cache_path, corpus, tmp_path, capsys):
+    # a text file covering 4 of the 8 windows: the windows with only a video anchor are
+    # dropped, and the JSON counts them
+    lines = (corpus / "anchors_text.jsonl").read_text().splitlines()
+    partial = tmp_path / "text.jsonl"
+    partial.write_text("".join(line + "\n" for line in lines[::2]))
+    argv = ["train", "--cache", str(cache_path), "--video-anchors", str(corpus / "anchors_video.jsonl"),
+            "--text-anchors", str(partial), "--epochs", "1", "--batch-size", "4", *TRAIN_FLAGS]
+    code, payload, err = run_cli(capsys, *argv, "--coverage", "0.5", "--run-dir", str(tmp_path / "r"))
+    assert code == 0 and err == ""
+    assert (payload["n_windows"], payload["dropped_windows"]) == (4, 4)
+    code, payload, err = run_cli(capsys, *argv, "--run-dir", str(tmp_path / "full"))
+    assert (code, payload) == (2, None)
+    assert err.startswith("error: anchor coverage 0.500 below threshold 1.000")
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -514,7 +557,7 @@ def test_train_refused_before_it_starts_leaves_no_run_dir(cache_path, corpus, tm
 def test_train_on_anchors_of_another_modality_exit_2(cache_path, corpus, tmp_path, capsys,
                                                      video, text, where):
     argv = ["train", "--cache", str(cache_path), "--video-anchors", str(corpus / video),
-            "--mode", "iv" if text is None else "ivt", "--epochs", "1", *TRAIN_FLAGS,
+            "--epochs", "1", *TRAIN_FLAGS,
             "--run-dir", str(tmp_path / "r")]
     if text is not None:
         argv += ["--text-anchors", str(corpus / text)]
@@ -528,7 +571,7 @@ def test_train_with_a_temperature_whose_gradients_overflow_exit_3(cache_path, co
     code, payload, err = run_cli(
         capsys, "train", "--cache", str(cache_path),
         "--video-anchors", str(corpus / "anchors_video.jsonl"),
-        "--mode", "iv", "--epochs", "1", "--batch-size", "4", "--temperature", "1e-300",
+        "--epochs", "1", "--batch-size", "4", "--temperature", "1e-300",
         *TRAIN_FLAGS, "--run-dir", str(tmp_path / "r"),
     )
     assert code == 3 and payload is None
@@ -542,7 +585,7 @@ def test_train_with_a_learning_rate_that_overflows_the_forward_exit_3(cache_path
     code, payload, err = run_cli(
         capsys, "train", "--cache", str(cache_path),
         "--video-anchors", str(corpus / "anchors_video.jsonl"),
-        "--mode", "iv", "--epochs", "1", "--batch-size", "4", "--lr", "1e300",
+        "--epochs", "1", "--batch-size", "4", "--lr", "1e300",
         *TRAIN_FLAGS, "--run-dir", str(tmp_path / "r"),
     )
     assert code == 3 and payload is None
@@ -555,7 +598,7 @@ def test_train_metrics_reproducible(cache_path, corpus, tmp_path, capsys):
         code, _, _ = run_cli(
             capsys, "train", "--cache", str(cache_path),
             "--video-anchors", str(corpus / "anchors_video.jsonl"),
-            "--mode", "ivt", "--text-anchors", str(corpus / "anchors_text.jsonl"),
+            "--text-anchors", str(corpus / "anchors_text.jsonl"),
             "--epochs", "3", "--seed", "9", "--batch-size", "4", *TRAIN_FLAGS,
             "--run-dir", str(tmp_path / name),
         )
@@ -571,17 +614,19 @@ def test_train_metrics_reproducible(cache_path, corpus, tmp_path, capsys):
 def test_eval_retrieval_json_shape(run_dir, cache_path, corpus, capsys):
     code, payload, _ = run_cli(
         capsys, "eval-retrieval", "--ckpt", str(run_dir / "ckpt-30.bin"),
-        "--cache", str(cache_path), "--anchors", str(corpus / "anchors_video.jsonl"),
-        "--direction", "imu2video",
+        "--cache", str(cache_path), "--video-anchors", str(corpus / "anchors_video.jsonl"),
     )
     assert code == 0
-    for key in ("R@1", "R@10", "R@50", "MRR", "pool_size", "n_queries", "flags"):
-        assert key in payload
-    assert payload["task"] == "retrieval"
-    assert payload["pool_size"] == 8
-    assert payload["dropped_anchors"] == 0 and payload["dropped_windows"] == 0
-    assert "pool_lt_50" in payload["flags"]
-    assert 0.0 <= payload["MRR"] <= 1.0
+    assert payload.keys() == {"task", "results"} and payload["task"] == "retrieval"
+    assert [r["direction"] for r in payload["results"]] == ["imu2video", "video2imu"]
+    for result in payload["results"]:
+        for key in ("R@1", "R@10", "R@50", "MRR", "pool_size", "n_queries", "flags"):
+            assert key in result
+        assert "task" not in result
+        assert result["pool_size"] == 8
+        assert result["dropped_anchors"] == 0 and result["dropped_windows"] == 0
+        assert "pool_lt_50" in result["flags"]
+        assert 0.0 <= result["MRR"] <= 1.0
 
 
 def test_eval_retrieval_reports_what_it_dropped(run_dir, cache_path, corpus, tmp_path, capsys):
@@ -591,11 +636,14 @@ def test_eval_retrieval_reports_what_it_dropped(run_dir, cache_path, corpus, tmp
     anchors.write_text("".join(json.dumps(r) + "\n" for r in records[2:] + ghosts))
     code, payload, _ = run_cli(
         capsys, "eval-retrieval", "--ckpt", str(run_dir / "ckpt-30.bin"),
-        "--cache", str(cache_path), "--anchors", str(anchors), "--direction", "imu2video",
+        "--cache", str(cache_path), "--video-anchors", str(anchors),
+        "--text-anchors", str(corpus / "anchors_text.jsonl"),
     )
     assert code == 0
-    assert payload["dropped_anchors"] == 3 and payload["dropped_windows"] == 2
-    assert payload["n_queries"] == 6 and payload["pool_size"] == 6
+    dropped = {r["direction"]: (r["dropped_anchors"], r["dropped_windows"], r["n_queries"], r["pool_size"])
+               for r in payload["results"]}
+    assert dropped == {"text2imu": (0, 0, 8, 8), "imu2video": (3, 2, 6, 6), "video2imu": (3, 2, 6, 6),
+                       "imu2text": (0, 0, 8, 8)}
 
 
 def _count_encoder_passes(monkeypatch) -> list[dict]:
@@ -613,41 +661,73 @@ def _count_encoder_passes(monkeypatch) -> list[dict]:
     return passes
 
 
+def _anchor_subset(corpus, modality, rows, path) -> set[str]:
+    """The `rows` slice of the corpus's anchor file of `modality`, written to `path`; returns its ids."""
+    lines = (corpus / f"anchors_{modality}.jsonl").read_text().splitlines()[rows]
+    path.write_text("".join(line + "\n" for line in lines))
+    return {json.loads(line)["window_id"] for line in lines}
+
+
 def test_eval_retrieval_encodes_only_the_windows_with_an_anchor(run_dir, cache_path, corpus,
                                                                 tmp_path, monkeypatch, capsys):
-    records = [json.loads(l) for l in (corpus / "anchors_video.jsonl").read_text().splitlines()]
-    anchors = tmp_path / "anchors.jsonl"
-    anchors.write_text("".join(json.dumps(r) + "\n" for r in records[2:]))
+    kept = _anchor_subset(corpus, "video", slice(2, None), tmp_path / "anchors.jsonl")
     passes = _count_encoder_passes(monkeypatch)
     code, payload, _ = run_cli(
         capsys, "eval-retrieval", "--ckpt", str(run_dir / "ckpt-30.bin"),
-        "--cache", str(cache_path), "--anchors", str(anchors), "--direction", "video2imu",
+        "--cache", str(cache_path), "--video-anchors", str(tmp_path / "anchors.jsonl"),
     )
-    assert code == 0 and payload["dropped_windows"] == 2
-    anchored = [w.window_id for w in load_window_cache(cache_path).windows
-                if w.window_id in {r["window_id"] for r in records[2:]}]
+    assert code == 0 and [r["dropped_windows"] for r in payload["results"]] == [2, 2]
+    anchored = [wid for wid in load_window_cache(cache_path).windows.ids if wid in kept]
     assert [p["ids"] for p in passes] == [anchored] and len(anchored) == 6
 
 
-def test_eval_retrieval_modality_mismatch_exit_2(run_dir, cache_path, corpus, capsys):
-    code, _, err = run_cli(
+def test_eval_retrieval_scores_every_direction_from_one_encode(run_dir, cache_path, corpus, tmp_path,
+                                                               monkeypatch, capsys):
+    # video and text files that overlap the cache in different windows: one encode of
+    # their union, and each direction what a run over its own modality's windows gives
+    files = {"video": tmp_path / "video.jsonl", "text": tmp_path / "text.jsonl"}
+    ids = {"video": _anchor_subset(corpus, "video", slice(1, 6), files["video"]),
+           "text": _anchor_subset(corpus, "text", slice(3, None), files["text"])}
+    passes = _count_encoder_passes(monkeypatch)
+    code, payload, _ = run_cli(
+        capsys, "eval-retrieval", "--ckpt", str(run_dir / "ckpt-30.bin"), "--cache", str(cache_path),
+        "--video-anchors", str(files["video"]), "--text-anchors", str(files["text"]))
+    assert code == 0 and payload["task"] == "retrieval"
+    windows = load_window_cache(cache_path).windows
+    assert [p["ids"] for p in passes] == [[wid for wid in windows.ids if wid in ids["video"] | ids["text"]]]
+    monkeypatch.undo()
+    ckpt = load_checkpoint(run_dir / "ckpt-30.bin")
+    expected = []
+    for direction in evaluate.RETRIEVAL_DIRECTIONS:
+        modality = "text" if "text" in direction else "video"
+        anchors = load_anchor_embeddings(files[modality], modality)
+        own = windows.having(anchors)
+        emb = dict(zip(own.ids, cli.encode_batch(own, ckpt.params, ckpt.encoder_config)))
+        metrics = evaluate.eval_retrieval(emb, {k: anchors[k].vector for k in emb}, direction)
+        expected.append({**metrics, "dropped_anchors": 0, "dropped_windows": len(windows) - len(own)})
+    assert payload["results"] == json.loads(json.dumps(expected))
+
+
+def test_eval_retrieval_on_an_anchor_file_of_another_modality_exit_2(run_dir, cache_path, corpus, capsys):
+    video = corpus / "anchors_video.jsonl"
+    code, payload, err = run_cli(
         capsys, "eval-retrieval", "--ckpt", str(run_dir / "ckpt-30.bin"),
-        "--cache", str(cache_path), "--anchors", str(corpus / "anchors_video.jsonl"),
-        "--direction", "text2imu",
+        "--cache", str(cache_path), "--text-anchors", str(video),
     )
-    assert code == 2 and "modality" in err
+    assert (code, payload) == (2, None)
+    assert err == f"error: {video}:1: expected a text anchor, got modality 'video'\n"
 
 
-@pytest.mark.parametrize("direction", ["imu2video", "video2imu"])
+@pytest.mark.parametrize("modality", ["video", "text"])
 def test_eval_retrieval_on_anchors_of_another_dimension_exit_2(run_dir, cache_path, corpus,
-                                                              tmp_path, capsys, direction):
+                                                              tmp_path, capsys, modality):
     anchors = tmp_path / "anchors_8d.jsonl"
     anchors.write_text("".join(
         json.dumps({**rec, "vector": rec["vector"][:8]}) + "\n"
-        for rec in map(json.loads, (corpus / "anchors_video.jsonl").read_text().splitlines())))
+        for rec in map(json.loads, (corpus / f"anchors_{modality}.jsonl").read_text().splitlines())))
     code, payload, err = run_cli(
         capsys, "eval-retrieval", "--ckpt", str(run_dir / "ckpt-30.bin"),
-        "--cache", str(cache_path), "--anchors", str(anchors), "--direction", direction,
+        "--cache", str(cache_path), f"--{modality}-anchors", str(anchors),
     )
     assert code == 2 and payload is None
     assert "dim" in err and "Traceback" not in err
@@ -656,11 +736,10 @@ def test_eval_retrieval_on_anchors_of_another_dimension_exit_2(run_dir, cache_pa
 def test_eval_retrieval_text_direction_via_transitivity(run_dir, cache_path, corpus, capsys):
     code, payload, _ = run_cli(
         capsys, "eval-retrieval", "--ckpt", str(run_dir / "ckpt-30.bin"),
-        "--cache", str(cache_path), "--anchors", str(corpus / "anchors_text.jsonl"),
-        "--direction", "text2imu",
+        "--cache", str(cache_path), "--text-anchors", str(corpus / "anchors_text.jsonl"),
     )
     assert code == 0
-    assert payload["n_queries"] == 8
+    assert [(r["direction"], r["n_queries"]) for r in payload["results"]] == [("text2imu", 8), ("imu2text", 8)]
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +811,7 @@ def test_eval_classify_zeroshot_mean_embedding_anchors(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["train", "--cache", str(cache),
                  "--video-anchors", str(corpus / "anchors_video.jsonl"),
-                 "--mode", "iv", "--epochs", "80", "--seed", "0", "--batch-size", "8",
+                 "--epochs", "80", "--seed", "0", "--batch-size", "8",
                  "--conv-channels", "8", "--conv-kernels", "7", "--conv-strides", "2",
                  "--gru-hidden", "12", "--embed-dim", "32",
                  "--run-dir", str(run)]) == 0
@@ -1000,11 +1079,12 @@ def _refusal_argv(case, run_dir, cache_path, corpus, inputs):
     """The argv of one refused command, with the inputs it needs written under `inputs`, and its error."""
     ckpt, labels = str(run_dir / "ckpt-30.bin"), str(corpus / "labels.jsonl")
     classify = ["eval-classify", "--ckpt", ckpt, "--cache", str(cache_path), "--run-dir", str(inputs.parent / "run")]
-    if case == "eval-retrieval-no-overlap":
+    if case.startswith("eval-retrieval-"):  # no overlap, alone or beside a file that overlaps
         anchors = inputs / "anchors.jsonl"
-        anchors.write_text(json.dumps({"window_id": "elsewhere:0", "modality": "video", "vector": [1.0] * 16}) + "\n")
-        return (["eval-retrieval", "--ckpt", ckpt, "--cache", str(cache_path), "--anchors", str(anchors),
-                 "--direction", "imu2video"], "no anchor ids overlap the cache windows")
+        anchors.write_text(json.dumps({"window_id": "elsewhere:0", "modality": "text", "vector": [1.0] * 16}) + "\n")
+        text = ["--video-anchors", str(corpus / "anchors_video.jsonl")] if case.endswith("beside-video") else []
+        return (["eval-retrieval", "--ckpt", ckpt, "--cache", str(cache_path), *text, "--text-anchors", str(anchors)],
+                "no anchor ids overlap the cache windows")
     if case == "eval-classify-no-label":
         unlabeled = inputs / "labels.jsonl"
         unlabeled.write_text('{"classes": ["a", "b"]}\n{"window_id": "elsewhere:0", "label": "a"}\n')
@@ -1023,7 +1103,8 @@ def _refusal_argv(case, run_dir, cache_path, corpus, inputs):
             f"{empty}: empty query file")
 
 
-@pytest.mark.parametrize("case", ["eval-retrieval-no-overlap", "eval-classify-no-label",
+@pytest.mark.parametrize("case", ["eval-retrieval-no-overlap", "eval-retrieval-no-overlap-beside-video",
+                                  "eval-classify-no-label",
                                   "eval-classify-zeroshot-missing-class", "retrieve-empty-query-file"])
 def test_refused_commands_print_nothing_and_write_no_run_dir(case, run_dir, cache_path, corpus, tmp_path, capsys):
     inputs = tmp_path / "inputs"
@@ -1070,7 +1151,7 @@ def test_non_finite_embeddings_exit_3(command, nan_ckpt, cache_path, corpus, cap
     name, _, protocol = command.partition(":")
     argv = {
         "retrieve": ["--pool", str(cache_path), "--query-anchor", video],
-        "eval-retrieval": ["--cache", str(cache_path), "--anchors", video, "--direction", "imu2video"],
+        "eval-retrieval": ["--cache", str(cache_path), "--video-anchors", video],
         "eval-classify": ["--cache", str(cache_path), "--labels", str(corpus / "labels.jsonl"),
                           "--protocol", protocol, "--epochs", "2",
                           "--class-anchors", str(corpus / "class_anchors.jsonl")],
@@ -1127,7 +1208,7 @@ def test_os_errors_exit_2(case, run_dir, cache_path, corpus, tmp_path, capsys):
         "retrieve-query-is-a-dir": ["retrieve", "--pool", video, "--query-anchor", a_dir],
         "retrieve-pool-is-a-dir": ["retrieve", "--pool", a_dir, "--query-anchor", query],
         "eval-retrieval-cache-is-a-dir": ["eval-retrieval", "--ckpt", ckpt, "--cache", a_dir,
-                                          "--anchors", video, "--direction", "imu2video"],
+                                          "--video-anchors", video],
         "train-run-dir-is-a-file": ["train", "--cache", str(cache_path), "--video-anchors", video,
                                     "--epochs", "1", "--batch-size", "4", *TRAIN_FLAGS,
                                     "--run-dir", str(a_file)],
@@ -1235,9 +1316,96 @@ def test_numeric_flags_exit_0_2_or_3_without_traceback(argv, run_dir, cache_path
         assert out == ""
 
 
+_HOSTILE_TOKENS = [b"NaN", b"1e400", b"-0", b"9" * 400, b"[" * 300 + b"1" + b"]" * 300]
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+_CONTAINERS = {"cache", "ckpt"}  # the rest are JSONL
+# every input file of the commands that score anchors against windows, with the command that reads it
+_MUTATED_INPUTS = [("eval-retrieval", name) for name in ("cache", "ckpt", "video", "text")] + [
+    ("retrieve-cache", "cache"), ("retrieve-cache", "query"), ("retrieve-jsonl", "video"), ("retrieve-jsonl", "query")]
+_POSITIONS = st.integers(0, 1 << 20)  # taken modulo what the file has, so any draw names a place in it
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), _POSITIONS),
+    st.tuples(st.just("flip"), st.lists(st.tuples(_POSITIONS, st.integers(1, 255)), min_size=1, max_size=4)),
+    st.tuples(st.just("token"), _POSITIONS, st.sampled_from(_HOSTILE_TOKENS)),
+    st.tuples(st.just("value"), _POSITIONS, st.sampled_from([3.4e307, -1e308, 1e-310, -0.0, np.nan, np.inf])),
+    st.tuples(st.sampled_from(["repeat", "drop", "swap"]), _POSITIONS, _POSITIONS),
+)
+
+
+def _mutated(data: bytes, name: str, mutation) -> bytes:
+    kind, *args = mutation
+    if kind == "truncate":
+        return data[: args[0] % len(data)]
+    if kind == "flip":
+        out = bytearray(data)
+        for pos, xor in args[0]:
+            out[pos % len(out)] ^= xor
+        return bytes(out)
+    if kind == "value" and name in _CONTAINERS:  # a float64 of the payload, which follows the header
+        start = 13 + struct.unpack("<Q", data[5:13])[0]
+        at = start + 8 * (args[0] % ((len(data) - start) // 8))
+        return data[:at] + struct.pack("<d", args[1]) + data[at + 8:]
+    if kind in ("token", "value"):  # a number token of the text, a JSONL file's or a container header's
+        token = args[1] if kind == "token" else repr(args[1]).encode()
+        matches = list(_NUMBER.finditer(data))
+        if not matches:
+            return data
+        m = matches[args[0] % len(matches)]
+        return data[: m.start()] + token + data[m.end():]
+    lines = data.splitlines(keepends=True)
+    i, j = (a % len(lines) for a in args)
+    if kind == "repeat":
+        lines.insert(j, lines[i])
+    elif kind == "drop":
+        del lines[i]
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+    return b"".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(run_dir, cache_path, corpus, tmp_path_factory):
+    """The bytes of each input the mutation property reads, by name."""
+    query = tmp_path_factory.mktemp("query") / "query.jsonl"
+    query.write_text((corpus / "anchors_text.jsonl").read_text().splitlines()[0] + "\n")
+    paths = {"cache": cache_path, "ckpt": run_dir / "ckpt-30.bin", "video": corpus / "anchors_video.jsonl",
+             "text": corpus / "anchors_text.jsonl", "query": query}
+    return {name: path.read_bytes() for name, path in paths.items()}
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(target=("eval-retrieval", "cache"), mutation=("value", -1, 3.4e307))  # its window's GN variance overflows
+@example(target=("retrieve-cache", "cache"), mutation=("value", -1, 3.4e307))
+@example(target=("eval-retrieval", "ckpt"), mutation=("value", 12, 1e308))  # conv0.w's first weight
+@given(target=st.sampled_from(_MUTATED_INPUTS), mutation=_MUTATIONS)
+def test_mutated_input_files_exit_0_2_or_3_with_one_json_object_or_none(target, mutation, fuzz_inputs,
+                                                                         tmp_path, capsys):
+    # the CLI contract for any bytes in an input file; a leaked numpy warning fails
+    # the test under the suite's error::RuntimeWarning filter
+    command, name = target
+    paths = {}
+    for key, data in fuzz_inputs.items():
+        paths[key] = str(tmp_path / f"{key}.in")
+        Path(paths[key]).write_bytes(_mutated(data, key, mutation) if key == name else data)
+    argv = {
+        "eval-retrieval": ["eval-retrieval", "--ckpt", paths["ckpt"], "--cache", paths["cache"],
+                           "--video-anchors", paths["video"], "--text-anchors", paths["text"]],
+        "retrieve-cache": ["retrieve", "--ckpt", paths["ckpt"], "--pool", paths["cache"],
+                           "--query-anchor", paths["query"]],
+        "retrieve-jsonl": ["retrieve", "--pool", paths["video"], "--query-anchor", paths["query"]],
+    }[command]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3) and "Traceback" not in err
+    if code == 0:
+        assert isinstance(json.loads(out), dict)
+    else:
+        assert out == "" and err.splitlines()[-1].startswith("error: " if code == 2 else "numerical failure: ")
+
+
 def test_thread_env_var_is_ignored(monkeypatch, run_dir, cache_path, corpus, capsys):
     argv = ["eval-retrieval", "--ckpt", str(run_dir / "ckpt-30.bin"), "--cache", str(cache_path),
-            "--anchors", str(corpus / "anchors_video.jsonl"), "--direction", "imu2video"]
+            "--video-anchors", str(corpus / "anchors_video.jsonl")]
     monkeypatch.setenv("IMU_ALIGN_THREADS", "4")
     code, payload, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -313,6 +313,24 @@ def test_encode_batch_refuses_a_non_finite_embedding_naming_its_window():
         encode_batch(windows, p, TINY)
 
 
+def test_encode_batch_refuses_a_signal_whose_group_variance_overflows():
+    # finite, so the set takes it; the input GroupNorm's variance overflows, and under the
+    # suite's error::RuntimeWarning filter the refusal comes without a numpy warning
+    p = init_params(TINY, 9)
+    windows = _windows(3)
+    windows.signals[2, 4, 7] = 3.4e307
+    with pytest.raises(NumericError, match="^encode_batch: window 'w2:0' embeds to non-finite values$"):
+        encode_batch(windows, p, TINY)
+
+
+def test_encode_batch_refuses_parameters_that_overflow_without_a_warning():
+    p = init_params(TINY, 9)
+    p["conv0.w"].data = p["conv0.w"].data.copy()
+    p["conv0.w"].data.flat[0] = 1e308
+    with pytest.raises(NumericError, match="embeds to non-finite values"):
+        encode_batch(_windows(3), p, TINY)
+
+
 def test_windows_of_mixed_lengths_never_reach_encode_batch():
     # encode_batch takes a WindowSet, whose signals are one (n, 6, T) array
     with pytest.raises(DataError, match=r"^windows: mixed window lengths \[32, 64\]$"):

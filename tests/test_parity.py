@@ -24,8 +24,7 @@ def test_two_parity_runs_give_the_same_digests(tmp_path):
     first, second = runs
     assert first == second
     assert set(first["stdout"]) == {
-        "synth", "ingest", "train-iv", "train-it", "train-ivt",
-        *(f"eval-retrieval-{d}" for d in ("text2imu", "imu2video", "video2imu", "imu2text")),
+        "synth", "ingest", "train-iv", "train-it", "train-ivt", "eval-retrieval",
         *(f"eval-classify-{p}" for p in ("zeroshot", "probe", "finetune")), "retrieve-cache", "retrieve-jsonl",
         "retrieve-inline"}
     assert {"windows.bin", "run-iv/ckpt-2.bin", "run-ivt/manifest.json", "classify-probe/head.bin",

@@ -160,6 +160,16 @@ def test_train_epoch_refuses_a_non_finite_loss():
         train_epoch(_dataset(n=8), params, AdagradState(), cfg, SMALL_ENC, 0)
 
 
+def test_train_epoch_refuses_a_signal_whose_group_variance_overflows():
+    # the input GroupNorm gives that window NaN, not zeros, so the loss is refused
+    ds = _dataset(n=8)
+    ds.windows.signals[3, 1, 2] = 3.4e307
+    params = init_params(SMALL_ENC, 0)
+    cfg = TrainConfig(batch_size=4, epochs=1, mode="iv")
+    with pytest.raises(NumericError, match="non-finite loss"):
+        train_epoch(ds, params, AdagradState(), cfg, SMALL_ENC, 0)
+
+
 def test_fit_linear_head_refuses_a_non_finite_loss():
     emb = np.random.default_rng(0).standard_normal((6, 4))
     emb[2, 1] = np.nan

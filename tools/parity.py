@@ -46,16 +46,12 @@ def _steps():
     csvs = [f"{CORPUS}/synth-{i:04d}.csv" for i in range(12)]
     steps.append(("ingest", ["ingest", *(a for c in csvs for a in ("--imu", c)), "--window-s", "0.32",
                              "--rate-hz", "200", "--out", CACHE]))
-    for mode in ("iv", "it", "ivt"):
+    both = ["--video-anchors", anchors["video"], "--text-anchors", anchors["text"]]
+    for mode, files in (("iv", both[:2]), ("it", both[2:]), ("ivt", both)):  # the files given set the mode
         steps.append((f"train-{mode}", [
-            "train", "--cache", CACHE, "--video-anchors", anchors["video"], "--text-anchors", anchors["text"],
-            "--mode", mode, "--epochs", str(EPOCHS), "--seed", "0", "--batch-size", "4", *ENCODER,
-            "--run-dir", f"run-{mode}"]))
-    for direction in ("text2imu", "imu2video", "video2imu", "imu2text"):
-        modality = "text" if "text" in direction else "video"
-        steps.append((f"eval-retrieval-{direction}", [
-            "eval-retrieval", "--ckpt", CKPT, "--cache", CACHE, "--anchors", anchors[modality],
-            "--direction", direction]))
+            "train", "--cache", CACHE, *files, "--epochs", str(EPOCHS), "--seed", "0", "--batch-size", "4",
+            *ENCODER, "--run-dir", f"run-{mode}"]))
+    steps.append(("eval-retrieval", ["eval-retrieval", "--ckpt", CKPT, "--cache", CACHE, *both]))
     for protocol in ("zeroshot", "probe", "finetune"):
         steps.append((f"eval-classify-{protocol}", [
             "eval-classify", "--ckpt", CKPT, "--cache", CACHE, "--labels", f"{CORPUS}/labels.jsonl",
