@@ -282,11 +282,13 @@ def _orjson_rows(raw: bytes) -> np.ndarray | None:
     numbers = b"[" + b",".join(lines) + b"]"
     del body, lines  # the parse holds only the file and one copy of its numbers
     try:  # orjson refuses an empty field, so each line gives 7 values in order
-        rows = np.array(orjson.loads(numbers), dtype=np.float64).reshape(-1, 7)
+        values = orjson.loads(numbers)
+        rows = np.array(values, dtype=np.float64).reshape(-1, 7)
     except orjson.JSONDecodeError:  # not JSON numbers: ``,,``, ``1.``, ``+1``, ``1e400``
         return None
-    if not rows.all() and (b"-0," in numbers or b"-0]" in numbers):
-        return None  # an int -0 reads as +0.0, so it is sought only in a file that holds a zero
+    if (not rows.all() and any(type(values[i]) is int for i in np.flatnonzero(rows.ravel() == 0))
+            and (b"-0," in numbers or b"-0]" in numbers)):
+        return None  # an int -0 reads as +0.0; float zeros read to numpy's bits, so only an int zero asks
     return rows
 
 

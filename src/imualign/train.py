@@ -57,11 +57,11 @@ class TrainConfig:
 
 
 class AdagradState:
-    """Per-parameter sums of squared gradients plus a step counter."""
+    """Per-parameter sums of squared gradients plus a step counter; one fit's, never saved."""
 
-    def __init__(self, accumulators: dict[str, np.ndarray] | None = None, step: int = 0):
-        self.accumulators = accumulators or {}
-        self.step = step
+    def __init__(self):
+        self.accumulators: dict[str, np.ndarray] = {}
+        self.step = 0
 
     def accumulator_for(self, name: str, shape) -> np.ndarray:
         if name not in self.accumulators:
@@ -113,10 +113,12 @@ def adagrad_step(
 
 
 def gradients(tape: Tape, loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """d(loss)/d(param) for each named tensor; refuses a non-finite loss."""
+    """d(loss)/d(param) for each named tensor; refuses a non-finite loss. A finite loss of huge
+    weights may still give a non-finite gradient, which `adagrad_step` refuses by name."""
     if not np.isfinite(loss.data):
         raise NumericError(f"non-finite loss: {loss.data}")
-    return dict(zip(params, ad.backward(tape, loss, list(params.values()))))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return dict(zip(params, ad.backward(tape, loss, list(params.values()))))
 
 
 def lr_at(epoch: int, base_lr: float, decay: float) -> float:
@@ -216,7 +218,7 @@ def fit(
 
     if run_path is not None:
         save_checkpoint(run_path / f"ckpt-{config.epochs}.bin",
-                        params, opt_state, encoder_config, config, step=config.epochs)
+                        params, None, encoder_config, config, step=config.epochs)
         if manifest is None:
             manifest = {"command": "imualign.train.fit"}
         write_manifest(run_path, manifest)
@@ -237,44 +239,38 @@ def write_manifest(run_dir, manifest: dict) -> None:
 @dataclass
 class Checkpoint:
     params: EncoderParams
-    opt_state: AdagradState | None
     encoder_config: EncoderConfig
     train_config: TrainConfig | None
     step: int
 
 
 def _checkpoint(path, header: dict, arrays: dict[str, np.ndarray], error) -> tuple:
-    """The encoder config, train config and optimizer record of a checkpoint's `header`, refused
-    (`error` naming `path`) unless they and `arrays` are what `load_checkpoint` takes."""
+    """The encoder and train configs of a checkpoint's `header`, refused (`error` naming `path`)
+    unless they and `arrays` are what `load_checkpoint` takes: one array per parameter, no other."""
     encoder_config = header_config(path, header, "encoder_config", EncoderConfig, error)
     train_config = (None if header.get("train_config") is None
                     else header_config(path, header, "train_config", TrainConfig, error))
     shapes = param_shapes(encoder_config)
     if header_field(path, header, "param_names", list[str], error) != list(shapes):
         raise error(f"{path}: parameter names do not match the encoder config")
-    expected = {f"param.{name}": shape for name, shape in shapes.items()}
-    opt = header.get("opt")
-    if opt is not None:
-        opt = header_field(path, header, "opt", dict, error)
-        header_field(f"{path}: opt", opt, "step", int, error)
-        if not set(header_field(f"{path}: opt", opt, "names", list[str], error)) <= shapes.keys():
-            raise error(f"{path}: optimizer state names parameters the encoder does not have")
-        expected.update({f"acc.{name}": shapes[name] for name in opt["names"]})
-    checked_arrays(path, arrays, expected, error)
+    checked_arrays(path, arrays, {f"param.{name}": shape for name, shape in shapes.items()}, error)
     header_field(path, header, "step", int, error)
-    return encoder_config, train_config, opt
+    return encoder_config, train_config
 
 
 def save_checkpoint(
     path,
     params: EncoderParams,
-    opt_state: AdagradState | None,
+    opt_state: None,
     encoder_config: EncoderConfig,
     train_config: TrainConfig | None,
     step: int,
 ) -> None:
-    """Write a versioned binary checkpoint; round-trips bit-exactly. Refuses first (DataError),
-    before the file is opened, what `load_checkpoint` would refuse."""
+    """Write a versioned binary checkpoint of the parameters, the configs and `step`; round-trips
+    bit-exactly. Refuses first (DataError), before the file is opened, what `load_checkpoint` would
+    refuse, and an `opt_state` other than None: a checkpoint holds no optimizer state."""
+    if opt_state is not None:
+        raise DataError(f"{path}: a checkpoint holds no optimizer state, got {type(opt_state).__name__}")
     named = params.named()
     header = {
         "kind": "checkpoint",
@@ -282,23 +278,16 @@ def save_checkpoint(
         "encoder_config": asdict(encoder_config),
         "train_config": None if train_config is None else asdict(train_config),
         "param_names": list(named.keys()),
-        "opt": None if opt_state is None else {
-            "step": opt_state.step,
-            "names": sorted(opt_state.accumulators.keys()),
-        },
     }
     arrays = {f"param.{name}": t.data for name, t in named.items()}
-    if opt_state is not None:
-        arrays |= {f"acc.{name}": opt_state.accumulators[name] for name in header["opt"]["names"]}
     _checkpoint(path, header, arrays, DataError)
     write_container(path, CKPT_MAGIC, CKPT_VERSION, header, list(arrays.items()))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Refuses what `save_checkpoint` would not write; allocates nothing from header sizes."""
+    """Refuses what `save_checkpoint` would not write, such as optimizer arrays; allocates nothing
+    from header sizes."""
     header, arrays = read_container(path, CKPT_MAGIC, CKPT_VERSION)
-    encoder_config, train_config, opt = _checkpoint(path, header, arrays, FormatError)
+    encoder_config, train_config = _checkpoint(path, header, arrays, FormatError)
     params = EncoderParams({n: Tensor(arrays[f"param.{n}"], requires_grad=True) for n in header["param_names"]})
-    opt_state = None if opt is None else AdagradState(
-        {name: arrays[f"acc.{name}"] for name in opt["names"]}, step=opt["step"])
-    return Checkpoint(params, opt_state, encoder_config, train_config, header["step"])
+    return Checkpoint(params, encoder_config, train_config, header["step"])

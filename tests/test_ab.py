@@ -1,8 +1,11 @@
 """`tools/ab.py`'s statistics on made-up samples: medians and quartiles,
 wins with ties counting for neither side, the no-regression bound in each
-metric's direction, whether the runs' spread resolves it, and the claim rule."""
+metric's direction, whether the runs' spread resolves it, and the claim rule;
+and the order of the processes it starts."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,26 @@ def test_the_claim_needs_9_of_10_wins_and_a_median_gain_beyond_the_parents_iqr(c
 def test_one_pair_has_its_value_for_median_and_quartiles():
     report = ab.compare(_runs(rate=[7], rss=[1]), _runs(rate=[8], rss=[1]), SPEC)
     assert report["metrics"]["rate"]["parent"] == {"median": 7, "q1": 7, "q3": 7}
+
+
+def test_both_trees_are_compiled_before_the_first_run(monkeypatch, capsys):
+    # a tree without __pycache__ would count compiling src/ in its runs' setup_s
+    spec = json.loads((ab.ROOT / "BENCHMARK.json").read_text())
+    result = {"failed": 0, "attempted": 1, "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}}
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        kind = ("compile" if "compileall" in argv else "bench" if "perfbench/run.py" in argv
+                else " ".join(argv[1:3]))
+        calls.append((kind, Path(cwd), argv))
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(result) + "\n", stderr="")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    assert ab.main(["--rev", "HEAD", "--workload", "ingest", "--seed", "1", "--pairs", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["pairs"] == 2
+    parent_tree = Path(calls[0][2][-2])
+    assert [(kind, cwd) for kind, cwd, _ in calls] == [
+        ("worktree add", ab.ROOT), ("compile", parent_tree), ("compile", ab.ROOT),
+        ("bench", parent_tree), ("bench", ab.ROOT), ("bench", ab.ROOT), ("bench", parent_tree),
+        ("worktree prune", ab.ROOT)]
+    assert all(argv[-3:] == ["compileall", "-q", "src"] for kind, _, argv in calls if kind == "compile")

@@ -1319,8 +1319,11 @@ def test_numeric_flags_exit_0_2_or_3_without_traceback(argv, run_dir, cache_path
 _HOSTILE_TOKENS = [b"NaN", b"1e400", b"-0", b"9" * 400, b"[" * 300 + b"1" + b"]" * 300]
 _NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 _CONTAINERS = {"cache", "ckpt"}  # the rest are JSONL
-# every input file of the commands that score anchors against windows, with the command that reads it
-_MUTATED_INPUTS = [("eval-retrieval", name) for name in ("cache", "ckpt", "video", "text")] + [
+# every input file of every command that reads one, with the command that reads it
+_MUTATED_INPUTS = [("ingest", "csv"), *(("train", name) for name in ("cache", "video", "text"))] + [
+    ("eval-retrieval", name) for name in ("cache", "ckpt", "video", "text")] + [
+    (f"eval-classify-{protocol}", name) for protocol in ("zeroshot", "probe", "finetune")
+    for name in ("ckpt", "cache", "labels", *(["class_anchors"] if protocol == "zeroshot" else []))] + [
     ("retrieve-cache", "cache"), ("retrieve-cache", "query"), ("retrieve-jsonl", "video"), ("retrieve-jsonl", "query")]
 _POSITIONS = st.integers(0, 1 << 20)  # taken modulo what the file has, so any draw names a place in it
 _MUTATIONS = st.one_of(
@@ -1369,14 +1372,16 @@ def fuzz_inputs(run_dir, cache_path, corpus, tmp_path_factory):
     query = tmp_path_factory.mktemp("query") / "query.jsonl"
     query.write_text((corpus / "anchors_text.jsonl").read_text().splitlines()[0] + "\n")
     paths = {"cache": cache_path, "ckpt": run_dir / "ckpt-30.bin", "video": corpus / "anchors_video.jsonl",
-             "text": corpus / "anchors_text.jsonl", "query": query}
+             "text": corpus / "anchors_text.jsonl", "query": query, "csv": corpus / "synth-0000.csv",
+             "labels": corpus / "labels.jsonl", "class_anchors": corpus / "class_anchors.jsonl"}
     return {name: path.read_bytes() for name, path in paths.items()}
 
 
-@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=800, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example(target=("eval-retrieval", "cache"), mutation=("value", -1, 3.4e307))  # its window's GN variance overflows
 @example(target=("retrieve-cache", "cache"), mutation=("value", -1, 3.4e307))
 @example(target=("eval-retrieval", "ckpt"), mutation=("value", 12, 1e308))  # conv0.w's first weight
+@example(target=("eval-classify-finetune", "ckpt"), mutation=("value", 1048564, -1e308))  # a GRU weight: nan gradients
 @given(target=st.sampled_from(_MUTATED_INPUTS), mutation=_MUTATIONS)
 def test_mutated_input_files_exit_0_2_or_3_with_one_json_object_or_none(target, mutation, fuzz_inputs,
                                                                          tmp_path, capsys):
@@ -1387,9 +1392,16 @@ def test_mutated_input_files_exit_0_2_or_3_with_one_json_object_or_none(target, 
     for key, data in fuzz_inputs.items():
         paths[key] = str(tmp_path / f"{key}.in")
         Path(paths[key]).write_bytes(_mutated(data, key, mutation) if key == name else data)
+    classify = ["eval-classify", "--ckpt", paths["ckpt"], "--cache", paths["cache"], "--labels", paths["labels"],
+                "--class-anchors", paths["class_anchors"], "--epochs", "2", "--batch-size", "4",
+                "--run-dir", str(tmp_path / "classify"), "--protocol"]
     argv = {
+        "ingest": ["ingest", "--imu", paths["csv"], "--window-s", "0.32", "--out", str(tmp_path / "cache.bin")],
+        "train": ["train", "--cache", paths["cache"], "--video-anchors", paths["video"], "--text-anchors",
+                  paths["text"], "--epochs", "1", "--batch-size", "4", *TRAIN_FLAGS, "--run-dir", str(tmp_path / "run")],
         "eval-retrieval": ["eval-retrieval", "--ckpt", paths["ckpt"], "--cache", paths["cache"],
                            "--video-anchors", paths["video"], "--text-anchors", paths["text"]],
+        **{f"eval-classify-{protocol}": [*classify, protocol] for protocol in ("zeroshot", "probe", "finetune")},
         "retrieve-cache": ["retrieve", "--ckpt", paths["ckpt"], "--pool", paths["cache"],
                            "--query-anchor", paths["query"]],
         "retrieve-jsonl": ["retrieve", "--pool", paths["video"], "--query-anchor", paths["query"]],

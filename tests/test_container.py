@@ -23,7 +23,7 @@ from imualign.signalio import (
     make_windows,
     save_window_cache,
 )
-from imualign.train import AdagradState, TrainConfig, load_checkpoint, save_checkpoint
+from imualign.train import TrainConfig, load_checkpoint, save_checkpoint
 
 TINY_ENC = EncoderConfig(conv_channels=(2,), conv_kernels=(3,), conv_strides=(1,), gru_hidden=2, embed_dim=2)
 
@@ -41,8 +41,7 @@ def _save_cache(path):
 
 
 def _save_checkpoint(path):
-    state = AdagradState({"conv0.w": np.full((2, 6, 3), 0.5)}, step=3)
-    save_checkpoint(path, init_params(TINY_ENC, 0), state, TINY_ENC, TrainConfig(), step=3)
+    save_checkpoint(path, init_params(TINY_ENC, 0), None, TINY_ENC, TrainConfig(), step=3)
 
 
 def _expected_refusal(path, full: bytes, n: int) -> str | None:

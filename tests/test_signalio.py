@@ -313,6 +313,10 @@ def _int_minus_zero(lines: list[str]) -> bool:
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(st.lists(_fast_tokens, min_size=7, max_size=7).map(",".join), min_size=1, max_size=8),
        end=st.sampled_from(["", "\n", "\n\n"]))
+@example(rows=["0.0,1,0.0,3,4,5,6", "0.5,0.0,2,3,4,5,0.0"], end="\n")  # a zero field of each kind
+@example(rows=["-0.0,1,-0.0,3,4,5,6", "0.5,-0.0,2,3,4,5,-0.0"], end="\n")
+@example(rows=["0,1,0,3,4,5,6", "0.5,0,2,3,4,5,0"], end="\n")
+@example(rows=["-0,1,-0,3,4,5,6", "0.5,-0,2,3,4,5,-0"], end="\n")
 def test_the_orjson_pass_gives_the_numpy_pass_bits(rows, end):
     got = signalio._orjson_rows(f"{CSV_HEADER}\n{chr(10).join(rows)}{end}".encode())
     assert (got is None) == _int_minus_zero(rows)  # an int -0 goes to numpy; nothing else here does
@@ -341,6 +345,22 @@ def test_an_int_minus_zero_loads_as_minus_zero(tmp_path, last):
     stream = load_imu_stream(p)
     assert np.signbit(stream.timestamps[0]) and np.signbit(stream.values[:, 5]).all()
     assert np.signbit(stream.values[1, 1]) and not np.signbit(stream.values[0, 1])
+
+
+def test_a_file_starting_at_a_float_zero_takes_the_orjson_pass(tmp_path, monkeypatch):
+    # `1e-0,` holds the bytes of an int -0's search, which a float zero does not ask for
+    lines = ["0.0,1e-0,2,3,4,5,6", "0.005,1,2,3,4,5,6"]
+    p = tmp_path / "t0.csv"
+    p.write_text(CSV_HEADER + "\n" + "\n".join(lines) + "\n")
+    reference = signalio._parse_rows(lines)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt was called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    stream = load_imu_stream(p)
+    assert stream.timestamps.tobytes() == reference[:, 0].tobytes()
+    assert stream.values.tobytes() == reference[:, 1:].tobytes()
 
 
 # 2**1024 - 2**970 is halfway from float's max to 2**1024, so it rounds to inf

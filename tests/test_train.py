@@ -321,65 +321,38 @@ def test_mode_reports_expected_fields(tmp_path, mode, directions, syms):
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     params = init_params(SMALL_ENC, 2)
-    state = AdagradState({"conv0.w": np.random.default_rng(0).uniform(size=(8, 6, 7))}, step=9)
     cfg = TrainConfig(epochs=3)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_checkpoint(p1, params, state, SMALL_ENC, cfg, step=3)
+    save_checkpoint(p1, params, None, SMALL_ENC, cfg, step=3)
     ck = load_checkpoint(p1)
-    save_checkpoint(p2, ck.params, ck.opt_state, ck.encoder_config, ck.train_config, ck.step)
+    save_checkpoint(p2, ck.params, None, ck.encoder_config, ck.train_config, ck.step)
     assert p1.read_bytes() == p2.read_bytes()
     assert ck.step == 3
     assert ck.train_config == cfg
     assert ck.encoder_config == SMALL_ENC
     assert ck.params.checksum() == params.checksum()
-    assert ck.opt_state.step == 9
 
 
-def test_checkpoint_resume_matches_uninterrupted(tmp_path):
-    ds = _dataset(n=8)
-    enc = SMALL_ENC
-
-    cfg2 = TrainConfig(batch_size=4, epochs=2, seed=3, mode="iv")
-    params_full = init_params(enc, cfg2.seed)
-    state_full = AdagradState()
-    for e in range(2):
-        train_epoch(ds, params_full, state_full, cfg2, enc, e)
-
-    cfg1 = TrainConfig(batch_size=4, epochs=1, seed=3, mode="iv")
-    params_half = init_params(enc, cfg1.seed)
-    state_half = AdagradState()
-    train_epoch(ds, params_half, state_half, cfg1, enc, 0)
-    ck_path = tmp_path / "ck.bin"
-    save_checkpoint(ck_path, params_half, state_half, enc, cfg1, step=1)
-    ck = load_checkpoint(ck_path)
-    train_epoch(ds, ck.params, ck.opt_state, cfg2, enc, ck.step)
-    assert ck.params.checksum() == params_full.checksum()
-
-
-@pytest.mark.parametrize("step, opt_step, message", [
-    (1.9, 0, "field 'step' is missing or not an integer"),
-    (10**400, 0, "field 'step' is missing or not an integer"),
-    (True, 0, "field 'step' is missing or not an integer"),
-    (1, True, "opt: field 'step' is missing or not an integer"),
-    (1, 1.9, "opt: field 'step' is missing or not an integer"),
-], ids=["float-step", "huge-int-step", "bool-step", "bool-opt-step", "float-opt-step"])
-def test_save_checkpoint_refuses_a_step_its_loader_would_refuse(tmp_path, step, opt_step, message):
+@pytest.mark.parametrize("step, message", [
+    (1.9, "field 'step' is missing or not an integer"),
+    (10**400, "field 'step' is missing or not an integer"),
+    (True, "field 'step' is missing or not an integer"),
+], ids=["float-step", "huge-int-step", "bool-step"])
+def test_save_checkpoint_refuses_a_step_its_loader_would_refuse(tmp_path, step, message):
     p = tmp_path / "ck.bin"
-    state = AdagradState({"conv0.w": np.ones((8, 6, 7))}, step=opt_step)
     with pytest.raises(DataError, match=re.escape(f"{p}") + ".*" + re.escape(message)):
-        save_checkpoint(p, init_params(SMALL_ENC, 0), state, SMALL_ENC, TrainConfig(), step=step)
+        save_checkpoint(p, init_params(SMALL_ENC, 0), None, SMALL_ENC, TrainConfig(), step=step)
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("enc, state, message", [
     (EncoderConfig(conv_channels=(8,), conv_kernels=(7,), conv_strides=(2,), gru_hidden=12, embed_dim=8), None,
      "array 'param.proj.w' has shape (8, 12), expected (16, 12)"),
-    (SMALL_ENC, AdagradState({"conv9.w": np.ones((8, 6, 7))}),
-     "optimizer state names parameters the encoder does not have"),
-    (SMALL_ENC, AdagradState({"conv0.w": np.ones(3)}), "array 'acc.conv0.w' has shape (3,), expected (8, 6, 7)"),
-], ids=["params-of-another-config", "unknown-accumulator", "accumulator-shape"])
+    (SMALL_ENC, AdagradState(), "a checkpoint holds no optimizer state, got AdagradState"),
+], ids=["params-of-another-config", "optimizer-state"])
 def test_save_checkpoint_refuses_what_its_loader_would_refuse(tmp_path, enc, state, message):
-    # the saver runs the loader's checks (train._checkpoint), so it refuses with the loader's text
+    # the saver runs the loader's checks (train._checkpoint), so it refuses with the loader's text;
+    # the optimizer-state slot, which no loader reads, must be None
     p = tmp_path / "ck.bin"
     with pytest.raises(DataError, match=f"^{re.escape(f'{p}: {message}')}$"):
         save_checkpoint(p, init_params(enc, 0), state, SMALL_ENC, TrainConfig(), step=1)
@@ -404,8 +377,7 @@ def _rewrite_checkpoint(path, edit):
 
 
 def _save_small_checkpoint(path):
-    state = AdagradState({"conv0.w": np.ones((8, 6, 7))}, step=2)
-    save_checkpoint(path, init_params(SMALL_ENC, 0), state, SMALL_ENC, TrainConfig(), 0)
+    save_checkpoint(path, init_params(SMALL_ENC, 0), None, SMALL_ENC, TrainConfig(), 0)
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -417,21 +389,19 @@ def _save_small_checkpoint(path):
     (lambda h, a: h.pop("step"), "'step' is missing"),
     (lambda h, a: h["encoder_config"].update(conv_channels=[10**12]), "has shape (8, 6, 7)"),
     (lambda h, a: a.update({"param.extra": np.zeros(1)}), "unexpected arrays ['param.extra']"),
-    (lambda h, a: a.update({"acc.conv0.w": np.zeros(3)}), "array 'acc.conv0.w' has shape (3,)"),
+    (lambda h, a: a.update({"acc.conv0.w": np.zeros((8, 6, 7))}), "unexpected arrays ['acc.conv0.w']"),
     (lambda h, a: h.update(step=1.9), "'step' is missing or not an integer"),
     (lambda h, a: h.update(step=True), "'step' is missing or not an integer"),
-    (lambda h, a: h["opt"].update(step=True), "opt: field 'step'"),
     (lambda h, a: h["encoder_config"].update(conv_channels=[8.7]), "not a list of integers"),
     (lambda h, a: h["train_config"].pop("seed"), "train_config has fields"),
     (lambda h, a: h["train_config"].update(learning_rate=math.nan), "learning_rate is not a number, got nan"),
     (lambda h, a: h["train_config"].update(seed=True), "seed is not an integer, got True"),
     (lambda h, a: h["train_config"].update(temperature=math.inf), "temperature is not a number, got inf"),
     (lambda h, a: h["encoder_config"].update(conv_channels=[-math.inf]), "not a list of integers, got [-inf]"),
-    (lambda h, a: h["opt"].update(names=["conv9.w"]), "names parameters the encoder does not have"),
 ], ids=["encoder_config-key", "old-n_conv_layers", "old-groupnorm_eps", "train_config-key",
-        "no-param_names", "no-step", "huge-channels", "extra-array", "accumulator-shape",
-        "float-step", "bool-step", "bool-opt-step", "float-channels", "missing-config-field",
-        "nan-learning-rate", "bool-seed", "inf-temperature", "inf-channels", "unknown-accumulator"])
+        "no-param_names", "no-step", "huge-channels", "extra-array", "old-accumulator",
+        "float-step", "bool-step", "float-channels", "missing-config-field",
+        "nan-learning-rate", "bool-seed", "inf-temperature", "inf-channels"])
 def test_checkpoint_malformed_header_is_format_error(tmp_path, edit, message):
     p = tmp_path / "ck.bin"
     _save_small_checkpoint(p)
@@ -457,8 +427,8 @@ def test_checkpoint_and_window_cache_bytes_are_the_container_layout(tmp_path, mo
     monkeypatch.setattr(train, "write_container", recording_write)
     monkeypatch.setattr(signalio, "write_container", recording_write)
     ds = _dataset(n=8)
-    params, state, _ = fit(ds, SMALL_ENC, TrainConfig(batch_size=4, epochs=1, mode="iv"))
-    save_checkpoint(tmp_path / "ck.bin", params, state, SMALL_ENC, TrainConfig(), step=1)
+    params, _, _ = fit(ds, SMALL_ENC, TrainConfig(batch_size=4, epochs=1, mode="iv"))
+    save_checkpoint(tmp_path / "ck.bin", params, None, SMALL_ENC, TrainConfig(), step=1)
     cache = signalio.WindowCache(ds.windows, 200.0, 0.32, 0.32, "h")
     signalio.save_window_cache(cache, tmp_path / "windows.bin")
     rng = np.random.default_rng(0)
@@ -674,6 +644,23 @@ def test_fit_writes_run_directory(tmp_path):
     assert all("l_total" in l and "lr" in l for l in lines)
     assert (run / "ckpt-2.bin").exists()
     assert (run / "manifest.json").exists()
+
+
+def test_a_default_config_fit_checkpoints_only_parameters_configs_and_step(tmp_path):
+    ds = _dataset(n=16, dim=512, t=200)
+    cfg = TrainConfig(epochs=1, mode="iv")
+    params, _, _ = fit(ds, EncoderConfig(), cfg, run_dir=tmp_path / "run")
+    path = tmp_path / "run" / "ckpt-1.bin"
+    header, arrays = read_container(path, b"IMUK", 1)
+    assert "opt" not in header and (header["step"], header["train_config"]) == (1, asdict(cfg))
+    assert list(arrays) == [f"param.{name}" for name in params.named()] and len(arrays) == 16
+    n_values = sum(a.size for a in arrays.values())
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    assert n_values == 218_732 and path.stat().st_size == 13 + len(blob) + 8 * n_values  # ~1.75 MB
+    ck = load_checkpoint(path)
+    assert ck.params.checksum() == params.checksum()
+    save_checkpoint(tmp_path / "again.bin", ck.params, None, ck.encoder_config, ck.train_config, ck.step)
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 def test_fit_metrics_deterministic(tmp_path):

@@ -4,7 +4,9 @@ alternating pairs of runs.
     python3 tools/ab.py --rev REV --workload W --seed S --pairs N [--seconds T] [--claim METRIC]
 
 REV is checked out with `git worktree add` into a temporary directory, which
-is removed on exit, also after an error. Each pair runs
+is removed on exit, also after an error. Before the first pair, `python -m
+compileall -q src` runs in both trees, so that neither side's `setup_s`
+counts compiling `src/` while the other's finds `.pyc` files. Each pair runs
 `perfbench/run.py --workload W --seed S --seconds T --trace 0` once in each
 tree, the parent first in even pairs and the change first in odd ones, and
 reads the result object from the last line of each run's stdout. T defaults
@@ -105,6 +107,9 @@ def main(argv=None) -> int:
         if subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(parent_tree), args.rev],
                           cwd=ROOT).returncode:
             raise SystemExit(f"ab: cannot check out {args.rev}")
+        for tree in (parent_tree, ROOT):
+            if subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree).returncode:
+                raise SystemExit(f"ab: cannot compile src/ in {tree}")
         runs: dict = {"parent": [], "change": []}
         for i in range(args.pairs):
             order = [("parent", parent_tree), ("change", ROOT)]
